@@ -4,7 +4,8 @@ Recognize chains and blocks, factorize complex blocks (backward, forward,
 or with shared reference edges), plan multi-root/multi-terminal pages,
 accumulate sparse local Jacobians, run face elimination on the line graph,
 analyze elimination dependencies, and verify every transformation against a
-brute-force multi-path chain-rule oracle.
+multi-path chain-rule oracle: a dynamic-programming path sum that carries all
+randomized trials at once and keeps a guard of 10^6 paths per entry.
 """
 
 from .convert import expr_to_graph, graph_to_expr

@@ -96,20 +96,6 @@ def add(*terms):
     return Sum(tuple(flat))
 
 
-def is_normal(e):
-    if isinstance(e, (Sym, _Unit)):
-        return True
-    if isinstance(e, Prod):
-        return len(e.factors) >= 2 and all(
-            not isinstance(f, (Prod, _Unit)) and is_normal(f) for f in e.factors
-        )
-    if isinstance(e, Sum):
-        return len(e.terms) >= 2 and all(
-            not isinstance(t, Sum) and is_normal(t) for t in e.terms
-        )
-    return False
-
-
 def normalize(e):
     """Flatten nested products/sums and strip unit factors."""
     if isinstance(e, (Sym, _Unit)):
@@ -323,6 +309,38 @@ def expand_expr(e, def_map, _stack=()):
     if isinstance(e, Sum):
         return add(*[expand_expr(t, def_map, _stack) for t in e.terms])
     raise ExprError(f"not an expression: {e!r}")
+
+
+def check_references(e, def_map, clean):
+    """Raise the :class:`CyclicReferenceError` that ``expand_expr(e, def_map)``
+    would raise, without expanding anything.
+
+    Depth-first over references in the order ``expand_expr`` takes them.  A
+    name whose references were all followed without a cycle joins ``clean``
+    and is never followed again, so one pass over a whole set is linear.
+    """
+    path = {}  # reference names being followed, outermost first
+    frames = [(None, iter((e,)))]
+    while frames:
+        name, pending = frames[-1]
+        node = next(pending, None)
+        if node is None:
+            frames.pop()
+            if name is not None:
+                path.popitem()
+                clean.add(name)
+        elif isinstance(node, Sym):
+            ref = node.name
+            if ref in def_map and ref not in clean:
+                if ref in path:
+                    cycle = " -> ".join([*path, ref])
+                    raise CyclicReferenceError(f"cyclic reference: {cycle}")
+                path[ref] = None
+                frames.append((ref, iter((def_map[ref],))))
+        elif isinstance(node, (Prod, Sum)):
+            frames.append((None, iter(node.factors if isinstance(node, Prod) else node.terms)))
+        elif not isinstance(node, _Unit):
+            raise ExprError(f"not an expression: {node!r}")
 
 
 def expand_refs(s):

@@ -312,11 +312,3 @@ def subgraph_between(g, src, sink):
         return None
     return DiffGraph(edges)
 
-
-def restricted_to_paths(g, edge_ids):
-    """Subgraph with exactly the given edges (order preserved)."""
-    keep = set(edge_ids)
-    edges = [e for e in g.edges if e.id in keep]
-    if not edges:
-        return None
-    return DiffGraph(edges)

@@ -1,10 +1,17 @@
 """Ground-truth evaluation and randomized equivalence checking.
 
-Bauer's multi-path chain rule is evaluated by brute force: a Jacobian entry
-is the sum over every root-to-terminal path of the product of its edge
-labels.  Checks run in the prime field GF(2^61 - 1) by default, where
-equality is exact and a random instantiation exposes any fixed polynomial
-discrepancy with overwhelming probability.
+Bauer's multi-path chain rule gives a Jacobian entry as the sum over every
+root-to-terminal path of the product of its edge labels.  Checks run in the
+prime field GF(2^61 - 1) by default, where multiplication commutes and
+equality is exact, so the path sum is one forward dynamic-programming pass
+over the topological order (vertex elimination) instead of an enumeration;
+a random instantiation exposes any fixed polynomial discrepancy with
+overwhelming probability.  The pass also counts paths exactly and keeps the
+path guard of :func:`~jacfact.graph.enumerate_paths`.
+
+:func:`check_equiv` evaluates each artifact once for all of its trials: a
+:class:`Trials` batch holds one value column per label, and every vertex,
+definition and entry carries one value per trial.
 """
 from __future__ import annotations
 
@@ -13,7 +20,7 @@ from dataclasses import dataclass, field
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sum, Sym, _Unit
-from .graph import DEFAULT_PATH_GUARD, DiffGraph, UNIT_LABEL, enumerate_paths
+from .graph import DEFAULT_PATH_GUARD, DiffGraph, PathGuardExceeded, UNIT_LABEL
 
 PRIME = 2**61 - 1
 
@@ -57,66 +64,167 @@ def instantiate(labels, seed, mode="field"):
     return Instantiation(values, seed, mode)
 
 
-def eval_expr(e, inst, def_values=None):
-    def_values = def_values or {}
-    p = PRIME if inst.mode == "field" else None
+@dataclass
+class Trials:
+    """A batch of instantiations as value columns: ``columns[label][t]`` is
+    the label's value in trial ``t``.  Evaluating against a batch yields one
+    such column per result."""
 
-    def ev(node):
+    columns: dict
+    size: int
+    mode: str = "field"
+    single: bool = False  # built from one Instantiation: results are scalars
+
+    @classmethod
+    def of(cls, inst):
+        if isinstance(inst, Trials):
+            return inst
+        columns = {label: [v] for label, v in inst.values.items()}
+        return cls(columns, 1, inst.mode, single=True)
+
+    def scalars(self, out):
+        """Unwrap a {key: column} result when the batch is one Instantiation."""
+        return {k: col[0] for k, col in out.items()} if self.single else out
+
+    def __getitem__(self, label):
+        if label == UNIT_LABEL:
+            return self.constant(1)
+        try:
+            return self.columns[label]
+        except KeyError:
+            raise OracleError(f"label {label} not instantiated") from None
+
+    def constant(self, c):
+        return [c if self.mode == "field" else float(c)] * self.size
+
+    def mul(self, x, y):
+        if self.mode == "field":
+            return [a * b % PRIME for a, b in zip(x, y)]
+        return [a * b for a, b in zip(x, y)]
+
+    def add(self, x, y):
+        if self.mode == "field":
+            return [(a + b) % PRIME for a, b in zip(x, y)]
+        return [a + b for a, b in zip(x, y)]
+
+    def fma(self, acc, x, y):
+        """``acc + x*y`` per trial."""
+        if self.mode == "field":
+            return [(a + b * c) % PRIME for a, b, c in zip(acc, x, y)]
+        return [a + b * c for a, b, c in zip(acc, x, y)]
+
+
+def draw_trials(labels, seed, trials, mode="field"):
+    """Trials ``seed .. seed+trials-1``, each drawn by :func:`instantiate`."""
+    columns = {}
+    for t in range(trials):
+        for label, v in instantiate(labels, seed + t, mode).values.items():
+            columns.setdefault(label, []).append(v)
+    return Trials(columns, trials, mode)
+
+
+def _eval_columns(e, trials, def_values):
+    """Value column of one expression, iteratively (no Python recursion).
+
+    Children are visited left to right, so an uninstantiated label is
+    reported where a recursive evaluation would first meet it.
+    """
+    todo = [(e, False)]
+    stack = []
+    while todo:
+        node, ready = todo.pop()
         if isinstance(node, _Unit):
-            return 1 if p else 1.0
-        if isinstance(node, Sym):
-            if node.name in def_values:
-                return def_values[node.name]
-            return inst[node.name]
-        if isinstance(node, Prod):
-            out = 1 if p else 1.0
-            for f in node.factors:
-                out = out * ev(f) % p if p else out * ev(f)
-            return out
-        if isinstance(node, Sum):
-            out = 0 if p else 0.0
-            for t in node.terms:
-                out = (out + ev(t)) % p if p else out + ev(t)
-            return out
-        raise OracleError(f"not an expression: {node!r}")
+            stack.append(trials.constant(1))
+        elif isinstance(node, Sym):
+            name = node.name
+            stack.append(def_values[name] if name in def_values else trials[name])
+        elif isinstance(node, (Prod, Sum)):
+            is_prod = isinstance(node, Prod)
+            kids = node.factors if is_prod else node.terms
+            if not ready:
+                todo.append((node, True))
+                todo.extend((k, False) for k in reversed(kids))
+                continue
+            split = len(stack) - len(kids)
+            vals = stack[split:]
+            del stack[split:]
+            combine = trials.mul if is_prod else trials.add
+            acc = vals[0] if vals else trials.constant(1 if is_prod else 0)
+            for v in vals[1:]:
+                acc = combine(acc, v)
+            stack.append(acc)
+        else:
+            raise OracleError(f"not an expression: {node!r}")
+    return stack[0]
 
-    return ev(e)
+
+def eval_expr(e, inst, def_values=None):
+    """Value of one expression under one :class:`Instantiation`;
+    ``def_values`` maps reference names to their values."""
+    trials = Trials.of(inst)
+    defs = {name: [v] for name, v in (def_values or {}).items()}
+    return trials.scalars({None: _eval_columns(e, trials, defs)})[None]
 
 
 def eval_exprset(s, inst):
     """Map (root, terminal) -> value, with each definition evaluated once."""
+    trials = Trials.of(inst)
+    def_map = s.def_map
+    clean = set()
     def_values = {}
     for name, e in s.defs:
-        ex.expand_expr(e, s.def_map)  # cycle check
-        def_values[name] = eval_expr(e, inst, def_values)
+        ex.check_references(e, def_map, clean)
+        def_values[name] = _eval_columns(e, trials, def_values)
     out = {}
-    p = PRIME if inst.mode == "field" else None
     for pair, e in s.entries:
-        v = eval_expr(e, inst, def_values)
-        if pair in out:
-            out[pair] = (out[pair] + v) % p if p else out[pair] + v
-        else:
-            out[pair] = v
-    return out
+        v = _eval_columns(e, trials, def_values)
+        out[pair] = trials.add(out[pair], v) if pair in out else v
+    return trials.scalars(out)
 
 
 def bauer_eval(g, inst, guard=DEFAULT_PATH_GUARD):
-    """Jacobian entries by exhaustive path enumeration, exact in the field."""
-    p = PRIME if inst.mode == "field" else None
+    """Jacobian entries as path sums, exact in the field.
+
+    One forward pass over the topological order per root: each reached
+    vertex carries its path sum per trial and its exact path count.  Raises
+    :class:`~jacfact.graph.PathGuardExceeded` on the first (root, terminal)
+    pair, roots and terminals in sorted order, with more than ``guard``
+    paths.
+    """
+    trials = Trials.of(inst)
+    terminals = g.terminals
+    is_terminal = set(terminals)
+    succ = {
+        v: [(e.dst, None if e.label == UNIT_LABEL else trials[e.label]) for e in g.out_edges(v)]
+        for v in g.vertices
+    }
     out = {}
     for y in g.roots:
-        for x in g.terminals:
-            total = 0 if p else 0.0
-            paths = enumerate_paths(g, y, x, guard=guard)
-            if not paths:
+        value = {y: trials.constant(1)}
+        count = {y: 1}
+        for v in g.topo_order:
+            if v not in value:
                 continue
-            for path in paths:
-                term = 1 if p else 1.0
-                for eid in path:
-                    term = term * inst[g.edge(eid).label] % p if p else term * inst[g.edge(eid).label]
-                total = (total + term) % p if p else total + term
-            out[(y, x)] = total
-    return out
+            vv, cv = value[v], count[v]
+            for dst, col in succ[v]:
+                if dst not in value:
+                    value[dst] = vv if col is None else trials.mul(vv, col)
+                    count[dst] = cv
+                    continue
+                if col is None:
+                    value[dst] = trials.add(value[dst], vv)
+                else:
+                    value[dst] = trials.fma(value[dst], vv, col)
+                count[dst] += cv
+            if v not in is_terminal:
+                del value[v]
+        for x in terminals:
+            if x == y or x not in count:
+                continue
+            if count[x] > guard:
+                raise PathGuardExceeded(f"more than {guard} paths between {y} and {x}")
+            out[(y, x)] = value[x]
+    return trials.scalars(out)
 
 
 # ---------------------------------------------------------------------------
@@ -142,12 +250,11 @@ def eval_artifact(artifact, inst):
     if isinstance(artifact, ExprSet):
         return eval_exprset(artifact, inst)
     if isinstance(artifact, dict):  # (root, terminal) -> Expr
-        return {pair: eval_expr(e, inst) for pair, e in artifact.items()}
+        trials = Trials.of(inst)
+        return trials.scalars(
+            {pair: _eval_columns(e, trials, {}) for pair, e in artifact.items()}
+        )
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
-
-
-def support_of(artifact, inst):
-    return set(eval_artifact(artifact, inst))
 
 
 @dataclass
@@ -176,19 +283,22 @@ def check_equiv(a, b, trials=100, seed=0, mode="field", rtol=1e-9):
 
     Supports must match exactly.  Field mode compares exactly; float mode
     uses the given relative tolerance.  The report carries every mismatching
-    (pair, seed) so a failure is reproducible.
+    (pair, seed), trial by trial, so a failure is reproducible.
     """
     labels = labels_of(a) | labels_of(b)
     report = EquivReport(trials, mode)
+    if trials < 1:
+        return report
+    batch = draw_trials(labels, seed, trials, mode)
+    va = eval_artifact(a, batch)
+    vb = eval_artifact(b, batch)
+    if set(va) != set(vb):
+        missing = set(va) ^ set(vb)
+        raise SupportMismatch(f"entry supports differ on {sorted(missing)}")
+    pairs = sorted(va)
     for t in range(trials):
-        inst = instantiate(labels, seed + t, mode)
-        va = eval_artifact(a, inst)
-        vb = eval_artifact(b, inst)
-        if set(va) != set(vb):
-            missing = set(va) ^ set(vb)
-            raise SupportMismatch(f"entry supports differ on {sorted(missing)}")
-        for pair in sorted(va):
-            x, y = va[pair], vb[pair]
+        for pair in pairs:
+            x, y = va[pair][t], vb[pair][t]
             if mode == "field":
                 equal = x == y
             else:

@@ -194,3 +194,29 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert proc.stdout.startswith("PASS")
+
+
+def _diamond_chain(n):
+    edges = []
+    for i in range(n):
+        edges.append(f"e a{i} n{i} m{i}a")
+        edges.append(f"e b{i} n{i} m{i}b")
+        edges.append(f"e c{i} m{i}a n{i+1}")
+        edges.append(f"e d{i} m{i}b n{i+1}")
+    return "\n".join(edges) + "\n"
+
+
+@pytest.mark.parametrize("direction", ["refs", "backward"])
+def test_factorize_long_chain(capsys, tmp_path, direction):
+    p = tmp_path / "chain.graph"
+    p.write_text("".join(f"e g{i} n{i} n{i + 1}\n" for i in range(1500)))
+    code, out, err = run_cli(capsys, "factorize", str(p), "--direction", direction)
+    assert code == 0, err
+    assert "g1499" in out
+
+
+def test_verify_many_paths(capsys, tmp_path):
+    p = tmp_path / "diamonds.graph"
+    p.write_text(_diamond_chain(19))  # 2^19 = 524288 paths, under the guard
+    code, out, _ = run_cli(capsys, "verify", str(p), str(p))
+    assert code == 0 and out.startswith("PASS")

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, strategies as st
 
@@ -11,6 +13,7 @@ from jacfact.expr import (
     UNIT,
     add,
     canonical,
+    check_references,
     equivalent_form,
     expand_expr,
     expand_refs,
@@ -102,6 +105,33 @@ def test_cyclic_reference_detected():
     s.add_entry("y", "x", parse_expr("s1"))
     with pytest.raises(CyclicReferenceError):
         expand_refs(s)
+
+
+def _first_error(check, defs, dm):
+    try:
+        for _, e in defs:
+            check(e, dm)
+    except CyclicReferenceError as exc:
+        return str(exc)
+    return None
+
+
+def test_check_references_matches_expand_expr():
+    found = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(rng.randint(1, 6))]
+        defs = []
+        for name in names:
+            atoms = [Sym(rng.choice(names + list("abcdefgh"))) for _ in range(rng.randint(1, 4))]
+            defs.append((name, add(prod(*atoms[:2]), *atoms[2:])))
+        dm = dict(defs)
+        clean = set()
+        want = _first_error(expand_expr, defs, dm)
+        got = _first_error(lambda e, d: check_references(e, d, clean), defs, dm)
+        assert got == want
+        found += want is not None
+    assert 50 < found < 250  # both outcomes are well represented
 
 
 def test_exprset_round_trip():

@@ -1,7 +1,25 @@
+import random
+
 import pytest
 
-from jacfact.expr import parse_exprset
-from jacfact.graph import parse_graph
+from jacfact.expr import (
+    CyclicReferenceError,
+    Prod,
+    Sum,
+    Sym,
+    base_symbols,
+    expand_expr,
+    expand_refs,
+    parse_exprset,
+)
+from jacfact.graph import (
+    UNIT_LABEL,
+    DiffGraph,
+    Edge,
+    PathGuardExceeded,
+    enumerate_paths,
+    parse_graph,
+)
 from jacfact.oracle import (
     PRIME,
     Instantiation,
@@ -12,7 +30,7 @@ from jacfact.oracle import (
     instantiate,
 )
 
-from conftest import load_exprset, load_graph
+from conftest import load_exprset, load_graph, random_layered_dag
 
 
 def test_instantiate_deterministic():
@@ -86,3 +104,129 @@ def test_eval_exprset_defs_once():
     inst = instantiate({f"e{i}" for i in range(1, 13)}, seed=9)
     entries = eval_exprset(s, inst)
     assert set(entries) == {("v1", "v9")}
+
+
+# ---------------------------------------------------------------------------
+# cross-checks against brute force
+
+
+def brute_path_sums(g, inst):
+    """Bauer's rule by enumerating every root-to-terminal path."""
+    p = PRIME if inst.mode == "field" else None
+    out = {}
+    for y in g.roots:
+        for x in g.terminals:
+            paths = enumerate_paths(g, y, x)
+            if not paths:
+                continue
+            total = 0 if p else 0.0
+            for path in paths:
+                term = 1 if p else 1.0
+                for eid in path:
+                    term = term * inst[g.edge(eid).label]
+                    term = term % p if p else term
+                total = (total + term) % p if p else total + term
+            out[(y, x)] = total
+    return out
+
+
+def _with_unit_edges(g):
+    """The same graph with every third edge relabeled to the unit label."""
+    return DiffGraph(
+        Edge(e.id, e.src, e.dst, UNIT_LABEL if i % 3 == 2 else e.label)
+        for i, e in enumerate(g.edges)
+    )
+
+
+@pytest.mark.parametrize("mode", ["field", "float"])
+def test_bauer_matches_path_enumeration(mode):
+    checked = 0
+    for seed in range(120):
+        g = random_layered_dag(random.Random(seed), max_vertices=14, max_edges=24)
+        if len(g.vertices) < 9:
+            continue
+        for graph in (g, _with_unit_edges(g)):
+            inst = instantiate({e.label for e in graph.edges}, seed, mode)
+            got, want = bauer_eval(graph, inst), brute_path_sums(graph, inst)
+            assert set(got) == set(want)
+            for pair, v in want.items():
+                if mode == "field":
+                    assert got[pair] == v
+                else:
+                    assert got[pair] == pytest.approx(v, rel=1e-12)
+        checked += 1
+    assert checked >= 40
+
+
+def test_bauer_guard_names_first_pair_over_limit():
+    # (r0, t0) and (r0, t1) have one path each, (r1, t0) 8 and (r1, t1) 9
+    lines = ["e a r0 t1", "e b r0 t0", "e c r1 t1", "e g k3 t1"]
+    for i in range(3):
+        src, dst = ("r1" if i == 0 else f"k{i}"), f"k{i + 1}"
+        lines += [f"e u{i} {src} m{i}", f"e v{i} {src} w{i}",
+                  f"e x{i} m{i} {dst}", f"e z{i} w{i} {dst}"]
+    lines.append("e f k3 t0")
+    g = parse_graph("\n".join(lines) + "\n")
+    inst = instantiate({e.label for e in g.edges}, 0)
+    assert len(bauer_eval(g, inst, guard=9)) == 4
+    with pytest.raises(PathGuardExceeded, match="^more than 8 paths between r1 and t1$"):
+        bauer_eval(g, inst, guard=8)
+    with pytest.raises(PathGuardExceeded, match="^more than 7 paths between r1 and t0$"):
+        bauer_eval(g, inst, guard=7)
+
+
+def _ref_eval(e, values):
+    """Recursive scalar evaluation of a reference-free expression."""
+    if isinstance(e, Sym):
+        return values[e.name]
+    if isinstance(e, Prod):
+        out = 1
+        for f in e.factors:
+            out = out * _ref_eval(f, values) % PRIME
+        return out
+    if isinstance(e, Sum):
+        return sum(_ref_eval(t, values) for t in e.terms) % PRIME
+    return 1
+
+
+def test_check_equiv_mismatches_match_per_trial_loop():
+    # both pairs differ in every trial; (v1,v7) is listed first, sorts last
+    lhs = load_exprset("eq1")
+    lhs.add_entry("v1", "v2", Sym("e1"))
+    bad = parse_exprset(
+        "J[v1,v7] = (e2*e3+e2*e4)*(e5*e7+e6*e8)\n"
+        "J[v1,v2] = e2*e1\n"
+    )
+    labels = base_symbols(lhs) | base_symbols(bad)
+    expected = []
+    for t in range(30):
+        inst = instantiate(labels, 11 + t)
+        va = {p: _ref_eval(e, inst.values) for p, e in expand_refs(lhs).entry_map().items()}
+        vb = {p: _ref_eval(e, inst.values) for p, e in expand_refs(bad).entry_map().items()}
+        for pair in sorted(va):
+            if va[pair] != vb[pair]:
+                expected.append((pair, 11 + t, va[pair], vb[pair]))
+    report = check_equiv(lhs, bad, trials=30, seed=11)
+    assert len(expected) == 60
+    assert report.mismatches == expected
+
+
+def test_eval_exprset_reports_cycles_like_expand_expr():
+    s = parse_exprset("s1 = e1*s3\ns3 = e2+s4\ns4 = e3*s3\nJ[a,b] = s1\n")
+    with pytest.raises(CyclicReferenceError) as want:
+        expand_expr(s.defs[0][1], s.def_map)
+    inst = instantiate({"e1", "e2", "e3"}, 0)
+    with pytest.raises(CyclicReferenceError) as got:
+        eval_exprset(s, inst)
+    assert str(got.value) == str(want.value) == "cyclic reference: s3 -> s4 -> s3"
+
+
+def test_eval_exprset_deep_reference_chain():
+    n = 3000
+    lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n)]
+    s = parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n - 1}\n")
+    inst = instantiate({f"e{i}" for i in range(n)}, 4)
+    v = inst["e0"]
+    for i in range(1, n):
+        v = (v * inst[f"e{i}"] + inst[f"e{i}"]) % PRIME
+    assert eval_exprset(s, inst) == {("a", "b"): v}
