@@ -133,14 +133,8 @@ def cmd_inspect(args):
 
 def cmd_factorize(args):
     g = load_graph(args.graph)
-    if args.direction == "backward":
-        out = factorize.factorize_backward(g)
-        _self_verify(g, out, args.trials, args.seed)
-        print(format_graph(out), end="")
-        if args.expr:
-            print(f"# expr: {format_expr(convert.graph_to_expr(out))}")
-    elif args.direction == "forward":
-        out = factorize.factorize_forward(g)
+    if args.direction in ("backward", "forward"):
+        out = getattr(factorize, f"factorize_{args.direction}")(g)
         _self_verify(g, out, args.trials, args.seed)
         print(format_graph(out), end="")
         if args.expr:

@@ -28,10 +28,6 @@ class CyclicReferenceError(ExprError):
     pass
 
 
-class UnresolvedReferenceError(ExprError):
-    pass
-
-
 @dataclass(frozen=True)
 class Expr:
     def __str__(self):
@@ -240,15 +236,20 @@ class ExprSet:
 
     defs: list = field(default_factory=list)  # [(name, Expr)]
     entries: list = field(default_factory=list)  # [((root, terminal), Expr)]
+    _names: set = field(default_factory=set, init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._names.update(name for name, _ in self.defs)
 
     @property
     def def_map(self):
         return dict(self.defs)
 
     def define(self, name, expr):
-        if name in self.def_map:
+        if name in self._names:
             raise ExprError(f"duplicate definition for {name}")
         self.defs.append((name, normalize(expr)))
+        self._names.add(name)
 
     def add_entry(self, root, terminal, expr):
         self.entries.append(((root, terminal), normalize(expr)))
@@ -375,9 +376,9 @@ def fma_cost(s):
     """
     if isinstance(s, Expr):
         return _expr_cost(normalize(s))
-    dm = s.def_map
-    for pair, e in s.entries:
-        expand_expr(e, dm)  # raises on cyclic or malformed references
+    dm, clean = s.def_map, set()
+    for _, e in s.entries:
+        check_references(e, dm, clean)  # raises on cyclic or malformed references
     total = 0
     for name, e in s.defs:
         total += _expr_cost(normalize(e))

@@ -52,25 +52,20 @@ class RefRegistry:
 
     def __init__(self):
         self.defs = []  # (name, Expr) in creation order
+        self.def_map = {}
         self._by_key = {}
-        self._counter = 0
-
-    @property
-    def def_map(self):
-        return dict(self.defs)
 
     def intern(self, expr):
         expr = normalize(expr)
         if isinstance(expr, (Sym, _Unit)):
             return expr
         key = format_expr(canonical(expand_expr(expr, self.def_map)))
-        if key in self._by_key:
-            return Sym(self._by_key[key])
-        self._counter += 1
-        name = f"s{self._counter}"
-        self._by_key[key] = name
-        self.defs.append((name, expr))
-        return Sym(name)
+        if key not in self._by_key:
+            name = f"s{len(self.defs) + 1}"
+            self._by_key[key] = name
+            self.defs.append((name, expr))
+            self.def_map[name] = expr
+        return Sym(self._by_key[key])
 
 
 @dataclass

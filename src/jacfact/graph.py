@@ -115,29 +115,49 @@ class DiffGraph:
             raise GraphError(f"cycle detected involving {', '.join(stuck)}")
         self.topo_order = tuple(order)
 
+    def successors(self, v):
+        return [e.dst for e in self._succ[v]]
+
+    def predecessors(self, v):
+        return [e.src for e in self._pred[v]]
+
     def reachable_from(self, v):
         """All vertices reachable from v by directed paths of length >= 1."""
-        out = set()
-        stack = [e.dst for e in self._succ[v]]
-        while stack:
-            u = stack.pop()
-            if u in out:
-                continue
-            out.add(u)
-            stack.extend(e.dst for e in self._succ[u])
-        return out
+        return reach(v, self.successors)
 
     def reaching(self, v):
         """All vertices with a directed path of length >= 1 to v."""
-        out = set()
-        stack = [e.src for e in self._pred[v]]
-        while stack:
-            u = stack.pop()
-            if u in out:
-                continue
+        return reach(v, self.predecessors)
+
+
+def reach(start, step):
+    """All vertices reachable from `start` by paths of length >= 1.
+
+    `step(v)` lists the vertex at the far end of each edge leaving v, so the
+    same walk runs forward, backward, or over any adjacency.
+    """
+    out = set()
+    stack = list(step(start))
+    while stack:
+        u = stack.pop()
+        if u not in out:
             out.add(u)
-            stack.extend(e.src for e in self._pred[u])
-        return out
+            stack.extend(step(u))
+    return out
+
+
+def path_counts(start, step, order):
+    """Number of paths from `start` to each vertex it reaches (1 to itself).
+
+    `step` is as in :func:`reach`; `order` lists the vertices so that every
+    edge points forward.  An edge listed twice by `step` counts twice.
+    """
+    counts = {start: 1}
+    for v in order:
+        if v in counts:
+            for w in step(v):
+                counts[w] = counts.get(w, 0) + counts[v]
+    return counts
 
 
 # ---------------------------------------------------------------------------
@@ -217,12 +237,7 @@ def enumerate_paths(g, frm, to, guard=DEFAULT_PATH_GUARD):
 
 def count_paths(g, frm, to):
     """Number of directed paths from `frm` to `to` (dynamic programming)."""
-    counts = {to: 1}
-    for v in reversed(g.topo_order):
-        if v == to:
-            continue
-        counts[v] = sum(counts.get(e.dst, 0) for e in g.out_edges(v))
-    return counts.get(frm, 0)
+    return path_counts(frm, g.successors, g.topo_order).get(to, 0)
 
 
 def depth_levels(g):
@@ -267,17 +282,11 @@ def rt_degrees(g):
 
 
 def roots_reaching(g, v):
-    roots = set(g.roots)
-    if v in roots:
-        return set()
-    return {u for u in g.reaching(v) if u in roots}
+    return g.reaching(v) & set(g.roots)
 
 
 def terminals_reachable(g, v):
-    terms = set(g.terminals)
-    if v in terms:
-        return set()
-    return {u for u in g.reachable_from(v) if u in terms}
+    return g.reachable_from(v) & set(g.terminals)
 
 
 def overlap_degree(g, paths, edge_id):

@@ -105,17 +105,6 @@ class LineGraph:
         want = canonical(target)
         return [v.vid for v in self.labeled() if canonical(v.label) == want]
 
-    def copy(self):
-        out = LineGraph()
-        out._next = self._next
-        for vid, v in self.vertices.items():
-            out.vertices[vid] = LGVertex(
-                vid, v.label, v.kind, v.graph_vertex, set(v.preds), set(v.succs)
-            )
-        out.sources = dict(self.sources)
-        out.sinks = dict(self.sinks)
-        return out
-
 
 def build_line_graph(g):
     """Line graph of a differentiation graph, with meta sources and sinks."""
@@ -144,7 +133,7 @@ def _mult_flag(a, b):
     return 0 if isinstance(a, _Unit) or isinstance(b, _Unit) else 1
 
 
-def _cleanup(lg, affected, full_scan=False):
+def _cleanup(lg, affected):
     """Dead-vertex removal and duplicate merging, cascaded to fixpoint."""
     steps = []
     queue = sorted(set(affected))
@@ -160,15 +149,12 @@ def _cleanup(lg, affected, full_scan=False):
             steps.append(EliminationStep("remove-isolated", removed=(i,)))
             queue.extend(n for n in neighbors if alive(n))
             continue
-        if full_scan:
-            candidates = [w.vid for w in lg.labeled() if w.vid != i]
-        else:
-            candidates = set()
-            for n in v.preds:
-                candidates |= lg.vertices[n].succs
-            for n in v.succs:
-                candidates |= lg.vertices[n].preds
-            candidates = sorted(candidates - {i})
+        candidates = set()
+        for n in v.preds:
+            candidates |= lg.vertices[n].succs
+        for n in v.succs:
+            candidates |= lg.vertices[n].preds
+        candidates = sorted(candidates - {i})
         for j in candidates:
             if not alive(j) or not alive(i):
                 break
@@ -183,7 +169,7 @@ def _cleanup(lg, affected, full_scan=False):
     return steps
 
 
-def eliminate_face(lg, i, j, full_scan=False):
+def eliminate_face(lg, i, j):
     """Eliminate the intermediate face (i, j); returns the recorded steps."""
     for vid in (i, j):
         if vid not in lg.vertices:
@@ -234,7 +220,7 @@ def eliminate_face(lg, i, j, full_scan=False):
         lg.remove_edge(i, j)
         steps.append(EliminationStep("fillin", (i, j), ops, created=(k,), mult=mult))
         affected = [i, j, k]
-    steps.extend(_cleanup(lg, affected, full_scan))
+    steps.extend(_cleanup(lg, affected))
     return steps
 
 
@@ -242,7 +228,7 @@ def eliminate_face(lg, i, j, full_scan=False):
 # extended subset/superset rewrites
 
 
-def extended_rewrite(lg, rule, i, j=None, k=None, full_scan=False):
+def extended_rewrite(lg, rule, i, j=None, k=None):
     """Subset/superset variants of absorption, fillin and merge.
 
     Conditions are checked exactly as stated; when the subset or superset
@@ -273,7 +259,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None, full_scan=False):
             for s in sorted(vi.succs):
                 lg.remove_edge(k, s)
         steps = [EliminationStep("extended-merge-superset", updated=(i, k))]
-        steps.extend(_cleanup(lg, [i, k], full_scan))
+        steps.extend(_cleanup(lg, [i, k]))
         return steps
 
     if not lg.has_edge(i, j):
@@ -287,26 +273,26 @@ def extended_rewrite(lg, rule, i, j=None, k=None, full_scan=False):
         if not (vk.preds == vi.preds and vk.succs <= vj.succs):
             raise FaceError("absorb-s-subset condition violated")
         if vk.succs == vj.succs:
-            return eliminate_face(lg, i, j, full_scan)
+            return eliminate_face(lg, i, j)
         vk.label = add(vk.label, product)
         for s in sorted(vk.succs):
             lg.remove_edge(j, s)
         steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
                                  updated=(k,), mult=mult)]
-        steps.extend(_cleanup(lg, [i, j, k], full_scan))
+        steps.extend(_cleanup(lg, [i, j, k]))
         return steps
 
     if rule == "absorb-p-subset":
         if not (vk.preds <= vi.preds and vk.succs == vj.succs):
             raise FaceError("absorb-p-subset condition violated")
         if vk.preds == vi.preds:
-            return eliminate_face(lg, i, j, full_scan)
+            return eliminate_face(lg, i, j)
         vk.label = add(vk.label, product)
         for p in sorted(vk.preds):
             lg.remove_edge(p, i)
         steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
                                  updated=(k,), mult=mult)]
-        steps.extend(_cleanup(lg, [i, j, k], full_scan))
+        steps.extend(_cleanup(lg, [i, j, k]))
         return steps
 
     if rule in ("fillin-s-superset", "fillin-p-superset"):
@@ -314,13 +300,13 @@ def extended_rewrite(lg, rule, i, j=None, k=None, full_scan=False):
             if not (vk.preds == vi.preds and vk.succs >= vj.succs):
                 raise FaceError("fillin-s-superset condition violated")
             if vk.succs == vj.succs:
-                return eliminate_face(lg, i, j, full_scan)
+                return eliminate_face(lg, i, j)
             shrink = lambda: [lg.remove_edge(k, s) for s in sorted(vj.succs & vk.succs)]
         else:
             if not (vk.preds >= vi.preds and vk.succs == vj.succs):
                 raise FaceError("fillin-p-superset condition violated")
             if vk.preds == vi.preds:
-                return eliminate_face(lg, i, j, full_scan)
+                return eliminate_face(lg, i, j)
             shrink = lambda: [lg.remove_edge(p, k) for p in sorted(vi.preds & vk.preds)]
         combined = add(product, vk.label)
         if len(vi.succs) > 1 and len(vj.preds) > 1:
@@ -352,7 +338,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None, full_scan=False):
             steps = [EliminationStep("extended-fillin-superset", (i, j), ops,
                                      updated=(j,), mult=mult)]
             affected = [i, j, k]
-        steps.extend(_cleanup(lg, affected, full_scan))
+        steps.extend(_cleanup(lg, affected))
         return steps
 
     raise FaceError(f"unknown rule {rule}")
@@ -384,7 +370,7 @@ def resolve_vertex(lg, spec, defs=None):
     return hits[0]
 
 
-def run_elimination(lg, order, defs=None, allow_extended=False, full_scan=False):
+def run_elimination(lg, order, defs=None, allow_extended=False):
     """Apply a face order; returns the full trace.
 
     Order entries are (a, b) pairs resolved by value, or explicit rule
@@ -397,12 +383,12 @@ def run_elimination(lg, order, defs=None, allow_extended=False, full_scan=False)
         ):
             rule, *args = entry
             ids = [resolve_vertex(lg, a, defs) for a in args]
-            trace.extend(extended_rewrite(lg, rule, *ids, full_scan=full_scan))
+            trace.extend(extended_rewrite(lg, rule, *ids))
             continue
         a, b = entry
         i = resolve_vertex(lg, a, defs)
         j = resolve_vertex(lg, b, defs)
-        trace.extend(eliminate_face(lg, i, j, full_scan))
+        trace.extend(eliminate_face(lg, i, j))
     return trace
 
 

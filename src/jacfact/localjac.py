@@ -10,8 +10,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ExprSet, Sym, UNIT, _Unit, add, format_expr, normalize, prod
-from .structure import StructureError, region_expr
+from .expr import ExprSet, _Unit, add, format_expr, inline_single_use, prod
+from .factorize import RefRegistry
+from .graph import DiffGraph, subgraph_between
+from .structure import region_expr
 
 
 class JacobianError(ValueError):
@@ -63,31 +65,20 @@ def extract_local_jacobian(g, rows, cols):
 
 
 def _pair_region(g, r, c, boundary):
-    from .graph import DiffGraph
-
-    keep_edges = []
     # paths r -> c whose interior vertices avoid the other boundary vertices
     allowed = (g.reachable_from(r) & g.reaching(c)) - (boundary - {r, c})
     region = allowed | {r, c}
-    if c not in g.reachable_from(r):
-        return None
-    for e in g.edges:
-        if e.src in region and e.dst in region:
-            if e.src != c and e.dst != r:
-                keep_edges.append(e)
+    keep_edges = [
+        e
+        for e in g.edges
+        if e.src in region and e.dst in region and e.src != c and e.dst != r
+    ]
     if not keep_edges:
         return None
     sub = DiffGraph(keep_edges)
     if not sub.has_vertex(r) or not sub.has_vertex(c):
         return None
-    if c not in sub.reachable_from(r):
-        return None
-    below = sub.reachable_from(r) | {r}
-    above = sub.reaching(c) | {c}
-    final = [e for e in keep_edges if e.src in below & above and e.dst in below & above]
-    if not final:
-        return None
-    return DiffGraph(final)
+    return subgraph_between(sub, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -116,22 +107,7 @@ class _Accumulator:
     def __init__(self, chain):
         self.chain = list(chain)
         self.cost = 0
-        self.defs = []  # (name, expr) in creation order
-        self._names = {}
-        self._counter = 0
-
-    def _ref(self, e):
-        """Name a compound entry so later uses share it."""
-        e = normalize(e)
-        if isinstance(e, (Sym, _Unit)):
-            return e
-        key = format_expr(e)
-        if key not in self._names:
-            self._counter += 1
-            name = f"s{self._counter}"
-            self._names[key] = name
-            self.defs.append((name, e))
-        return Sym(self._names[key])
+        self.refs = RefRegistry()  # compound entries, named so later uses share them
 
     def product(self, left, right):
         if left.cols != right.rows:
@@ -147,7 +123,7 @@ class _Accumulator:
                 term = prod(a, b)
                 key = (r, c)
                 entries[key] = add(entries[key], term) if key in entries else term
-        entries = {k: self._ref(v) for k, v in entries.items()}
+        entries = {k: self.refs.intern(v) for k, v in entries.items()}
         return LocalJacobian(left.rows, right.cols, entries)
 
     def run(self, tree):
@@ -164,12 +140,10 @@ def accumulate(chain, parenthesization):
     of the final product, with intermediate entries shared through reference
     definitions wherever they are used more than once.
     """
-    from .expr import inline_single_use
-
     acc = _Accumulator(chain)
     result = acc.run(parenthesization)
     s = ExprSet()
-    for name, d in acc.defs:
+    for name, d in acc.refs.defs:
         s.define(name, d)
     for (r, c), e in sorted(result.entries.items()):
         s.add_entry(r, c, e)

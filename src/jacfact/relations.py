@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import networkx as nx
-
 from .expr import (
     Prod,
     Sum,
@@ -247,15 +245,53 @@ def build_dep_graph(s):
     return d
 
 
+def _successor_sets(d):
+    succ = {n: set() for n in d.nodes}
+    for a, b, _ in d.edges:
+        succ[a].add(b)
+    return succ
+
+
 def detect_cycles(d):
-    """All elementary cycles, each rotated to start at its smallest node."""
-    g = nx.DiGraph()
-    g.add_nodes_from(d.nodes)
-    g.add_edges_from([(a, b) for a, b, _ in d.edges])
+    """All elementary cycles, each rotated to start at its smallest node.
+
+    Johnson's circuit search (SIAM J. Comput. 4(1), 1975): each node in turn
+    starts the circuits whose other nodes are all greater, and blocked sets
+    keep the search off nodes that cannot lead back to it yet.
+    """
+    succ = _successor_sets(d)
     cycles = []
-    for cyc in nx.simple_cycles(g):
-        k = cyc.index(min(cyc))
-        cycles.append(tuple(cyc[k:] + cyc[:k]))
+    for start in sorted(succ):
+        path, blocked, b_sets = [start], {start}, {}
+        frames = [iter(succ[start])]
+        closed = [False]  # per frame: a circuit was found below this node
+        while frames:
+            for w in frames[-1]:
+                if w == start:
+                    cycles.append(tuple(path))
+                    closed[-1] = True
+                elif w > start and w not in blocked:
+                    path.append(w)
+                    blocked.add(w)
+                    frames.append(iter(succ[w]))
+                    closed.append(False)
+                    break
+            else:
+                frames.pop()
+                v = path.pop()
+                if closed.pop():
+                    if closed:
+                        closed[-1] = True
+                    release = [v]
+                    while release:
+                        u = release.pop()
+                        if u in blocked:
+                            blocked.discard(u)
+                            release.extend(b_sets.pop(u, ()))
+                else:
+                    for w in succ[v]:
+                        if w > start:
+                            b_sets.setdefault(w, set()).add(v)
     return sorted(cycles)
 
 
@@ -273,12 +309,20 @@ class _Task:
 
 def _dep_depth(d):
     """Longest dependency path into each face (more depended-upon = deeper)."""
-    g = nx.DiGraph()
-    g.add_nodes_from(d.nodes)
-    g.add_edges_from([(a, b) for a, b, _ in d.edges])
-    depth = {}
-    for n in nx.topological_sort(g):
-        depth[n] = max((depth[p] + 1 for p in g.predecessors(n)), default=0)
+    succ = _successor_sets(d)
+    indeg = dict.fromkeys(succ, 0)
+    for ws in succ.values():
+        for w in ws:
+            indeg[w] += 1
+    depth = dict.fromkeys(succ, 0)
+    ready = [v for v, k in indeg.items() if k == 0]
+    while ready:
+        v = ready.pop()
+        for w in succ[v]:
+            depth[w] = max(depth[w], depth[v] + 1)
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                ready.append(w)
     return depth
 
 

@@ -12,7 +12,16 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import UNIT, Sym, add, prod
-from .graph import DiffGraph, Edge, UNIT_LABEL, count_paths, depth_levels, subgraph_between
+from .graph import (
+    DiffGraph,
+    Edge,
+    UNIT_LABEL,
+    count_paths,
+    depth_levels,
+    path_counts,
+    reach,
+    subgraph_between,
+)
 
 
 class StructureError(ValueError):
@@ -222,21 +231,6 @@ class _Contraction:
 
     # -- complex-region handling ----------------------------------------------
 
-    def _cgraph_paths(self, src, dst):
-        """Path counts in the current contracted graph."""
-        out, _ = self._adj()
-        memo = {}
-
-        def count(v):
-            if v == dst:
-                return 1
-            if v in memo:
-                return memo[v]
-            memo[v] = sum(count(c.dst) for c in out.get(v, []))
-            return memo[v]
-
-        return count(src)
-
     def find_stuck_blocks(self):
         """Def-style blocks among the uncontracted remainder, innermost first.
 
@@ -245,33 +239,17 @@ class _Contraction:
         a-to-b path.
         """
         out, inn = self._adj()
+        down = lambda v: [c.dst for c in out.get(v, [])]
+        up = lambda v: [c.src for c in inn.get(v, [])]
         verts = set(out) | set(inn)
-        below = {}
-        above = {}
-        for v in verts:
-            seen = set()
-            stack = [c.dst for c in out.get(v, [])]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(c.dst for c in out.get(u, []))
-            below[v] = seen
-        for v in verts:
-            seen = set()
-            stack = [c.src for c in inn.get(v, [])]
-            while stack:
-                u = stack.pop()
-                if u in seen:
-                    continue
-                seen.add(u)
-                stack.extend(c.src for c in inn.get(u, []))
-            above[v] = seen
+        order = self.g.topo_order  # every contracted edge points forward in it
+        below = {v: reach(v, down) for v in verts}
+        above = {v: reach(v, up) for v in verts}
         candidates = []
         for a in sorted(verts):
             if len(out.get(a, [])) < 2:
                 continue
+            from_a = path_counts(a, down, order)
             for b in sorted(below[a]):
                 if len(inn.get(b, [])) < 2:
                     continue
@@ -279,23 +257,15 @@ class _Contraction:
                 interior = region - {a, b}
                 if not interior:
                     continue
-                ok = True
-                for m in interior:
-                    for c in out.get(m, []) + inn.get(m, []):
-                        if c.src not in region or c.dst not in region:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
+                if any(
+                    c.src not in region or c.dst not in region
+                    for m in interior
+                    for c in out.get(m, []) + inn.get(m, [])
+                ):
                     continue
-                total = self._cgraph_paths(a, b)
-                disjoint = True
-                for m in interior:
-                    if self._cgraph_paths(a, m) * self._cgraph_paths(m, b) == total:
-                        disjoint = False  # every path shares m
-                        break
-                if disjoint:
+                to_b = path_counts(b, up, reversed(order))
+                # no interior vertex m with every a-to-b path through it
+                if all(from_a[m] * to_b[m] != from_a[b] for m in interior):
                     candidates.append((len(region), a, b, frozenset(region)))
         candidates.sort()
         return candidates

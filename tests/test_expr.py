@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from jacfact.expr import (
     CyclicReferenceError,
+    ExprError,
     ExprSet,
     ExprSyntaxError,
     Prod,
@@ -132,6 +133,29 @@ def test_check_references_matches_expand_expr():
         assert got == want
         found += want is not None
     assert 50 < found < 250  # both outcomes are well represented
+
+
+def test_fma_cost_deep_reference_chain():
+    n = 3000
+    lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n + 1)]
+    s = parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n}\n")
+    assert fma_cost(s) == n
+
+
+def test_fma_cost_cyclic_reference_message():
+    s = parse_exprset("s1 = e1*s3\ns3 = e2+s4\ns4 = e3*s3\nJ[a,b] = s1\n")
+    with pytest.raises(CyclicReferenceError) as exc:
+        fma_cost(s)
+    assert str(exc.value) == "cyclic reference: s1 -> s3 -> s4 -> s3"
+
+
+def test_define_rejects_duplicate_name():
+    s = ExprSet([("s1", Sym("a"))])
+    s.define("s2", parse_expr("a*b"))
+    for name in ("s1", "s2"):
+        with pytest.raises(ExprError, match=f"^duplicate definition for {name}$"):
+            s.define(name, Sym("c"))
+    assert [name for name, _ in s.defs] == ["s1", "s2"]
 
 
 def test_exprset_round_trip():

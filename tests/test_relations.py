@@ -1,3 +1,8 @@
+import itertools
+import random
+import subprocess
+import sys
+
 import pytest
 
 from jacfact.expr import fma_cost, parse_exprset
@@ -6,6 +11,7 @@ from jacfact.linegraph import build_line_graph, readout_jacobian, run_eliminatio
 from jacfact.oracle import check_equiv
 from jacfact.relations import (
     CircularDependencyError,
+    DepGraph,
     build_dep_graph,
     classify_relations,
     detect_cycles,
@@ -174,3 +180,41 @@ def test_safe_order_eq1_replay(fig4a):
 def test_cycles_empty_iff_safe_order_succeeds(sec5):
     assert detect_cycles(build_dep_graph(sec5)) == []
     safe_elimination_order(sec5)  # does not raise
+
+
+def _brute_force_cycles(nodes, edges):
+    """Every elementary cycle, found by trying each ordering of the nodes
+    after its least node."""
+    cycles = []
+    for start in nodes:
+        later = [n for n in nodes if n > start]
+        for k in range(len(later) + 1):
+            for rest in itertools.permutations(later, k):
+                cyc = (start, *rest)
+                if all((a, b) in edges for a, b in zip(cyc, cyc[1:] + cyc[:1])):
+                    cycles.append(cyc)
+    return sorted(cycles)
+
+
+def test_detect_cycles_matches_brute_force():
+    found = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        nodes = [(f"e{i}", f"e{rng.randrange(9)}") for i in range(rng.randint(1, 7))]
+        density = rng.uniform(0.1, 0.6)
+        edges = {(a, b) for a in nodes for b in nodes if rng.random() < density}
+        dep_edges = [(a, b, False) for a, b in sorted(edges)]
+        # a face pair may also carry a mirrored edge
+        dep_edges += [(a, b, True) for a, b in sorted(edges) if rng.random() < 0.3]
+        d = DepGraph(set(nodes), dep_edges)
+        want = _brute_force_cycles(sorted(nodes), edges)
+        assert detect_cycles(d) == want
+        found += len(want)
+    assert found > 1000
+
+
+def test_import_leaves_networkx_unloaded():
+    code = "import sys, jacfact; print('networkx' in sys.modules)"
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "False\n"
