@@ -17,6 +17,7 @@ from .expr import (
     UNIT,
     add,
     canonical,
+    canonical_text,
     equivalent_form,
     expand_refs,
     fma_cost,

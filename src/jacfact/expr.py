@@ -8,6 +8,7 @@ definitions (``s1 = ...``) with the Jacobian entries that use them.
 """
 from __future__ import annotations
 
+import operator
 import re
 from dataclasses import dataclass, field
 
@@ -94,13 +95,107 @@ def add(*terms):
 
 def normalize(e):
     """Flatten nested products/sums and strip unit factors."""
+    return expand_expr(e, {})
+
+
+def _rebuild(node, kids):
+    """A product or sum over normalized `kids`, flattened; `node` itself when
+    that changes nothing."""
+    old = node.factors if isinstance(node, Prod) else node.terms
+    spliced = (Prod, _Unit) if isinstance(node, Prod) else (Sum,)
+    if (
+        len(kids) > 1
+        and all(map(operator.is_, kids, old))
+        and not set(map(type, kids)).intersection(spliced)
+    ):
+        return node
+    return prod(*kids) if isinstance(node, Prod) else add(*kids)
+
+
+_name = operator.attrgetter("name")
+
+
+def _canonical(e):
+    """(canonical form, its text) of `e` in one bottom-up pass.
+
+    Normalization happens in the same pass: unit factors drop out, nested
+    products and sums are spliced into their parent, and sum terms are
+    sorted by text.  Each distinct subterm is visited and formatted once.
+    """
     if isinstance(e, (Sym, _Unit)):
-        return e
-    if isinstance(e, Prod):
-        return prod(*[normalize(f) for f in e.factors])
-    if isinstance(e, Sum):
-        return add(*[normalize(t) for t in e.terms])
-    raise ExprError(f"not an expression: {e!r}")
+        return e, format_expr(e)
+    done = {}  # id(node) -> (canonical node, text, sum terms as (term, text))
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if id(node) in done:
+            stack.pop()
+            continue
+        if not isinstance(node, (Prod, Sum)):
+            raise ExprError(f"not an expression: {node!r}")
+        old = node.factors if isinstance(node, Prod) else node.terms
+        if isinstance(node, Prod) and len(old) > 1 and set(map(type, old)) == {Sym}:
+            # a product of symbols, the commonest node, is canonical as it is
+            stack.pop()
+            done[id(node)] = node, "*".join(map(_name, old)), None
+            continue
+        todo = [k for k in old if not isinstance(k, (Sym, _Unit)) and id(k) not in done]
+        if todo:
+            stack.extend(reversed(todo))
+            continue
+        stack.pop()
+        kids = [
+            (k, k.name, None) if isinstance(k, Sym)
+            else (k, "1", None) if isinstance(k, _Unit)
+            else done[id(k)]
+            for k in old
+        ]
+        combine = _canonical_prod if isinstance(node, Prod) else _canonical_sum
+        done[id(node)] = combine(node, kids)
+    return done[id(e)][:2]
+
+
+def _canonical_prod(node, kids):
+    """Canonical product over canonical `kids`: units dropped, products
+    spliced in."""
+    factors, parts, kept = [], [], None
+    for kid in kids:
+        c, t, _ = kid
+        if isinstance(c, _Unit):
+            continue
+        kept = kid
+        if isinstance(c, Prod):
+            factors.extend(c.factors)
+        else:
+            factors.append(c)
+        parts.append(f"({t})" if isinstance(c, Sum) else t)
+    if not factors:
+        return UNIT, "1", None
+    if len(factors) == 1:
+        return kept
+    if len(factors) == len(node.factors) and all(map(operator.is_, factors, node.factors)):
+        return node, "*".join(parts), None
+    return Prod(tuple(factors)), "*".join(parts), None
+
+
+def _canonical_sum(node, kids):
+    """Canonical sum over canonical `kids`: sums spliced in, terms sorted by
+    text, stably."""
+    terms = []
+    for c, t, spliced in kids:
+        if spliced is None:
+            terms.append((c, t))
+        else:
+            terms.extend(spliced)
+    if not terms:
+        raise ExprError("empty sum")
+    if len(terms) == 1:
+        return (*terms[0], None)
+    terms.sort(key=operator.itemgetter(1))
+    text = "+".join(t for _, t in terms)
+    if len(terms) == len(node.terms) and all(c is k for (c, _), k in zip(terms, node.terms)):
+        return node, text, terms
+    return Sum(tuple(c for c, _ in terms)), text, terms
 
 
 def canonical(e):
@@ -108,14 +203,15 @@ def canonical(e):
 
     Addition commutes, so two expressions that differ only in the order of
     sum terms denote the same value and the same multiplication count.
+    Terms sort by their canonical text; a subterm already in canonical form
+    is returned as it is, not copied.
     """
-    e = normalize(e)
-    if isinstance(e, Prod):
-        return Prod(tuple(canonical(f) for f in e.factors))
-    if isinstance(e, Sum):
-        terms = [canonical(t) for t in e.terms]
-        return Sum(tuple(sorted(terms, key=format_expr)))
-    return e
+    return _canonical(e)[0]
+
+
+def canonical_text(e):
+    """``format_expr(canonical(e))``, from the same single pass."""
+    return _canonical(e)[1]
 
 
 def equivalent_form(a, b):
@@ -148,13 +244,11 @@ def format_expr(e):
     if isinstance(e, Sum):
         return "+".join(format_expr(t) for t in e.terms)
     if isinstance(e, Prod):
-        parts = []
-        for f in e.factors:
-            s = format_expr(f)
-            if isinstance(f, Sum):
-                s = f"({s})"
-            parts.append(s)
-        return "*".join(parts)
+        return "*".join(
+            f.name if isinstance(f, Sym) else f"({format_expr(f)})" if isinstance(f, Sum)
+            else format_expr(f)
+            for f in e.factors
+        )
     raise ExprError(f"not an expression: {e!r}")
 
 
@@ -294,22 +388,77 @@ def format_exprset(s):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def expand_expr(e, def_map, _stack=()):
-    """Substitute reference definitions into an expression."""
-    if isinstance(e, Sym):
-        if e.name in def_map:
-            if e.name in _stack:
-                cycle = " -> ".join(_stack + (e.name,))
+def expand_expr(e, def_map):
+    """Substitute reference definitions into an expression.
+
+    The result is normalized.  The walk is iterative, so nesting depth is not
+    bounded by the recursion limit, and each definition is expanded once per
+    call, its expansion shared by every use of the name.  A cyclic reference
+    raises :class:`CyclicReferenceError` naming the first cycle met
+    depth-first, references taken in term order.
+    """
+    expanded = {}  # reference name -> its expansion
+    done = {}  # id(product or sum) -> its expansion
+    path = {}  # reference names being expanded, outermost first
+
+    def known(k):
+        """The expansion of `k` if it is at hand, else None."""
+        if isinstance(k, Sym):
+            return expanded.get(k.name) if k.name in def_map else k
+        return k if isinstance(k, _Unit) else done.get(id(k))
+
+    value = known(e)
+    if value is not None:
+        return value
+    stack = [e]
+    while stack:
+        node = stack[-1]
+        if isinstance(node, (Prod, Sum)):
+            if id(node) in done:
+                stack.pop()
+                continue
+            old = node.factors if isinstance(node, Prod) else node.terms
+            if (
+                len(old) > 1
+                and set(map(type, old)) == {Sym}
+                and def_map.keys().isdisjoint(map(_name, old))
+            ):
+                # symbols that name no definition: normal as it is
+                stack.pop()
+                done[id(node)] = node
+                continue
+            todo = [
+                k for k in old
+                if not (isinstance(k, Sym) and (k.name not in def_map or k.name in expanded)
+                        or isinstance(k, _Unit) or id(k) in done)
+            ]
+            if todo:
+                stack.extend(reversed(todo))
+                continue
+            stack.pop()
+            kids = [
+                (expanded[k.name] if k.name in def_map else k) if isinstance(k, Sym)
+                else k if isinstance(k, _Unit) else done[id(k)]
+                for k in old
+            ]
+            done[id(node)] = _rebuild(node, kids)
+        elif isinstance(node, Sym):  # a reference, the only symbols stacked
+            name = node.name
+            body = def_map[name]
+            value = known(body)
+            if value is not None:
+                stack.pop()
+                path.pop(name, None)
+                expanded[name] = value
+            elif name in path:
+                cycle = " -> ".join([*path, name])
                 raise CyclicReferenceError(f"cyclic reference: {cycle}")
-            return expand_expr(def_map[e.name], def_map, _stack + (e.name,))
-        return e
-    if isinstance(e, _Unit):
-        return e
-    if isinstance(e, Prod):
-        return prod(*[expand_expr(f, def_map, _stack) for f in e.factors])
-    if isinstance(e, Sum):
-        return add(*[expand_expr(t, def_map, _stack) for t in e.terms])
-    raise ExprError(f"not an expression: {e!r}")
+            else:
+                path[name] = None
+                stack.append(body)
+        else:
+            raise ExprError(f"not an expression: {node!r}")
+    return known(e)
 
 
 def check_references(e, def_map, clean):
@@ -358,13 +507,18 @@ def expand_refs(s):
 
 
 def _expr_cost(e):
-    if isinstance(e, (Sym, _Unit)):
-        return 0
-    if isinstance(e, Prod):
-        return (len(e.factors) - 1) + sum(_expr_cost(f) for f in e.factors)
-    if isinstance(e, Sum):
-        return sum(_expr_cost(t) for t in e.terms)
-    raise ExprError(f"not an expression: {e!r}")
+    """Multiplications in one expression: n - 1 per product of n factors."""
+    total, stack = 0, [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Prod):
+            total += len(node.factors) - 1
+            stack.extend(node.factors)
+        elif isinstance(node, Sum):
+            stack.extend(node.terms)
+        elif not isinstance(node, (Sym, _Unit)):
+            raise ExprError(f"not an expression: {node!r}")
+    return total
 
 
 def fma_cost(s):
@@ -390,11 +544,13 @@ def fma_cost(s):
 def symbol_occurrences(e, counts=None):
     """Occurrence count per symbol (a symbol used twice counts twice)."""
     counts = {} if counts is None else counts
-    if isinstance(e, Sym):
-        counts[e.name] = counts.get(e.name, 0) + 1
-    if isinstance(e, (Prod, Sum)):
-        for sub in getattr(e, "factors", ()) + getattr(e, "terms", ()):
-            symbol_occurrences(sub, counts)
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            counts[node.name] = counts.get(node.name, 0) + 1
+        elif isinstance(node, (Prod, Sum)):
+            stack.extend(node.factors if isinstance(node, Prod) else node.terms)
     return counts
 
 

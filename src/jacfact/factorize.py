@@ -18,7 +18,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 
-from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, expand_expr, format_expr, inline_single_use, normalize, prod
+from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, canonical_text, expand_expr, format_expr, inline_single_use, normalize, prod
 from .graph import (
     DiffGraph,
     Edge,
@@ -59,7 +59,7 @@ class RefRegistry:
         expr = normalize(expr)
         if isinstance(expr, (Sym, _Unit)):
             return expr
-        key = format_expr(canonical(expand_expr(expr, self.def_map)))
+        key = canonical_text(expand_expr(expr, self.def_map))
         if key not in self._by_key:
             name = f"s{len(self.defs) + 1}"
             self._by_key[key] = name
@@ -582,7 +582,7 @@ def merge_pages(pages):
     for page in pages:
         for name, e in page.refs.defs:
             if name in seen:
-                if canonical(seen[name]) != canonical(e):
+                if seen[name] is not e and canonical(seen[name]) != canonical(e):
                     raise MergeError(f"conflicting definitions for {name}")
                 continue
             seen[name] = e

@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import UNIT, Expr, Sym, _Unit, add, canonical, expand_expr, format_expr, prod
+from .expr import UNIT, Expr, Sym, _Unit, add, canonical, expand_expr, format_expr, normalize, prod
 from .graph import UNIT_LABEL
 
 
@@ -60,17 +60,46 @@ class EliminationStep:
 
 
 class LineGraph:
+    """Vertices in ascending vid order, with an index from each labeled
+    vertex's canonical label to the vids holding it.
+
+    Only :meth:`add_vertex` inserts into ``vertices``, always with a new,
+    larger vid, so the dict's order is vid order.  Every label write goes
+    through :meth:`relabel`, which marks the vertex for re-indexing; the
+    next lookup re-indexes what was marked, so an elimination that never
+    looks a label up never canonicalizes one.
+    """
+
     def __init__(self):
         self.vertices = {}
         self.sources = {}  # root vertex id -> lg vid
         self.sinks = {}  # terminal vertex id -> lg vid
         self._next = 0
+        self._key = {}  # labeled vid -> canonical label it is indexed under
+        self._by_key = {}  # canonical label -> set of vids
+        self._unindexed = set()  # labeled vids written since the last lookup
 
     def add_vertex(self, label, kind="label", graph_vertex=None):
         self._next += 1
-        v = LGVertex(self._next, label, kind, graph_vertex)
-        self.vertices[self._next] = v
-        return self._next
+        vid = self._next
+        self.vertices[vid] = LGVertex(vid, label, kind, graph_vertex)
+        if kind == "label":
+            self.relabel(vid, label)
+        return vid
+
+    def relabel(self, vid, label):
+        """Set the label of labeled vertex `vid`; the index catches up at
+        the next lookup."""
+        self.vertices[vid].label = label
+        self._unindexed.add(vid)
+
+    def _unindex(self, vid):
+        key = self._key.pop(vid, None)
+        if key is not None:
+            bucket = self._by_key[key]
+            bucket.discard(vid)
+            if not bucket:
+                del self._by_key[key]
 
     def add_edge(self, i, j):
         self.vertices[i].succs.add(j)
@@ -81,6 +110,8 @@ class LineGraph:
         self.vertices[j].preds.discard(i)
 
     def remove_vertex(self, i):
+        self._unindex(i)
+        self._unindexed.discard(i)
         v = self.vertices.pop(i)
         for p in list(v.preds):
             self.vertices[p].succs.discard(i)
@@ -91,7 +122,7 @@ class LineGraph:
         return j in self.vertices.get(i, LGVertex(0, None, "label")).succs
 
     def labeled(self):
-        return [v for _, v in sorted(self.vertices.items()) if v.kind == "label"]
+        return [v for v in self.vertices.values() if v.kind == "label"]
 
     def intermediate_faces(self):
         faces = []
@@ -102,8 +133,14 @@ class LineGraph:
         return faces
 
     def find_by_label(self, target):
-        want = canonical(target)
-        return [v.vid for v in self.labeled() if canonical(v.label) == want]
+        """Vids whose label equals `target` up to the order of sum terms,
+        ascending."""
+        for vid in self._unindexed:
+            self._unindex(vid)
+            key = self._key[vid] = canonical(self.vertices[vid].label)
+            self._by_key.setdefault(key, set()).add(vid)
+        self._unindexed.clear()
+        return sorted(self._by_key.get(canonical(target), ()))
 
 
 def build_line_graph(g):
@@ -162,11 +199,31 @@ def _cleanup(lg, affected):
             if w is None or w.kind != "label":
                 continue
             if w.preds == v.preds and w.succs == v.succs:
-                v.label = add(v.label, w.label)
+                lg.relabel(i, add(v.label, w.label))
                 lg.remove_vertex(j)
                 steps.append(EliminationStep("merge", updated=(i,), removed=(j,)))
                 queue.append(i)
     return steps
+
+
+def _find_absorber(lg, vi, vj):
+    """The lowest-vid labeled vertex other than `vi` and `vj` with the
+    predecessors of `vi` and the successors of `vj`.
+
+    Such a vertex is a successor of every predecessor of `vi`, so one
+    predecessor's successors hold every candidate.
+    """
+    if vi.preds:
+        p = min(vi.preds, key=lambda p: len(lg.vertices[p].succs))
+        candidates = [lg.vertices[k] for k in sorted(lg.vertices[p].succs)]
+    else:
+        candidates = lg.labeled()
+    for k in candidates:
+        if k.kind != "label" or k is vi or k is vj:
+            continue
+        if k.preds == vi.preds and k.succs == vj.succs:
+            return k
+    return None
 
 
 def eliminate_face(lg, i, j):
@@ -183,15 +240,9 @@ def eliminate_face(lg, i, j):
     ops = (format_expr(vi.label), format_expr(vj.label))
     mult = _mult_flag(vi.label, vj.label)
     steps = []
-    absorber = None
-    for k in lg.labeled():
-        if k.vid in (i, j):
-            continue
-        if k.preds == vi.preds and k.succs == vj.succs:
-            absorber = k
-            break
+    absorber = _find_absorber(lg, vi, vj)
     if absorber is not None:
-        absorber.label = add(absorber.label, product)
+        lg.relabel(absorber.vid, add(absorber.label, product))
         lg.remove_edge(i, j)
         steps.append(
             EliminationStep("absorb", (i, j), ops, updated=(absorber.vid,), mult=mult)
@@ -199,14 +250,14 @@ def eliminate_face(lg, i, j):
         affected = [i, j, absorber.vid]
     elif vi.succs == {j}:
         lg.remove_edge(i, j)
-        vi.label = product
+        lg.relabel(i, product)
         for s in sorted(vj.succs):
             lg.add_edge(i, s)
         steps.append(EliminationStep("fillin-reuse-i", (i, j), ops, updated=(i,), mult=mult))
         affected = [i, j]
     elif vj.preds == {i}:
         lg.remove_edge(i, j)
-        vj.label = product
+        lg.relabel(j, product)
         for p in sorted(vi.preds):
             lg.add_edge(p, j)
         steps.append(EliminationStep("fillin-reuse-j", (i, j), ops, updated=(j,), mult=mult))
@@ -242,20 +293,20 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
             if not (vk.preds >= vi.preds and vk.succs == vi.succs):
                 raise FaceError("merge-p-superset condition violated")
             if vk.preds == vi.preds:
-                vi.label = add(vi.label, vk.label)
+                lg.relabel(i, add(vi.label, vk.label))
                 lg.remove_vertex(k)
                 return [EliminationStep("merge", updated=(i,), removed=(k,))]
-            vi.label = add(vi.label, vk.label)
+            lg.relabel(i, add(vi.label, vk.label))
             for p in sorted(vi.preds):
                 lg.remove_edge(p, k)
         else:
             if not (vk.preds == vi.preds and vk.succs >= vi.succs):
                 raise FaceError("merge-s-superset condition violated")
             if vk.succs == vi.succs:
-                vi.label = add(vi.label, vk.label)
+                lg.relabel(i, add(vi.label, vk.label))
                 lg.remove_vertex(k)
                 return [EliminationStep("merge", updated=(i,), removed=(k,))]
-            vi.label = add(vi.label, vk.label)
+            lg.relabel(i, add(vi.label, vk.label))
             for s in sorted(vi.succs):
                 lg.remove_edge(k, s)
         steps = [EliminationStep("extended-merge-superset", updated=(i, k))]
@@ -274,7 +325,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
             raise FaceError("absorb-s-subset condition violated")
         if vk.succs == vj.succs:
             return eliminate_face(lg, i, j)
-        vk.label = add(vk.label, product)
+        lg.relabel(k, add(vk.label, product))
         for s in sorted(vk.succs):
             lg.remove_edge(j, s)
         steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
@@ -287,7 +338,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
             raise FaceError("absorb-p-subset condition violated")
         if vk.preds == vi.preds:
             return eliminate_face(lg, i, j)
-        vk.label = add(vk.label, product)
+        lg.relabel(k, add(vk.label, product))
         for p in sorted(vk.preds):
             lg.remove_edge(p, i)
         steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
@@ -322,7 +373,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
             affected = [i, j, k, new]
         elif len(vi.succs) == 1:
             lg.remove_edge(i, j)
-            vi.label = combined
+            lg.relabel(i, combined)
             for s in sorted(vj.succs):
                 lg.add_edge(i, s)
             shrink()
@@ -331,7 +382,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
             affected = [i, j, k]
         else:  # |P_j| == 1
             lg.remove_edge(i, j)
-            vj.label = combined
+            lg.relabel(j, combined)
             for p in sorted(vi.preds):
                 lg.add_edge(p, j)
             shrink()
@@ -359,14 +410,15 @@ def resolve_vertex(lg, spec, defs=None):
             raise FaceError(f"no vertex {spec}")
         return spec
     if isinstance(spec, str):
-        target = expand_expr(Sym(spec), defs or {})
-    elif isinstance(spec, Expr):
-        target = expand_expr(spec, defs or {})
-    else:
+        spec = Sym(spec)
+    elif not isinstance(spec, Expr):
         raise FaceError(f"cannot resolve {spec!r}")
+    # without definitions there is nothing to substitute: the lookup
+    # normalizes the target itself
+    target = expand_expr(spec, defs) if defs else spec
     hits = lg.find_by_label(target)
     if not hits:
-        raise FaceError(f"no vertex labeled {format_expr(target)}")
+        raise FaceError(f"no vertex labeled {format_expr(normalize(target))}")
     return hits[0]
 
 
@@ -415,13 +467,13 @@ def readout_jacobian(lg):
 
 def line_graph_dot(lg):
     lines = ["digraph linegraph {"]
-    for vid, v in sorted(lg.vertices.items()):
+    for vid, v in lg.vertices.items():
         if v.kind == "label":
             lines.append(f'  n{vid} [label="{format_expr(v.label)}"];')
         else:
             shape = "invtriangle" if v.kind == "source" else "triangle"
             lines.append(f'  n{vid} [label="{v.graph_vertex}", shape={shape}];')
-    for vid, v in sorted(lg.vertices.items()):
+    for vid, v in lg.vertices.items():
         for s in sorted(v.succs):
             lines.append(f"  n{vid} -> n{s};")
     lines.append("}")

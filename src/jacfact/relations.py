@@ -16,9 +16,8 @@ from .expr import (
     Sum,
     Sym,
     _Unit,
-    canonical,
+    canonical_text,
     expand_expr,
-    format_expr,
     free_symbols,
     normalize,
     prod,
@@ -36,12 +35,7 @@ class CircularDependencyError(RelationError):
         self.cycles = cycles
 
 
-def face_key(e):
-    if isinstance(e, Sym):
-        return e.name
-    if isinstance(e, _Unit):
-        return "1"
-    return format_expr(canonical(e))
+face_key = canonical_text  # the name of a face operand in relations and orders
 
 
 @dataclass

@@ -13,7 +13,9 @@ from jacfact.expr import (
     Sym,
     UNIT,
     add,
+    base_symbols,
     canonical,
+    canonical_text,
     check_references,
     equivalent_form,
     expand_expr,
@@ -27,6 +29,8 @@ from jacfact.expr import (
     parse_exprset,
     prod,
 )
+
+from jacfact.oracle import eval_exprset, instantiate
 
 from conftest import load_exprset
 
@@ -201,3 +205,111 @@ def test_normalize_idempotent(e):
 def test_cost_nonnegative_and_canonical_invariant(e):
     assert fma_cost(e) >= 0
     assert fma_cost(canonical(e)) == fma_cost(e)
+
+
+# ---------------------------------------------------------------------------
+# the iterative walks against the recursive definitions they replaced
+
+
+def _ref_normalize(e):
+    if isinstance(e, (Sym, type(UNIT))):
+        return e
+    if isinstance(e, Prod):
+        return prod(*[_ref_normalize(f) for f in e.factors])
+    return add(*[_ref_normalize(t) for t in e.terms])
+
+
+def _ref_canonical(e):
+    e = _ref_normalize(e)
+    if isinstance(e, Prod):
+        return Prod(tuple(_ref_canonical(f) for f in e.factors))
+    if isinstance(e, Sum):
+        return Sum(tuple(sorted((_ref_canonical(t) for t in e.terms), key=format_expr)))
+    return e
+
+
+def _ref_expand(e, dm, path=()):
+    if isinstance(e, Sym):
+        if e.name not in dm:
+            return e
+        if e.name in path:
+            raise CyclicReferenceError(f"cyclic reference: {' -> '.join(path + (e.name,))}")
+        return _ref_expand(dm[e.name], dm, path + (e.name,))
+    if isinstance(e, Prod):
+        return prod(*[_ref_expand(f, dm, path) for f in e.factors])
+    if isinstance(e, Sum):
+        return add(*[_ref_expand(t, dm, path) for t in e.terms])
+    return e
+
+
+def _raw_expr(rng, depth, atoms="abcd"):
+    """An unnormalized expression: nested sums and products, unit factors,
+    one-term sums and products, repeated symbols and shared subterms."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return UNIT if rng.random() < 0.15 else Sym(rng.choice(atoms))
+    kids = [_raw_expr(rng, depth - 1, atoms) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        kids.append(kids[0])
+    return (Prod if roll < 0.65 else Sum)(tuple(kids))
+
+
+def test_canonical_matches_recursive_definition():
+    for seed in range(500):
+        e = _raw_expr(random.Random(seed), 5)
+        want = _ref_canonical(e)
+        assert canonical(e) == want
+        assert canonical_text(e) == format_expr(want)
+        assert normalize(e) == _ref_normalize(e)
+
+
+def test_canonical_keeps_canonical_subterms():
+    e = parse_expr("a*(b+c)+d")
+    assert canonical(e) is e
+    inner = e.terms[0]
+    flipped = Sum((Sym("d"), inner))
+    assert canonical(flipped) == e
+    assert canonical(flipped).terms[0] is inner
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except CyclicReferenceError as exc:
+        return str(exc)
+
+
+def test_expand_expr_matches_recursive_definition():
+    cycles = 0
+    for seed in range(300):
+        rng = random.Random(seed)
+        names = [f"s{i}" for i in range(rng.randint(1, 5))]
+        dm = {name: _raw_expr(rng, 3, ["a", "b", "c", *names]) for name in names}
+        for name in names:
+            want = _outcome(_ref_expand, Sym(name), dm)
+            assert _outcome(expand_expr, Sym(name), dm) == want
+            cycles += isinstance(want, str)
+    assert 50 < cycles < 1000  # both outcomes are well represented
+
+
+def _deep_chain(n):
+    lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n + 1)]
+    return parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n}\n")
+
+
+def test_expand_refs_deep_reference_chain():
+    s = _deep_chain(3000)
+    out = expand_refs(s)
+    assert out.defs == []
+    assert fma_cost(out) == 3000  # a chain shares nothing, so nothing is lost
+    inst = instantiate(base_symbols(s), 1)
+    assert eval_exprset(out, inst) == eval_exprset(s, inst)
+
+
+def test_inline_single_use_deep_reference_chain():
+    s = _deep_chain(3000)
+    out = inline_single_use(s)
+    assert out.defs == []
+    assert fma_cost(out) == 3000
+    inst = instantiate(base_symbols(s), 1)
+    assert eval_exprset(out, inst) == eval_exprset(s, inst)

@@ -2,8 +2,9 @@ import random
 
 import pytest
 
-from jacfact.expr import Sym, format_expr, parse_expr
-from jacfact.graph import parse_graph
+from jacfact import linegraph
+from jacfact.expr import Sym, canonical, fma_cost, format_expr, parse_expr
+from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (
     FaceError,
     IncompleteElimination,
@@ -17,7 +18,9 @@ from jacfact.linegraph import (
     run_elimination,
     trace_mult_count,
 )
+from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian
 from jacfact.oracle import bauer_eval, check_equiv, instantiate
+from jacfact.relations import safe_elimination_order
 
 from conftest import lg_value, load_graph, random_layered_dag
 
@@ -201,6 +204,7 @@ def test_extended_absorb_s_subset():
     )
     before = _value_snapshot(lg, set("abcde"))
     steps = extended_rewrite(lg, "absorb-s-subset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
     assert steps[0].kind == "extended-absorb-subset"
     assert lg.has_edge(ids["i"], ids["j"])  # face retained
     assert lg.vertices[ids["j"]].succs == {ids["m2"]}  # S_j shrunk
@@ -215,6 +219,7 @@ def test_extended_absorb_equal_delegates():
         ["Y"], ["X"],
     )
     steps = extended_rewrite(lg, "absorb-s-subset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
     assert steps[0].kind == "absorb"
     assert not lg.has_edge(ids["i"], ids["j"])
 
@@ -231,6 +236,7 @@ def test_extended_fillin_s_superset():
     labels = set("abcde") | {"u", "w"}
     before = _value_snapshot(lg, labels)
     steps = extended_rewrite(lg, "fillin-s-superset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
     assert steps[0].kind == "extended-fillin-superset"
     created = steps[0].created[0]
     assert format_expr(lg.vertices[created].label) == "a*b+c"
@@ -249,6 +255,7 @@ def test_extended_merge_p_superset():
     labels = {"a", "b", "m", "q"}
     before = _value_snapshot(lg, labels)
     steps = extended_rewrite(lg, "merge-p-superset", ids["i"], k=ids["k"])
+    _check_index(lg)
     assert steps[0].kind == "extended-merge-superset"
     assert format_expr(lg.vertices[ids["i"]].label) == "a+b"
     assert lg.sources["Y"] not in lg.vertices[ids["k"]].preds
@@ -262,6 +269,7 @@ def test_extended_merge_equal_is_plain():
         ["Y"], ["X"],
     )
     steps = extended_rewrite(lg, "merge-p-superset", ids["i"], k=ids["k"])
+    _check_index(lg)
     assert steps[0].kind == "merge"
     assert ids["k"] not in lg.vertices
 
@@ -274,3 +282,119 @@ def test_extended_condition_violation():
     )
     with pytest.raises(FaceError, match="condition violated"):
         extended_rewrite(lg, "absorb-s-subset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
+
+
+# ---------------------------------------------------------------------------
+# the label index and the local absorber search against full scans
+
+
+def _check_index(lg):
+    """find_by_label against a canonical() scan of every labeled vertex, and
+    no stale or misfiled vid in the index."""
+    labeled = lg.labeled()
+    vids = [v.vid for v in labeled]
+    assert vids == sorted(vids)
+    keys = {v.vid: canonical(v.label) for v in labeled}
+    for v in labeled:
+        assert lg.find_by_label(v.label) == [u for u in vids if keys[u] == keys[v.vid]]
+    assert lg.find_by_label(Sym("absent")) == []
+    indexed = sorted(vid for bucket in lg._by_key.values() for vid in bucket)
+    assert indexed == vids
+    for key, bucket in lg._by_key.items():
+        assert all(keys[vid] == key for vid in bucket)
+
+
+def _scan_absorber(lg, i, j):
+    vi, vj = lg.vertices[i], lg.vertices[j]
+    for vid in sorted(lg.vertices):
+        k = lg.vertices[vid]
+        if k.kind == "label" and vid not in (i, j) and k.preds == vi.preds and k.succs == vj.succs:
+            return vid
+    return None
+
+
+def test_labeled_in_vid_order_after_fillins_and_removals(fig4b):
+    rng = random.Random(0)
+    lg = build_line_graph(fig4b)
+    kinds = set()
+    while lg.intermediate_faces():
+        steps = eliminate_face(lg, *rng.choice(lg.intermediate_faces()))
+        kinds.update(step.kind for step in steps)
+        vids = [v.vid for v in lg.labeled()]
+        assert vids == sorted(vids)
+        assert list(lg.vertices) == sorted(lg.vertices)
+    assert {"fillin", "remove-isolated"} <= kinds
+
+
+def test_find_by_label_lists_every_holder_ascending():
+    g = parse_graph("e e1 a b x\ne e2 a c x\ne e3 b d y\ne e4 c d y\n")
+    lg = build_line_graph(g)
+    holders = lg.find_by_label(Sym("x"))
+    assert len(holders) == 2 and holders == sorted(holders)
+    assert resolve_vertex(lg, "x") == holders[0]
+    _check_index(lg)
+
+
+def test_index_and_absorber_match_full_scans():
+    rng = random.Random(11)
+    graphs = absorbs = 0
+    while graphs < 20:
+        g = random_layered_dag(rng, max_vertices=25, max_edges=40)
+        if graphs % 2:  # repeated labels, so several vertices share a key
+            g = DiffGraph([Edge(e.id, e.src, e.dst, rng.choice("abc")) for e in g.edges])
+        lg = build_line_graph(g)
+        if len(g.vertices) < 10 or not lg.intermediate_faces():
+            continue
+        graphs += 1
+        _check_index(lg)
+        while True:
+            faces = lg.intermediate_faces()
+            if not faces:
+                break
+            i, j = rng.choice(faces)
+            want = _scan_absorber(lg, i, j)
+            found = linegraph._find_absorber(lg, lg.vertices[i], lg.vertices[j])
+            assert (found and found.vid) == want
+            steps = eliminate_face(lg, i, j)
+            assert (steps[0].kind == "absorb") == (want is not None)
+            absorbs += want is not None
+            _check_index(lg)
+        assert check_equiv(g, readout_jacobian(lg), trials=3).ok
+    assert absorbs > 20
+
+
+def _dense_layered(width, depth):
+    lines = [
+        f"e a{n} v{lv}_{i} v{lv + 1}_{j}"
+        for n, (lv, i, j) in enumerate(
+            (lv, i, j) for lv in range(depth) for i in range(width) for j in range(width)
+        )
+    ]
+    rows = [[f"v{lv}_{i}" for i in range(width)] for lv in range(depth + 1)]
+    return parse_graph("\n".join(lines) + "\n"), rows
+
+
+def test_level_chain_replay_canonicalizes_once_per_write_and_lookup(monkeypatch):
+    g, rows = _dense_layered(4, 4)
+    chain = [extract_local_jacobian(g, a, b) for a, b in zip(rows, rows[1:])]
+    tree, _ = best_accumulation_order(chain, bound=len(chain))
+    s, _ = accumulate(chain, tree)
+    order = safe_elimination_order(s)
+    calls = {"canonical": 0, "relabel": 0, "find_by_label": 0}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(linegraph, "canonical", counted("canonical", linegraph.canonical))
+    for name in ("relabel", "find_by_label"):
+        monkeypatch.setattr(LineGraph, name, counted(name, getattr(LineGraph, name)))
+    lg = build_line_graph(g)
+    trace = run_elimination(lg, order, defs=s.def_map)
+    assert trace_mult_count(trace) == fma_cost(s) == 192
+    assert check_equiv(g, readout_jacobian(lg), trials=3).ok
+    assert calls["find_by_label"] == 2 * len(order)
+    assert calls["canonical"] <= calls["relabel"] + calls["find_by_label"]
