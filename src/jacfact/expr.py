@@ -116,15 +116,21 @@ _name = operator.attrgetter("name")
 
 
 def _canonical(e):
-    """(canonical form, its text) of `e` in one bottom-up pass.
+    """(canonical form, its text) of `e` in one bottom-up pass."""
+    if isinstance(e, (Sym, _Unit)):
+        return e, format_expr(e)
+    return _canonical_nodes(e)[id(e)][:2]
+
+
+def _canonical_nodes(e):
+    """id(node) -> (canonical node, text, sum terms as (term, text)) for
+    every product and sum in `e`, in one bottom-up pass.
 
     Normalization happens in the same pass: unit factors drop out, nested
     products and sums are spliced into their parent, and sum terms are
     sorted by text.  Each distinct subterm is visited and formatted once.
     """
-    if isinstance(e, (Sym, _Unit)):
-        return e, format_expr(e)
-    done = {}  # id(node) -> (canonical node, text, sum terms as (term, text))
+    done = {}
     stack = [e]
     while stack:
         node = stack[-1]
@@ -152,7 +158,7 @@ def _canonical(e):
         ]
         combine = _canonical_prod if isinstance(node, Prod) else _canonical_sum
         done[id(node)] = combine(node, kids)
-    return done[id(e)][:2]
+    return done
 
 
 def _canonical_prod(node, kids):
@@ -214,19 +220,40 @@ def canonical_text(e):
     return _canonical(e)[1]
 
 
+def canonical_texts(e):
+    """``canonical_text`` of every node of `e`, from one pass over `e`.
+
+    Returns a function of a node.  Nodes of `e` are looked up by identity
+    (the function holds `e`, so their ids stay theirs); any other node is
+    canonicalized on its own.
+    """
+    done = _canonical_nodes(e) if isinstance(e, (Prod, Sum)) else {}
+
+    def text(node):
+        if isinstance(node, Sym):
+            return node.name
+        found = done.get(id(node))
+        return found[1] if found is not None else canonical_text(node)
+
+    text.root = e
+    return text
+
+
 def equivalent_form(a, b):
     """Structural equality up to the order of sum terms."""
     return canonical(a) == canonical(b)
 
 
 def free_symbols(e):
-    if isinstance(e, Sym):
-        return {e.name}
-    if isinstance(e, _Unit):
-        return set()
-    out = set()
-    for sub in getattr(e, "factors", ()) + getattr(e, "terms", ()):
-        out |= free_symbols(sub)
+    """Names of the symbols in `e`, walked iteratively."""
+    out, seen, stack = set(), set(), [e]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Sym):
+            out.add(node.name)
+        elif isinstance(node, (Prod, Sum)) and id(node) not in seen:
+            seen.add(id(node))
+            stack.extend(node.factors if isinstance(node, Prod) else node.terms)
     return out
 
 
@@ -236,20 +263,50 @@ def free_symbols(e):
 _NAME_RE = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
 
 
+class _Token(str):
+    """Punctuation queued between the nodes `format_expr` has yet to print."""
+
+
+_STAR, _PLUS, _OPEN, _CLOSE = map(_Token, "*+()")
+
+
 def format_expr(e):
-    if isinstance(e, _Unit):
-        return "1"
+    """Text of `e`: products join with ``*``, sums with ``+``, and a sum
+    inside a product is parenthesized.  The walk is iterative, so nesting
+    depth is not bounded by the recursion limit."""
     if isinstance(e, Sym):
         return e.name
-    if isinstance(e, Sum):
-        return "+".join(format_expr(t) for t in e.terms)
-    if isinstance(e, Prod):
-        return "*".join(
-            f.name if isinstance(f, Sym) else f"({format_expr(f)})" if isinstance(f, Sum)
-            else format_expr(f)
-            for f in e.factors
-        )
-    raise ExprError(f"not an expression: {e!r}")
+    if isinstance(e, Prod) and set(map(type, e.factors)) == {Sym}:
+        return "*".join(map(_name, e.factors))  # the commonest label
+    out = []
+    stack = [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is _Token:
+            out.append(node)
+        elif isinstance(node, Sym):
+            out.append(node.name)
+        elif isinstance(node, _Unit):
+            out.append("1")
+        elif isinstance(node, (Prod, Sum)):
+            is_prod = isinstance(node, Prod)
+            kids = node.factors if is_prod else node.terms
+            if set(map(type, kids)) == {Sym}:
+                # a flat product or sum of symbols, the commonest node
+                out.append(("*" if is_prod else "+").join(map(_name, kids)))
+                continue
+            queued = []
+            for k in reversed(kids):
+                if is_prod and isinstance(k, Sum):
+                    queued += (_CLOSE, k, _OPEN)
+                else:
+                    queued.append(k)
+                queued.append(_STAR if is_prod else _PLUS)
+            queued.pop()
+            stack += queued
+        else:
+            raise ExprError(f"not an expression: {node!r}")
+    return "".join(out)
 
 
 class _Parser:
@@ -270,27 +327,9 @@ class _Parser:
             raise ExprSyntaxError(f"expected {ch!r}", self.pos)
         self.pos += 1
 
-    def parse_sum(self):
-        terms = [self.parse_product()]
-        while self.peek() == "+":
-            self.pos += 1
-            terms.append(self.parse_product())
-        return add(*terms)
-
-    def parse_product(self):
-        factors = [self.parse_atom()]
-        while self.peek() == "*":
-            self.pos += 1
-            factors.append(self.parse_atom())
-        return prod(*factors)
-
-    def parse_atom(self):
-        ch = self.peek()
-        if ch == "(":
-            self.pos += 1
-            inner = self.parse_sum()
-            self.expect(")")
-            return inner
+    def parse_leaf(self, ch):
+        """A symbol or ``1`` at the current position, whose first character
+        is `ch`."""
         if ch == "1":
             nxt = self.text[self.pos + 1 : self.pos + 2]
             if not nxt or not (nxt.isalnum() or nxt in "_.'"):
@@ -301,6 +340,41 @@ class _Parser:
             raise ExprSyntaxError("expected symbol, '1' or '('", self.pos)
         self.pos = m.end()
         return Sym(m.group())
+
+    def parse_sum(self):
+        """``sum := product ('+' product)*``, ``product := atom ('*' atom)*``,
+        ``atom := '(' sum ')' | '1' | name``.
+
+        Iterative: each open parenthesis pushes the terms and factors of its
+        enclosing sum, so nesting depth is not bounded by the recursion
+        limit.
+        """
+        outer = []  # (terms, factors) of each enclosing sum
+        terms, factors = [], []
+        while True:
+            ch = self.peek()
+            if ch == "(":
+                self.pos += 1
+                outer.append((terms, factors))
+                terms, factors = [], []
+                continue
+            factors.append(self.parse_leaf(ch))
+            while True:
+                ch = self.peek()
+                if ch == "*":
+                    self.pos += 1
+                    break
+                terms.append(prod(*factors))
+                factors = []
+                if ch == "+":
+                    self.pos += 1
+                    break
+                value = add(*terms)
+                if not outer:
+                    return value
+                self.expect(")")
+                terms, factors = outer.pop()
+                factors.append(value)
 
 
 def parse_expr(text):
@@ -397,6 +471,18 @@ def expand_expr(e, def_map):
     raises :class:`CyclicReferenceError` naming the first cycle met
     depth-first, references taken in term order.
     """
+    return expansions(e, def_map)(e)
+
+
+def expansions(e, def_map):
+    """``expand_expr(node, def_map)`` of every node of `e`, from one walk
+    over `e`.
+
+    Returns a function of a node.  Nodes of `e` and of the definitions are
+    looked up by identity (the function holds `e` and `def_map`, so their
+    ids stay theirs); any other node is expanded on its own.  Raises what
+    ``expand_expr(e, def_map)`` raises.
+    """
     expanded = {}  # reference name -> its expansion
     done = {}  # id(product or sum) -> its expansion
     path = {}  # reference names being expanded, outermost first
@@ -407,10 +493,13 @@ def expand_expr(e, def_map):
             return expanded.get(k.name) if k.name in def_map else k
         return k if isinstance(k, _Unit) else done.get(id(k))
 
-    value = known(e)
-    if value is not None:
-        return value
-    stack = [e]
+    def expansion(node):
+        value = known(node)
+        return value if value is not None else expand_expr(node, def_map)
+
+    expansion.root = e
+
+    stack = [] if known(e) is not None else [e]
     while stack:
         node = stack[-1]
         if isinstance(node, (Prod, Sum)):
@@ -458,7 +547,7 @@ def expand_expr(e, def_map):
                 stack.append(body)
         else:
             raise ExprError(f"not an expression: {node!r}")
-    return known(e)
+    return expansion
 
 
 def check_references(e, def_map, clean):

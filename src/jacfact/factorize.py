@@ -5,7 +5,9 @@ whose contracted in-degree exceeds one, duplicating its outgoing side per
 incoming route; forward factorization mirrors this top-down on out-degrees.
 Treating a whole simple block as a single edge during splitting keeps the
 duplication coarse; in ref mode such a block becomes a named reference edge
-instead of being copied.
+instead of being copied.  The passes edit one indexed working graph in
+place (:class:`SplitGraph`), which keeps its contracted view and levels
+current by re-contracting only around the vertex each pass splits.
 
 Graphs with several roots or terminals are handled by the page strategy:
 shared simple structures become reference edges, a pivot pair guides page
@@ -16,7 +18,7 @@ root-terminal pair and merge into one expression set.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, canonical_text, expand_expr, format_expr, inline_single_use, normalize, prod
 from .graph import (
@@ -29,7 +31,15 @@ from .graph import (
     subgraph_between,
     terminals_reachable,
 )
-from .structure import CEdge, ComplexBlockError, contract, region_expr
+from .structure import (
+    ComplexBlockError,
+    block_cedge,
+    chain_cedge,
+    contract,
+    edge_cedge,
+    region_expr,
+    run_through,
+)
 
 
 class FactorizationError(ValueError):
@@ -78,173 +88,344 @@ class Page:
 
 
 # ---------------------------------------------------------------------------
-# graph editing
+# the working graph
 
 
-class GraphEditor:
+class WorkGraph:
+    """A graph under in-place edits, indexed by edge id, vertex and pair.
+
+    `edges` keeps the order of an edge list: a retargeted edge keeps its
+    place and a new edge goes last, so :meth:`graph` lists the edges in the
+    order they were edited in, and `stamp` numbers them in that order.  A
+    vertex exists while it has an edge.  Vertex and edge names, once used,
+    are never handed out again, even after their edges are gone.
+    """
+
     def __init__(self, g):
-        self.edges = list(g.edges)
-        self._names = {e.id for e in g.edges}
+        self.edges = {e.id: e for e in g.edges}
+        self.stamp = {e.id: k for k, e in enumerate(g.edges)}
+        self._clock = len(g.edges)
+        self.succ = {v: {} for v in g.vertices}  # vertex -> {edge id: None}
+        self.pred = {v: {} for v in g.vertices}
+        self.pair = {}  # (src, dst) -> edge id
+        for e in g.edges:
+            self.succ[e.src][e.id] = None
+            self.pred[e.dst][e.id] = None
+            self.pair[e.src, e.dst] = e.id
         self._vnames = set(g.vertices)
+        self._enames = set(self.edges)
+        self._vsuffix, self._esuffix = {}, {}  # base -> least suffix maybe free
 
     def graph(self):
-        return DiffGraph(self.edges)
+        return DiffGraph(self.edges.values())
+
+    def has_vertex(self, v):
+        return v in self.succ
+
+    def in_edges(self, v):
+        return [self.edges[i] for i in self.pred[v]]
+
+    def out_edges(self, v):
+        return [self.edges[i] for i in self.succ[v]]
+
+    @staticmethod
+    def _fresh(base, names, suffix):
+        """``base.n`` for the least n not in `names`.  Names are never
+        dropped from `names`, so the least free n only grows and the search
+        resumes where the last one for `base` ended."""
+        n = suffix.get(base, 1)
+        while f"{base}.{n}" in names:
+            n += 1
+        suffix[base] = n + 1
+        name = f"{base}.{n}"
+        names.add(name)
+        return name
 
     def fresh_vertex(self, base):
-        n = 1
-        while f"{base}.{n}" in self._vnames:
-            n += 1
-        name = f"{base}.{n}"
-        self._vnames.add(name)
-        return name
+        return self._fresh(base, self._vnames, self._vsuffix)
 
     def fresh_edge_id(self, base):
-        if base not in self._names:
-            self._names.add(base)
+        if base not in self._enames:
+            self._enames.add(base)
             return base
-        n = 1
-        while f"{base}.{n}" in self._names:
-            n += 1
-        name = f"{base}.{n}"
-        self._names.add(name)
-        return name
-
-    def remove_edges(self, edge_ids):
-        gone = set(edge_ids)
-        self.edges = [e for e in self.edges if e.id not in gone]
-
-    def retarget(self, edge_id, new_dst=None, new_src=None):
-        for idx, e in enumerate(self.edges):
-            if e.id == edge_id:
-                self.edges[idx] = Edge(
-                    e.id, new_src or e.src, new_dst or e.dst, e.label
-                )
-                self._vnames.add(self.edges[idx].src)
-                self._vnames.add(self.edges[idx].dst)
-                return
-        raise FactorizationError(f"unknown edge {edge_id}")
+        return self._fresh(base, self._enames, self._esuffix)
 
     def add(self, src, dst, label, base_id=None):
         eid = self.fresh_edge_id(base_id or label)
-        self.edges.append(Edge(eid, src, dst, label))
-        self._vnames.add(src)
-        self._vnames.add(dst)
+        e = Edge(eid, src, dst, label)
+        self.edges[eid] = e
+        self.stamp[eid] = self._clock
+        self._clock += 1
+        self._link(e)
         return eid
+
+    def remove(self, eid):
+        e = self.edges.pop(eid)
+        del self.stamp[eid]
+        self._unlink(e)
+        self._prune(e.src)
+        self._prune(e.dst)
+
+    def retarget(self, eid, new_dst=None, new_src=None):
+        e = self.edges[eid]
+        moved = Edge(e.id, new_src or e.src, new_dst or e.dst, e.label)
+        self._unlink(e)
+        self.edges[eid] = moved
+        self._link(moved)
+        self._prune(e.src)
+        self._prune(e.dst)
+        return moved
+
+    def _link(self, e):
+        for v in (e.src, e.dst):
+            if v not in self.succ:
+                self.succ[v], self.pred[v] = {}, {}
+                self._vnames.add(v)
+        self.succ[e.src][e.id] = None
+        self.pred[e.dst][e.id] = None
+        self.pair[e.src, e.dst] = e.id
+
+    def _unlink(self, e):
+        del self.succ[e.src][e.id]
+        del self.pred[e.dst][e.id]
+        if self.pair.get((e.src, e.dst)) == e.id:
+            del self.pair[e.src, e.dst]
+
+    def _prune(self, v):
+        """Drop `v` once its last edge is gone; True when it went."""
+        if v in self.succ and not self.succ[v] and not self.pred[v]:
+            del self.succ[v], self.pred[v]
+            return True
+        return False
+
+
+class SplitGraph(WorkGraph):
+    """The working graph of the split passes in one direction.
+
+    Besides the edges it keeps the contracted view, `by_src` and `by_dst`
+    (vertex -> {CEdge: None}), equal to ``contract()`` of the current graph;
+    each vertex's level, the length of the longest root path to it (what
+    ``depth_levels`` gives every vertex but a terminal); and `crowded`, the
+    vertices whose contracted in-degree (backward) or out-degree (forward)
+    is above one.  A split pass edits the edges around one vertex and
+    re-contracts only the CEdges it touched, so no pass rebuilds or
+    re-contracts the whole graph.
+    """
+
+    def __init__(self, g, direction):
+        super().__init__(g)
+        self.backward = direction == "backward"
+        self.by_src, self.by_dst = {}, {}
+        self._between = {}  # (src, dst) -> {CEdge: None}
+        self.crowded = set()
+        self._parallel = []  # (src, dst) pairs that came to hold two CEdges
+        self._dirty = []  # vertices whose CEdges changed since the last settle
+        self._stale = set()  # vertices whose in-edges changed since the last relevel
+        for ce in contract(g, record=False).edges:
+            self._attach(ce)
+        self._dirty.clear()
+        self.level = {}
+        for v in g.topo_order:
+            preds = g.in_edges(v)
+            if g.out_edges(v):
+                self.level[v] = 1 + max(self.level[e.src] for e in preds) if preds else 0
+
+    # -- the contracted view --------------------------------------------------
+
+    def _attach(self, ce):
+        self.by_src.setdefault(ce.src, {})[ce] = None
+        self.by_dst.setdefault(ce.dst, {})[ce] = None
+        between = self._between.setdefault((ce.src, ce.dst), {})
+        between[ce] = None
+        if len(between) == 2:
+            self._parallel.append((ce.src, ce.dst))
+        v, side = (ce.dst, self.by_dst) if self.backward else (ce.src, self.by_src)
+        if len(side[v]) > 1:
+            self.crowded.add(v)
+        self._dirty += (ce.src, ce.dst)
+
+    def _detach(self, ce):
+        for key, side in ((ce.src, self.by_src), (ce.dst, self.by_dst),
+                          ((ce.src, ce.dst), self._between)):
+            at = side[key]
+            del at[ce]
+            if not at:
+                del side[key]
+        v, side = (ce.dst, self.by_dst) if self.backward else (ce.src, self.by_src)
+        if len(side.get(v, ())) < 2:
+            self.crowded.discard(v)
+        self._dirty += (ce.src, ce.dst)
+
+    def _attach_edge(self, eid):
+        self._attach(edge_cedge(self.edges[eid], self.stamp[eid]))
+
+    def _is_link(self, v):
+        return len(self.by_src.get(v, ())) == 1 and len(self.by_dst.get(v, ())) == 1
+
+    def _settle(self):
+        """Contract to fixpoint around the CEdges that changed.
+
+        Parallel CEdges merge as soon as they meet and the runs through the
+        vertices whose CEdges changed collapse.  Series and parallel merges
+        reach the same fixpoint in any order, so the view equals a
+        contraction of the whole graph from scratch.
+        """
+        parallel, work = self._parallel, self._dirty
+        while parallel or work:
+            if parallel:
+                group = self._between.get(parallel.pop())
+                if group is not None and len(group) > 1:
+                    group = list(group)
+                    for c in group:
+                        self._detach(c)
+                    self._attach(block_cedge(group))
+                continue
+            x = work.pop()
+            if self._is_link(x):
+                run = run_through(
+                    next(iter(self.by_dst[x])), self._is_link,
+                    lambda v: next(iter(self.by_dst[v])),
+                    lambda v: next(iter(self.by_src[v])),
+                )
+                for c in run:
+                    self._detach(c)
+                self._attach(chain_cedge(run))
+
+    # -- levels ---------------------------------------------------------------
+
+    def _link(self, e):
+        super()._link(e)
+        self._stale.add(e.dst)
+
+    def _unlink(self, e):
+        super()._unlink(e)
+        self._stale.add(e.dst)
+
+    def _prune(self, v):
+        gone = super()._prune(v)
+        if gone:
+            self.level.pop(v, None)
+        return gone
+
+    def _relevel(self):
+        """Recompute the levels of the vertices whose in-edges changed, and
+        of their descendants while a level moves; predecessors go first.
+
+        Terminals keep no level: no split targets one and none ever gains an
+        out-edge, so nothing reads it, and a terminal's in-degree is what
+        grows the most."""
+        level, edges, succ = self.level, self.edges, self.succ
+        todo = {v for v in self._stale if succ.get(v)}
+        self._stale.clear()
+        while todo:
+            stack = [todo.pop()]
+            while stack:
+                u = stack[-1]
+                srcs = [edges[i].src for i in self.pred[u]]
+                waiting = [p for p in srcs if p in todo or p not in level]
+                if waiting:
+                    todo.difference_update(waiting)
+                    stack += waiting
+                    continue
+                stack.pop()
+                new = 1 + max(level[p] for p in srcs) if srcs else 0
+                if level.get(u) != new:
+                    level[u] = new
+                    todo.update(w for w in (edges[i].dst for i in succ[u]) if succ[w])
+
+    # -- the split pass -------------------------------------------------------
+
+    def split(self, refs, prov):
+        """Split the deepest (backward) or shallowest (forward) crowded
+        intermediate, ties to the least name; False when none remains.
+
+        Each route into it (backward; out of it, forward) gets a fresh copy
+        of the vertex together with a copy of everything it carries on the
+        other side, and the vertex goes.  In ref mode a carried structure
+        is named and copied as one reference edge instead.
+        """
+        backward, level = self.backward, self.level
+        targets = [v for v in self.crowded if self.pred[v] and self.succ[v]]
+        if not targets:
+            return False
+        if backward:
+            v = min(targets, key=lambda u: (-level[u], u))
+            routes, carried = self.by_dst[v], self.by_src.get(v, ())
+        else:
+            v = min(targets, key=lambda u: (level[u], u))
+            routes, carried = self.by_src[v], self.by_dst.get(v, ())
+        routes = sorted(routes, key=lambda ce: ce.seq)
+        carried = sorted(carried, key=lambda ce: ce.seq)
+        for ce in routes + carried:
+            self._detach(ce)
+
+        # In ref mode, structures that would be copied become reference edges.
+        if refs is not None:
+            replaced = []
+            for ce in carried:
+                if ce.kind == "edge" or ce.expr is None:
+                    replaced.append(ce)
+                    continue
+                name = refs.intern(ce.expr)
+                for eid in ce.emembers:
+                    self.remove(eid)
+                eid = self.add(ce.src, ce.dst, name.name, base_id=name.name)
+                replaced.append(edge_cedge(self.edges[eid], ce.seq))
+            carried = replaced
+
+        for route in routes:
+            copy = self.fresh_vertex(v)
+            prov[copy] = prov.get(v, v)
+            # the route's edges at v now end (backward) or start at the copy
+            at_v = self.pred[v] if backward else self.succ[v]
+            for eid in [i for i in at_v if i in route.emembers]:
+                if backward:
+                    moved = self.retarget(eid, new_dst=copy)
+                else:
+                    moved = self.retarget(eid, new_src=copy)
+            ends = {"dst": copy} if backward else {"src": copy}
+            if route.kind == "edge":
+                ends["original"] = moved
+            self._attach(replace(route, **ends))
+            for ce in carried:
+                src, dst = (copy, ce.dst) if backward else (ce.src, copy)
+                if ce.kind == "edge":
+                    e = ce.original
+                    self._attach_edge(self.add(src, dst, e.label, base_id=e.id))
+                else:
+                    self._copy_substructure(ce, src, dst, prov)
+        for ce in carried:
+            for eid in ce.emembers:
+                self.remove(eid)
+        self._settle()
+        self._relevel()
+        return True
+
+    def _copy_substructure(self, ce, new_src, new_dst, prov):
+        """Fresh copy of a substitute structure's members between the given
+        endpoints, as raw edges for `_settle` to contract."""
+        vmap = {}
+        for v in sorted(ce.vmembers):
+            vmap[v] = self.fresh_vertex(v)
+            prov[vmap[v]] = prov.get(v, v)
+        vmap[ce.src] = new_src
+        vmap[ce.dst] = new_dst
+        for eid in sorted(ce.emembers):
+            e = self.edges[eid]
+            self._attach_edge(self.add(vmap[e.src], vmap[e.dst], e.label, base_id=e.id))
 
 
 def _atom(label):
     return UNIT if label == UNIT_LABEL else Sym(label)
 
 
-def _copy_substructure(editor, ce, new_src=None, new_dst=None, prov=None):
-    """Fresh copy of a substitute structure's members, endpoints as given."""
-    g = editor.graph()
-    vmap = {}
-    for v in sorted(ce.vmembers):
-        vmap[v] = editor.fresh_vertex(v)
-        if prov is not None:
-            prov[vmap[v]] = prov.get(v, v)
-    vmap[ce.src] = new_src or ce.src
-    vmap[ce.dst] = new_dst or ce.dst
-    for eid in sorted(ce.emembers):
-        e = g.edge(eid)
-        editor.add(vmap[e.src], vmap[e.dst], e.label, base_id=e.id)
-
-
-def _retarget_substructure(editor, ce, old, new):
-    """Move a substitute's endpoint from `old` to `new` (final/first edges)."""
-    for eid in sorted(ce.emembers):
-        e = next(x for x in editor.edges if x.id == eid)
-        if e.dst == old:
-            editor.retarget(eid, new_dst=new)
-        elif e.src == old:
-            editor.retarget(eid, new_src=new)
-
-
-def _split_pass(editor, direction, refs, prov):
-    """One contracted-view split; returns False when no target remains."""
-    g = editor.graph()
-    c = contract(g, record=False)
-    roots, terminals = set(g.roots), set(g.terminals)
-    levels, _ = depth_levels(g)
-    by_dst, by_src = {}, {}
-    for ce in c.edges:
-        by_src.setdefault(ce.src, []).append(ce)
-        by_dst.setdefault(ce.dst, []).append(ce)
-    if direction == "backward":
-        targets = [
-            v
-            for v in by_dst
-            if v not in roots and v not in terminals and len(by_dst[v]) > 1
-        ]
-        if not targets:
-            return False
-        v = sorted(targets, key=lambda u: (-levels[u], u))[0]
-        routes = sorted(by_dst[v], key=lambda ce: ce.seq)
-        carried = sorted(by_src.get(v, []), key=lambda ce: ce.seq)
-    else:
-        targets = [
-            v
-            for v in by_src
-            if v not in roots and v not in terminals and len(by_src[v]) > 1
-        ]
-        if not targets:
-            return False
-        v = sorted(targets, key=lambda u: (levels[u], u))[0]
-        routes = sorted(by_src[v], key=lambda ce: ce.seq)
-        carried = sorted(by_dst.get(v, []), key=lambda ce: ce.seq)
-
-    # In ref mode, structures that would be copied become reference edges.
-    if refs is not None:
-        replaced = []
-        for ce in carried:
-            if ce.kind == "edge" or ce.expr is None:
-                replaced.append(ce)
-                continue
-            name = refs.intern(ce.expr)
-            editor.remove_edges(ce.emembers)
-            eid = editor.add(ce.src, ce.dst, name.name, base_id=name.name)
-            g2 = editor.graph()
-            e = g2.edge(eid)
-            replaced.append(
-                CEdge(e.src, e.dst, Sym(e.label), "edge", True, True,
-                      frozenset(), frozenset([eid]), e, ce.seq)
-            )
-        carried = replaced
-
-    for k, route in enumerate(routes, start=1):
-        copy = editor.fresh_vertex(v)
-        prov[copy] = prov.get(v, v)
-        if route.kind == "edge":
-            if direction == "backward":
-                editor.retarget(route.original.id, new_dst=copy)
-            else:
-                editor.retarget(route.original.id, new_src=copy)
-        else:
-            _retarget_substructure(editor, route, v, copy)
-        for ce in carried:
-            if ce.kind == "edge":
-                e = ce.original
-                if direction == "backward":
-                    editor.add(copy, e.dst, e.label, base_id=e.id)
-                else:
-                    editor.add(e.src, copy, e.label, base_id=e.id)
-            else:
-                if direction == "backward":
-                    _copy_substructure(editor, ce, new_src=copy, prov=prov)
-                else:
-                    _copy_substructure(editor, ce, new_dst=copy, prov=prov)
-    for ce in carried:
-        editor.remove_edges(ce.emembers)
-    return True
-
-
 def _factorize(g, direction, refs=None, prov=None):
-    editor = GraphEditor(g)
+    work = SplitGraph(g, direction)
     prov = prov if prov is not None else {}
     for _ in range(_MAX_PASSES):
-        if not _split_pass(editor, direction, refs, prov):
-            return editor.graph(), prov
+        if not work.split(refs, prov):
+            out = work.graph()
+            return out, prov
     raise FactorizationError("factorization did not settle")
 
 
@@ -273,8 +454,9 @@ def factorize_with_refs(g, direction="backward", refs=None):
     for name, e in refs.defs:
         s.define(name, e)
     for y in out.roots:
+        below = out.reachable_from(y)
         for x in out.terminals:
-            if count_paths(out, y, x):
+            if x in below:
                 s.add_entry(y, x, region_expr(out, y, x))
     return out, inline_single_use(s)
 
@@ -284,9 +466,11 @@ def factorize_with_refs(g, direction="backward", refs=None):
 
 
 def _active_pairs(g):
-    return [
-        (y, x) for y in g.roots for x in g.terminals if count_paths(g, y, x) > 0
-    ]
+    pairs = []
+    for y in g.roots:
+        below = g.reachable_from(y)
+        pairs += [(y, x) for x in g.terminals if x in below]
+    return pairs
 
 
 def _pair_edges(g, pairs):
@@ -309,7 +493,7 @@ def _page_from_edges(page, edge_ids, pid):
 
 
 def _replace_simple_structures(page, transcript):
-    c = contract(page.graph)
+    c = contract(page.graph, record=False)
     victims = [
         ce
         for ce in sorted(c.edges, key=lambda ce: ce.seq)
@@ -317,11 +501,12 @@ def _replace_simple_structures(page, transcript):
     ]
     if not victims:
         return False
-    editor = GraphEditor(page.graph)
+    work = WorkGraph(page.graph)
     for ce in victims:
         name = page.refs.intern(ce.expr)
-        editor.remove_edges(ce.emembers)
-        editor.add(ce.src, ce.dst, name.name, base_id=name.name)
+        for eid in ce.emembers:
+            work.remove(eid)
+        work.add(ce.src, ce.dst, name.name, base_id=name.name)
         transcript.append(
             {
                 "op": "replace-structure",
@@ -334,7 +519,7 @@ def _replace_simple_structures(page, transcript):
                 "page": page.pid,
             }
         )
-    page.graph = editor.graph()
+    page.graph = work.graph()
     return True
 
 
@@ -359,17 +544,17 @@ def _pivots(g):
 
 
 def _single_edge_path(g, a, b):
-    direct = any(e.src == a and e.dst == b for e in g.edges)
+    direct = any(e.dst == b for e in g.out_edges(a))
     return direct and count_paths(g, a, b) == 1
 
 
 def _finalize(page, transcript):
     entries = []
     for y, x in _active_pairs(page.graph):
-        sub = subgraph_between(page.graph, y, x)
         try:
-            expr = region_expr(sub, y, x)
+            expr = region_expr(page.graph, y, x)
         except ComplexBlockError:
+            sub = subgraph_between(page.graph, y, x)
             fixed, _ = _factorize(sub, "backward", refs=page.refs)
             expr = region_expr(fixed, y, x)
         entries.append(((page.provenance.get(y, y), page.provenance.get(x, x)), expr))
@@ -398,34 +583,24 @@ def _band_pass(page, v_i, v_j, transcript):
     )
     if not band:
         return False
-    editor = GraphEditor(g)
+    work = WorkGraph(g)
     for m in band:
-        cur = editor.graph()
-        if not cur.has_vertex(m):
+        if not work.has_vertex(m):
             continue
-        ins = cur.in_edges(m)
-        outs = cur.out_edges(m)
-        existing = {(e.src, e.dst): e for e in editor.edges}
+        ins = work.in_edges(m)
+        outs = work.out_edges(m)
         for ein in sorted(ins, key=lambda e: e.id):
             for eout in sorted(outs, key=lambda e: e.id):
                 term = prod(_atom(ein.label), _atom(eout.label))
-                prior = existing.get((ein.src, eout.dst))
-                if prior is not None and prior.dst != m and prior.src != m:
-                    combined = add(_atom(prior.label), term)
-                    name = page.refs.intern(combined)
-                    editor.remove_edges([prior.id])
-                    eid = editor.add(ein.src, eout.dst, _label_of(name), base_id=_label_of(name))
-                    existing[(ein.src, eout.dst)] = next(
-                        e for e in editor.edges if e.id == eid
-                    )
-                else:
-                    name = page.refs.intern(term)
-                    eid = editor.add(ein.src, eout.dst, _label_of(name), base_id=_label_of(name))
-                    existing[(ein.src, eout.dst)] = next(
-                        e for e in editor.edges if e.id == eid
-                    )
-        editor.remove_edges([e.id for e in ins] + [e.id for e in outs])
-    page.graph = editor.graph()
+                prior = work.pair.get((ein.src, eout.dst))
+                if prior is not None:
+                    term = add(_atom(work.edges[prior].label), term)
+                    work.remove(prior)
+                label = _label_of(page.refs.intern(term))
+                work.add(ein.src, eout.dst, label, base_id=label)
+        for e in ins + outs:
+            work.remove(e.id)
+    page.graph = work.graph()
     transcript.append(
         {
             "op": "band-eliminate",

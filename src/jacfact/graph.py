@@ -8,6 +8,7 @@ graphs, so instances can be shared freely.
 """
 from __future__ import annotations
 
+import heapq
 from dataclasses import dataclass
 
 UNIT_LABEL = "1"
@@ -97,19 +98,18 @@ class DiffGraph:
         return tuple(sorted(v for v in self.vertices if not self._succ[v]))
 
     def _toposort(self):
+        """Kahn's algorithm, always taking the least available vertex."""
         indeg = {v: len(self._pred[v]) for v in self.vertices}
-        queue = sorted(v for v, d in indeg.items() if d == 0)
+        heap = [v for v, d in indeg.items() if d == 0]
+        heapq.heapify(heap)
         order = []
-        while queue:
-            v = queue.pop(0)
+        while heap:
+            v = heapq.heappop(heap)
             order.append(v)
-            added = []
             for e in self._succ[v]:
                 indeg[e.dst] -= 1
                 if indeg[e.dst] == 0:
-                    added.append(e.dst)
-            if added:
-                queue = sorted(queue + added)
+                    heapq.heappush(heap, e.dst)
         if len(order) != len(self.vertices):
             stuck = sorted(v for v, d in indeg.items() if d > 0)
             raise GraphError(f"cycle detected involving {', '.join(stuck)}")

@@ -17,7 +17,8 @@ from .expr import (
     Sym,
     _Unit,
     canonical_text,
-    expand_expr,
+    canonical_texts,
+    expansions,
     free_symbols,
     normalize,
     prod,
@@ -79,6 +80,17 @@ def _trailing(term):
     return None, None
 
 
+def _sites(s):
+    """(site name, normalized expression, its ``face_key`` function) per
+    definition and entry, in set order; each expression is normalized and
+    canonicalized in one pass apiece."""
+    out = []
+    for key, e in s.all_exprs():
+        e = normalize(e)
+        out.append((_site_name(key), e, canonical_texts(e)))
+    return out
+
+
 def classify_relations(s):
     """Relation table: (left key, right key) -> occurrences.
 
@@ -87,21 +99,24 @@ def classify_relations(s):
     boundary (including one reference whose definition is a sum) and deeper
     separations are reported as distant.
     """
-    defs = s.def_map
+    return _relation_table(_sites(s), s.def_map)
+
+
+def _relation_table(sites, defs):
     table = {}
 
     def note(left_key, right_key, occ):
         table.setdefault((left_key, right_key), []).append(occ)
 
-    def walk(e, site):
+    def walk(e, site, key_of):
         if isinstance(e, Sum):
             for t in e.terms:
-                walk(t, site)
+                walk(t, site, key_of)
             return
         if not isinstance(e, Prod):
             return
         for f, g in zip(e.factors, e.factors[1:]):
-            note(face_key(f), face_key(g), Occurrence(site, "direct"))
+            note(key_of(f), key_of(g), Occurrence(site, "direct"))
             rview = _sum_view(g, defs)
             if rview is not None and isinstance(f, Sym):
                 for t in rview:
@@ -113,7 +128,7 @@ def classify_relations(s):
                             Occurrence(
                                 site,
                                 "indirect-right",
-                                face_key(second) if second is not None else None,
+                                key_of(second) if second is not None else None,
                             ),
                         )
                     elif head is not None:
@@ -131,7 +146,7 @@ def classify_relations(s):
                             Occurrence(
                                 site,
                                 "indirect-left",
-                                face_key(before) if before is not None else None,
+                                key_of(before) if before is not None else None,
                             ),
                         )
             if rview is not None and lview is not None:
@@ -142,10 +157,10 @@ def classify_relations(s):
                         if isinstance(tail, Sym) and isinstance(head, Sym):
                             note(tail.name, head.name, Occurrence(site, "distant"))
         for f in e.factors:
-            walk(f, site)
+            walk(f, site, key_of)
 
-    for key, e in s.all_exprs():
-        walk(normalize(e), _site_name(key))
+    for site, e, key_of in sites:
+        walk(e, site, key_of)
     return table
 
 
@@ -219,7 +234,10 @@ def build_dep_graph(s):
     after (b, w).  Mirrored edges (a, b) -> (w, a) come from left-side
     indirection and are flagged, since they follow by symmetry.
     """
-    table = classify_relations(s)
+    return _dep_graph(classify_relations(s))
+
+
+def _dep_graph(table):
     d = DepGraph()
     for (a, b), occs in sorted(table.items()):
         direct = [o for o in occs if o.kind == "direct"]
@@ -301,6 +319,10 @@ class _Task:
     pair: tuple  # syntactic (left key, right key)
 
 
+def _same(e):
+    return e
+
+
 def _dep_depth(d):
     """Longest dependency path into each face (more depended-upon = deeper)."""
     succ = _successor_sets(d)
@@ -328,11 +350,12 @@ def safe_elimination_order(s):
     associate left to right.  Raises :class:`CircularDependencyError` when
     the dependency graph is cyclic.
     """
-    d = build_dep_graph(s)
+    defs = s.def_map
+    sites = _sites(s)
+    d = _dep_graph(_relation_table(sites, defs))
     cycles = detect_cycles(d)
     if cycles:
         raise CircularDependencyError(cycles)
-    defs = s.def_map
 
     # order definition sites so that used definitions come first
     site_rank = {}
@@ -357,28 +380,27 @@ def safe_elimination_order(s):
 
     tasks = []
 
-    def plan(e, site):
+    def plan(e, site, expansion, key_of):
         if isinstance(e, (Sym, _Unit)):
-            return expand_expr(e, defs)
+            return expansion(e)
         if isinstance(e, Sum):
             for t in e.terms:
-                plan(t, site)
-            return expand_expr(e, defs)
+                plan(t, site, expansion, key_of)
+            return expansion(e)
         if isinstance(e, Prod):
-            labels = [plan(f, site) for f in e.factors]
+            labels = [plan(f, site, expansion, key_of) for f in e.factors]
             acc = labels[0]
             for prev, f, label in zip(e.factors, e.factors[1:], labels[1:]):
                 tasks.append(
-                    _Task(site, len(tasks), (acc, label), (face_key(prev), face_key(f)))
+                    _Task(site, len(tasks), (acc, label), (key_of(prev), key_of(f)))
                 )
                 acc = prod(acc, label)
             return acc
         raise RelationError(f"not an expression: {e!r}")
 
-    for name, e in s.defs:
-        plan(normalize(e), name)
-    for pair, e in s.entries:
-        plan(normalize(e), _site_name(pair))
+    for site, e, key_of in sites:
+        # with no definitions a normalized node is its own expansion
+        plan(e, site, expansions(e, defs) if defs else _same, key_of)
 
     depth = _dep_depth(d)
     deps_of = {}

@@ -9,6 +9,7 @@ the contracted degree view used by the factorization passes.
 """
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 from .expr import UNIT, Sym, add, prod
@@ -77,7 +78,7 @@ class CEdge:
         return (self.seq, self.expr, self.kind, self.simple, self.direct)
 
 
-def _edge_cedge(e, seq):
+def edge_cedge(e, seq):
     expr = UNIT if e.label == UNIT_LABEL else Sym(e.label)
     return CEdge(
         e.src, e.dst, expr, "edge", True, True,
@@ -85,10 +86,112 @@ def _edge_cedge(e, seq):
     )
 
 
+def block_cedge(group, book=None):
+    """The block substitute for `group`, CEdges sharing both endpoints.
+
+    A block among them, formed earlier between the same endpoints, is an
+    artifact of pass scheduling: its branches fold back in, so the result
+    does not depend on the order in which parallels were merged.  `book`,
+    when given, is the :class:`_Contraction` that keeps the records.
+    """
+    group = sorted(group, key=lambda c: c.seq)
+    src, dst = group[0].src, group[0].dst
+    branches = []
+    for c in group:
+        if c.kind == "block" and c.branches:
+            if book is not None:
+                book._drop_record(c.record_idx)
+            branches.extend(c.branches)
+        else:
+            branches.append(c.as_branch())
+    branches.sort(key=lambda b: b[0])
+    simple = all(k == "edge" or s for _, _, k, s, _ in branches)
+    direct = all(k == "edge" or (k == "chain" and d) for _, _, k, _, d in branches)
+    if not simple:
+        kind = "complex-block"
+    elif direct:
+        kind = "direct-simple-block"
+    else:
+        kind = "indirect-simple-block"
+    vmem = frozenset().union(*[c.vmembers for c in group])
+    emem = frozenset().union(*[c.emembers for c in group])
+    expr = None
+    if simple and all(e is not None for _, e, *_ in branches):
+        expr = add(*[e for _, e, *_ in branches])
+    idx = -1
+    if book is not None:
+        idx = book._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
+    return CEdge(
+        src, dst, expr, "block", simple, direct,
+        vmem, emem, None, group[0].seq, idx, tuple(branches),
+    )
+
+
+def chain_cedge(run, book=None):
+    """The chain substitute for `run`, CEdges end to end; `book` as in
+    :func:`block_cedge`.  A chain inside the run is flattened into it."""
+    if book is not None:
+        for c in run:
+            if c.kind == "chain":
+                book._drop_record(c.record_idx)  # superseded by longer run
+    src, dst = run[0].src, run[-1].dst
+    interior = {c.src for c in run[1:]}
+    vmem = frozenset(interior).union(*[c.vmembers for c in run])
+    emem = frozenset().union(*[c.emembers for c in run])
+    direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
+    simple = all(c.kind == "edge" or c.simple for c in run)
+    if direct:
+        kind = "direct-simple-chain"
+    elif simple:
+        kind = "indirect-simple-chain"
+    else:
+        kind = "complex-chain"
+    expr = None
+    if all(c.expr is not None for c in run):
+        expr = prod(*[c.expr for c in run])
+    idx = -1
+    if book is not None:
+        idx = book._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
+    return CEdge(
+        src, dst, expr, "chain", simple, direct,
+        vmem, emem, None, min(c.seq for c in run), idx,
+    )
+
+
+def run_through(c, is_link, into, out_of, taken=()):
+    """The maximal run of CEdges through `c` across link vertices.
+
+    `into(v)` and `out_of(v)` give a link's one in- and out-CEdge; the run
+    stops before a CEdge whose id is in `taken`.
+    """
+    head, tail, seen = [], [c], {id(c)}
+    v = c.src
+    while is_link(v):
+        prev = into(v)
+        if id(prev) in taken or id(prev) in seen:
+            break
+        head.append(prev)
+        seen.add(id(prev))
+        v = prev.src
+    v = c.dst
+    while is_link(v):
+        nxt = out_of(v)
+        if id(nxt) in taken or id(nxt) in seen:
+            break
+        tail.append(nxt)
+        seen.add(id(nxt))
+        v = nxt.dst
+    head.reverse()
+    return head + tail
+
+
+_SEQ = operator.attrgetter("seq")
+
+
 class _Contraction:
     def __init__(self, g, record=True):
         self.g = g
-        self.edges = [_edge_cedge(e, i) for i, e in enumerate(g.edges)]
+        self.edges = [edge_cedge(e, i) for i, e in enumerate(g.edges)]
         self.seq = len(self.edges)
         self.records = [] if record else None
 
@@ -121,103 +224,32 @@ class _Contraction:
         groups = {}
         for c in self.edges:
             groups.setdefault((c.src, c.dst), []).append(c)
-        changed = False
-        for (src, dst), group in groups.items():
-            if len(group) < 2:
-                continue
-            changed = True
-            group.sort(key=lambda c: c.seq)
-            branches = []
-            for c in group:
-                if c.kind == "block" and c.branches:
-                    # a block formed earlier between the same endpoints is an
-                    # artifact of pass scheduling: fold its branches back in
-                    self._drop_record(c.record_idx)
-                    branches.extend(c.branches)
-                else:
-                    branches.append(c.as_branch())
-            branches.sort(key=lambda b: b[0])
-            simple = all(k == "edge" or s for _, _, k, s, _ in branches)
-            direct = all(
-                k == "edge" or (k == "chain" and d) for _, _, k, _, d in branches
-            )
-            if not simple:
-                kind = "complex-block"
-            elif direct:
-                kind = "direct-simple-block"
-            else:
-                kind = "indirect-simple-block"
-            vmem = frozenset().union(*[c.vmembers for c in group])
-            emem = frozenset().union(*[c.emembers for c in group])
-            expr = None
-            if simple and all(e is not None for _, e, *_ in branches):
-                expr = add(*[e for _, e, *_ in branches])
-            idx = self._record(
-                Structure(kind, src, dst, vmem | {src, dst}, emem)
-            )
-            sub = CEdge(
-                src, dst, expr, "block", simple, direct,
-                vmem, emem, None, min(c.seq for c in group), idx,
-                tuple(branches),
-            )
-            self.edges = [c for c in self.edges if c not in group]
-            self.edges.append(sub)
-        return changed
+        merged, subs = set(), []
+        for group in groups.values():
+            if len(group) > 1:
+                merged.update(map(id, group))
+                subs.append(block_cedge(group, self))
+        if subs:
+            self.edges = [c for c in self.edges if id(c) not in merged] + subs
+        return bool(subs)
 
     def collapse_chains(self):
         out, inn = self._adj()
-
-        def is_link(v):
-            return len(out.get(v, [])) == 1 and len(inn.get(v, [])) == 1
-
+        links = {v for v, cs in out.items() if len(cs) == 1 and len(inn.get(v, ())) == 1}
+        at_link = [c for c in self.edges if c.src in links or c.dst in links]
         visited = set()
         runs = []
-        for c in sorted(self.edges, key=lambda c: c.seq):
-            if id(c) in visited or not (is_link(c.src) or is_link(c.dst)):
+        for c in sorted(at_link, key=_SEQ):
+            if id(c) in visited:
                 continue
-            run = [c]
-            while is_link(run[0].src):
-                prev = inn[run[0].src][0]
-                if id(prev) in visited or prev in run:
-                    break
-                run.insert(0, prev)
-            while is_link(run[-1].dst):
-                nxt = out[run[-1].dst][0]
-                if id(nxt) in visited or nxt in run:
-                    break
-                run.append(nxt)
+            run = run_through(c, links.__contains__, lambda v: inn[v][0], lambda v: out[v][0], visited)
             if len(run) < 2:
                 continue
-            visited.update(id(x) for x in run)
+            visited.update(map(id, run))
             runs.append(run)
-        for run in runs:
-            segs = []
-            for c in run:
-                if c.kind == "chain":
-                    self._drop_record(c.record_idx)  # superseded by longer run
-                segs.append(c)
-            src, dst = run[0].src, run[-1].dst
-            interior = {c.src for c in run[1:]}
-            vmem = frozenset(interior).union(*[c.vmembers for c in run])
-            emem = frozenset().union(*[c.emembers for c in run])
-            direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
-            simple = all(c.kind == "edge" or c.simple for c in run)
-            if direct:
-                kind = "direct-simple-chain"
-            elif simple:
-                kind = "indirect-simple-chain"
-            else:
-                kind = "complex-chain"
-            expr = None
-            if all(c.expr is not None for c in run):
-                expr = prod(*[c.expr for c in run])
-            idx = self._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
-            sub = CEdge(
-                src, dst, expr, "chain", simple, direct,
-                vmem, emem, None, min(c.seq for c in run), idx,
-            )
-            self.edges = [c for c in self.edges if c not in run]
-            self.edges.append(sub)
+        if runs:
+            self.edges = [c for c in self.edges if id(c) not in visited]
+            self.edges += [chain_cedge(run, self) for run in runs]
         return bool(runs)
 
     def run(self):
@@ -277,8 +309,8 @@ class _Contraction:
         idx = self._record(Structure("complex-block", a, b, region | vmem, emem))
         sub = CEdge(a, b, None, "block", False, False, frozenset(vmem), emem,
                     None, self._next_seq(), idx)
-        self.edges = [c for c in self.edges if c not in group]
-        self.edges.append(sub)
+        gone = set(map(id, group))
+        self.edges = [c for c in self.edges if id(c) not in gone] + [sub]
 
 
 def contract(g, record=True):

@@ -87,6 +87,23 @@ def random_layered_dag(rng, max_vertices=10, max_edges=16):
     return DiffGraph(edges)
 
 
+def dense_layered(width, depth, seed=0):
+    """`depth` dense width x width local Jacobians stacked level by level,
+    with labels shuffled by `seed`."""
+    pairs = [
+        (f"v{lv}_{i}", f"v{lv + 1}_{j}")
+        for lv in range(depth)
+        for i in range(width)
+        for j in range(width)
+    ]
+    labels = [f"a{k}" for k in range(1, len(pairs) + 1)]
+    random.Random(seed).shuffle(labels)
+    return DiffGraph(
+        Edge(f"e{k}", a, b, lab)
+        for k, ((a, b), lab) in enumerate(zip(pairs, labels), start=1)
+    )
+
+
 def restrict_exprset(s, pairs):
     """Entries for the given pairs plus the definitions they reach."""
     keep = set(map(tuple, pairs))

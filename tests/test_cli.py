@@ -220,3 +220,16 @@ def test_verify_many_paths(capsys, tmp_path):
     p.write_text(_diamond_chain(19))  # 2^19 = 524288 paths, under the guard
     code, out, _ = run_cli(capsys, "verify", str(p), str(p))
     assert code == 0 and out.startswith("PASS")
+
+
+def test_verify_deep_entry(capsys, tmp_path):
+    from test_expr import deep_entry
+
+    text, graph_text = deep_entry(2000)
+    (tmp_path / "deep.graph").write_text(graph_text)
+    (tmp_path / "deep.exprs").write_text(f"J[r,t] = {text}\n")
+    code, out, err = run_cli(
+        capsys, "verify", str(tmp_path / "deep.graph"), str(tmp_path / "deep.exprs")
+    )
+    assert code == 0, err
+    assert out.startswith("PASS")

@@ -16,13 +16,16 @@ from jacfact.expr import (
     base_symbols,
     canonical,
     canonical_text,
+    canonical_texts,
     check_references,
     equivalent_form,
     expand_expr,
     expand_refs,
+    expansions,
     fma_cost,
     format_expr,
     format_exprset,
+    free_symbols,
     inline_single_use,
     normalize,
     parse_expr,
@@ -30,7 +33,8 @@ from jacfact.expr import (
     prod,
 )
 
-from jacfact.oracle import eval_exprset, instantiate
+from jacfact.graph import parse_graph
+from jacfact.oracle import check_equiv, eval_exprset, instantiate
 
 from conftest import load_exprset
 
@@ -263,6 +267,29 @@ def test_canonical_matches_recursive_definition():
         assert normalize(e) == _ref_normalize(e)
 
 
+def _nodes(e):
+    out, stack = [], [e]
+    while stack:
+        node = stack.pop()
+        out.append(node)
+        stack.extend(getattr(node, "factors", ()) + getattr(node, "terms", ()))
+    return out
+
+
+def test_canonical_texts_and_expansions_match_per_node_calls():
+    defs = {"s1": parse_expr("a*(c+b)"), "s2": parse_expr("s1*d+b")}
+    other = parse_expr("(b+a)*s2")
+    for seed in range(300):
+        e = _raw_expr(random.Random(seed), 5, atoms=["a", "b", "s1", "s2"])
+        text, expansion = canonical_texts(e), expansions(e, defs)
+        for node in _nodes(e):
+            assert text(node) == canonical_text(node)
+            assert expansion(node) == expand_expr(node, defs)
+        # a node from elsewhere is worked out on its own
+        assert text(other) == "(a+b)*s2"
+        assert expansion(other) == expand_expr(other, defs)
+
+
 def test_canonical_keeps_canonical_subterms():
     e = parse_expr("a*(b+c)+d")
     assert canonical(e) is e
@@ -313,3 +340,123 @@ def test_inline_single_use_deep_reference_chain():
     assert fma_cost(out) == 3000
     inst = instantiate(base_symbols(s), 1)
     assert eval_exprset(out, inst) == eval_exprset(s, inst)
+
+
+def deep_entry(n):
+    """``a1*(b1+a2*(b2+...+an*bn))``, nested n deep, and a graph whose one
+    Jacobian entry it is."""
+    text = "".join(f"a{k}*(b{k}+" for k in range(1, n)) + f"a{n}*b{n}" + ")" * (n - 1)
+    edges = ["e a1 r x1"] + [f"e a{k} x{k - 1} x{k}" for k in range(2, n + 1)]
+    edges += [f"e b{k} x{k} t" for k in range(1, n + 1)]
+    return text, "\n".join(edges) + "\n"
+
+
+def test_deep_entry_parses_formats_and_verifies():
+    text, graph_text = deep_entry(2000)
+    e = parse_expr(text)
+    assert format_expr(e) == text
+    assert len(free_symbols(e)) == 4000
+    s = parse_exprset(f"J[r,t] = {text}\n")
+    assert format_exprset(s) == f"J[r,t] = {text}\n"
+    assert check_equiv(parse_graph(graph_text), s).ok
+
+
+def _ref_format(e):
+    if e == UNIT:
+        return "1"
+    if isinstance(e, Sym):
+        return e.name
+    if isinstance(e, Sum):
+        return "+".join(_ref_format(t) for t in e.terms)
+    if isinstance(e, Prod):
+        return "*".join(
+            f"({_ref_format(f)})" if isinstance(f, Sum) else _ref_format(f)
+            for f in e.factors
+        )
+    raise ExprError(f"not an expression: {e!r}")
+
+
+def _ref_free_symbols(e):
+    if isinstance(e, Sym):
+        return {e.name}
+    out = set()
+    for sub in getattr(e, "factors", ()) + getattr(e, "terms", ()):
+        out |= _ref_free_symbols(sub)
+    return out
+
+
+def _ref_parse(text):
+    """Recursive descent over the same grammar, positions and messages."""
+    import re
+
+    name = re.compile(r"[A-Za-z_][A-Za-z0-9_.']*")
+    pos = 0
+
+    def peek():
+        nonlocal pos
+        while pos < len(text) and text[pos].isspace():
+            pos += 1
+        return text[pos] if pos < len(text) else ""
+
+    def parse_sum():
+        nonlocal pos
+        terms = [parse_product()]
+        while peek() == "+":
+            pos += 1
+            terms.append(parse_product())
+        return add(*terms)
+
+    def parse_product():
+        nonlocal pos
+        factors = [parse_atom()]
+        while peek() == "*":
+            pos += 1
+            factors.append(parse_atom())
+        return prod(*factors)
+
+    def parse_atom():
+        nonlocal pos
+        ch = peek()
+        if ch == "(":
+            pos += 1
+            inner = parse_sum()
+            if peek() != ")":
+                raise ExprSyntaxError("expected ')'", pos)
+            pos += 1
+            return inner
+        if ch == "1":
+            nxt = text[pos + 1 : pos + 2]
+            if not nxt or not (nxt.isalnum() or nxt in "_.'"):
+                pos += 1
+                return UNIT
+        m = name.match(text, pos)
+        if not m:
+            raise ExprSyntaxError("expected symbol, '1' or '('", pos)
+        pos = m.end()
+        return Sym(m.group())
+
+    e = parse_sum()
+    peek()
+    if pos != len(text):
+        raise ExprSyntaxError("trailing input", pos)
+    return e
+
+
+def _parsed(parse, text):
+    try:
+        return parse(text)
+    except ExprSyntaxError as exc:
+        return str(exc)
+
+
+def test_parse_format_free_symbols_match_recursive_definitions():
+    for seed in range(500):
+        rng = random.Random(seed)
+        e = _raw_expr(rng, 5, atoms=["a", "b1", "x.y", "s2'"])
+        text = _ref_format(e)
+        assert format_expr(e) == text
+        assert free_symbols(e) == _ref_free_symbols(e)
+        assert parse_expr(text) == _ref_parse(text)
+        cut = rng.randrange(len(text) + 1)
+        broken = text[:cut] + rng.choice(["(", ")", "*", "+", " ", "#", "1"]) + text[cut:]
+        assert _parsed(parse_expr, broken) == _parsed(_ref_parse, broken)

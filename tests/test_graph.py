@@ -18,7 +18,7 @@ from jacfact.graph import (
 )
 from jacfact.structure import segment_cross_level
 
-from conftest import load_graph, random_layered_dag
+from conftest import FIXTURES, dense_layered, load_graph, random_layered_dag
 
 
 def test_parse_fig1a_partition():
@@ -190,3 +190,32 @@ def test_path_count_matches_levelwise_matrix_product():
             for x in seg.terminals:
                 assert counts[(y, x)] == mat.get((y, x), 0)
                 assert counts[(y, x)] == count_paths(seg, y, x)
+
+
+def _sorted_queue_topo_order(g):
+    """Topological order as first defined: the queue of available vertices
+    is re-sorted after every pop and the least one is taken."""
+    indeg = {v: len(g.in_edges(v)) for v in g.vertices}
+    queue = sorted(v for v, d in indeg.items() if d == 0)
+    order = []
+    while queue:
+        v = queue.pop(0)
+        order.append(v)
+        added = []
+        for e in g.out_edges(v):
+            indeg[e.dst] -= 1
+            if indeg[e.dst] == 0:
+                added.append(e.dst)
+        if added:
+            queue = sorted(queue + added)
+    return tuple(order)
+
+
+def test_topo_order_matches_sorted_queue_definition():
+    import random
+
+    graphs = [random_layered_dag(random.Random(seed), 30, 60) for seed in range(100)]
+    graphs += [dense_layered(w, d) for w, d in ((2, 4), (2, 8), (3, 4), (4, 5))]
+    graphs += [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
+    for g in graphs:
+        assert g.topo_order == _sorted_queue_topo_order(g)

@@ -26,6 +26,7 @@ from jacfact.oracle import (
     SupportMismatch,
     bauer_eval,
     check_equiv,
+    draw_trials,
     eval_exprset,
     instantiate,
 )
@@ -230,3 +231,24 @@ def test_eval_exprset_deep_reference_chain():
     for i in range(1, n):
         v = (v * inst[f"e{i}"] + inst[f"e{i}"]) % PRIME
     assert eval_exprset(s, inst) == {("a", "b"): v}
+
+
+def test_eval_exprset_equal_subterms_match_recursive_evaluation():
+    # equal subterms parsed apart are distinct objects; they share one column
+    pool = ["e1*(e2+e3)", "e4+e5*e6", "(e1+e2)*(e3+e4*e5)", "e4*e5", "e4+e5", "s1", "e7", "1"]
+    rng = random.Random(5)
+    lines = ["s1 = e2*(e1+e3)", "s2 = (e1*(e2+e3))*s1+e4+e5*e6"]
+    for k in range(40):
+        parts = [rng.choice(pool + ["s2"]) for _ in range(rng.randint(1, 4))]
+        body = "*".join(f"({p})" for p in parts) if k % 2 else "+".join(parts)
+        lines.append(f"J[r{k % 5},t{k % 3}] = {body}")
+    s = parse_exprset("\n".join(lines) + "\n")
+    labels = {f"e{i}" for i in range(1, 8)}
+    got = eval_exprset(s, draw_trials(labels, 3, 20))
+    for t in range(20):
+        inst = instantiate(labels, 3 + t)
+        want = {}
+        for pair, e in expand_refs(s).entries:
+            v = _ref_eval(e, inst.values)
+            want[pair] = (want[pair] + v) % PRIME if pair in want else v
+        assert {pair: col[t] for pair, col in got.items()} == want

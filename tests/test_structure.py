@@ -1,3 +1,5 @@
+import hashlib
+import json
 import random
 
 import pytest
@@ -7,6 +9,7 @@ from jacfact.oracle import check_equiv
 from jacfact.structure import (
     StructureError,
     classify_block,
+    contract,
     find_structures,
     segment_cross_level,
 )
@@ -133,3 +136,46 @@ def test_segment_preserves_values_random():
         _, cross = depth_levels(seg)
         assert not cross
         assert check_equiv(g, seg, trials=5, seed=3).ok
+
+
+def _contraction_text(g):
+    from jacfact.expr import format_expr
+
+    c = contract(g)
+    cedges = [
+        [ce.src, ce.dst, ce.kind, ce.simple, ce.direct, ce.seq, ce.record_idx,
+         None if ce.expr is None else format_expr(ce.expr),
+         sorted(ce.vmembers), sorted(ce.emembers)]
+        for ce in c.edges
+    ]
+    return json.dumps([cedges, [r.record() for r in c.records],
+                       [s.record() for s in find_structures(g)]])
+
+
+def _contraction_graphs():
+    from conftest import dense_layered
+
+    graphs = {f"dense{w}x{d}": dense_layered(w, d) for w, d in ((2, 6), (3, 4), (4, 4))}
+    for seed in (101, 103, 105, 106, 110):
+        graphs[f"dag{seed}"] = random_layered_dag(random.Random(seed), 25, 40)
+    return graphs
+
+
+# Recorded from the contraction whose sweeps rebuilt the CEdge list once per
+# merged group and per collapsed run.
+CONTRACTION_DIGESTS = {
+    'dag101': '9de644d5d1785a8eacc6224765c6b3e9a13385ad0aa23a86cdc82756c59a4c0e',
+    'dag103': 'cb12ee988534a9b23bbabadfaf384555fa68551cb392d1c3ba4e465f45f8d145',
+    'dag105': '93a4d95e73f73698970b85f56dbe4f86691c5397313e977c3f2b8e68cc46d8e1',
+    'dag106': '499c5df1609d8811ed48f3cbfdd38b24e6d3fc79f63197b1403769f1a7121293',
+    'dag110': 'b2d20eb1ae6c6eac276588eb75f99669c0b919c94b28fdeeb11083a04ae3fe5b',
+    'dense2x6': 'ad9ff0301b8ca810e815d355c01fe48e18eb7bb9b1579aeb88841a36b8219006',
+    'dense3x4': '847bcd64dc7037907f82dc561e5c3a2f66cfaf55e3edc1e8c2fc80a9f918ca4f',
+    'dense4x4': 'e3985dcd871fd11f8ecceeeb0e4de4b77321226eade10313b7d29fa101766b98',
+}
+
+
+@pytest.mark.parametrize("name", sorted(CONTRACTION_DIGESTS))
+def test_contraction_matches_recorded_digest(name):
+    text = _contraction_text(_contraction_graphs()[name])
+    assert hashlib.sha256(text.encode()).hexdigest() == CONTRACTION_DIGESTS[name]
