@@ -59,32 +59,29 @@ def expr_to_graph(e):
     b = _GraphBuilder()
     src = b.new_vertex()
     sink = b.new_vertex()
-    _emit(b, e, src, sink, pad=False)
-    return DiffGraph(b.edges)
-
-
-def _emit(b, e, src, dst, pad):
-    if isinstance(e, (Sym, _Unit)):
-        label = UNIT_LABEL if isinstance(e, _Unit) else e.name
-        if pad:
-            mid = b.new_vertex()
-            b.add_edge(src, mid, label)
-            b.add_edge(mid, dst, UNIT_LABEL)
+    todo = [(e, src, sink, False)]  # pre-order, so vertices number as they are met
+    while todo:
+        node, src, dst, pad = todo.pop()
+        if isinstance(node, (Sym, _Unit)):
+            label = UNIT_LABEL if isinstance(node, _Unit) else node.name
+            if pad:
+                mid = b.new_vertex()
+                b.add_edge(src, mid, label)
+                b.add_edge(mid, dst, UNIT_LABEL)
+            else:
+                b.add_edge(src, dst, label)
+        elif isinstance(node, Prod):
+            waypoints = [src] + [b.new_vertex() for _ in node.factors[:-1]] + [dst]
+            todo.extend(reversed([
+                (f, a, z, False) for f, a, z in zip(node.factors, waypoints, waypoints[1:])
+            ]))
+        elif isinstance(node, Sum):
+            frames, atom_seen = [], False
+            for t in node.terms:
+                atom = isinstance(t, (Sym, _Unit))
+                frames.append((t, src, dst, atom and atom_seen))
+                atom_seen = atom_seen or atom
+            todo.extend(reversed(frames))
         else:
-            b.add_edge(src, dst, label)
-        return
-    if isinstance(e, Prod):
-        waypoints = [src] + [b.new_vertex() for _ in e.factors[:-1]] + [dst]
-        for f, a, z in zip(e.factors, waypoints, waypoints[1:]):
-            _emit(b, f, a, z, pad=False)
-        return
-    if isinstance(e, Sum):
-        first_atom_used = False
-        for t in e.terms:
-            atom = isinstance(t, (Sym, _Unit))
-            need_pad = atom and first_atom_used
-            if atom and not first_atom_used:
-                first_atom_used = True
-            _emit(b, t, src, dst, pad=need_pad)
-        return
-    raise StructureError(f"not an expression: {e!r}")
+            raise StructureError(f"not an expression: {node!r}")
+    return DiffGraph(b.edges)

@@ -5,11 +5,19 @@ names), the unit constant ``1``, ordered products, and sums.  Products never
 commute: factor order follows the root-to-terminal direction of the graph the
 expression came from.  An :class:`ExprSet` bundles shared reference
 definitions (``s1 = ...``) with the Jacobian entries that use them.
+
+Expression nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
+hash-consing*, 2006): every symbol, product and sum is built through one
+table, so structurally equal expressions are the same object.  Whether two
+expressions are the same is decided once, when they are built; every
+consumer compares and hashes nodes by identity.  A product or sum keeps its
+normal form, its canonical form and its canonical text once worked out.
 """
 from __future__ import annotations
 
 import operator
 import re
+import weakref
 from dataclasses import dataclass, field
 
 
@@ -29,36 +37,85 @@ class CyclicReferenceError(ExprError):
     pass
 
 
-@dataclass(frozen=True)
+# (class, name or children) -> the one node of that structure.  Weak, so a
+# node lives only while an expression or a caller holds it.
+_table = weakref.WeakValueDictionary()
+
+
 class Expr:
+    """An interned, immutable expression node: equality is identity and the
+    hash is O(1), whatever the depth."""
+
+    __slots__ = ("__weakref__",)
+
     def __str__(self):
         return format_expr(self)
 
 
-@dataclass(frozen=True)
 class Sym(Expr):
     """An atomic symbol: an edge label or a reference-variable name."""
 
-    name: str
+    __slots__ = ("name",)
+
+    def __new__(cls, name):
+        node = _table.get((cls, name))
+        if node is None:
+            node = _table[cls, name] = object.__new__(cls)
+            node.name = name
+        return node
+
+    def __repr__(self):
+        return f"Sym(name={self.name!r})"
 
 
-@dataclass(frozen=True)
 class _Unit(Expr):
+    __slots__ = ()
+
+    def __new__(cls):
+        return UNIT
+
     def __repr__(self):
         return "UNIT"
 
 
-UNIT = _Unit()
+UNIT = object.__new__(_Unit)
 
 
-@dataclass(frozen=True)
-class Prod(Expr):
-    factors: tuple = ()
+class _Compound(Expr):
+    """A product or a sum of child nodes, with its forms once worked out.
+
+    ``_normal`` and ``_canonical`` hold the normal and the canonical form:
+    None until worked out, False when the form is the node itself (so no
+    node refers to itself).  A canonical node keeps its text in ``_text``.
+    """
+
+    __slots__ = ("_normal", "_canonical", "_text")
+
+    def __new__(cls, kids):
+        kids = tuple(kids)
+        node = _table.get((cls, kids))
+        if node is None:
+            node = _table[cls, kids] = object.__new__(cls)
+            setattr(node, cls._field, kids)
+            node._normal = node._canonical = node._text = None
+        return node
+
+    def __repr__(self):
+        return f"{type(self).__name__}({self._field}={_kids(self)!r})"
 
 
-@dataclass(frozen=True)
-class Sum(Expr):
-    terms: tuple = ()
+class Prod(_Compound):
+    __slots__ = ("factors",)
+    _field = "factors"
+
+
+class Sum(_Compound):
+    __slots__ = ("terms",)
+    _field = "terms"
+
+
+def _kids(node):
+    return node.factors if isinstance(node, Prod) else node.terms
 
 
 def prod(*factors):
@@ -75,7 +132,7 @@ def prod(*factors):
         return UNIT
     if len(flat) == 1:
         return flat[0]
-    return Prod(tuple(flat))
+    return Prod(flat)
 
 
 def add(*terms):
@@ -90,158 +147,117 @@ def add(*terms):
         raise ExprError("empty sum")
     if len(flat) == 1:
         return flat[0]
-    return Sum(tuple(flat))
+    return Sum(flat)
+
+
+def _of_symbols(node):
+    """Whether product or sum `node` has two or more children, all symbols:
+    the commonest node, normal as it is, and canonical when a product."""
+    kids = _kids(node)
+    return len(kids) > 1 and set(map(type, kids)) == {Sym}
+
+
+def _pending(e, done):
+    """The products and sums of `e`, itself included, for which
+    ``done(node)`` is false, each once, children before parents.
+
+    The walk is iterative, so nesting depth is not bounded by the recursion
+    limit, and it does not descend below a node that is done.
+    """
+    order, seen, stack = [], set(), [(e, False)]
+    while stack:
+        node, finished = stack.pop()
+        if finished:
+            order.append(node)
+        elif isinstance(node, _Compound):
+            if node not in seen and not done(node):
+                seen.add(node)
+                stack.append((node, True))
+                if not _of_symbols(node):
+                    stack.extend((k, False) for k in reversed(_kids(node)))
+        elif not isinstance(node, Expr):
+            raise ExprError(f"not an expression: {node!r}")
+    return order
 
 
 def normalize(e):
-    """Flatten nested products/sums and strip unit factors."""
-    return expand_expr(e, {})
+    """Flatten nested products/sums and strip unit factors.
 
-
-def _rebuild(node, kids):
-    """A product or sum over normalized `kids`, flattened; `node` itself when
-    that changes nothing."""
-    old = node.factors if isinstance(node, Prod) else node.terms
-    spliced = (Prod, _Unit) if isinstance(node, Prod) else (Sum,)
-    if (
-        len(kids) > 1
-        and all(map(operator.is_, kids, old))
-        and not set(map(type, kids)).intersection(spliced)
-    ):
-        return node
-    return prod(*kids) if isinstance(node, Prod) else add(*kids)
-
-
-_name = operator.attrgetter("name")
-
-
-def _canonical(e):
-    """(canonical form, its text) of `e` in one bottom-up pass."""
-    if isinstance(e, (Sym, _Unit)):
-        return e, format_expr(e)
-    return _canonical_nodes(e)[id(e)][:2]
-
-
-def _canonical_nodes(e):
-    """id(node) -> (canonical node, text, sum terms as (term, text)) for
-    every product and sum in `e`, in one bottom-up pass.
-
-    Normalization happens in the same pass: unit factors drop out, nested
-    products and sums are spliced into their parent, and sum terms are
-    sorted by text.  Each distinct subterm is visited and formatted once.
+    Worked out once per node: the normal form is kept on the node.
     """
-    done = {}
-    stack = [e]
-    while stack:
-        node = stack[-1]
-        if id(node) in done:
-            stack.pop()
-            continue
-        if not isinstance(node, (Prod, Sum)):
-            raise ExprError(f"not an expression: {node!r}")
-        old = node.factors if isinstance(node, Prod) else node.terms
-        if isinstance(node, Prod) and len(old) > 1 and set(map(type, old)) == {Sym}:
-            # a product of symbols, the commonest node, is canonical as it is
-            stack.pop()
-            done[id(node)] = node, "*".join(map(_name, old)), None
-            continue
-        todo = [k for k in old if not isinstance(k, (Sym, _Unit)) and id(k) not in done]
-        if todo:
-            stack.extend(reversed(todo))
-            continue
-        stack.pop()
-        kids = [
-            (k, k.name, None) if isinstance(k, Sym)
-            else (k, "1", None) if isinstance(k, _Unit)
-            else done[id(k)]
-            for k in old
-        ]
-        combine = _canonical_prod if isinstance(node, Prod) else _canonical_sum
-        done[id(node)] = combine(node, kids)
-    return done
+    if isinstance(e, _Compound) and e._normal is None:
+        for node in _pending(e, lambda n: n._normal is not None):
+            if _of_symbols(node):
+                form = node
+            else:
+                form = (prod if isinstance(node, Prod) else add)(*map(_normal_form, _kids(node)))
+            node._normal = False if form is node else form
+            if isinstance(form, _Compound):
+                form._normal = False
+    return _normal_form(e)
 
 
-def _canonical_prod(node, kids):
-    """Canonical product over canonical `kids`: units dropped, products
-    spliced in."""
-    factors, parts, kept = [], [], None
-    for kid in kids:
-        c, t, _ = kid
-        if isinstance(c, _Unit):
-            continue
-        kept = kid
-        if isinstance(c, Prod):
-            factors.extend(c.factors)
-        else:
-            factors.append(c)
-        parts.append(f"({t})" if isinstance(c, Sum) else t)
-    if not factors:
-        return UNIT, "1", None
-    if len(factors) == 1:
-        return kept
-    if len(factors) == len(node.factors) and all(map(operator.is_, factors, node.factors)):
-        return node, "*".join(parts), None
-    return Prod(tuple(factors)), "*".join(parts), None
-
-
-def _canonical_sum(node, kids):
-    """Canonical sum over canonical `kids`: sums spliced in, terms sorted by
-    text, stably."""
-    terms = []
-    for c, t, spliced in kids:
-        if spliced is None:
-            terms.append((c, t))
-        else:
-            terms.extend(spliced)
-    if not terms:
-        raise ExprError("empty sum")
-    if len(terms) == 1:
-        return (*terms[0], None)
-    terms.sort(key=operator.itemgetter(1))
-    text = "+".join(t for _, t in terms)
-    if len(terms) == len(node.terms) and all(c is k for (c, _), k in zip(terms, node.terms)):
-        return node, text, terms
-    return Sum(tuple(c for c, _ in terms)), text, terms
+def _normal_form(e):
+    """The normal form kept on `e`, once worked out."""
+    return e._normal or e if isinstance(e, _Compound) else e
 
 
 def canonical(e):
     """Normal form with sum terms sorted; products keep their order.
 
     Addition commutes, so two expressions that differ only in the order of
-    sum terms denote the same value and the same multiplication count.
-    Terms sort by their canonical text; a subterm already in canonical form
-    is returned as it is, not copied.
+    sum terms denote the same value and the same multiplication count, and
+    have one canonical node.  Terms sort by their canonical text.  Worked
+    out once per node: the canonical form is kept on the node.
     """
-    return _canonical(e)[0]
+    if isinstance(e, _Compound) and e._canonical is None:
+        for node in _pending(e, lambda n: n._canonical is not None):
+            if isinstance(node, Prod):
+                form = node if _of_symbols(node) else prod(*map(_canonical_form, node.factors))
+            else:
+                terms = []
+                for t in map(_canonical_form, node.terms):
+                    if isinstance(t, Sum):
+                        terms.extend(t.terms)
+                    else:
+                        terms.append(t)
+                form = add(*sorted(terms, key=_text))
+            node._canonical = False if form is node else form
+            if isinstance(form, _Compound):
+                form._canonical = False
+    return _canonical_form(e)
+
+
+def _canonical_form(e):
+    """The canonical form kept on `e`, once worked out."""
+    return e._canonical or e if isinstance(e, _Compound) else e
 
 
 def canonical_text(e):
-    """``format_expr(canonical(e))``, from the same single pass."""
-    return _canonical(e)[1]
+    """``format_expr(canonical(e))``."""
+    return _text(canonical(e))
 
 
-def canonical_texts(e):
-    """``canonical_text`` of every node of `e`, from one pass over `e`.
-
-    Returns a function of a node.  Nodes of `e` are looked up by identity
-    (the function holds `e`, so their ids stay theirs); any other node is
-    canonicalized on its own.
-    """
-    done = _canonical_nodes(e) if isinstance(e, (Prod, Sum)) else {}
-
-    def text(node):
-        if isinstance(node, Sym):
-            return node.name
-        found = done.get(id(node))
-        return found[1] if found is not None else canonical_text(node)
-
-    text.root = e
-    return text
+def _text(c):
+    """Text of canonical node `c`, worked out once and kept on it."""
+    if isinstance(c, Sym):
+        return c.name
+    if c is UNIT:
+        return "1"
+    if c._text is None:
+        for node in _pending(c, lambda n: n._text is not None):
+            if isinstance(node, Prod):
+                node._text = "*".join(
+                    f"({f._text})" if isinstance(f, Sum) else _text(f) for f in node.factors
+                )
+            else:
+                node._text = "+".join(map(_text, node.terms))
+    return c._text
 
 
 def equivalent_form(a, b):
     """Structural equality up to the order of sum terms."""
-    return canonical(a) == canonical(b)
+    return canonical(a) is canonical(b)
 
 
 def free_symbols(e):
@@ -251,8 +267,8 @@ def free_symbols(e):
         node = stack.pop()
         if isinstance(node, Sym):
             out.add(node.name)
-        elif isinstance(node, (Prod, Sum)) and id(node) not in seen:
-            seen.add(id(node))
+        elif isinstance(node, _Compound) and node not in seen:
+            seen.add(node)
             stack.extend(node.factors if isinstance(node, Prod) else node.terms)
     return out
 
@@ -268,6 +284,7 @@ class _Token(str):
 
 
 _STAR, _PLUS, _OPEN, _CLOSE = map(_Token, "*+()")
+_name = operator.attrgetter("name")
 
 
 def format_expr(e):
@@ -466,71 +483,34 @@ def expand_expr(e, def_map):
     """Substitute reference definitions into an expression.
 
     The result is normalized.  The walk is iterative, so nesting depth is not
-    bounded by the recursion limit, and each definition is expanded once per
-    call, its expansion shared by every use of the name.  A cyclic reference
-    raises :class:`CyclicReferenceError` naming the first cycle met
-    depth-first, references taken in term order.
-    """
-    return expansions(e, def_map)(e)
-
-
-def expansions(e, def_map):
-    """``expand_expr(node, def_map)`` of every node of `e`, from one walk
-    over `e`.
-
-    Returns a function of a node.  Nodes of `e` and of the definitions are
-    looked up by identity (the function holds `e` and `def_map`, so their
-    ids stay theirs); any other node is expanded on its own.  Raises what
-    ``expand_expr(e, def_map)`` raises.
+    bounded by the recursion limit, and each node and each definition is
+    expanded once per call, its expansion shared by every use.  A cyclic
+    reference raises :class:`CyclicReferenceError` naming the first cycle
+    met depth-first, references taken in term order.
     """
     expanded = {}  # reference name -> its expansion
-    done = {}  # id(product or sum) -> its expansion
+    done = {}  # product or sum -> its expansion
     path = {}  # reference names being expanded, outermost first
 
     def known(k):
         """The expansion of `k` if it is at hand, else None."""
         if isinstance(k, Sym):
             return expanded.get(k.name) if k.name in def_map else k
-        return k if isinstance(k, _Unit) else done.get(id(k))
-
-    def expansion(node):
-        value = known(node)
-        return value if value is not None else expand_expr(node, def_map)
-
-    expansion.root = e
+        return k if isinstance(k, _Unit) else done.get(k)
 
     stack = [] if known(e) is not None else [e]
     while stack:
         node = stack[-1]
-        if isinstance(node, (Prod, Sum)):
-            if id(node) in done:
+        if isinstance(node, _Compound):
+            if node in done:
                 stack.pop()
                 continue
-            old = node.factors if isinstance(node, Prod) else node.terms
-            if (
-                len(old) > 1
-                and set(map(type, old)) == {Sym}
-                and def_map.keys().isdisjoint(map(_name, old))
-            ):
-                # symbols that name no definition: normal as it is
-                stack.pop()
-                done[id(node)] = node
-                continue
-            todo = [
-                k for k in old
-                if not (isinstance(k, Sym) and (k.name not in def_map or k.name in expanded)
-                        or isinstance(k, _Unit) or id(k) in done)
-            ]
+            todo = [k for k in _kids(node) if known(k) is None]
             if todo:
                 stack.extend(reversed(todo))
                 continue
             stack.pop()
-            kids = [
-                (expanded[k.name] if k.name in def_map else k) if isinstance(k, Sym)
-                else k if isinstance(k, _Unit) else done[id(k)]
-                for k in old
-            ]
-            done[id(node)] = _rebuild(node, kids)
+            done[node] = (prod if isinstance(node, Prod) else add)(*map(known, _kids(node)))
         elif isinstance(node, Sym):  # a reference, the only symbols stacked
             name = node.name
             body = def_map[name]
@@ -547,7 +527,7 @@ def expansions(e, def_map):
                 stack.append(body)
         else:
             raise ExprError(f"not an expression: {node!r}")
-    return expansion
+    return known(e)
 
 
 def check_references(e, def_map, clean):

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, canonical_text, expand_expr, format_expr, inline_single_use, normalize, prod
+from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, expand_expr, format_expr, inline_single_use, normalize, prod
 from .graph import (
     DiffGraph,
     Edge,
@@ -56,8 +56,8 @@ _MAX_PASSES = 10_000
 class RefRegistry:
     """Allocates reference names (s1, s2, ...) for shared sub-structures.
 
-    Interning is by expanded canonical form, so the same structure reached
-    from two pages shares one name.
+    Interning is by the canonical node of the expansion, so the same
+    structure reached from two pages shares one name.
     """
 
     def __init__(self):
@@ -69,7 +69,7 @@ class RefRegistry:
         expr = normalize(expr)
         if isinstance(expr, (Sym, _Unit)):
             return expr
-        key = canonical_text(expand_expr(expr, self.def_map))
+        key = canonical(expand_expr(expr, self.def_map))
         if key not in self._by_key:
             name = f"s{len(self.defs) + 1}"
             self._by_key[key] = name
@@ -757,7 +757,7 @@ def merge_pages(pages):
     for page in pages:
         for name, e in page.refs.defs:
             if name in seen:
-                if seen[name] is not e and canonical(seen[name]) != canonical(e):
+                if seen[name] is not e and canonical(seen[name]) is not canonical(e):
                     raise MergeError(f"conflicting definitions for {name}")
                 continue
             seen[name] = e

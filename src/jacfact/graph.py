@@ -295,15 +295,6 @@ def overlap_degree(g, paths, edge_id):
     return sum(1 for p in paths if edge_id in p)
 
 
-def inout_paths(g, v):
-    """All length-2 paths through an intermediate vertex."""
-    return [
-        (a.id, b.id)
-        for a in sorted(g.in_edges(v), key=lambda e: e.id)
-        for b in sorted(g.out_edges(v), key=lambda e: e.id)
-    ]
-
-
 def subgraph_between(g, src, sink):
     """Subgraph induced by all paths from src to sink; None when unreachable.
 

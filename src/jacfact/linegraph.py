@@ -15,7 +15,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-from .expr import UNIT, Expr, Sym, _Unit, add, canonical, expand_expr, format_expr, normalize, prod
+from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, normalize, prod
 from .graph import UNIT_LABEL
 
 
@@ -41,7 +41,7 @@ class LGVertex:
 class EliminationStep:
     kind: str
     face: tuple = None  # (vid, vid)
-    operands: tuple = None  # formatted labels of the face
+    operands: tuple = None  # labels of the face, formatted by record()
     created: tuple = ()
     updated: tuple = ()
     removed: tuple = ()
@@ -51,7 +51,7 @@ class EliminationStep:
         return {
             "kind": self.kind,
             "face": list(self.face) if self.face else None,
-            "operands": list(self.operands) if self.operands else None,
+            "operands": list(map(format_expr, self.operands)) if self.operands else None,
             "created": list(self.created),
             "updated": list(self.updated),
             "removed": list(self.removed),
@@ -65,9 +65,9 @@ class LineGraph:
 
     Only :meth:`add_vertex` inserts into ``vertices``, always with a new,
     larger vid, so the dict's order is vid order.  Every label write goes
-    through :meth:`relabel`, which marks the vertex for re-indexing; the
-    next lookup re-indexes what was marked, so an elimination that never
-    looks a label up never canonicalizes one.
+    through :meth:`relabel`, which files the vertex under the canonical node
+    of its new label.  A label keeps its canonical node, so taking a vertex
+    out of the index never canonicalizes anything.
     """
 
     def __init__(self):
@@ -75,31 +75,31 @@ class LineGraph:
         self.sources = {}  # root vertex id -> lg vid
         self.sinks = {}  # terminal vertex id -> lg vid
         self._next = 0
-        self._key = {}  # labeled vid -> canonical label it is indexed under
         self._by_key = {}  # canonical label -> set of vids
-        self._unindexed = set()  # labeled vids written since the last lookup
 
     def add_vertex(self, label, kind="label", graph_vertex=None):
         self._next += 1
         vid = self._next
-        self.vertices[vid] = LGVertex(vid, label, kind, graph_vertex)
+        self.vertices[vid] = LGVertex(vid, None, kind, graph_vertex)
         if kind == "label":
             self.relabel(vid, label)
         return vid
 
     def relabel(self, vid, label):
-        """Set the label of labeled vertex `vid`; the index catches up at
-        the next lookup."""
+        """Set the label of labeled vertex `vid` and refile it."""
+        self._unfile(vid)
         self.vertices[vid].label = label
-        self._unindexed.add(vid)
+        self._by_key.setdefault(canonical(label), set()).add(vid)
 
-    def _unindex(self, vid):
-        key = self._key.pop(vid, None)
-        if key is not None:
-            bucket = self._by_key[key]
-            bucket.discard(vid)
-            if not bucket:
-                del self._by_key[key]
+    def _unfile(self, vid):
+        label = self.vertices[vid].label
+        if label is None:  # a new or meta vertex is in no bucket
+            return
+        key = _canonical_form(label)  # kept on the label since it was filed
+        bucket = self._by_key[key]
+        bucket.discard(vid)
+        if not bucket:
+            del self._by_key[key]
 
     def add_edge(self, i, j):
         self.vertices[i].succs.add(j)
@@ -110,8 +110,7 @@ class LineGraph:
         self.vertices[j].preds.discard(i)
 
     def remove_vertex(self, i):
-        self._unindex(i)
-        self._unindexed.discard(i)
+        self._unfile(i)
         v = self.vertices.pop(i)
         for p in list(v.preds):
             self.vertices[p].succs.discard(i)
@@ -119,7 +118,7 @@ class LineGraph:
             self.vertices[s].preds.discard(i)
 
     def has_edge(self, i, j):
-        return j in self.vertices.get(i, LGVertex(0, None, "label")).succs
+        return i in self.vertices and j in self.vertices[i].succs
 
     def labeled(self):
         return [v for v in self.vertices.values() if v.kind == "label"]
@@ -135,11 +134,6 @@ class LineGraph:
     def find_by_label(self, target):
         """Vids whose label equals `target` up to the order of sum terms,
         ascending."""
-        for vid in self._unindexed:
-            self._unindex(vid)
-            key = self._key[vid] = canonical(self.vertices[vid].label)
-            self._by_key.setdefault(key, set()).add(vid)
-        self._unindexed.clear()
         return sorted(self._by_key.get(canonical(target), ()))
 
 
@@ -237,7 +231,7 @@ def eliminate_face(lg, i, j):
         raise FaceError(f"face ({i}, {j}) not present")
     vi, vj = lg.vertices[i], lg.vertices[j]
     product = prod(vi.label, vj.label)
-    ops = (format_expr(vi.label), format_expr(vj.label))
+    ops = (vi.label, vj.label)
     mult = _mult_flag(vi.label, vj.label)
     steps = []
     absorber = _find_absorber(lg, vi, vj)
@@ -317,7 +311,7 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
         raise FaceError(f"face ({i}, {j}) not present")
     vi, vj, vk = lg.vertices[i], lg.vertices[j], lg.vertices[k]
     product = prod(vi.label, vj.label)
-    ops = (format_expr(vi.label), format_expr(vj.label))
+    ops = (vi.label, vj.label)
     mult = _mult_flag(vi.label, vj.label)
 
     if rule == "absorb-s-subset":

@@ -150,21 +150,6 @@ def accumulate(chain, parenthesization):
     return inline_single_use(s), acc.cost
 
 
-def enumerate_parenthesizations(n):
-    """All binary association trees over n leaves (brute-force oracle)."""
-
-    def trees(i, j):
-        if i == j:
-            yield i
-            return
-        for k in range(i, j):
-            for l in trees(i, k):
-                for r in trees(k + 1, j):
-                    yield (l, r)
-
-    return list(trees(0, n - 1))
-
-
 def _pattern(m):
     """Entry pattern: 0 structural zero, 1 unit, 2 general."""
     pat = {}

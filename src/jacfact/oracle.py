@@ -127,31 +127,24 @@ def draw_trials(labels, seed, trials, mode="field"):
 class _Columns:
     """Value columns of expressions over one batch of trials.
 
-    Structurally equal subexpressions are evaluated once: every node gets a
-    number from its kind and its children's numbers, and each number one
-    column.  Factorized sets repeat the same subterm many times over (a
-    dense 4x4 refs plan has 1680 products and sums, 240 of them distinct).
+    Each product and sum node gets one column, so structurally equal
+    subexpressions, which are one node, are evaluated once.  Factorized
+    sets repeat the same subterm many times over (a dense 4x4 refs plan
+    has 1680 products and sums, 240 of them distinct).
     """
 
     def __init__(self, trials, def_values):
         self.trials = trials
         self.def_values = def_values  # reference name -> column; may grow
-        self.number = {}  # symbol key or (is product, child numbers) -> number
-        self.columns = []  # number -> value column
+        self.columns = {}  # product or sum -> value column
 
-    def _new(self, key, column):
-        self.number[key] = len(self.columns)
-        self.columns.append(column)
-        return self.number[key]
-
-    def _symbol(self, name):
-        # a name reads as a label until a definition of it has been evaluated
-        key = ("def", name) if name in self.def_values else name
-        n = self.number.get(key)
-        if n is None:
-            col = self.def_values[name] if name in self.def_values else self.trials[name]
-            n = self._new(key, col)
-        return n
+    def define(self, name, e):
+        """Evaluate definition `name` = `e`; from here on `name` reads as
+        the definition."""
+        self.def_values[name] = self.of(e)
+        if name in self.trials.columns:
+            # columns worked out so far may have read the label of that name
+            self.columns.clear()
 
     def of(self, e):
         """Value column of one expression, iteratively (no Python
@@ -160,16 +153,21 @@ class _Columns:
         Children are visited left to right, so an uninstantiated label is
         reported where a recursive evaluation would first meet it.
         """
-        trials = self.trials
+        trials, columns, def_values = self.trials, self.columns, self.def_values
         todo = [(e, False)]
-        stack = []  # numbers of the values computed so far
+        stack = []  # columns of the values computed so far
         while todo:
             node, ready = todo.pop()
             if isinstance(node, _Unit):
-                stack.append(self._symbol(UNIT_LABEL))
+                stack.append(trials[UNIT_LABEL])
             elif isinstance(node, Sym):
-                stack.append(self._symbol(node.name))
+                # a name reads as a label until a definition of it has been evaluated
+                name = node.name
+                stack.append(def_values[name] if name in def_values else trials[name])
             elif isinstance(node, (Prod, Sum)):
+                if node in columns:
+                    stack.append(columns[node])
+                    continue
                 is_prod = isinstance(node, Prod)
                 kids = node.factors if is_prod else node.terms
                 if not ready:
@@ -177,20 +175,17 @@ class _Columns:
                     todo.extend((k, False) for k in reversed(kids))
                     continue
                 split = len(stack) - len(kids)
-                key = (is_prod, tuple(stack[split:]))
+                vals = stack[split:]
                 del stack[split:]
-                n = self.number.get(key)
-                if n is None:
-                    vals = [self.columns[k] for k in key[1]]
-                    combine = trials.mul if is_prod else trials.add
-                    acc = vals[0] if vals else trials.constant(1 if is_prod else 0)
-                    for v in vals[1:]:
-                        acc = combine(acc, v)
-                    n = self._new(key, acc)
-                stack.append(n)
+                combine = trials.mul if is_prod else trials.add
+                acc = vals[0] if vals else trials.constant(1 if is_prod else 0)
+                for v in vals[1:]:
+                    acc = combine(acc, v)
+                columns[node] = acc
+                stack.append(acc)
             else:
                 raise OracleError(f"not an expression: {node!r}")
-        return self.columns[stack[0]]
+        return stack[0]
 
 
 def eval_expr(e, inst, def_values=None):
@@ -206,11 +201,10 @@ def eval_exprset(s, inst):
     trials = Trials.of(inst)
     def_map = s.def_map
     clean = set()
-    def_values = {}
-    columns = _Columns(trials, def_values)
+    columns = _Columns(trials, {})
     for name, e in s.defs:
         ex.check_references(e, def_map, clean)
-        def_values[name] = columns.of(e)
+        columns.define(name, e)
     out = {}
     for pair, e in s.entries:
         v = columns.of(e)

@@ -16,9 +16,9 @@ from .expr import (
     Sum,
     Sym,
     _Unit,
+    add,
     canonical_text,
-    canonical_texts,
-    expansions,
+    expand_expr,
     free_symbols,
     normalize,
     prod,
@@ -81,14 +81,9 @@ def _trailing(term):
 
 
 def _sites(s):
-    """(site name, normalized expression, its ``face_key`` function) per
-    definition and entry, in set order; each expression is normalized and
-    canonicalized in one pass apiece."""
-    out = []
-    for key, e in s.all_exprs():
-        e = normalize(e)
-        out.append((_site_name(key), e, canonical_texts(e)))
-    return out
+    """(site name, normalized expression) per definition and entry, in set
+    order."""
+    return [(_site_name(key), normalize(e)) for key, e in s.all_exprs()]
 
 
 def classify_relations(s):
@@ -108,66 +103,61 @@ def _relation_table(sites, defs):
     def note(left_key, right_key, occ):
         table.setdefault((left_key, right_key), []).append(occ)
 
-    def walk(e, site, key_of):
-        if isinstance(e, Sum):
-            for t in e.terms:
-                walk(t, site, key_of)
-            return
-        if not isinstance(e, Prod):
-            return
-        for f, g in zip(e.factors, e.factors[1:]):
-            note(key_of(f), key_of(g), Occurrence(site, "direct"))
-            rview = _sum_view(g, defs)
-            if rview is not None and isinstance(f, Sym):
-                for t in rview:
-                    head, second = _leading(t)
-                    if isinstance(head, Sym):
-                        note(
-                            f.name,
-                            head.name,
-                            Occurrence(
-                                site,
-                                "indirect-right",
-                                key_of(second) if second is not None else None,
-                            ),
-                        )
-                    elif head is not None:
-                        tail, _ = _trailing(t)
-                        if isinstance(tail, Sym):
-                            note(f.name, tail.name, Occurrence(site, "distant"))
-            lview = _sum_view(f, defs)
-            if lview is not None and isinstance(g, Sym):
-                for t in lview:
-                    tail, before = _trailing(t)
-                    if isinstance(tail, Sym):
-                        note(
-                            tail.name,
-                            g.name,
-                            Occurrence(
-                                site,
-                                "indirect-left",
-                                key_of(before) if before is not None else None,
-                            ),
-                        )
-            if rview is not None and lview is not None:
-                for lt in lview:
-                    tail, _ = _trailing(lt)
-                    for rt in rview:
-                        head, _ = _leading(rt)
-                        if isinstance(tail, Sym) and isinstance(head, Sym):
-                            note(tail.name, head.name, Occurrence(site, "distant"))
-        for f in e.factors:
-            walk(f, site, key_of)
-
-    for site, e, key_of in sites:
-        walk(e, site, key_of)
+    for site, e in sites:
+        stack = [e]  # pre-order: a product's relations, then its factors'
+        while stack:
+            e = stack.pop()
+            if isinstance(e, Sum):
+                stack.extend(reversed(e.terms))
+            elif isinstance(e, Prod):
+                _note_product(e, site, defs, note)
+                stack.extend(reversed(e.factors))
     return table
 
 
-def table_json(table):
-    return {
-        f"{a} | {b}": [o.record() for o in occs] for (a, b), occs in sorted(table.items())
-    }
+def _note_product(e, site, defs, note):
+    """The relations of the adjacent factors of product `e`."""
+    for f, g in zip(e.factors, e.factors[1:]):
+        note(face_key(f), face_key(g), Occurrence(site, "direct"))
+        rview = _sum_view(g, defs)
+        if rview is not None and isinstance(f, Sym):
+            for t in rview:
+                head, second = _leading(t)
+                if isinstance(head, Sym):
+                    note(
+                        f.name,
+                        head.name,
+                        Occurrence(
+                            site,
+                            "indirect-right",
+                            face_key(second) if second is not None else None,
+                        ),
+                    )
+                elif head is not None:
+                    tail, _ = _trailing(t)
+                    if isinstance(tail, Sym):
+                        note(f.name, tail.name, Occurrence(site, "distant"))
+        lview = _sum_view(f, defs)
+        if lview is not None and isinstance(g, Sym):
+            for t in lview:
+                tail, before = _trailing(t)
+                if isinstance(tail, Sym):
+                    note(
+                        tail.name,
+                        g.name,
+                        Occurrence(
+                            site,
+                            "indirect-left",
+                            face_key(before) if before is not None else None,
+                        ),
+                    )
+        if rview is not None and lview is not None:
+            for lt in lview:
+                tail, _ = _trailing(lt)
+                for rt in rview:
+                    head, _ = _leading(rt)
+                    if isinstance(tail, Sym) and isinstance(head, Sym):
+                        note(tail.name, head.name, Occurrence(site, "distant"))
 
 
 def lemma1_audit(s):
@@ -319,10 +309,6 @@ class _Task:
     pair: tuple  # syntactic (left key, right key)
 
 
-def _same(e):
-    return e
-
-
 def _dep_depth(d):
     """Longest dependency path into each face (more depended-upon = deeper)."""
     succ = _successor_sets(d)
@@ -379,28 +365,8 @@ def safe_elimination_order(s):
         site_rank[_site_name(pair)] = base + i
 
     tasks = []
-
-    def plan(e, site, expansion, key_of):
-        if isinstance(e, (Sym, _Unit)):
-            return expansion(e)
-        if isinstance(e, Sum):
-            for t in e.terms:
-                plan(t, site, expansion, key_of)
-            return expansion(e)
-        if isinstance(e, Prod):
-            labels = [plan(f, site, expansion, key_of) for f in e.factors]
-            acc = labels[0]
-            for prev, f, label in zip(e.factors, e.factors[1:], labels[1:]):
-                tasks.append(
-                    _Task(site, len(tasks), (acc, label), (key_of(prev), key_of(f)))
-                )
-                acc = prod(acc, label)
-            return acc
-        raise RelationError(f"not an expression: {e!r}")
-
-    for site, e, key_of in sites:
-        # with no definitions a normalized node is its own expansion
-        plan(e, site, expansions(e, defs) if defs else _same, key_of)
+    for site, e in sites:
+        _plan_site(e, site, defs, tasks)
 
     depth = _dep_depth(d)
     deps_of = {}
@@ -450,3 +416,37 @@ def safe_elimination_order(s):
         done_pairs[best.pair] = done_pairs.get(best.pair, 0) + 1
         emitted.append(best)
     return [(t.face[0], t.face[1]) for t in emitted]
+
+
+def _plan_site(e, site, defs, tasks):
+    """Append the faces of one site to `tasks`, products left to right,
+    inner products first.
+
+    A face is the pair of expanded operands its multiplication combines:
+    the product accumulated so far and the next factor's expansion.  The
+    walk is iterative, so nesting depth is not bounded by the recursion
+    limit.
+    """
+    todo = [(e, False)]
+    values = []  # expansions of the nodes finished so far, in order
+    while todo:
+        node, ready = todo.pop()
+        if isinstance(node, (Sym, _Unit)):
+            values.append(expand_expr(node, defs))
+        elif not isinstance(node, (Prod, Sum)):
+            raise RelationError(f"not an expression: {node!r}")
+        elif not ready:
+            todo.append((node, True))
+            todo.extend((k, False) for k in reversed(node.terms if isinstance(node, Sum) else node.factors))
+        elif isinstance(node, Sum):
+            terms = values[-len(node.terms):]
+            del values[-len(node.terms):]
+            values.append(add(*terms))
+        else:
+            labels = values[-len(node.factors):]
+            del values[-len(node.factors):]
+            acc = labels[0]
+            for prev, f, label in zip(node.factors, node.factors[1:], labels[1:]):
+                tasks.append(_Task(site, len(tasks), (acc, label), (face_key(prev), face_key(f))))
+                acc = prod(acc, label)
+            values.append(acc)

@@ -104,6 +104,21 @@ def dense_layered(width, depth, seed=0):
     )
 
 
+def enumerate_parenthesizations(n):
+    """All binary association trees over n leaves (brute-force oracle)."""
+
+    def trees(i, j):
+        if i == j:
+            yield i
+            return
+        for k in range(i, j):
+            for l in trees(i, k):
+                for r in trees(k + 1, j):
+                    yield (l, r)
+
+    return list(trees(0, n - 1))
+
+
 def restrict_exprset(s, pairs):
     """Entries for the given pairs plus the definitions they reach."""
     keep = set(map(tuple, pairs))

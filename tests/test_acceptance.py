@@ -34,7 +34,6 @@ from jacfact.localjac import (
     LocalJacobian,
     accumulate,
     best_accumulation_order,
-    enumerate_parenthesizations,
     extract_local_jacobian,
     left_assoc,
     right_assoc,
@@ -45,6 +44,7 @@ from jacfact.structure import segment_cross_level
 
 from conftest import (
     FIXTURES,
+    enumerate_parenthesizations,
     lg_value,
     load_exprset,
     load_graph,

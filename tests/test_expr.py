@@ -16,12 +16,10 @@ from jacfact.expr import (
     base_symbols,
     canonical,
     canonical_text,
-    canonical_texts,
     check_references,
     equivalent_form,
     expand_expr,
     expand_refs,
-    expansions,
     fma_cost,
     format_expr,
     format_exprset,
@@ -278,16 +276,47 @@ def _nodes(e):
 
 def test_canonical_texts_and_expansions_match_per_node_calls():
     defs = {"s1": parse_expr("a*(c+b)"), "s2": parse_expr("s1*d+b")}
-    other = parse_expr("(b+a)*s2")
     for seed in range(300):
         e = _raw_expr(random.Random(seed), 5, atoms=["a", "b", "s1", "s2"])
-        text, expansion = canonical_texts(e), expansions(e, defs)
         for node in _nodes(e):
-            assert text(node) == canonical_text(node)
-            assert expansion(node) == expand_expr(node, defs)
-        # a node from elsewhere is worked out on its own
-        assert text(other) == "(a+b)*s2"
-        assert expansion(other) == expand_expr(other, defs)
+            assert canonical_text(node) == format_expr(_ref_canonical(node))
+            assert _outcome(expand_expr, node, defs) == _outcome(_ref_expand, node, defs)
+
+
+def _rebuilt(e, rng=None):
+    """`e` built again from scratch by the raw constructors; with `rng`,
+    each sum's terms in a shuffled order."""
+    if isinstance(e, Prod):
+        return Prod(tuple(_rebuilt(f, rng) for f in e.factors))
+    if isinstance(e, Sum):
+        terms = [_rebuilt(t, rng) for t in e.terms]
+        if rng is not None:
+            rng.shuffle(terms)
+        return Sum(tuple(terms))
+    return Sym(e.name) if isinstance(e, Sym) else e
+
+
+def test_structurally_equal_expressions_are_one_node():
+    draws = []
+    for seed in range(300):
+        rng = random.Random(seed)
+        e = _raw_expr(rng, 4, atoms="abc")
+        n = normalize(e)
+        assert _rebuilt(e) is e
+        assert _ref_normalize(e) is n  # built by prod/add
+        assert parse_expr(format_expr(n)) is n
+        assert _rebuilt(n) is n
+        assert hash(_rebuilt(e)) == hash(e)
+        draws += [e, _rebuilt(e, rng)]
+    # one canonical node exactly per structure of the recursive definition
+    keys = [repr(_ref_canonical(e)) for e in draws]
+    nodes = [canonical(e) for e in draws]
+    same = 0
+    for i in range(len(draws)):
+        for j in range(i):
+            assert (nodes[i] is nodes[j]) == (keys[i] == keys[j])
+            same += keys[i] == keys[j]
+    assert same > 300  # the shuffled copies and repeated small draws
 
 
 def test_canonical_keeps_canonical_subterms():

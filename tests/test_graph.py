@@ -11,7 +11,6 @@ from jacfact.graph import (
     depth_levels,
     enumerate_paths,
     format_graph,
-    inout_paths,
     overlap_degree,
     parse_graph,
     rt_degrees,
@@ -19,6 +18,15 @@ from jacfact.graph import (
 from jacfact.structure import segment_cross_level
 
 from conftest import FIXTURES, dense_layered, load_graph, random_layered_dag
+
+
+def inout_paths(g, v):
+    """All length-2 paths through an intermediate vertex."""
+    return [
+        (a.id, b.id)
+        for a in sorted(g.in_edges(v), key=lambda e: e.id)
+        for b in sorted(g.out_edges(v), key=lambda e: e.id)
+    ]
 
 
 def test_parse_fig1a_partition():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from jacfact import linegraph
-from jacfact.expr import Sym, canonical, fma_cost, format_expr, parse_expr
+from jacfact.expr import Sym, canonical, canonical_text, fma_cost, format_expr, parse_expr
 from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (
     FaceError,
@@ -290,19 +290,20 @@ def test_extended_condition_violation():
 
 
 def _check_index(lg):
-    """find_by_label against a canonical() scan of every labeled vertex, and
-    no stale or misfiled vid in the index."""
+    """find_by_label against a canonical_text() scan of every labeled vertex,
+    and no stale or misfiled vid in the index."""
     labeled = lg.labeled()
     vids = [v.vid for v in labeled]
     assert vids == sorted(vids)
-    keys = {v.vid: canonical(v.label) for v in labeled}
+    keys = {v.vid: canonical_text(v.label) for v in labeled}
     for v in labeled:
         assert lg.find_by_label(v.label) == [u for u in vids if keys[u] == keys[v.vid]]
     assert lg.find_by_label(Sym("absent")) == []
     indexed = sorted(vid for bucket in lg._by_key.values() for vid in bucket)
     assert indexed == vids
     for key, bucket in lg._by_key.items():
-        assert all(keys[vid] == key for vid in bucket)
+        assert canonical(key) is key
+        assert bucket and all(canonical(lg.vertices[vid].label) is key for vid in bucket)
 
 
 def _scan_absorber(lg, i, j):

@@ -10,14 +10,13 @@ from jacfact.localjac import (
     LocalJacobian,
     accumulate,
     best_accumulation_order,
-    enumerate_parenthesizations,
     extract_local_jacobian,
     left_assoc,
     right_assoc,
 )
 from jacfact.oracle import check_equiv
 
-from conftest import load_graph
+from conftest import enumerate_parenthesizations, load_graph
 
 
 def _fig4b_chain(fig4b):

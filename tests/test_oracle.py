@@ -234,7 +234,7 @@ def test_eval_exprset_deep_reference_chain():
 
 
 def test_eval_exprset_equal_subterms_match_recursive_evaluation():
-    # equal subterms parsed apart are distinct objects; they share one column
+    # equal subterms parsed apart are one node; they share one column
     pool = ["e1*(e2+e3)", "e4+e5*e6", "(e1+e2)*(e3+e4*e5)", "e4*e5", "e4+e5", "s1", "e7", "1"]
     rng = random.Random(5)
     lines = ["s1 = e2*(e1+e3)", "s2 = (e1*(e2+e3))*s1+e4+e5*e6"]
@@ -252,3 +252,11 @@ def test_eval_exprset_equal_subterms_match_recursive_evaluation():
             v = _ref_eval(e, inst.values)
             want[pair] = (want[pair] + v) % PRIME if pair in want else v
         assert {pair: col[t] for pair, col in got.items()} == want
+
+
+def test_eval_exprset_reads_a_name_as_its_label_until_defined():
+    # s1 is evaluated before s2 is defined, so its s2*a reads the label s2;
+    # the entry's s2*a, the same node, reads the definition
+    s = parse_exprset("s1 = s2*a\ns2 = b\nJ[r,t] = s1+s2*a\n")
+    inst = Instantiation({"a": 3, "b": 5, "s2": 7}, 0)
+    assert eval_exprset(s, inst) == {("r", "t"): 7 * 3 + 5 * 3}

@@ -5,7 +5,8 @@ import sys
 
 import pytest
 
-from jacfact.expr import fma_cost, parse_exprset
+from jacfact.convert import expr_to_graph
+from jacfact.expr import fma_cost, parse_expr, parse_exprset
 from jacfact.graph import DiffGraph, parse_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
 from jacfact.oracle import check_equiv
@@ -18,10 +19,15 @@ from jacfact.relations import (
     face_key,
     lemma1_audit,
     safe_elimination_order,
-    table_json,
 )
 
 from conftest import load_exprset, load_graph
+
+
+def table_json(table):
+    return {
+        f"{a} | {b}": [o.record() for o in occs] for (a, b), occs in sorted(table.items())
+    }
 
 
 @pytest.fixture
@@ -175,6 +181,25 @@ def test_safe_order_eq1_replay(fig4a):
     trace = run_elimination(lg, order, defs=s.def_map)
     assert trace_mult_count(trace) == 5
     assert check_equiv(s, readout_jacobian(lg)).ok
+
+
+def test_deep_entry_plans_and_replays():
+    # J[v1,v2] = a0*(b0*d0+a1*(b1*d1+...+c*e)), nested 2000 deep: two
+    # multiplications per level and one for c*e
+    n = 2000
+    text = "".join(f"a{k}*(b{k}*d{k}+" for k in range(n)) + "c*e" + ")" * n
+    e = parse_expr(text)
+    assert e == parse_expr(text) and hash(e) == hash(parse_expr(text))
+    assert e != parse_expr(text.replace("c*e", "e*c"))
+    s = parse_exprset(f"J[v1,v2] = {text}\n")
+    g = expr_to_graph(e)
+    assert (g.roots, g.terminals) == (("v1",), ("v2",))
+    assert classify_relations(s)[("a0", "b0")][0].kind == "indirect-right"
+    lg = build_line_graph(g)
+    trace = run_elimination(lg, safe_elimination_order(s), defs=s.def_map)
+    assert trace_mult_count(trace) == fma_cost(s) == 2 * n + 1
+    assert check_equiv(g, s).ok
+    assert check_equiv(g, readout_jacobian(lg), trials=3).ok
 
 
 def test_cycles_empty_iff_safe_order_succeeds(sec5):
