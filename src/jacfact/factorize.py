@@ -13,7 +13,9 @@ Graphs with several roots or terminals are handled by the page strategy:
 shared simple structures become reference edges, a pivot pair guides page
 splits and root/terminal separations, and stubborn multi-level sections are
 compressed one level at a time.  The pages that fall out are simple per
-root-terminal pair and merge into one expression set.
+root-terminal pair and merge into one expression set.  Every pair region is
+the edge list :func:`~jacfact.graph.region_edges` gives; only a complex
+region that must be factorized is built into a graph.
 """
 from __future__ import annotations
 
@@ -27,8 +29,8 @@ from .graph import (
     UNIT_LABEL,
     count_paths,
     depth_levels,
+    region_edges,
     roots_reaching,
-    subgraph_between,
     terminals_reachable,
 )
 from .structure import (
@@ -37,6 +39,7 @@ from .structure import (
     chain_cedge,
     contract,
     edge_cedge,
+    edges_expr,
     region_expr,
     run_through,
 )
@@ -453,11 +456,8 @@ def factorize_with_refs(g, direction="backward", refs=None):
     s = ExprSet()
     for name, e in refs.defs:
         s.define(name, e)
-    for y in out.roots:
-        below = out.reachable_from(y)
-        for x in out.terminals:
-            if x in below:
-                s.add_entry(y, x, region_expr(out, y, x))
+    for y, x in _active_pairs(out):
+        s.add_entry(y, x, region_expr(out, y, x))
     return out, inline_single_use(s)
 
 
@@ -476,9 +476,7 @@ def _active_pairs(g):
 def _pair_edges(g, pairs):
     edges = set()
     for y, x in pairs:
-        sub = subgraph_between(g, y, x)
-        if sub is not None:
-            edges |= {e.id for e in sub.edges}
+        edges.update(e.id for e in region_edges(g, y, x))
     return edges
 
 
@@ -551,11 +549,11 @@ def _single_edge_path(g, a, b):
 def _finalize(page, transcript):
     entries = []
     for y, x in _active_pairs(page.graph):
+        edges = region_edges(page.graph, y, x)
         try:
-            expr = region_expr(page.graph, y, x)
+            expr = edges_expr(edges, y, x)
         except ComplexBlockError:
-            sub = subgraph_between(page.graph, y, x)
-            fixed, _ = _factorize(sub, "backward", refs=page.refs)
+            fixed, _ = _factorize(DiffGraph(edges), "backward", refs=page.refs)
             expr = region_expr(fixed, y, x)
         entries.append(((page.provenance.get(y, y), page.provenance.get(x, x)), expr))
     page.entries = entries
@@ -574,10 +572,10 @@ def _band_pass(page, v_i, v_j, transcript):
     g = page.graph
     levels, _ = depth_levels(g)
     a, b = levels[v_i], levels[v_j]
-    v_a = {u for u in g.vertices if levels[u] == a and v_j in g.reachable_from(u)}
-    v_b = {w for w in g.vertices if levels[w] == b and w in g.reachable_from(v_i)}
-    from_a = set().union(*[g.reachable_from(u) for u in v_a]) if v_a else set()
-    to_b = set().union(*[g.reaching(w) for w in v_b]) if v_b else set()
+    v_a = {u for u in g.reaching(v_j) if levels[u] == a}
+    v_b = {w for w in g.reachable_from(v_i) if levels[w] == b}
+    from_a = set().union(*[g.reachable_from(u) for u in v_a])
+    to_b = set().union(*[g.reaching(w) for w in v_b])
     band = sorted(
         m for m in from_a & to_b if levels[m] == a + 1
     )
@@ -704,14 +702,8 @@ def _separate(page, v_i, v_j, active_y, active_x, next_pid, transcript):
         s_edges = set()
         for e in chosen:
             s_edges.add(e.id)
-            for y in active_y:
-                sub = subgraph_between(g, y, e.src)
-                if sub is not None:
-                    s_edges |= {se.id for se in sub.edges}
-            for x in active_x:
-                sub = subgraph_between(g, e.dst, x)
-                if sub is not None:
-                    s_edges |= {se.id for se in sub.edges}
+            s_edges |= _pair_edges(g, [(y, e.src) for y in active_y])
+            s_edges |= _pair_edges(g, [(e.dst, x) for x in active_x])
         detail = {"kind": "cross-level", "edges": sorted(e.id for e in chosen)}
         left = [e for e in g.edges if e.id not in {c.id for c in chosen}]
         remaining = DiffGraph(left) if left else None

@@ -4,7 +4,8 @@ A graph is a rooted multi-level DAG whose directed edges point in the
 direction of dependence (roots at the top, terminals at the bottom).  Each
 edge carries a symbolic label; the label ``1`` marks a unit edge inserted by
 cross-level segmentation.  All queries here are pure functions over immutable
-graphs, so instances can be shared freely.
+graphs, so instances can be shared freely.  :func:`region_edges` is the one
+definition of a vertex pair's region, as an edge list in graph order.
 """
 from __future__ import annotations
 
@@ -130,8 +131,10 @@ class DiffGraph:
         return reach(v, self.predecessors)
 
 
-def reach(start, step):
-    """All vertices reachable from `start` by paths of length >= 1.
+def reach(start, step, stop=()):
+    """All vertices reachable from `start` by paths of length >= 1 whose
+    interior avoids `stop`: the walk reaches a vertex of `stop` but does not
+    go on from it.
 
     `step(v)` lists the vertex at the far end of each edge leaving v, so the
     same walk runs forward, backward, or over any adjacency.
@@ -142,7 +145,8 @@ def reach(start, step):
         u = stack.pop()
         if u not in out:
             out.add(u)
-            stack.extend(step(u))
+            if u not in stop:
+                stack.extend(step(u))
     return out
 
 
@@ -215,23 +219,25 @@ def enumerate_paths(g, frm, to, guard=DEFAULT_PATH_GUARD):
     for v in (frm, to):
         if not g.has_vertex(v):
             raise GraphError(f"unknown vertex {v}")
+    out_by_id = lambda v: iter(sorted(g.out_edges(v), key=lambda e: e.id))
     paths = []
-    stack = []
-
-    def walk(v):
-        if v == to and stack:
-            paths.append(tuple(stack))
-            if len(paths) > guard:
-                raise PathGuardExceeded(
-                    f"more than {guard} paths between {frm} and {to}"
-                )
-            return
-        for e in sorted(g.out_edges(v), key=lambda e: e.id):
-            stack.append(e.id)
-            walk(e.dst)
-            stack.pop()
-
-    walk(frm)
+    path = []  # edge ids from frm to the vertex whose out-edges todo[-1] walks
+    todo = [out_by_id(frm)]  # an out-edge iterator per vertex on the path
+    while todo:
+        e = next(todo[-1], None)
+        if e is None:
+            todo.pop()
+            if path:
+                path.pop()
+            continue
+        path.append(e.id)
+        if e.dst != to:
+            todo.append(out_by_id(e.dst))
+            continue
+        paths.append(tuple(path))
+        if len(paths) > guard:
+            raise PathGuardExceeded(f"more than {guard} paths between {frm} and {to}")
+        path.pop()
     return paths
 
 
@@ -295,20 +301,22 @@ def overlap_degree(g, paths, edge_id):
     return sum(1 for p in paths if edge_id in p)
 
 
-def subgraph_between(g, src, sink):
-    """Subgraph induced by all paths from src to sink; None when unreachable.
+def region_edges(g, src, sink, avoid=()):
+    """The edges on the paths from src to sink whose interior vertices avoid
+    `avoid`, in ``g.edges`` order; empty when there is no such path.
 
-    Keeps the original edge order so downstream conversions are stable.
+    This is the region of the pair: its edges contract to the pair's
+    expression.  One walk goes down from src and one up from sink, each
+    stopping at the far end and at `avoid`.
     """
-    if not g.has_vertex(src) or not g.has_vertex(sink):
-        raise GraphError(f"unknown vertex {src if not g.has_vertex(src) else sink}")
-    below = g.reachable_from(src) | {src}
-    above = g.reaching(sink) | {sink}
-    keep = below & above
-    if src not in keep or sink not in keep:
-        return None
-    edges = [e for e in g.edges if e.src in keep and e.dst in keep]
-    if not edges:
-        return None
-    return DiffGraph(edges)
-
+    for v in (src, sink):
+        if not g.has_vertex(v):
+            raise GraphError(f"unknown vertex {v}")
+    avoid = set(avoid)
+    below = reach(src, g.successors, avoid | {sink})
+    above = reach(sink, g.predecessors, avoid | {src})
+    inner = (below & above) - avoid
+    return [
+        e for e in g.edges
+        if (e.src == src or e.src in inner) and (e.dst == sink or e.dst in inner)
+    ]

@@ -13,6 +13,7 @@ one; the sum of per-step multiplication flags is the cost of the run.
 """
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass, field
 
 from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, normalize, prod
@@ -167,32 +168,21 @@ def _mult_flag(a, b):
 def _cleanup(lg, affected):
     """Dead-vertex removal and duplicate merging, cascaded to fixpoint."""
     steps = []
-    queue = sorted(set(affected))
-    alive = lambda i: i in lg.vertices
+    queue = deque(sorted(set(affected)))
     while queue:
-        i = queue.pop(0)
-        if not alive(i) or lg.vertices[i].kind != "label":
+        i = queue.popleft()
+        v = lg.vertices.get(i)
+        if v is None or v.kind != "label":
             continue
-        v = lg.vertices[i]
         if not v.preds or not v.succs:
             neighbors = sorted((v.preds | v.succs) - {i})
             lg.remove_vertex(i)
             steps.append(EliminationStep("remove-isolated", removed=(i,)))
-            queue.extend(n for n in neighbors if alive(n))
+            queue.extend(n for n in neighbors if n in lg.vertices)
             continue
-        candidates = set()
-        for n in v.preds:
-            candidates |= lg.vertices[n].succs
-        for n in v.succs:
-            candidates |= lg.vertices[n].preds
-        candidates = sorted(candidates - {i})
-        for j in candidates:
-            if not alive(j) or not alive(i):
-                break
-            w = lg.vertices.get(j)
-            if w is None or w.kind != "label":
-                continue
-            if w.preds == v.preds and w.succs == v.succs:
+        for j in _successors_of_all(lg, v.preds):
+            w = lg.vertices[j]
+            if j != i and w.kind == "label" and w.preds == v.preds and w.succs == v.succs:
                 lg.relabel(i, add(v.label, w.label))
                 lg.remove_vertex(j)
                 steps.append(EliminationStep("merge", updated=(i,), removed=(j,)))
@@ -200,16 +190,18 @@ def _cleanup(lg, affected):
     return steps
 
 
+def _successors_of_all(lg, preds):
+    """Ascending vids that may have every vertex of `preds` (not empty) as a
+    predecessor: the successors of the one with the fewest."""
+    p = min(preds, key=lambda p: len(lg.vertices[p].succs))
+    return sorted(lg.vertices[p].succs)
+
+
 def _find_absorber(lg, vi, vj):
     """The lowest-vid labeled vertex other than `vi` and `vj` with the
-    predecessors of `vi` and the successors of `vj`.
-
-    Such a vertex is a successor of every predecessor of `vi`, so one
-    predecessor's successors hold every candidate.
-    """
+    predecessors of `vi` and the successors of `vj`."""
     if vi.preds:
-        p = min(vi.preds, key=lambda p: len(lg.vertices[p].succs))
-        candidates = [lg.vertices[k] for k in sorted(lg.vertices[p].succs)]
+        candidates = [lg.vertices[k] for k in _successors_of_all(lg, vi.preds)]
     else:
         candidates = lg.labeled()
     for k in candidates:

@@ -1,10 +1,12 @@
 """Sparse symbolic local Jacobians and chain accumulation.
 
 A local Jacobian maps a row vertex set to a column vertex set; absent
-entries are structural zeros.  Chains of conformable local Jacobians can be
-accumulated under any parenthesization; the cost counter skips structural
-zeros and unit entries, and entries of intermediate products are computed
-once (shared entries surface as reference definitions in the result set).
+entries are structural zeros, and an entry is the contracted region of its
+pair that avoids the other row and column vertices.  Chains of conformable
+local Jacobians can be accumulated under any parenthesization; the cost
+counter skips structural zeros and unit entries, and entries of
+intermediate products are computed once (shared entries surface as
+reference definitions in the result set).
 """
 from __future__ import annotations
 
@@ -12,8 +14,8 @@ from dataclasses import dataclass
 
 from .expr import ExprSet, _Unit, add, format_expr, inline_single_use, prod
 from .factorize import RefRegistry
-from .graph import DiffGraph, subgraph_between
-from .structure import region_expr
+from .graph import region_edges
+from .structure import edges_expr
 
 
 class JacobianError(ValueError):
@@ -50,35 +52,18 @@ def extract_local_jacobian(g, rows, cols):
     rows = tuple(rows)
     cols = tuple(cols)
     boundary = set(rows) | set(cols)
+    below = {c: g.reachable_from(c) for c in cols}
     for r in rows:
         for c in cols:
-            if r in g.reachable_from(c):
+            if r in below[c]:
                 raise JacobianError(f"column {c} precedes row {r}")
     entries = {}
     for r in rows:
         for c in cols:
-            sub = _pair_region(g, r, c, boundary)
-            if sub is None:
-                continue
-            entries[(r, c)] = region_expr(sub, r, c)
+            edges = region_edges(g, r, c, boundary - {r, c})
+            if edges:
+                entries[(r, c)] = edges_expr(edges, r, c)
     return LocalJacobian(rows, cols, entries)
-
-
-def _pair_region(g, r, c, boundary):
-    # paths r -> c whose interior vertices avoid the other boundary vertices
-    allowed = (g.reachable_from(r) & g.reaching(c)) - (boundary - {r, c})
-    region = allowed | {r, c}
-    keep_edges = [
-        e
-        for e in g.edges
-        if e.src in region and e.dst in region and e.src != c and e.dst != r
-    ]
-    if not keep_edges:
-        return None
-    sub = DiffGraph(keep_edges)
-    if not sub.has_vertex(r) or not sub.has_vertex(c):
-        return None
-    return subgraph_between(sub, r, c)
 
 
 # ---------------------------------------------------------------------------
@@ -127,10 +112,19 @@ class _Accumulator:
         return LocalJacobian(left.rows, right.cols, entries)
 
     def run(self, tree):
-        if isinstance(tree, int):
-            return self.chain[tree]
-        l, r = tree
-        return self.product(self.run(l), self.run(r))
+        """The product of the chain under `tree`, left subtree first."""
+        done = []  # products of the finished subtrees, left to right
+        todo = [(tree, False)]
+        while todo:
+            node, joined = todo.pop()
+            if isinstance(node, int):
+                done.append(self.chain[node])
+            elif joined:
+                right = done.pop()
+                done.append(self.product(done.pop(), right))
+            else:
+                todo += [(node, True), (node[1], False), (node[0], False)]
+        return done[0]
 
 
 def accumulate(chain, parenthesization):

@@ -4,8 +4,9 @@ segmentation.
 Recognition works by iterated contraction: maximal single-track runs collapse
 into chain edges, parallel edges merge into block edges, and the loop repeats
 until nothing moves.  Regions that refuse to contract are complex blocks.
-The same machinery produces the algebraic expression of a simple region and
-the contracted degree view used by the factorization passes.
+The same machinery contracts a region's edge list, as
+:func:`~jacfact.graph.region_edges` gives it, to the algebraic expression of
+a simple region, and gives the contracted view the factorization passes use.
 """
 from __future__ import annotations
 
@@ -21,7 +22,7 @@ from .graph import (
     depth_levels,
     path_counts,
     reach,
-    subgraph_between,
+    region_edges,
 )
 
 
@@ -189,9 +190,8 @@ _SEQ = operator.attrgetter("seq")
 
 
 class _Contraction:
-    def __init__(self, g, record=True):
-        self.g = g
-        self.edges = [edge_cedge(e, i) for i, e in enumerate(g.edges)]
+    def __init__(self, edges, record=True):
+        self.edges = [edge_cedge(e, i) for i, e in enumerate(edges)]
         self.seq = len(self.edges)
         self.records = [] if record else None
 
@@ -263,18 +263,18 @@ class _Contraction:
 
     # -- complex-region handling ----------------------------------------------
 
-    def find_stuck_blocks(self):
+    def find_stuck_blocks(self, order):
         """Def-style blocks among the uncontracted remainder, innermost first.
 
         A candidate (a, b) region qualifies when its interior has no edges
         escaping the region and no single interior vertex carries every
-        a-to-b path.
+        a-to-b path.  `order` is a topological order of the contracted
+        graph's vertices, such as the original graph's.
         """
         out, inn = self._adj()
         down = lambda v: [c.dst for c in out.get(v, [])]
         up = lambda v: [c.src for c in inn.get(v, [])]
         verts = set(out) | set(inn)
-        order = self.g.topo_order  # every contracted edge points forward in it
         below = {v: reach(v, down) for v in verts}
         above = {v: reach(v, up) for v in verts}
         candidates = []
@@ -315,7 +315,7 @@ class _Contraction:
 
 def contract(g, record=True):
     """Contract to fixpoint; returns the contraction state."""
-    return _Contraction(g, record=record).run()
+    return _Contraction(g.edges, record=record).run()
 
 
 def find_structures(g):
@@ -323,7 +323,7 @@ def find_structures(g):
     included.  Deterministic for a fixed input graph."""
     c = contract(g)
     while True:
-        stuck = c.find_stuck_blocks()
+        stuck = c.find_stuck_blocks(g.topo_order)
         if not stuck:
             break
         _, a, b, region = stuck[0]
@@ -357,10 +357,17 @@ def region_expr(g, src, sink):
     Factor order follows the root-to-terminal direction.  Raises
     :class:`ComplexBlockError` when the region contains a complex block.
     """
-    sub = subgraph_between(g, src, sink)
-    if sub is None:
+    edges = region_edges(g, src, sink)
+    if not edges:
         raise StructureError(f"no paths from {src} to {sink}")
-    c = contract(sub, record=False)
+    return edges_expr(edges, src, sink)
+
+
+def edges_expr(edges, src, sink):
+    """Algebraic expression of a region given as its edge list, such as
+    :func:`~jacfact.graph.region_edges` returns for (src, sink); raises
+    :class:`ComplexBlockError` when the edges contract to more than one."""
+    c = _Contraction(edges, record=False).run()
     if len(c.edges) == 1:
         return c.edges[0].expr
     raise ComplexBlockError(src, sink)

@@ -38,7 +38,7 @@ def _digest(text):
 
 
 class _Session:
-    """CLI runs in process, logged with the fixture and scratch directories
+    """CLI runs in process, logged with the fixture and temporary directories
     written as placeholders so the log does not depend on where they are."""
 
     def __init__(self, capsys, tmp):

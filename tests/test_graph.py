@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from jacfact.graph import (
@@ -13,6 +15,7 @@ from jacfact.graph import (
     format_graph,
     overlap_degree,
     parse_graph,
+    region_edges,
     rt_degrees,
 )
 from jacfact.structure import segment_cross_level
@@ -93,8 +96,46 @@ def test_path_guard():
         edges.append(Edge(f"c{i}", f"m{i}a", f"n{i+1}", f"c{i}"))
         edges.append(Edge(f"d{i}", f"m{i}b", f"n{i+1}", f"d{i}"))
     g = DiffGraph(edges)
-    with pytest.raises(PathGuardExceeded):
+    with pytest.raises(PathGuardExceeded, match="^more than 1000 paths between n0 and n12$"):
         enumerate_paths(g, "n0", "n12", guard=1000)
+
+
+def test_enumerate_paths_long_chain():
+    n = 1500
+    g = DiffGraph(Edge(f"e{i}", f"v{i}", f"v{i + 1}", f"e{i}") for i in range(n))
+    assert enumerate_paths(g, "v0", f"v{n}") == [tuple(f"e{i}" for i in range(n))]
+    assert enumerate_paths(g, f"v{n}", "v0") == []
+
+
+def _brute_region(g, src, sink, avoid):
+    """Edge ids on the enumerated src-to-sink paths whose interior vertices
+    avoid `avoid`."""
+    dst = {e.id: e.dst for e in g.edges}
+    keep = set()
+    for path in enumerate_paths(g, src, sink):
+        if not any(dst[eid] in avoid for eid in path[:-1]):
+            keep.update(path)
+    return [e.id for e in g.edges if e.id in keep]
+
+
+def test_region_edges_match_path_enumeration():
+    rng = random.Random(7)
+    checked = nonempty = 0
+    for _ in range(30):
+        g = random_layered_dag(rng, 12, 20)
+        verts = sorted(g.vertices)
+        for src in verts:
+            for sink in verts:
+                for avoid in (set(), set(rng.sample(verts, min(3, len(verts)))), set(verts) - {src, sink}, {src, sink}):
+                    got = [e.id for e in region_edges(g, src, sink, avoid)]
+                    assert got == _brute_region(g, src, sink, avoid), (format_graph(g), src, sink, avoid)
+                    checked += 1
+                    nonempty += bool(got)
+        with pytest.raises(GraphError, match="unknown vertex nope"):
+            region_edges(g, "nope", verts[0])
+        with pytest.raises(GraphError, match="unknown vertex nope"):
+            region_edges(g, verts[0], "nope")
+    assert nonempty > checked // 10  # the pairs are not mostly unreachable
 
 
 def test_depth_levels_fig5a():

@@ -48,6 +48,12 @@ def test_extract_single_pair():
         extract_local_jacobian(g, ["b"], ["a"])
 
 
+def test_extract_names_first_nonconformable_pair_in_row_major_order():
+    g = parse_graph("e e1 q x\ne e2 p y\n")
+    with pytest.raises(JacobianError, match="^column q precedes row x$"):
+        extract_local_jacobian(g, ["x", "y"], ["p", "q"])
+
+
 def test_dump_format(fig4b):
     a = extract_local_jacobian(fig4b, ["v1"], ["v2", "v3"])
     dump = a.dump()
@@ -84,6 +90,19 @@ def test_accumulate_trivial_chain():
     s, cost = accumulate([a, b], (0, 1))
     assert cost == 1
     assert format_expr(s.entry_map()[("r", "c")]) == "a*b"
+
+
+@pytest.mark.parametrize("order", [left_assoc, right_assoc])
+def test_accumulate_deep_chain(order):
+    # 1500 1x1 local Jacobians, unit but for the first and the last
+    n = 1500
+    chain = [
+        LocalJacobian((f"v{i}",), (f"v{i + 1}",), {(f"v{i}", f"v{i + 1}"): Sym(f"e{i}") if i in (0, n - 1) else UNIT})
+        for i in range(n)
+    ]
+    s, cost = accumulate(chain, order(n))
+    assert cost == 1
+    assert format_expr(s.entry_map()[("v0", f"v{n}")]) == f"e0*e{n - 1}"
 
 
 def test_accumulate_non_conformable():
