@@ -24,14 +24,12 @@ from .expr import (
     format_expr,
     format_exprset,
     inline_single_use,
-    normalize,
     parse_expr,
     parse_exprset,
     prod,
 )
 from .factorize import (
     Page,
-    RefRegistry,
     factorize_backward,
     factorize_forward,
     factorize_with_refs,

@@ -6,7 +6,7 @@ form and must be factorized first.
 """
 from __future__ import annotations
 
-from .expr import Prod, Sum, Sym, _Unit, normalize
+from .expr import Prod, Sum, Sym, _Unit
 from .graph import DiffGraph, Edge, UNIT_LABEL
 from .structure import StructureError, region_expr
 
@@ -49,13 +49,12 @@ class _GraphBuilder:
 
 def expr_to_graph(e):
     """Simple graph realizing the expression; converting back recovers the
-    normalized input.
+    input.
 
     Sum terms expand to parallel branches.  A bare-symbol term after the
     first gets a unit-padded waypoint so vertex pairs keep at most one edge;
     the padding is free and disappears on the way back.
     """
-    e = normalize(e)
     b = _GraphBuilder()
     src = b.new_vertex()
     sink = b.new_vertex()

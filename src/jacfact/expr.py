@@ -10,8 +10,10 @@ Expression nodes are hash-consed (Filliâtre & Conchon, *Type-safe modular
 hash-consing*, 2006): every symbol, product and sum is built through one
 table, so structurally equal expressions are the same object.  Whether two
 expressions are the same is decided once, when they are built; every
-consumer compares and hashes nodes by identity.  A product or sum keeps its
-normal form, its canonical form and its canonical text once worked out.
+consumer compares and hashes nodes by identity.  Nodes are also built
+normal: a product or sum flattens nested products or sums and drops unit
+factors as it is built, so no caller ever normalizes.  A product or sum
+keeps its canonical form and its canonical text once worked out.
 """
 from __future__ import annotations
 
@@ -84,20 +86,36 @@ UNIT = object.__new__(_Unit)
 class _Compound(Expr):
     """A product or a sum of child nodes, with its forms once worked out.
 
-    ``_normal`` and ``_canonical`` hold the normal and the canonical form:
-    None until worked out, False when the form is the node itself (so no
-    node refers to itself).  A canonical node keeps its text in ``_text``.
+    Built normal: children of the same kind are spliced in, unit factors of
+    a product are dropped, and a product or sum left with one child is that
+    child.  An empty product is ``UNIT``; an empty sum raises.
+
+    ``_canonical`` holds the canonical form: None until worked out, False
+    when the form is the node itself (so no node refers to itself).  A
+    canonical node keeps its text in ``_text``.
     """
 
-    __slots__ = ("_normal", "_canonical", "_text")
+    __slots__ = ("_canonical", "_text")
 
     def __new__(cls, kids):
-        kids = tuple(kids)
+        flat = []
+        for k in kids:
+            if type(k) is cls:
+                flat.extend(_kids(k))
+            elif k is not UNIT or cls is Sum:
+                flat.append(k)
+        if len(flat) < 2:
+            if flat:
+                return flat[0]
+            if cls is Sum:
+                raise ExprError("empty sum")
+            return UNIT
+        kids = tuple(flat)
         node = _table.get((cls, kids))
         if node is None:
             node = _table[cls, kids] = object.__new__(cls)
             setattr(node, cls._field, kids)
-            node._normal = node._canonical = node._text = None
+            node._canonical = node._text = None
         return node
 
     def __repr__(self):
@@ -120,41 +138,18 @@ def _kids(node):
 
 def prod(*factors):
     """Ordered product; flattens nested products and drops unit factors."""
-    flat = []
-    for f in factors:
-        if isinstance(f, Prod):
-            flat.extend(f.factors)
-        elif isinstance(f, _Unit):
-            continue
-        else:
-            flat.append(f)
-    if not flat:
-        return UNIT
-    if len(flat) == 1:
-        return flat[0]
-    return Prod(flat)
+    return Prod(factors)
 
 
 def add(*terms):
     """Sum; flattens nested sums.  Order of terms is preserved as given."""
-    flat = []
-    for t in terms:
-        if isinstance(t, Sum):
-            flat.extend(t.terms)
-        else:
-            flat.append(t)
-    if not flat:
-        raise ExprError("empty sum")
-    if len(flat) == 1:
-        return flat[0]
-    return Sum(flat)
+    return Sum(terms)
 
 
 def _of_symbols(node):
-    """Whether product or sum `node` has two or more children, all symbols:
-    the commonest node, normal as it is, and canonical when a product."""
-    kids = _kids(node)
-    return len(kids) > 1 and set(map(type, kids)) == {Sym}
+    """Whether all children of product or sum `node` are symbols: the
+    commonest node, canonical when a product."""
+    return set(map(type, _kids(node))) == {Sym}
 
 
 def _pending(e, done):
@@ -180,30 +175,8 @@ def _pending(e, done):
     return order
 
 
-def normalize(e):
-    """Flatten nested products/sums and strip unit factors.
-
-    Worked out once per node: the normal form is kept on the node.
-    """
-    if isinstance(e, _Compound) and e._normal is None:
-        for node in _pending(e, lambda n: n._normal is not None):
-            if _of_symbols(node):
-                form = node
-            else:
-                form = (prod if isinstance(node, Prod) else add)(*map(_normal_form, _kids(node)))
-            node._normal = False if form is node else form
-            if isinstance(form, _Compound):
-                form._normal = False
-    return _normal_form(e)
-
-
-def _normal_form(e):
-    """The normal form kept on `e`, once worked out."""
-    return e._normal or e if isinstance(e, _Compound) else e
-
-
 def canonical(e):
-    """Normal form with sum terms sorted; products keep their order.
+    """`e` with sum terms sorted; products keep their order.
 
     Addition commutes, so two expressions that differ only in the order of
     sum terms denote the same value and the same multiplication count, and
@@ -213,15 +186,9 @@ def canonical(e):
     if isinstance(e, _Compound) and e._canonical is None:
         for node in _pending(e, lambda n: n._canonical is not None):
             if isinstance(node, Prod):
-                form = node if _of_symbols(node) else prod(*map(_canonical_form, node.factors))
+                form = node if _of_symbols(node) else Prod(map(_canonical_form, node.factors))
             else:
-                terms = []
-                for t in map(_canonical_form, node.terms):
-                    if isinstance(t, Sum):
-                        terms.extend(t.terms)
-                    else:
-                        terms.append(t)
-                form = add(*sorted(terms, key=_text))
+                form = Sum(sorted(map(_canonical_form, node.terms), key=_text))
             node._canonical = False if form is node else form
             if isinstance(form, _Compound):
                 form._canonical = False
@@ -395,7 +362,7 @@ class _Parser:
 
 
 def parse_expr(text):
-    """Parse ``*``/``+``/parenthesis syntax into a normalized expression."""
+    """Parse ``*``/``+``/parenthesis syntax into an expression."""
     p = _Parser(text)
     e = p.parse_sum()
     p.skip_ws()
@@ -417,27 +384,46 @@ class ExprSet:
 
     A :class:`Sym` whose name matches a definition acts as a reference to it;
     definitions must be acyclic and are each counted once by the cost model.
+    The set is also the reference registry of the planners: :meth:`intern`
+    names each shared structure once.
     """
 
     defs: list = field(default_factory=list)  # [(name, Expr)]
     entries: list = field(default_factory=list)  # [((root, terminal), Expr)]
-    _names: set = field(default_factory=set, init=False, repr=False, compare=False)
+    _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        self._names.update(name for name, _ in self.defs)
+        self._defs.update(self.defs)
 
     @property
     def def_map(self):
-        return dict(self.defs)
+        return dict(self._defs)
 
     def define(self, name, expr):
-        if name in self._names:
+        if name in self._defs:
             raise ExprError(f"duplicate definition for {name}")
-        self.defs.append((name, normalize(expr)))
-        self._names.add(name)
+        self.defs.append((name, expr))
+        self._defs[name] = expr
+
+    def intern(self, expr):
+        """The reference naming `expr`, defined as ``s<n>`` on first use.
+
+        Symbols and ``1`` stand for themselves.  Interning is by the
+        canonical node of the expansion, so one structure reached through a
+        reference or spelled out shares one name.
+        """
+        if isinstance(expr, (Sym, _Unit)):
+            return expr
+        key = canonical(expand_expr(expr, self._defs))
+        name = self._interned.get(key)
+        if name is None:
+            name = self._interned[key] = f"s{len(self.defs) + 1}"
+            self.define(name, expr)
+        return Sym(name)
 
     def add_entry(self, root, terminal, expr):
-        self.entries.append(((root, terminal), normalize(expr)))
+        self.entries.append(((root, terminal), expr))
 
     def entry_map(self):
         out = {}
@@ -482,11 +468,11 @@ def format_exprset(s):
 def expand_expr(e, def_map):
     """Substitute reference definitions into an expression.
 
-    The result is normalized.  The walk is iterative, so nesting depth is not
-    bounded by the recursion limit, and each node and each definition is
-    expanded once per call, its expansion shared by every use.  A cyclic
-    reference raises :class:`CyclicReferenceError` naming the first cycle
-    met depth-first, references taken in term order.
+    The walk is iterative, so nesting depth is not bounded by the recursion
+    limit, and each node and each definition is expanded once per call, its
+    expansion shared by every use.  A cyclic reference raises
+    :class:`CyclicReferenceError` naming the first cycle met depth-first,
+    references taken in term order.
     """
     expanded = {}  # reference name -> its expansion
     done = {}  # product or sum -> its expansion
@@ -594,25 +580,23 @@ def fma_cost(s):
     """Total multiplication count; additions are fused and cost nothing.
 
     Accepts a single expression or an :class:`ExprSet`.  Each reference
-    definition is counted once no matter how often it is used.  Unit factors
-    are stripped during normalization, so multiplying by ``1`` is free.
+    definition is counted once no matter how often it is used.  Products
+    are built without unit factors, so multiplying by ``1`` is free.
     """
     if isinstance(s, Expr):
-        return _expr_cost(normalize(s))
+        return _expr_cost(s)
     dm, clean = s.def_map, set()
     for _, e in s.entries:
         check_references(e, dm, clean)  # raises on cyclic or malformed references
     total = 0
-    for name, e in s.defs:
-        total += _expr_cost(normalize(e))
-    for pair, e in s.entries:
-        total += _expr_cost(normalize(e))
+    for _, e in s.all_exprs():
+        total += _expr_cost(e)
     return total
 
 
-def symbol_occurrences(e, counts=None):
+def symbol_occurrences(e):
     """Occurrence count per symbol (a symbol used twice counts twice)."""
-    counts = {} if counts is None else counts
+    counts = {}
     stack = [e]
     while stack:
         node = stack.pop()

@@ -13,7 +13,9 @@ Graphs with several roots or terminals are handled by the page strategy:
 shared simple structures become reference edges, a pivot pair guides page
 splits and root/terminal separations, and stubborn multi-level sections are
 compressed one level at a time.  The pages that fall out are simple per
-root-terminal pair and merge into one expression set.  Every pair region is
+root-terminal pair and merge into one expression set.  Reference names come
+from :meth:`~jacfact.expr.ExprSet.intern`: ref mode interns into the set it
+returns, and the pages of one plan share one set.  Every pair region is
 the edge list :func:`~jacfact.graph.region_edges` gives; only a complex
 region that must be factorized is built into a graph.
 """
@@ -22,7 +24,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, replace
 
-from .expr import ExprSet, Sym, UNIT, _Unit, add, canonical, expand_expr, format_expr, inline_single_use, normalize, prod
+from .expr import ExprSet, Sym, UNIT, _Unit, add, format_expr, inline_single_use, prod
 from .graph import (
     DiffGraph,
     Edge,
@@ -49,36 +51,7 @@ class FactorizationError(ValueError):
     pass
 
 
-class MergeError(FactorizationError):
-    pass
-
-
 _MAX_PASSES = 10_000
-
-
-class RefRegistry:
-    """Allocates reference names (s1, s2, ...) for shared sub-structures.
-
-    Interning is by the canonical node of the expansion, so the same
-    structure reached from two pages shares one name.
-    """
-
-    def __init__(self):
-        self.defs = []  # (name, Expr) in creation order
-        self.def_map = {}
-        self._by_key = {}
-
-    def intern(self, expr):
-        expr = normalize(expr)
-        if isinstance(expr, (Sym, _Unit)):
-            return expr
-        key = canonical(expand_expr(expr, self.def_map))
-        if key not in self._by_key:
-            name = f"s{len(self.defs) + 1}"
-            self._by_key[key] = name
-            self.defs.append((name, expr))
-            self.def_map[name] = expr
-        return Sym(self._by_key[key])
 
 
 @dataclass
@@ -86,7 +59,7 @@ class Page:
     pid: int
     graph: DiffGraph
     provenance: dict
-    refs: RefRegistry
+    refs: ExprSet  # the reference definitions, shared by every page of a plan
     entries: list = None  # [((root, terminal), Expr)] once finalized
 
 
@@ -444,18 +417,15 @@ def factorize_forward(g):
     return out
 
 
-def factorize_with_refs(g, direction="backward", refs=None):
+def factorize_with_refs(g, direction="backward"):
     """Factorize, naming every structure that would otherwise be copied.
 
     Returns (graph, ExprSet); the set holds the reference definitions plus
     one entry per connected root-terminal pair, with single-use names
     inlined away.
     """
-    refs = refs or RefRegistry()
-    out, _ = _factorize(g, direction, refs=refs)
     s = ExprSet()
-    for name, e in refs.defs:
-        s.define(name, e)
+    out, _ = _factorize(g, direction, refs=s)
     for y, x in _active_pairs(out):
         s.add_entry(y, x, region_expr(out, y, x))
     return out, inline_single_use(s)
@@ -623,9 +593,8 @@ def plan_pages(g):
     are compressed one level per pass.  The union of pages covers every
     root-terminal entry of the input.
     """
-    refs = RefRegistry()
     transcript = []
-    first = Page(0, g, {v: v for v in g.vertices}, refs)
+    first = Page(0, g, {v: v for v in g.vertices}, ExprSet())
     queue = [first]
     done = []
     next_pid = 1
@@ -739,36 +708,18 @@ def _separate(page, v_i, v_j, active_y, active_x, next_pid, transcript):
 
 
 def merge_pages(pages):
-    """One expression set covering every root-terminal pair of every page.
+    """One expression set covering every root-terminal pair of finalized
+    pages that share one set of reference definitions.
 
-    The same pair appearing on several pages sums; reference definitions are
-    deduplicated by name, and names used at most once are inlined away.
+    The same pair appearing on several pages sums, and names used at most
+    once are inlined away.
     """
-    defs = []
-    seen = {}
-    for page in pages:
-        for name, e in page.refs.defs:
-            if name in seen:
-                if seen[name] is not e and canonical(seen[name]) is not canonical(e):
-                    raise MergeError(f"conflicting definitions for {name}")
-                continue
-            seen[name] = e
-            defs.append((name, e))
     entry_acc = {}
-    order = []
     for page in pages:
-        if page.entries is None:
-            _finalize(page, [])
         for pair, e in page.entries:
-            if pair not in entry_acc:
-                order.append(pair)
-                entry_acc[pair] = e
-            else:
-                entry_acc[pair] = add(entry_acc[pair], e)
-    s = ExprSet()
-    for name, e in defs:
-        s.define(name, e)
-    for pair in sorted(order):
+            entry_acc[pair] = add(entry_acc[pair], e) if pair in entry_acc else e
+    s = ExprSet(list(pages[0].refs.defs) if pages else [])
+    for pair in sorted(entry_acc):
         s.add_entry(pair[0], pair[1], entry_acc[pair])
     return inline_single_use(s)
 

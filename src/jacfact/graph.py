@@ -44,7 +44,7 @@ class DiffGraph:
     pair.
     """
 
-    def __init__(self, edges, extra_vertices=()):
+    def __init__(self, edges):
         edges = list(edges)
         if not edges:
             raise GraphError("empty edge list")
@@ -60,7 +60,7 @@ class DiffGraph:
             if e.src == e.dst:
                 raise GraphError(f"self loop on {e.src}")
         self.edges = tuple(edges)
-        verts = set(extra_vertices)
+        verts = set()
         for e in edges:
             verts.add(e.src)
             verts.add(e.dst)
@@ -89,6 +89,12 @@ class DiffGraph:
 
     def has_vertex(self, v):
         return v in self.vertices
+
+    def require(self, *vertices):
+        """Raise :class:`GraphError` for the first vertex not in the graph."""
+        for v in vertices:
+            if v not in self.vertices:
+                raise GraphError(f"unknown vertex {v}")
 
     @property
     def roots(self):
@@ -124,10 +130,12 @@ class DiffGraph:
 
     def reachable_from(self, v):
         """All vertices reachable from v by directed paths of length >= 1."""
+        self.require(v)
         return reach(v, self.successors)
 
     def reaching(self, v):
         """All vertices with a directed path of length >= 1 to v."""
+        self.require(v)
         return reach(v, self.predecessors)
 
 
@@ -216,9 +224,7 @@ def enumerate_paths(g, frm, to, guard=DEFAULT_PATH_GUARD):
     Deterministic: depth-first with out-edges taken in edge-id order, which
     yields paths sorted lexicographically by their edge-id sequence.
     """
-    for v in (frm, to):
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
+    g.require(frm, to)
     out_by_id = lambda v: iter(sorted(g.out_edges(v), key=lambda e: e.id))
     paths = []
     path = []  # edge ids from frm to the vertex whose out-edges todo[-1] walks
@@ -309,9 +315,7 @@ def region_edges(g, src, sink, avoid=()):
     expression.  One walk goes down from src and one up from sink, each
     stopping at the far end and at `avoid`.
     """
-    for v in (src, sink):
-        if not g.has_vertex(v):
-            raise GraphError(f"unknown vertex {v}")
+    g.require(src, sink)
     avoid = set(avoid)
     below = reach(src, g.successors, avoid | {sink})
     above = reach(sink, g.predecessors, avoid | {src})

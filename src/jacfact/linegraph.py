@@ -16,7 +16,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass, field
 
-from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, normalize, prod
+from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, prod
 from .graph import UNIT_LABEL
 
 
@@ -399,12 +399,11 @@ def resolve_vertex(lg, spec, defs=None):
         spec = Sym(spec)
     elif not isinstance(spec, Expr):
         raise FaceError(f"cannot resolve {spec!r}")
-    # without definitions there is nothing to substitute: the lookup
-    # normalizes the target itself
+    # without definitions there is nothing to substitute
     target = expand_expr(spec, defs) if defs else spec
     hits = lg.find_by_label(target)
     if not hits:
-        raise FaceError(f"no vertex labeled {format_expr(normalize(target))}")
+        raise FaceError(f"no vertex labeled {format_expr(target)}")
     return hits[0]
 
 

@@ -5,15 +5,15 @@ entries are structural zeros, and an entry is the contracted region of its
 pair that avoids the other row and column vertices.  Chains of conformable
 local Jacobians can be accumulated under any parenthesization; the cost
 counter skips structural zeros and unit entries, and entries of
-intermediate products are computed once (shared entries surface as
-reference definitions in the result set).
+intermediate products are computed once: the accumulator interns every
+compound entry into the result set, so a shared entry surfaces there as a
+reference definition.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 
 from .expr import ExprSet, _Unit, add, format_expr, inline_single_use, prod
-from .factorize import RefRegistry
 from .graph import region_edges
 from .structure import edges_expr
 
@@ -92,7 +92,7 @@ class _Accumulator:
     def __init__(self, chain):
         self.chain = list(chain)
         self.cost = 0
-        self.refs = RefRegistry()  # compound entries, named so later uses share them
+        self.refs = ExprSet()  # compound entries, named so later uses share them
 
     def product(self, left, right):
         if left.cols != right.rows:
@@ -136,9 +136,7 @@ def accumulate(chain, parenthesization):
     """
     acc = _Accumulator(chain)
     result = acc.run(parenthesization)
-    s = ExprSet()
-    for name, d in acc.refs.defs:
-        s.define(name, d)
+    s = acc.refs
     for (r, c), e in sorted(result.entries.items()):
         s.add_entry(r, c, e)
     return inline_single_use(s), acc.cost

@@ -2,7 +2,7 @@
 
 Bauer's multi-path chain rule gives a Jacobian entry as the sum over every
 root-to-terminal path of the product of its edge labels.  Checks run in the
-prime field GF(2^61 - 1) by default, where multiplication commutes and
+prime field GF(2^61 - 1), where multiplication commutes and
 equality is exact, so the path sum is one forward dynamic-programming pass
 over the topological order (vertex elimination) instead of an enumeration;
 a random instantiation exposes any fixed polynomial discrepancy with
@@ -38,31 +38,25 @@ class SupportMismatch(OracleError):
 class Instantiation:
     values: dict
     seed: int
-    mode: str = "field"
 
     def __getitem__(self, label):
         if label == UNIT_LABEL:
-            return 1 if self.mode == "field" else 1.0
+            return 1
         try:
             return self.values[label]
         except KeyError:
             raise OracleError(f"label {label} not instantiated") from None
 
 
-def instantiate(labels, seed, mode="field"):
+def instantiate(labels, seed):
     """Deterministic nonzero assignment for every non-unit label.
 
-    Field values are drawn uniformly from [2, p-2]: zero would mask dropped
+    Values are drawn uniformly from [2, p-2]: zero would mask dropped
     factors and one would mask dropped unit handling.
     """
     rng = random.Random(seed)
-    values = {}
-    for label in sorted(set(labels) - {UNIT_LABEL}):
-        if mode == "field":
-            values[label] = rng.randrange(2, PRIME - 1)
-        else:
-            values[label] = rng.uniform(0.5, 2.0)
-    return Instantiation(values, seed, mode)
+    values = {label: rng.randrange(2, PRIME - 1) for label in sorted(set(labels) - {UNIT_LABEL})}
+    return Instantiation(values, seed)
 
 
 @dataclass
@@ -73,7 +67,6 @@ class Trials:
 
     columns: dict
     size: int
-    mode: str = "field"
     single: bool = False  # built from one Instantiation: results are scalars
 
     @classmethod
@@ -81,7 +74,7 @@ class Trials:
         if isinstance(inst, Trials):
             return inst
         columns = {label: [v] for label, v in inst.values.items()}
-        return cls(columns, 1, inst.mode, single=True)
+        return cls(columns, 1, single=True)
 
     def scalars(self, out):
         """Unwrap a {key: column} result when the batch is one Instantiation."""
@@ -96,32 +89,26 @@ class Trials:
             raise OracleError(f"label {label} not instantiated") from None
 
     def constant(self, c):
-        return [c if self.mode == "field" else float(c)] * self.size
+        return [c] * self.size
 
     def mul(self, x, y):
-        if self.mode == "field":
-            return [a * b % PRIME for a, b in zip(x, y)]
-        return [a * b for a, b in zip(x, y)]
+        return [a * b % PRIME for a, b in zip(x, y)]
 
     def add(self, x, y):
-        if self.mode == "field":
-            return [(a + b) % PRIME for a, b in zip(x, y)]
-        return [a + b for a, b in zip(x, y)]
+        return [(a + b) % PRIME for a, b in zip(x, y)]
 
     def fma(self, acc, x, y):
         """``acc + x*y`` per trial."""
-        if self.mode == "field":
-            return [(a + b * c) % PRIME for a, b, c in zip(acc, x, y)]
-        return [a + b * c for a, b, c in zip(acc, x, y)]
+        return [(a + b * c) % PRIME for a, b, c in zip(acc, x, y)]
 
 
-def draw_trials(labels, seed, trials, mode="field"):
+def draw_trials(labels, seed, trials):
     """Trials ``seed .. seed+trials-1``, each drawn by :func:`instantiate`."""
     columns = {}
     for t in range(trials):
-        for label, v in instantiate(labels, seed + t, mode).values.items():
+        for label, v in instantiate(labels, seed + t).values.items():
             columns.setdefault(label, []).append(v)
-    return Trials(columns, trials, mode)
+    return Trials(columns, trials)
 
 
 class _Columns:
@@ -178,7 +165,7 @@ class _Columns:
                 vals = stack[split:]
                 del stack[split:]
                 combine = trials.mul if is_prod else trials.add
-                acc = vals[0] if vals else trials.constant(1 if is_prod else 0)
+                acc = vals[0]
                 for v in vals[1:]:
                     acc = combine(acc, v)
                 columns[node] = acc
@@ -289,8 +276,8 @@ def eval_artifact(artifact, inst):
 @dataclass
 class EquivReport:
     trials: int
-    mode: str
     mismatches: list = field(default_factory=list)
+    mode = "field"  # the arithmetic of every check
 
     @property
     def ok(self):
@@ -307,18 +294,18 @@ class EquivReport:
         }
 
 
-def check_equiv(a, b, trials=100, seed=0, mode="field", rtol=1e-9):
+def check_equiv(a, b, trials=100, seed=0):
     """Randomized equivalence of two evaluatable artifacts.
 
-    Supports must match exactly.  Field mode compares exactly; float mode
-    uses the given relative tolerance.  The report carries every mismatching
-    (pair, seed), trial by trial, so a failure is reproducible.
+    Supports must match exactly, and values are compared exactly in the
+    field.  The report carries every mismatching (pair, seed), trial by
+    trial, so a failure is reproducible.
     """
     labels = labels_of(a) | labels_of(b)
-    report = EquivReport(trials, mode)
+    report = EquivReport(trials)
     if trials < 1:
         return report
-    batch = draw_trials(labels, seed, trials, mode)
+    batch = draw_trials(labels, seed, trials)
     va = eval_artifact(a, batch)
     vb = eval_artifact(b, batch)
     if set(va) != set(vb):
@@ -328,10 +315,6 @@ def check_equiv(a, b, trials=100, seed=0, mode="field", rtol=1e-9):
     for t in range(trials):
         for pair in pairs:
             x, y = va[pair][t], vb[pair][t]
-            if mode == "field":
-                equal = x == y
-            else:
-                equal = abs(x - y) <= rtol * max(1.0, abs(x), abs(y))
-            if not equal:
+            if x != y:
                 report.mismatches.append((pair, seed + t, x, y))
     return report

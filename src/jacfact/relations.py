@@ -20,7 +20,6 @@ from .expr import (
     canonical_text,
     expand_expr,
     free_symbols,
-    normalize,
     prod,
 )
 
@@ -81,9 +80,8 @@ def _trailing(term):
 
 
 def _sites(s):
-    """(site name, normalized expression) per definition and entry, in set
-    order."""
-    return [(_site_name(key), normalize(e)) for key, e in s.all_exprs()]
+    """(site name, expression) per definition and entry, in set order."""
+    return [(_site_name(key), e) for key, e in s.all_exprs()]
 
 
 def classify_relations(s):

@@ -11,7 +11,6 @@ from jacfact.expr import (
     expand_expr,
     fma_cost,
     free_symbols,
-    normalize,
     parse_exprset,
     prod,
 )

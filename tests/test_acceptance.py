@@ -14,7 +14,6 @@ from jacfact.expr import (
     equivalent_form,
     fma_cost,
     format_expr,
-    normalize,
 )
 from jacfact.factorize import (
     factorize_backward,
@@ -278,7 +277,7 @@ def test_criterion_8_property_suite():
         if depth_levels(seg)[1] or not check_equiv(g, seg, trials=3, seed=i).ok:
             seg_fail += 1
         # (c) graph <-> expression round trips on simple structures
-        e = normalize(_random_simple_expr(rng, 3))
+        e = _random_simple_expr(rng, 3)
         eg = expr_to_graph(e)
         back = graph_to_expr(eg)
         again = expr_to_graph(back)

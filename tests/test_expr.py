@@ -25,7 +25,6 @@ from jacfact.expr import (
     format_exprset,
     free_symbols,
     inline_single_use,
-    normalize,
     parse_expr,
     parse_exprset,
     prod,
@@ -65,10 +64,16 @@ def test_round_trip(text):
 
 
 def test_normalization_flattens():
-    e = Prod((Prod((Sym("a"), Sym("b"))), Sym("c")))
-    assert normalize(e) == Prod((Sym("a"), Sym("b"), Sym("c")))
-    e = Sum((Sum((Sym("a"), Sym("b"))), Sym("c")))
-    assert normalize(e) == Sum((Sym("a"), Sym("b"), Sym("c")))
+    a, b, c = Sym("a"), Sym("b"), Sym("c")
+    e = Prod((Prod((a, b)), UNIT, c))
+    assert e.factors == (a, b, c)
+    e = Sum((Sum((a, b)), c))
+    assert e.terms == (a, b, c)
+    assert Prod((UNIT, a)) is a and Sum((a,)) is a
+    assert Prod(()) is UNIT and Prod((UNIT, UNIT)) is UNIT
+    assert Sum((UNIT, a)).terms == (UNIT, a)  # a unit term is kept
+    with pytest.raises(ExprError, match="empty sum"):
+        Sum(())
 
 
 def test_canonical_sorts_sums_only():
@@ -195,12 +200,14 @@ def _exprs(depth):
 
 @given(_exprs(3))
 def test_format_parse_identity(e):
-    assert parse_expr(format_expr(e)) == normalize(e)
+    assert parse_expr(format_expr(e)) is e
 
 
 @given(_exprs(3))
 def test_normalize_idempotent(e):
-    assert normalize(normalize(e)) == normalize(e)
+    """A built node built again from its own children is the same node."""
+    kids = getattr(e, "factors", ()) + getattr(e, "terms", ())
+    assert not kids or type(e)(kids) is e
 
 
 @given(_exprs(3))
@@ -213,16 +220,7 @@ def test_cost_nonnegative_and_canonical_invariant(e):
 # the iterative walks against the recursive definitions they replaced
 
 
-def _ref_normalize(e):
-    if isinstance(e, (Sym, type(UNIT))):
-        return e
-    if isinstance(e, Prod):
-        return prod(*[_ref_normalize(f) for f in e.factors])
-    return add(*[_ref_normalize(t) for t in e.terms])
-
-
 def _ref_canonical(e):
-    e = _ref_normalize(e)
     if isinstance(e, Prod):
         return Prod(tuple(_ref_canonical(f) for f in e.factors))
     if isinstance(e, Sum):
@@ -245,8 +243,9 @@ def _ref_expand(e, dm, path=()):
 
 
 def _raw_expr(rng, depth, atoms="abcd"):
-    """An unnormalized expression: nested sums and products, unit factors,
-    one-term sums and products, repeated symbols and shared subterms."""
+    """An expression built by the raw constructors from nested sums and
+    products, unit factors, one-term sums and products, repeated symbols and
+    shared subterms."""
     roll = rng.random()
     if depth == 0 or roll < 0.3:
         return UNIT if rng.random() < 0.15 else Sym(rng.choice(atoms))
@@ -262,7 +261,6 @@ def test_canonical_matches_recursive_definition():
         want = _ref_canonical(e)
         assert canonical(e) == want
         assert canonical_text(e) == format_expr(want)
-        assert normalize(e) == _ref_normalize(e)
 
 
 def _nodes(e):
@@ -301,11 +299,8 @@ def test_structurally_equal_expressions_are_one_node():
     for seed in range(300):
         rng = random.Random(seed)
         e = _raw_expr(rng, 4, atoms="abc")
-        n = normalize(e)
         assert _rebuilt(e) is e
-        assert _ref_normalize(e) is n  # built by prod/add
-        assert parse_expr(format_expr(n)) is n
-        assert _rebuilt(n) is n
+        assert parse_expr(format_expr(e)) is e
         assert hash(_rebuilt(e)) == hash(e)
         draws += [e, _rebuilt(e, rng)]
     # one canonical node exactly per structure of the recursive definition
@@ -317,6 +312,92 @@ def test_structurally_equal_expressions_are_one_node():
             assert (nodes[i] is nodes[j]) == (keys[i] == keys[j])
             same += keys[i] == keys[j]
     assert same > 300  # the shuffled copies and repeated small draws
+
+
+def _raw_tree(rng, depth, atoms="abcd"):
+    """An unnormalized expression as plain tuples: ``("*", kids)`` or
+    ``("+", kids)`` with one to four kids, nested either way, unit leaves
+    ``1`` and repeated subtrees."""
+    roll = rng.random()
+    if depth == 0 or roll < 0.3:
+        return 1 if rng.random() < 0.15 else rng.choice(atoms)
+    kids = [_raw_tree(rng, depth - 1, atoms) for _ in range(rng.randint(1, 4))]
+    if rng.random() < 0.2:
+        kids.append(kids[0])
+    return ("*" if roll < 0.65 else "+", tuple(kids))
+
+
+def _built(tree):
+    """`tree` built through the raw constructors only."""
+    if tree == 1:
+        return UNIT
+    if isinstance(tree, str):
+        return Sym(tree)
+    op, kids = tree
+    return (Prod if op == "*" else Sum)(tuple(_built(k) for k in kids))
+
+
+def _tree_normal(tree):
+    """The normal form of a tuple tree: children of the same operator
+    spliced in, unit factors dropped, a lone child lifted, an empty product
+    ``1``."""
+    if not isinstance(tree, tuple):
+        return tree
+    op, kids = tree
+    flat = []
+    for k in map(_tree_normal, kids):
+        if isinstance(k, tuple) and k[0] == op:
+            flat.extend(k[1])
+        elif not (op == "*" and k == 1):
+            flat.append(k)
+    if len(flat) < 2:
+        return flat[0] if flat else 1
+    return (op, tuple(flat))
+
+
+def _tree_text(tree):
+    if not isinstance(tree, tuple):
+        return str(tree)
+    op, kids = tree
+    if op == "+":
+        return "+".join(map(_tree_text, kids))
+    return "*".join(
+        f"({_tree_text(k)})" if isinstance(k, tuple) and k[0] == "+" else _tree_text(k)
+        for k in kids
+    )
+
+
+def test_raw_constructors_build_normal_nodes():
+    for seed in range(500):
+        tree = _raw_tree(random.Random(seed), 5)
+        e = _built(tree)
+        for node in _nodes(e):
+            if isinstance(node, Prod):
+                assert len(node.factors) > 1
+                assert not any(isinstance(f, Prod) or f is UNIT for f in node.factors)
+            elif isinstance(node, Sum):
+                assert len(node.terms) > 1
+                assert not any(isinstance(t, Sum) for t in node.terms)
+        assert format_expr(e) == _tree_text(_tree_normal(tree))
+
+
+def test_exprset_intern_names_each_structure_once():
+    a, b, c = Sym("a"), Sym("b"), Sym("c")
+    s = ExprSet()
+    assert s.intern(a) is a and s.intern(UNIT) is UNIT
+    s1 = s.intern(prod(a, b))
+    assert s1 == Sym("s1") and s.intern(parse_expr("a*b")) is s1
+    # one structure, reached through a reference or spelled out
+    assert s.intern(prod(s1, c)) == Sym("s2")
+    assert s.intern(prod(a, b, c)) == Sym("s2")
+    # up to the order of sum terms
+    assert s.intern(add(c, s1)) == Sym("s3")
+    assert s.intern(parse_expr("a*b+c")) == Sym("s3")
+    assert s.defs == [
+        ("s1", prod(a, b)), ("s2", prod(s1, c)), ("s3", add(c, s1)),
+    ]
+    assert s.def_map == dict(s.defs) and s.def_map is not s.def_map
+    assert fma_cost(s) == 2
 
 
 def test_canonical_keeps_canonical_subterms():

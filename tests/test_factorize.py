@@ -1,10 +1,9 @@
 import pytest
 
 from jacfact.convert import graph_to_expr
-from jacfact.expr import equivalent_form, fma_cost, format_expr, free_symbols
+from jacfact.expr import ExprSet, equivalent_form, fma_cost, format_expr, free_symbols
 from jacfact.factorize import (
     Page,
-    RefRegistry,
     _pivots,
     _replace_simple_structures,
     factorize_backward,
@@ -86,7 +85,7 @@ def test_refs_cost_matches_matrix_chain_orders(fig4b):
 
 def test_plan_pages_step1_refs():
     g = load_graph("fig10a")
-    page = Page(0, g, {v: v for v in g.vertices}, RefRegistry())
+    page = Page(0, g, {v: v for v in g.vertices}, ExprSet())
     transcript = []
     _replace_simple_structures(page, transcript)
     replaced = {
@@ -100,7 +99,7 @@ def test_plan_pages_step1_refs():
 
 
 def test_pivots_fig9a_after_step1(fig9a):
-    page = Page(0, fig9a, {v: v for v in fig9a.vertices}, RefRegistry())
+    page = Page(0, fig9a, {v: v for v in fig9a.vertices}, ExprSet())
     _replace_simple_structures(page, [])
     assert _pivots(page.graph) == ("v5", "v5")
 
@@ -109,7 +108,7 @@ def test_pivots_fig10_follow_the_rule():
     # with the extra root edge into v1, v3 collects all four roots and sits
     # closer to them than v5, so the selection rule picks it
     g = load_graph("fig10a")
-    page = Page(0, g, {v: v for v in g.vertices}, RefRegistry())
+    page = Page(0, g, {v: v for v in g.vertices}, ExprSet())
     _replace_simple_structures(page, [])
     assert _pivots(page.graph) == ("v3", "v5")
 

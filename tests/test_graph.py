@@ -87,6 +87,12 @@ def test_enumerate_paths_deterministic(fig4b):
         enumerate_paths(fig4b, "nope", "v9")
 
 
+def test_reachability_names_an_unknown_vertex(fig4b):
+    for walk in (fig4b.reachable_from, fig4b.reaching):
+        with pytest.raises(GraphError, match="^unknown vertex nope$"):
+            walk("nope")
+
+
 def test_path_guard():
     edges = []
     # ladder of diamonds: 2**12 paths

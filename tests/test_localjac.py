@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jacfact.expr import Sym, UNIT, fma_cost, format_expr, parse_expr
-from jacfact.graph import parse_graph
+from jacfact.graph import GraphError, parse_graph
 from jacfact.localjac import (
     JacobianError,
     LocalJacobian,
@@ -180,3 +180,11 @@ def test_dp_matches_bruteforce_on_fig_chains(fig4a, fig4b):
             accumulate(chain, t)[1] for t in enumerate_parenthesizations(len(chain))
         )
         assert dp_cost == brute
+
+
+@pytest.mark.parametrize(
+    "rows, cols", [(["nope"], ["v2"]), (["v1"], ["nope"])], ids=["row", "column"]
+)
+def test_extract_names_an_unknown_vertex(fig4b, rows, cols):
+    with pytest.raises(GraphError, match="^unknown vertex nope$"):
+        extract_local_jacobian(fig4b, rows, cols)

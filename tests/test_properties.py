@@ -10,7 +10,6 @@ from jacfact.expr import (
     expand_refs,
     fma_cost,
     format_expr,
-    normalize,
     parse_expr,
     prod,
 )
@@ -39,7 +38,7 @@ def _exprs(depth):
 @settings(max_examples=60)
 def test_graph_round_trip_identity(e):
     g = expr_to_graph(e)
-    assert graph_to_expr(g) == normalize(e)
+    assert graph_to_expr(g) is e
 
 
 @given(_exprs(3))
@@ -53,7 +52,6 @@ def test_format_never_reorders_products(e):
         if hasattr(x, "factors"):
             acc.append([format_expr(f) for f in x.factors])
 
-    e = normalize(e)
     before, after = [], []
     product_orders(e, before)
     product_orders(parse_expr(format_expr(e)), after)

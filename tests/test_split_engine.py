@@ -13,9 +13,8 @@ from collections import Counter
 import pytest
 
 from jacfact import factorize, structure
-from jacfact.expr import fma_cost, format_exprset
+from jacfact.expr import ExprSet, fma_cost, format_exprset
 from jacfact.factorize import (
-    RefRegistry,
     SplitGraph,
     _factorize,
     factorize_backward,
@@ -67,7 +66,7 @@ def test_view_and_levels_match_a_rebuild_after_every_pass(mode):
     direction = mode.rpartition("-")[2]
     total = 0
     for _, g in _differential_graphs():
-        refs = RefRegistry() if mode.startswith("refs") else None
+        refs = ExprSet() if mode.startswith("refs") else None
         total += _check_every_pass(g, direction, refs)
     assert total > 200  # the corpus really splits
 
