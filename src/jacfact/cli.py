@@ -301,6 +301,8 @@ def main(argv=None):
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if getattr(args, "trials", 1) < 1:
+            parser.error(f"argument --trials: must be at least 1, not {args.trials}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

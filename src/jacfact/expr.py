@@ -28,10 +28,11 @@ class ExprError(ValueError):
 
 
 class ExprSyntaxError(ExprError):
-    """Raised by the parser; carries the offending position."""
+    """Raised by the parser; carries the reason and the offending position."""
 
     def __init__(self, message, position):
         super().__init__(f"{message} (at position {position})")
+        self.reason = message
         self.position = position
 
 
@@ -444,18 +445,18 @@ def parse_exprset(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        m = _ENTRY_LINE.match(line)
-        if m:
-            s.add_entry(m.group(1), m.group(2), parse_expr(m.group(3)))
-            continue
-        m = _DEF_LINE.match(line)
-        if m:
-            try:
-                s.define(m.group(1), parse_expr(m.group(2)))
-            except ExprSyntaxError as exc:
-                raise ExprSyntaxError(f"line {lineno}: {exc}", exc.position)
-            continue
-        raise ExprError(f"line {lineno}: expected 'name = expr' or 'J[r,t] = expr'")
+        entry = _ENTRY_LINE.match(line)
+        m = entry or _DEF_LINE.match(line)
+        if not m:
+            raise ExprError(f"line {lineno}: expected 'name = expr' or 'J[r,t] = expr'")
+        try:
+            e = parse_expr(m.group(3) if entry else m.group(2))
+        except ExprSyntaxError as exc:
+            raise ExprSyntaxError(f"line {lineno}: {exc.reason}", exc.position) from None
+        if entry:
+            s.add_entry(m.group(1), m.group(2), e)
+        else:
+            s.define(m.group(1), e)
     return s
 
 

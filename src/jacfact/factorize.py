@@ -37,13 +37,10 @@ from .graph import (
 )
 from .structure import (
     ComplexBlockError,
-    block_cedge,
-    chain_cedge,
     contract,
     edge_cedge,
     edges_expr,
     region_expr,
-    run_through,
 )
 
 
@@ -178,94 +175,40 @@ class WorkGraph:
 class SplitGraph(WorkGraph):
     """The working graph of the split passes in one direction.
 
-    Besides the edges it keeps the contracted view, `by_src` and `by_dst`
-    (vertex -> {CEdge: None}), equal to ``contract()`` of the current graph;
-    each vertex's level, the length of the longest root path to it (what
-    ``depth_levels`` gives every vertex but a terminal); and `crowded`, the
-    vertices whose contracted in-degree (backward) or out-degree (forward)
-    is above one.  A split pass edits the edges around one vertex and
-    re-contracts only the CEdges it touched, so no pass rebuilds or
-    re-contracts the whole graph.
+    Besides the edges it keeps `view`, the contraction of the current graph
+    held at its fixpoint, whose `by_src` and `by_dst` (vertex ->
+    {CEdge: None}) it exposes; each vertex's level, the length of the
+    longest root path to it (what ``depth_levels`` gives every vertex but a
+    terminal); and `crowded`, the vertices whose contracted in-degree
+    (backward) or out-degree (forward) is above one.  A split pass detaches
+    and attaches the CEdges around one vertex and runs the contraction
+    around them, so no pass rebuilds or re-contracts the whole graph.
     """
 
     def __init__(self, g, direction):
         super().__init__(g)
         self.backward = direction == "backward"
-        self.by_src, self.by_dst = {}, {}
-        self._between = {}  # (src, dst) -> {CEdge: None}
+        self.view = contract(g, record=False)
+        self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
         self.crowded = set()
-        self._parallel = []  # (src, dst) pairs that came to hold two CEdges
-        self._dirty = []  # vertices whose CEdges changed since the last settle
+        self._recount(g.vertices)
         self._stale = set()  # vertices whose in-edges changed since the last relevel
-        for ce in contract(g, record=False).edges:
-            self._attach(ce)
-        self._dirty.clear()
         self.level = {}
         for v in g.topo_order:
             preds = g.in_edges(v)
             if g.out_edges(v):
                 self.level[v] = 1 + max(self.level[e.src] for e in preds) if preds else 0
 
-    # -- the contracted view --------------------------------------------------
-
-    def _attach(self, ce):
-        self.by_src.setdefault(ce.src, {})[ce] = None
-        self.by_dst.setdefault(ce.dst, {})[ce] = None
-        between = self._between.setdefault((ce.src, ce.dst), {})
-        between[ce] = None
-        if len(between) == 2:
-            self._parallel.append((ce.src, ce.dst))
-        v, side = (ce.dst, self.by_dst) if self.backward else (ce.src, self.by_src)
-        if len(side[v]) > 1:
-            self.crowded.add(v)
-        self._dirty += (ce.src, ce.dst)
-
-    def _detach(self, ce):
-        for key, side in ((ce.src, self.by_src), (ce.dst, self.by_dst),
-                          ((ce.src, ce.dst), self._between)):
-            at = side[key]
-            del at[ce]
-            if not at:
-                del side[key]
-        v, side = (ce.dst, self.by_dst) if self.backward else (ce.src, self.by_src)
-        if len(side.get(v, ())) < 2:
-            self.crowded.discard(v)
-        self._dirty += (ce.src, ce.dst)
+    def _recount(self, vertices):
+        side = self.by_dst if self.backward else self.by_src
+        for v in vertices:
+            if len(side.get(v, ())) > 1:
+                self.crowded.add(v)
+            else:
+                self.crowded.discard(v)
 
     def _attach_edge(self, eid):
-        self._attach(edge_cedge(self.edges[eid], self.stamp[eid]))
-
-    def _is_link(self, v):
-        return len(self.by_src.get(v, ())) == 1 and len(self.by_dst.get(v, ())) == 1
-
-    def _settle(self):
-        """Contract to fixpoint around the CEdges that changed.
-
-        Parallel CEdges merge as soon as they meet and the runs through the
-        vertices whose CEdges changed collapse.  Series and parallel merges
-        reach the same fixpoint in any order, so the view equals a
-        contraction of the whole graph from scratch.
-        """
-        parallel, work = self._parallel, self._dirty
-        while parallel or work:
-            if parallel:
-                group = self._between.get(parallel.pop())
-                if group is not None and len(group) > 1:
-                    group = list(group)
-                    for c in group:
-                        self._detach(c)
-                    self._attach(block_cedge(group))
-                continue
-            x = work.pop()
-            if self._is_link(x):
-                run = run_through(
-                    next(iter(self.by_dst[x])), self._is_link,
-                    lambda v: next(iter(self.by_dst[v])),
-                    lambda v: next(iter(self.by_src[v])),
-                )
-                for c in run:
-                    self._detach(c)
-                self._attach(chain_cedge(run))
+        self.view.attach(edge_cedge(self.edges[eid], self.stamp[eid]))
 
     # -- levels ---------------------------------------------------------------
 
@@ -333,7 +276,7 @@ class SplitGraph(WorkGraph):
         routes = sorted(routes, key=lambda ce: ce.seq)
         carried = sorted(carried, key=lambda ce: ce.seq)
         for ce in routes + carried:
-            self._detach(ce)
+            self.view.detach(ce)
 
         # In ref mode, structures that would be copied become reference edges.
         if refs is not None:
@@ -362,7 +305,7 @@ class SplitGraph(WorkGraph):
             ends = {"dst": copy} if backward else {"src": copy}
             if route.kind == "edge":
                 ends["original"] = moved
-            self._attach(replace(route, **ends))
+            self.view.attach(replace(route, **ends))
             for ce in carried:
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
                 if ce.kind == "edge":
@@ -373,13 +316,13 @@ class SplitGraph(WorkGraph):
         for ce in carried:
             for eid in ce.emembers:
                 self.remove(eid)
-        self._settle()
+        self._recount(self.view.run())
         self._relevel()
         return True
 
     def _copy_substructure(self, ce, new_src, new_dst, prov):
         """Fresh copy of a substitute structure's members between the given
-        endpoints, as raw edges for `_settle` to contract."""
+        endpoints, as raw edges for the view to contract."""
         vmap = {}
         for v in sorted(ce.vmembers):
             vmap[v] = self.fresh_vertex(v)

@@ -299,12 +299,13 @@ def check_equiv(a, b, trials=100, seed=0):
 
     Supports must match exactly, and values are compared exactly in the
     field.  The report carries every mismatching (pair, seed), trial by
-    trial, so a failure is reproducible.
+    trial, so a failure is reproducible.  Fewer than one trial raises
+    :class:`OracleError`: it would compare nothing.
     """
+    if trials < 1:
+        raise OracleError(f"need at least one trial, not {trials}")
     labels = labels_of(a) | labels_of(b)
     report = EquivReport(trials)
-    if trials < 1:
-        return report
     batch = draw_trials(labels, seed, trials)
     va = eval_artifact(a, batch)
     vb = eval_artifact(b, batch)

@@ -1,12 +1,14 @@
 """Recognition of chains, blocks and complex blocks, plus cross-level
 segmentation.
 
-Recognition works by iterated contraction: maximal single-track runs collapse
-into chain edges, parallel edges merge into block edges, and the loop repeats
-until nothing moves.  Regions that refuse to contract are complex blocks.
-The same machinery contracts a region's edge list, as
-:func:`~jacfact.graph.region_edges` gives it, to the algebraic expression of
-a simple region, and gives the contracted view the factorization passes use.
+Recognition works by series-parallel contraction: parallel edges merge into
+block edges, maximal single-track runs collapse into chain edges, and the
+rounds repeat until nothing moves.  Regions that refuse to contract are
+complex blocks.  There is one contraction engine, :class:`_Contraction`,
+kept at its fixpoint under edits: it contracts a graph for recognition, a
+region's edge list, as :func:`~jacfact.graph.region_edges` gives it, to the
+algebraic expression of a simple region, and it is the contracted view the
+split passes edit and re-contract around the vertices they touch.
 """
 from __future__ import annotations
 
@@ -87,122 +89,64 @@ def edge_cedge(e, seq):
     )
 
 
-def block_cedge(group, book=None):
-    """The block substitute for `group`, CEdges sharing both endpoints.
-
-    A block among them, formed earlier between the same endpoints, is an
-    artifact of pass scheduling: its branches fold back in, so the result
-    does not depend on the order in which parallels were merged.  `book`,
-    when given, is the :class:`_Contraction` that keeps the records.
-    """
-    group = sorted(group, key=lambda c: c.seq)
-    src, dst = group[0].src, group[0].dst
-    branches = []
-    for c in group:
-        if c.kind == "block" and c.branches:
-            if book is not None:
-                book._drop_record(c.record_idx)
-            branches.extend(c.branches)
-        else:
-            branches.append(c.as_branch())
-    branches.sort(key=lambda b: b[0])
-    simple = all(k == "edge" or s for _, _, k, s, _ in branches)
-    direct = all(k == "edge" or (k == "chain" and d) for _, _, k, _, d in branches)
-    if not simple:
-        kind = "complex-block"
-    elif direct:
-        kind = "direct-simple-block"
-    else:
-        kind = "indirect-simple-block"
-    vmem = frozenset().union(*[c.vmembers for c in group])
-    emem = frozenset().union(*[c.emembers for c in group])
-    expr = None
-    if simple and all(e is not None for _, e, *_ in branches):
-        expr = add(*[e for _, e, *_ in branches])
-    idx = -1
-    if book is not None:
-        idx = book._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
-    return CEdge(
-        src, dst, expr, "block", simple, direct,
-        vmem, emem, None, group[0].seq, idx, tuple(branches),
-    )
-
-
-def chain_cedge(run, book=None):
-    """The chain substitute for `run`, CEdges end to end; `book` as in
-    :func:`block_cedge`.  A chain inside the run is flattened into it."""
-    if book is not None:
-        for c in run:
-            if c.kind == "chain":
-                book._drop_record(c.record_idx)  # superseded by longer run
-    src, dst = run[0].src, run[-1].dst
-    interior = {c.src for c in run[1:]}
-    vmem = frozenset(interior).union(*[c.vmembers for c in run])
-    emem = frozenset().union(*[c.emembers for c in run])
-    direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
-    simple = all(c.kind == "edge" or c.simple for c in run)
-    if direct:
-        kind = "direct-simple-chain"
-    elif simple:
-        kind = "indirect-simple-chain"
-    else:
-        kind = "complex-chain"
-    expr = None
-    if all(c.expr is not None for c in run):
-        expr = prod(*[c.expr for c in run])
-    idx = -1
-    if book is not None:
-        idx = book._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
-    return CEdge(
-        src, dst, expr, "chain", simple, direct,
-        vmem, emem, None, min(c.seq for c in run), idx,
-    )
-
-
-def run_through(c, is_link, into, out_of, taken=()):
-    """The maximal run of CEdges through `c` across link vertices.
-
-    `into(v)` and `out_of(v)` give a link's one in- and out-CEdge; the run
-    stops before a CEdge whose id is in `taken`.
-    """
-    head, tail, seen = [], [c], {id(c)}
-    v = c.src
-    while is_link(v):
-        prev = into(v)
-        if id(prev) in taken or id(prev) in seen:
-            break
-        head.append(prev)
-        seen.add(id(prev))
-        v = prev.src
-    v = c.dst
-    while is_link(v):
-        nxt = out_of(v)
-        if id(nxt) in taken or id(nxt) in seen:
-            break
-        tail.append(nxt)
-        seen.add(id(nxt))
-        v = nxt.dst
-    head.reverse()
-    return head + tail
-
-
 _SEQ = operator.attrgetter("seq")
 
 
 class _Contraction:
+    """Series-parallel contraction of an edge list, kept at its fixpoint
+    under edits.
+
+    The live CEdges sit in attach order, indexed by source (`by_src`),
+    destination (`by_dst`) and endpoint pair (`between`), each a mapping to
+    ``{CEdge: None}``.  :meth:`attach` and :meth:`detach` edit them and mark
+    the endpoints changed; :meth:`run` contracts around the changed vertices
+    until nothing moves.  With `record`, every chain and block formed is
+    appended to `records` as a :class:`Structure`; one absorbed into a longer
+    chain or a wider block has its entry set to None rather than removed, so
+    every `record_idx` stays valid from run to run.
+    """
+
     def __init__(self, edges, record=True):
-        self.edges = [edge_cedge(e, i) for i, e in enumerate(edges)]
-        self.seq = len(self.edges)
+        self.live = {}  # CEdge -> attach position
+        self.by_src, self.by_dst, self.between = {}, {}, {}
         self.records = [] if record else None
+        self._attached = 0
+        self._parallel = []  # pairs that came to hold two CEdges
+        self._changed = set()  # vertices whose CEdges changed since the last run
+        for i, e in enumerate(edges):
+            self.attach(edge_cedge(e, i))
+        self.seq = len(self.live)
+
+    @property
+    def edges(self):
+        return list(self.live)
 
     # -- bookkeeping ---------------------------------------------------------
 
-    def _adj(self):
-        out, inn = {}, {}
-        for c in self.edges:
-            out.setdefault(c.src, []).append(c)
-            inn.setdefault(c.dst, []).append(c)
-        return out, inn
+    def attach(self, ce):
+        src, dst = ce.src, ce.dst
+        self.live[ce] = self._attached
+        self._attached += 1
+        self.by_src.setdefault(src, {})[ce] = None
+        self.by_dst.setdefault(dst, {})[ce] = None
+        between = self.between.setdefault((src, dst), {})
+        between[ce] = None
+        if len(between) == 2:
+            self._parallel.append((src, dst))
+        self._changed.add(src)
+        self._changed.add(dst)
+
+    def detach(self, ce):
+        src, dst = ce.src, ce.dst
+        del self.live[ce]
+        for key, index in ((src, self.by_src), (dst, self.by_dst),
+                           ((src, dst), self.between)):
+            at = index[key]
+            del at[ce]
+            if not at:
+                del index[key]
+        self._changed.add(src)
+        self._changed.add(dst)
 
     def _next_seq(self):
         self.seq += 1
@@ -218,48 +162,122 @@ class _Contraction:
         if self.records is not None and idx >= 0:
             self.records[idx] = None
 
-    # -- contraction passes ---------------------------------------------------
+    # -- substitutes ------------------------------------------------------------
 
-    def merge_parallels(self):
-        groups = {}
-        for c in self.edges:
-            groups.setdefault((c.src, c.dst), []).append(c)
-        merged, subs = set(), []
-        for group in groups.values():
-            if len(group) > 1:
-                merged.update(map(id, group))
-                subs.append(block_cedge(group, self))
-        if subs:
-            self.edges = [c for c in self.edges if id(c) not in merged] + subs
-        return bool(subs)
+    def _block(self, group):
+        """The block substitute for `group`, CEdges sharing both endpoints.
 
-    def collapse_chains(self):
-        out, inn = self._adj()
-        links = {v for v, cs in out.items() if len(cs) == 1 and len(inn.get(v, ())) == 1}
-        at_link = [c for c in self.edges if c.src in links or c.dst in links]
-        visited = set()
-        runs = []
-        for c in sorted(at_link, key=_SEQ):
-            if id(c) in visited:
-                continue
-            run = run_through(c, links.__contains__, lambda v: inn[v][0], lambda v: out[v][0], visited)
-            if len(run) < 2:
-                continue
-            visited.update(map(id, run))
-            runs.append(run)
-        if runs:
-            self.edges = [c for c in self.edges if id(c) not in visited]
-            self.edges += [chain_cedge(run, self) for run in runs]
-        return bool(runs)
+        A block among them, formed earlier between the same endpoints, is an
+        artifact of pass scheduling: its branches fold back in, so the result
+        does not depend on the order in which parallels were merged.
+        """
+        group = sorted(group, key=_SEQ)
+        src, dst = group[0].src, group[0].dst
+        branches = []
+        for c in group:
+            if c.kind == "block" and c.branches:
+                self._drop_record(c.record_idx)
+                branches.extend(c.branches)
+            else:
+                branches.append(c.as_branch())
+        branches.sort(key=lambda b: b[0])
+        simple = all(k == "edge" or s for _, _, k, s, _ in branches)
+        direct = all(k == "edge" or (k == "chain" and d) for _, _, k, _, d in branches)
+        if not simple:
+            kind = "complex-block"
+        elif direct:
+            kind = "direct-simple-block"
+        else:
+            kind = "indirect-simple-block"
+        vmem = frozenset().union(*[c.vmembers for c in group])
+        emem = frozenset().union(*[c.emembers for c in group])
+        expr = None
+        if simple and all(e is not None for _, e, *_ in branches):
+            expr = add(*[e for _, e, *_ in branches])
+        idx = self._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
+        return CEdge(
+            src, dst, expr, "block", simple, direct,
+            vmem, emem, None, group[0].seq, idx, tuple(branches),
+        )
+
+    def _chain(self, run):
+        """The chain substitute for `run`, CEdges end to end.  A chain inside
+        the run is flattened into it."""
+        for c in run:
+            if c.kind == "chain":
+                self._drop_record(c.record_idx)  # superseded by longer run
+        src, dst = run[0].src, run[-1].dst
+        interior = {c.src for c in run[1:]}
+        vmem = frozenset(interior).union(*[c.vmembers for c in run])
+        emem = frozenset().union(*[c.emembers for c in run])
+        direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
+        simple = all(c.kind == "edge" or c.simple for c in run)
+        if direct:
+            kind = "direct-simple-chain"
+        elif simple:
+            kind = "indirect-simple-chain"
+        else:
+            kind = "complex-chain"
+        expr = None
+        if all(c.expr is not None for c in run):
+            expr = prod(*[c.expr for c in run])
+        idx = self._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
+        return CEdge(
+            src, dst, expr, "chain", simple, direct,
+            vmem, emem, None, min(c.seq for c in run), idx,
+        )
+
+    # -- contraction ------------------------------------------------------------
+
+    def _is_link(self, v):
+        return len(self.by_src.get(v, ())) == 1 and len(self.by_dst.get(v, ())) == 1
+
+    def _run_through(self, v):
+        """The maximal run of CEdges through link vertex `v`."""
+        head = [next(iter(self.by_dst[v]))]
+        while self._is_link(head[-1].src):
+            head.append(next(iter(self.by_dst[head[-1].src])))
+        head.reverse()
+        tail = [next(iter(self.by_src[v]))]
+        while self._is_link(tail[-1].dst):
+            tail.append(next(iter(self.by_src[tail[-1].dst])))
+        return head + tail
 
     def run(self):
-        changed = True
-        while changed:
-            changed = self.merge_parallels()
-            changed = self.collapse_chains() or changed
-        if self.records is not None:
-            self.records = [r for r in self.records if r is not None]
-        return self
+        """Contract to fixpoint around the vertices changed since the last
+        run; returns those and every vertex the run changed.
+
+        Each round merges every parallel group, in the attach order of the
+        groups' first members, then collapses every maximal run through a
+        changed link vertex, in seq order.  Series and parallel reductions
+        are confluent, so the fixpoint does not depend on where the edits
+        were; started with every vertex changed, the rounds are those of a
+        sweep over the whole edge list.
+        """
+        touched = set()
+        while self._changed:
+            pairs, self._parallel = dict.fromkeys(self._parallel), []
+            groups = [self.between[p] for p in pairs if len(self.between.get(p, ())) > 1]
+            groups.sort(key=lambda at: self.live[next(iter(at))])
+            for at in groups:
+                group = list(at)
+                for c in group:
+                    self.detach(c)
+                self.attach(self._block(group))
+            changed, self._changed = self._changed, set()
+            touched |= changed
+            runs, inside = [], set()
+            for v in changed:
+                if v not in inside and self._is_link(v):
+                    run = self._run_through(v)
+                    inside.update(c.dst for c in run[:-1])
+                    runs.append(run)
+            runs.sort(key=lambda run: min(map(_SEQ, run)))
+            for run in runs:
+                for c in run:
+                    self.detach(c)
+                self.attach(self._chain(run))
+        return touched
 
     # -- complex-region handling ----------------------------------------------
 
@@ -271,19 +289,19 @@ class _Contraction:
         a-to-b path.  `order` is a topological order of the contracted
         graph's vertices, such as the original graph's.
         """
-        out, inn = self._adj()
-        down = lambda v: [c.dst for c in out.get(v, [])]
-        up = lambda v: [c.src for c in inn.get(v, [])]
+        out, inn = self.by_src, self.by_dst
+        down = lambda v: [c.dst for c in out.get(v, ())]
+        up = lambda v: [c.src for c in inn.get(v, ())]
         verts = set(out) | set(inn)
         below = {v: reach(v, down) for v in verts}
         above = {v: reach(v, up) for v in verts}
         candidates = []
         for a in sorted(verts):
-            if len(out.get(a, [])) < 2:
+            if len(out.get(a, ())) < 2:
                 continue
             from_a = path_counts(a, down, order)
             for b in sorted(below[a]):
-                if len(inn.get(b, [])) < 2:
+                if len(inn.get(b, ())) < 2:
                     continue
                 region = (below[a] & above[b]) | {a, b}
                 interior = region - {a, b}
@@ -292,7 +310,8 @@ class _Contraction:
                 if any(
                     c.src not in region or c.dst not in region
                     for m in interior
-                    for c in out.get(m, []) + inn.get(m, [])
+                    for side in (out, inn)
+                    for c in side.get(m, ())
                 ):
                     continue
                 to_b = path_counts(b, up, reversed(order))
@@ -303,32 +322,37 @@ class _Contraction:
         return candidates
 
     def substitute_stuck_block(self, a, b, region):
-        group = [c for c in self.edges if c.src in region and c.dst in region]
+        group = [c for c in self.live if c.src in region and c.dst in region]
         vmem = (region - {a, b}) | frozenset().union(*[c.vmembers for c in group])
         emem = frozenset().union(*[c.emembers for c in group])
         idx = self._record(Structure("complex-block", a, b, region | vmem, emem))
-        sub = CEdge(a, b, None, "block", False, False, frozenset(vmem), emem,
-                    None, self._next_seq(), idx)
-        gone = set(map(id, group))
-        self.edges = [c for c in self.edges if id(c) not in gone] + [sub]
+        for c in group:
+            self.detach(c)
+        self.attach(CEdge(a, b, None, "block", False, False, frozenset(vmem), emem,
+                          None, self._next_seq(), idx))
 
 
 def contract(g, record=True):
-    """Contract to fixpoint; returns the contraction state."""
-    return _Contraction(g.edges, record=record).run()
+    """Contract to fixpoint; returns the contraction state, its records
+    without the superseded ones."""
+    c = _Contraction(g.edges, record=record)
+    c.run()
+    if c.records is not None:
+        c.records = [r for r in c.records if r is not None]
+    return c
 
 
 def find_structures(g):
     """All maximal chains and blocks, innermost first, complex regions
     included.  Deterministic for a fixed input graph."""
-    c = contract(g)
+    c = _Contraction(g.edges)
     while True:
+        c.run()
         stuck = c.find_stuck_blocks(g.topo_order)
         if not stuck:
             break
         _, a, b, region = stuck[0]
         c.substitute_stuck_block(a, b, region)
-        c.run()
     return [r for r in c.records if r is not None]
 
 
@@ -367,9 +391,10 @@ def edges_expr(edges, src, sink):
     """Algebraic expression of a region given as its edge list, such as
     :func:`~jacfact.graph.region_edges` returns for (src, sink); raises
     :class:`ComplexBlockError` when the edges contract to more than one."""
-    c = _Contraction(edges, record=False).run()
-    if len(c.edges) == 1:
-        return c.edges[0].expr
+    c = _Contraction(edges, record=False)
+    c.run()
+    if len(c.live) == 1:
+        return next(iter(c.live)).expr
     raise ComplexBlockError(src, sink)
 
 

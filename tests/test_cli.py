@@ -146,6 +146,31 @@ def test_verify_support_mismatch(capsys, tmp_path):
     assert "support" in err
 
 
+@pytest.mark.parametrize("trials", ["0", "-3"])
+def test_trials_below_one_is_a_usage_error(capsys, trials):
+    code, out, err = run_cli(
+        capsys, "verify", str(FIXTURES / "fig4a.graph"), str(FIXTURES / "fig4b.graph"),
+        "--trials", trials,
+    )
+    assert code == 1 and not out
+    assert "--trials: must be at least 1" in err
+    code, out, err = run_cli(
+        capsys, "factorize", str(FIXTURES / "fig4a.graph"), "--direction", "backward",
+        "--trials", trials,
+    )
+    assert code == 1 and not out
+    assert "--trials: must be at least 1" in err
+
+
+@pytest.mark.parametrize("line", ["J[a,b] = (x", "s1 = (x"])
+def test_exprset_syntax_error_names_the_line_once(capsys, tmp_path, line):
+    bad = tmp_path / "bad.exprs"
+    bad.write_text(line + "\n")
+    code, _, err = run_cli(capsys, "verify", str(bad), str(bad))
+    assert code == 2
+    assert err == f"error: {bad}: line 1: expected ')' (at position 2)\n"
+
+
 def test_guard_exit_code(capsys, tmp_path):
     edges = []
     for i in range(25):

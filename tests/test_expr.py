@@ -55,6 +55,14 @@ def test_syntax_error_position():
     assert err.value.position == 7
 
 
+@pytest.mark.parametrize("line", ["J[a,b] = (x", "s1 = (x"])
+def test_exprset_syntax_error_names_its_line(line):
+    with pytest.raises(ExprSyntaxError) as err:
+        parse_exprset("J[u,v] = e1\n" + line + "\n")
+    assert str(err.value) == "line 2: expected ')' (at position 2)"
+    assert err.value.position == 2
+
+
 @pytest.mark.parametrize(
     "text",
     ["a", "a*b", "a+b", "a*(b+c)*d", "(a+b*c)*(d+e)+f", "s1*(e2+e3*s2)"],

@@ -212,6 +212,24 @@ def test_extended_absorb_s_subset():
     assert _value_snapshot(lg, set("abcde")) == before
 
 
+def test_extended_absorb_p_subset():
+    # mirror of the s-subset case: k runs alongside (i, j) with fewer predecessors
+    lg, ids = _build(
+        {"i": "a", "j": "b", "k": "c", "m1": "d", "m2": "e"},
+        [("X", "m1"), ("X", "m2"), ("m1", "i"), ("m2", "i"), ("m1", "k"),
+         ("i", "j"), ("j", "Y"), ("k", "Y")],
+        ["X"], ["Y"],
+    )
+    before = _value_snapshot(lg, set("abcde"))
+    steps = extended_rewrite(lg, "absorb-p-subset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
+    assert steps[0].kind == "extended-absorb-subset"
+    assert lg.has_edge(ids["i"], ids["j"])  # face retained
+    assert lg.vertices[ids["i"]].preds == {ids["m2"]}  # P_i shrunk
+    assert format_expr(lg.vertices[ids["k"]].label) == "c+a*b"
+    assert _value_snapshot(lg, set("abcde")) == before
+
+
 def test_extended_absorb_equal_delegates():
     lg, ids = _build(
         {"i": "a", "j": "b", "k": "c", "m1": "d"},
@@ -245,6 +263,27 @@ def test_extended_fillin_s_superset():
     assert _value_snapshot(lg, labels) == before
 
 
+def test_extended_fillin_p_superset():
+    # mirror of the s-superset case: k has more sources than i
+    lg, ids = _build(
+        {"i": "a", "j": "b", "k": "c", "u": "u", "w": "w", "m1": "d", "m2": "e"},
+        [("j", "Y"), ("u", "Y2"), ("i", "j"), ("i", "u"), ("w", "j"),
+         ("k", "Y"), ("m1", "i"), ("m1", "k"), ("m2", "k"),
+         ("X", "m1"), ("X2", "m2"), ("X2", "w")],
+        ["X", "X2"], ["Y", "Y2"],
+    )
+    labels = set("abcde") | {"u", "w"}
+    before = _value_snapshot(lg, labels)
+    steps = extended_rewrite(lg, "fillin-p-superset", ids["i"], ids["j"], ids["k"])
+    _check_index(lg)
+    assert steps[0].kind == "extended-fillin-superset"
+    created = steps[0].created[0]
+    assert format_expr(lg.vertices[created].label) == "a*b+c"
+    assert lg.vertices[ids["k"]].preds == {ids["m2"]}  # P_k shrunk by P_i
+    assert not lg.has_edge(ids["i"], ids["j"])
+    assert _value_snapshot(lg, labels) == before
+
+
 def test_extended_merge_p_superset():
     lg, ids = _build(
         {"i": "a", "k": "b", "m": "m", "q": "q"},
@@ -259,6 +298,23 @@ def test_extended_merge_p_superset():
     assert steps[0].kind == "extended-merge-superset"
     assert format_expr(lg.vertices[ids["i"]].label) == "a+b"
     assert lg.sources["Y"] not in lg.vertices[ids["k"]].preds
+    assert _value_snapshot(lg, labels) == before
+
+
+def test_extended_merge_s_superset():
+    lg, ids = _build(
+        {"i": "a", "k": "b", "m": "m", "q": "q"},
+        [("i", "Y"), ("k", "Y"), ("q", "Y2"), ("k", "q"),
+         ("m", "i"), ("m", "k"), ("X", "m")],
+        ["X"], ["Y", "Y2"],
+    )
+    labels = {"a", "b", "m", "q"}
+    before = _value_snapshot(lg, labels)
+    steps = extended_rewrite(lg, "merge-s-superset", ids["i"], k=ids["k"])
+    _check_index(lg)
+    assert steps[0].kind == "extended-merge-superset"
+    assert format_expr(lg.vertices[ids["i"]].label) == "a+b"
+    assert lg.sinks["Y"] not in lg.vertices[ids["k"]].succs
     assert _value_snapshot(lg, labels) == before
 
 

@@ -23,6 +23,7 @@ from jacfact.graph import (
 from jacfact.oracle import (
     PRIME,
     Instantiation,
+    OracleError,
     SupportMismatch,
     bauer_eval,
     check_equiv,
@@ -93,6 +94,12 @@ def test_check_equiv_support_mismatch(fig4a):
     other = parse_exprset("J[v1,v6] = e1\n")
     with pytest.raises(SupportMismatch):
         check_equiv(fig4a, other)
+
+
+@pytest.mark.parametrize("trials", [0, -3])
+def test_check_equiv_needs_a_trial(fig4a, fig4b, trials):
+    with pytest.raises(OracleError, match="at least one trial"):
+        check_equiv(fig4a, fig4b, trials=trials)
 
 
 def test_eval_exprset_defs_once():

@@ -69,6 +69,24 @@ def test_classify_block_complex(fig4b):
         classify_block(fig4b, "v5", "v9")
 
 
+def test_complex_block_survives_a_later_chain():
+    # once the complex block a -> b is substituted, the chain x -> h absorbs
+    # the chain b -> h: that chain's record must go, not the block's
+    g = parse_graph(
+        "e e0 x a\ne e1 a p\ne e2 a q\ne e3 p q\ne e4 p b\ne e5 q b\n"
+        "e e6 b c\ne e7 c d\ne e8 d f\ne e9 d g\ne e10 f h\ne e11 g h\n"
+    )
+    found = [(s.kind, s.src, s.sink, sorted(s.edges)) for s in find_structures(g)]
+    assert found == [
+        ("direct-simple-chain", "d", "h", ["e10", "e8"]),
+        ("direct-simple-chain", "d", "h", ["e11", "e9"]),
+        ("direct-simple-block", "d", "h", ["e10", "e11", "e8", "e9"]),
+        ("complex-block", "a", "b", ["e1", "e2", "e3", "e4", "e5"]),
+        ("complex-chain", "x", "h", sorted(f"e{i}" for i in range(12))),
+    ]
+    assert classify_block(g, "a", "b").kind == "complex-block"
+
+
 def test_block_materializes_after_split(fig4b):
     # after the backward pass splits v7/v8, the region below v5 is isolated
     from jacfact.factorize import factorize_backward
