@@ -198,9 +198,7 @@ def cmd_eliminate(args):
     else:
         order = _parse_order_file(_read(args.order))
     try:
-        trace = linegraph.run_elimination(
-            lg, order, defs=defs, allow_extended=args.allow_extended
-        )
+        trace = linegraph.run_elimination(lg, order, defs=defs)
     except linegraph.FaceError as exc:
         raise CliError(str(exc), EXIT_USAGE)
     cost = linegraph.trace_mult_count(trace)
@@ -278,7 +276,6 @@ def build_parser():
     group = sp.add_mutually_exclusive_group(required=True)
     group.add_argument("--order", help="face order file, one '<expr> | <expr>' per line")
     group.add_argument("--from-exprset", help="derive a safe order from this set")
-    sp.add_argument("--allow-extended", action="store_true")
     sp.add_argument("--trace", help="write the elimination trace (JSON lines)")
     sp.set_defaults(func=cmd_eliminate)
 

@@ -33,6 +33,7 @@ from .graph import (
     depth_levels,
     region_edges,
     roots_reaching,
+    rt_degrees,
     terminals_reachable,
 )
 from .structure import (
@@ -193,11 +194,8 @@ class SplitGraph(WorkGraph):
         self.crowded = set()
         self._recount(g.vertices)
         self._stale = set()  # vertices whose in-edges changed since the last relevel
-        self.level = {}
-        for v in g.topo_order:
-            preds = g.in_edges(v)
-            if g.out_edges(v):
-                self.level[v] = 1 + max(self.level[e.src] for e in preds) if preds else 0
+        levels, _ = depth_levels(g)
+        self.level = {v: lv for v, lv in levels.items() if g.out_edges(v)}
 
     def _recount(self, vertices):
         side = self.by_dst if self.backward else self.by_src
@@ -435,8 +433,6 @@ def _replace_simple_structures(page, transcript):
 
 
 def _pivots(g):
-    from .graph import rt_degrees
-
     levels, _ = depth_levels(g)
     roots, terminals = set(g.roots), set(g.terminals)
     inter = sorted(g.vertices - roots - terminals)

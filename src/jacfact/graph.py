@@ -87,9 +87,6 @@ class DiffGraph:
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id}") from None
 
-    def has_vertex(self, v):
-        return v in self.vertices
-
     def require(self, *vertices):
         """Raise :class:`GraphError` for the first vertex not in the graph."""
         for v in vertices:

@@ -6,7 +6,10 @@ induces a complete bipartite subgraph.  Meta source/sink vertices stand for
 the roots and terminals and are never eliminated.  Eliminating a face is one
 multiplication; absorption, fillin (with in-place reuse when a side has a
 single neighbor), merging of duplicate vertices, and removal of dead vertices
-follow the classical rules, plus the subset/superset extended rewrites.
+follow the classical rules, plus the subset/superset extended rewrites.  The
+plain and the extended rules share one rewrite core: the fill-in, arc
+cutting and merging helpers and the search for vertices with given
+neighbors.
 
 Replaying a recorded trace on the initial line graph reproduces the final
 one; the sum of per-step multiplication flags is the cost of the run.
@@ -165,6 +168,85 @@ def _mult_flag(a, b):
     return 0 if isinstance(a, _Unit) or isinstance(b, _Unit) else 1
 
 
+def _face_step(kind, i, j, ops, vid, created=False):
+    """The step of a rewrite of face (i, j) that wrote `vid`."""
+    new, old = ((vid,), ()) if created else ((), (vid,))
+    return EliminationStep(kind, (i, j), ops, created=new, updated=old, mult=_mult_flag(*ops))
+
+
+def _require_labeled(lg, *vids):
+    for vid in vids:
+        if vid not in lg.vertices:
+            raise FaceError(f"no vertex {vid}")
+        if lg.vertices[vid].kind != "label":
+            raise FaceError("faces touching meta vertices cannot be eliminated")
+
+
+def _twins(lg, preds, succs, skip):
+    """Yield, ascending, the vids of the labeled vertices not in `skip`
+    whose predecessors are `preds` and successors `succs`.  Such a vertex
+    succeeds every vertex of `preds`, so only the successors of the one with
+    the fewest are looked at.  The candidates are fixed before the first
+    yield, so the caller may remove a vertex yielded."""
+    if preds:
+        p = min(preds, key=lambda p: len(lg.vertices[p].succs))
+        candidates = sorted(lg.vertices[p].succs)
+    else:
+        candidates = list(lg.vertices)
+    for vid in candidates:
+        w = lg.vertices[vid]
+        if w.kind == "label" and vid not in skip and w.preds == preds and w.succs == succs:
+            yield vid
+
+
+def _find_absorber(lg, vi, vj):
+    """The lowest-vid labeled vertex other than `vi` and `vj` with the
+    predecessors of `vi` and the successors of `vj`."""
+    k = next(_twins(lg, vi.preds, vj.succs, (vi.vid, vj.vid)), None)
+    return None if k is None else lg.vertices[k]
+
+
+def _merge(lg, i, k):
+    """Fold the label of `k` into `i` and remove `k`."""
+    lg.relabel(i, add(lg.vertices[i].label, lg.vertices[k].label))
+    lg.remove_vertex(k)
+    return EliminationStep("merge", updated=(i,), removed=(k,))
+
+
+def _cut(lg, v, side, others):
+    """Remove the arcs between `v` and `others` on its p (predecessor) or s
+    (successor) side."""
+    for o in sorted(others):
+        if side == "p":
+            lg.remove_edge(o, v)
+        else:
+            lg.remove_edge(v, o)
+
+
+def _fill(lg, i, j, label):
+    """Drop face (i, j) and carry its flows, P_i to S_j, on one vertex
+    labeled `label`: `i` when `j` is its only successor, else `j` when `i`
+    is its only predecessor, else a new vertex.  Returns the step kind and
+    the vertex written."""
+    vi, vj = lg.vertices[i], lg.vertices[j]
+    if vi.succs == {j}:
+        kind, v = "fillin-reuse-i", i
+    elif vj.preds == {i}:
+        kind, v = "fillin-reuse-j", j
+    else:
+        kind, v = "fillin", lg.add_vertex(label)
+    lg.remove_edge(i, j)
+    if v in (i, j):
+        lg.relabel(v, label)
+    if v != i:  # a reused i keeps its predecessors
+        for p in sorted(vi.preds):
+            lg.add_edge(p, v)
+    if v != j:  # a reused j keeps its successors
+        for s in sorted(vj.succs):
+            lg.add_edge(v, s)
+    return kind, v
+
+
 def _cleanup(lg, affected):
     """Dead-vertex removal and duplicate merging, cascaded to fixpoint."""
     steps = []
@@ -180,205 +262,95 @@ def _cleanup(lg, affected):
             steps.append(EliminationStep("remove-isolated", removed=(i,)))
             queue.extend(n for n in neighbors if n in lg.vertices)
             continue
-        for j in _successors_of_all(lg, v.preds):
-            w = lg.vertices[j]
-            if j != i and w.kind == "label" and w.preds == v.preds and w.succs == v.succs:
-                lg.relabel(i, add(v.label, w.label))
-                lg.remove_vertex(j)
-                steps.append(EliminationStep("merge", updated=(i,), removed=(j,)))
-                queue.append(i)
+        for j in _twins(lg, v.preds, v.succs, (i,)):
+            steps.append(_merge(lg, i, j))
+            queue.append(i)
     return steps
-
-
-def _successors_of_all(lg, preds):
-    """Ascending vids that may have every vertex of `preds` (not empty) as a
-    predecessor: the successors of the one with the fewest."""
-    p = min(preds, key=lambda p: len(lg.vertices[p].succs))
-    return sorted(lg.vertices[p].succs)
-
-
-def _find_absorber(lg, vi, vj):
-    """The lowest-vid labeled vertex other than `vi` and `vj` with the
-    predecessors of `vi` and the successors of `vj`."""
-    if vi.preds:
-        candidates = [lg.vertices[k] for k in _successors_of_all(lg, vi.preds)]
-    else:
-        candidates = lg.labeled()
-    for k in candidates:
-        if k.kind != "label" or k is vi or k is vj:
-            continue
-        if k.preds == vi.preds and k.succs == vj.succs:
-            return k
-    return None
 
 
 def eliminate_face(lg, i, j):
     """Eliminate the intermediate face (i, j); returns the recorded steps."""
-    for vid in (i, j):
-        if vid not in lg.vertices:
-            raise FaceError(f"no vertex {vid}")
-        if lg.vertices[vid].kind != "label":
-            raise FaceError("faces touching meta vertices cannot be eliminated")
+    _require_labeled(lg, i, j)
     if not lg.has_edge(i, j):
         raise FaceError(f"face ({i}, {j}) not present")
     vi, vj = lg.vertices[i], lg.vertices[j]
-    product = prod(vi.label, vj.label)
     ops = (vi.label, vj.label)
-    mult = _mult_flag(vi.label, vj.label)
-    steps = []
+    product = prod(*ops)
     absorber = _find_absorber(lg, vi, vj)
     if absorber is not None:
-        lg.relabel(absorber.vid, add(absorber.label, product))
+        v = absorber.vid
+        lg.relabel(v, add(absorber.label, product))
         lg.remove_edge(i, j)
-        steps.append(
-            EliminationStep("absorb", (i, j), ops, updated=(absorber.vid,), mult=mult)
-        )
-        affected = [i, j, absorber.vid]
-    elif vi.succs == {j}:
-        lg.remove_edge(i, j)
-        lg.relabel(i, product)
-        for s in sorted(vj.succs):
-            lg.add_edge(i, s)
-        steps.append(EliminationStep("fillin-reuse-i", (i, j), ops, updated=(i,), mult=mult))
-        affected = [i, j]
-    elif vj.preds == {i}:
-        lg.remove_edge(i, j)
-        lg.relabel(j, product)
-        for p in sorted(vi.preds):
-            lg.add_edge(p, j)
-        steps.append(EliminationStep("fillin-reuse-j", (i, j), ops, updated=(j,), mult=mult))
-        affected = [i, j]
+        step = _face_step("absorb", i, j, ops, v)
     else:
-        k = lg.add_vertex(product)
-        for p in sorted(vi.preds):
-            lg.add_edge(p, k)
-        for s in sorted(vj.succs):
-            lg.add_edge(k, s)
-        lg.remove_edge(i, j)
-        steps.append(EliminationStep("fillin", (i, j), ops, created=(k,), mult=mult))
-        affected = [i, j, k]
-    steps.extend(_cleanup(lg, affected))
-    return steps
+        kind, v = _fill(lg, i, j, product)
+        step = _face_step(kind, i, j, ops, v, created=kind == "fillin")
+    return [step] + _cleanup(lg, [i, j, v])
 
 
 # ---------------------------------------------------------------------------
 # extended subset/superset rewrites
 
+# Each name reads op-side-relation: the flows of the partner `k` on that side
+# (p: predecessors, s: successors) are a subset or superset of the reference
+# flows, and equal on the other side.
+EXTENDED_RULES = (
+    "absorb-s-subset",
+    "absorb-p-subset",
+    "fillin-s-superset",
+    "fillin-p-superset",
+    "merge-p-superset",
+    "merge-s-superset",
+)
+
 
 def extended_rewrite(lg, rule, i, j=None, k=None):
     """Subset/superset variants of absorption, fillin and merge.
 
-    Conditions are checked exactly as stated; when the subset or superset
-    degenerates to equality the plain rule applies instead.  The operator is
-    responsible for invoking a variant only where the remaining flows keep
-    the accumulated values intact (the interior-split reading).
+    A rule record is ``(rule, i, j, k)`` for the absorb and fillin rules,
+    with (i, j) the face and `k` the partner vertex, and ``(rule, i, k)``
+    for the merge rules.  The reference flows are the face's, P_i and S_j,
+    for absorb and fillin, and `i`'s own for merge.  Conditions are checked
+    exactly as stated; when the subset or superset degenerates to equality
+    the plain rule applies instead.  The operator is responsible for
+    invoking a variant only where the remaining flows keep the accumulated
+    values intact (the interior-split reading).
     """
-    if rule in ("merge-p-superset", "merge-s-superset"):
-        vi, vk = lg.vertices[i], lg.vertices[k]
-        if rule == "merge-p-superset":
-            if not (vk.preds >= vi.preds and vk.succs == vi.succs):
-                raise FaceError("merge-p-superset condition violated")
-            if vk.preds == vi.preds:
-                lg.relabel(i, add(vi.label, vk.label))
-                lg.remove_vertex(k)
-                return [EliminationStep("merge", updated=(i,), removed=(k,))]
-            lg.relabel(i, add(vi.label, vk.label))
-            for p in sorted(vi.preds):
-                lg.remove_edge(p, k)
-        else:
-            if not (vk.preds == vi.preds and vk.succs >= vi.succs):
-                raise FaceError("merge-s-superset condition violated")
-            if vk.succs == vi.succs:
-                lg.relabel(i, add(vi.label, vk.label))
-                lg.remove_vertex(k)
-                return [EliminationStep("merge", updated=(i,), removed=(k,))]
-            lg.relabel(i, add(vi.label, vk.label))
-            for s in sorted(vi.succs):
-                lg.remove_edge(k, s)
-        steps = [EliminationStep("extended-merge-superset", updated=(i, k))]
-        steps.extend(_cleanup(lg, [i, k]))
-        return steps
-
-    if not lg.has_edge(i, j):
+    if rule not in EXTENDED_RULES:
+        raise FaceError(f"unknown rule {rule}")
+    op, side, relation = rule.split("-")
+    if op == "merge":
+        j = i  # k is compared with i's own flows
+    _require_labeled(lg, i, j, k)
+    if k in (i, j):
+        raise FaceError(f"{rule} needs a partner other than its face")
+    if op != "merge" and not lg.has_edge(i, j):
         raise FaceError(f"face ({i}, {j}) not present")
     vi, vj, vk = lg.vertices[i], lg.vertices[j], lg.vertices[k]
-    product = prod(vi.label, vj.label)
+    ref = {"p": vi.preds, "s": vj.succs}
+    own = {"p": vk.preds, "s": vk.succs}
+    other = "s" if side == "p" else "p"
+    small, big = (own[side], ref[side]) if relation == "subset" else (ref[side], own[side])
+    if own[other] != ref[other] or not small <= big:
+        raise FaceError(f"{rule} condition violated")
+    if own[side] == ref[side]:
+        return [_merge(lg, i, k)] if op == "merge" else eliminate_face(lg, i, j)
+
     ops = (vi.label, vj.label)
-    mult = _mult_flag(vi.label, vj.label)
-
-    if rule == "absorb-s-subset":
-        if not (vk.preds == vi.preds and vk.succs <= vj.succs):
-            raise FaceError("absorb-s-subset condition violated")
-        if vk.succs == vj.succs:
-            return eliminate_face(lg, i, j)
-        lg.relabel(k, add(vk.label, product))
-        for s in sorted(vk.succs):
-            lg.remove_edge(j, s)
-        steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
-                                 updated=(k,), mult=mult)]
-        steps.extend(_cleanup(lg, [i, j, k]))
-        return steps
-
-    if rule == "absorb-p-subset":
-        if not (vk.preds <= vi.preds and vk.succs == vj.succs):
-            raise FaceError("absorb-p-subset condition violated")
-        if vk.preds == vi.preds:
-            return eliminate_face(lg, i, j)
-        lg.relabel(k, add(vk.label, product))
-        for p in sorted(vk.preds):
-            lg.remove_edge(p, i)
-        steps = [EliminationStep("extended-absorb-subset", (i, j), ops,
-                                 updated=(k,), mult=mult)]
-        steps.extend(_cleanup(lg, [i, j, k]))
-        return steps
-
-    if rule in ("fillin-s-superset", "fillin-p-superset"):
-        if rule == "fillin-s-superset":
-            if not (vk.preds == vi.preds and vk.succs >= vj.succs):
-                raise FaceError("fillin-s-superset condition violated")
-            if vk.succs == vj.succs:
-                return eliminate_face(lg, i, j)
-            shrink = lambda: [lg.remove_edge(k, s) for s in sorted(vj.succs & vk.succs)]
-        else:
-            if not (vk.preds >= vi.preds and vk.succs == vj.succs):
-                raise FaceError("fillin-p-superset condition violated")
-            if vk.preds == vi.preds:
-                return eliminate_face(lg, i, j)
-            shrink = lambda: [lg.remove_edge(p, k) for p in sorted(vi.preds & vk.preds)]
-        combined = add(product, vk.label)
-        if len(vi.succs) > 1 and len(vj.preds) > 1:
-            new = lg.add_vertex(combined)
-            for p in sorted(vi.preds):
-                lg.add_edge(p, new)
-            for s in sorted(vj.succs):
-                lg.add_edge(new, s)
-            shrink()
-            lg.remove_edge(i, j)
-            steps = [EliminationStep("extended-fillin-superset", (i, j), ops,
-                                     created=(new,), mult=mult)]
-            affected = [i, j, k, new]
-        elif len(vi.succs) == 1:
-            lg.remove_edge(i, j)
-            lg.relabel(i, combined)
-            for s in sorted(vj.succs):
-                lg.add_edge(i, s)
-            shrink()
-            steps = [EliminationStep("extended-fillin-superset", (i, j), ops,
-                                     updated=(i,), mult=mult)]
-            affected = [i, j, k]
-        else:  # |P_j| == 1
-            lg.remove_edge(i, j)
-            lg.relabel(j, combined)
-            for p in sorted(vi.preds):
-                lg.add_edge(p, j)
-            shrink()
-            steps = [EliminationStep("extended-fillin-superset", (i, j), ops,
-                                     updated=(j,), mult=mult)]
-            affected = [i, j, k]
-        steps.extend(_cleanup(lg, affected))
-        return steps
-
-    raise FaceError(f"unknown rule {rule}")
+    v = k  # the vertex written, unless a fill-in writes another
+    if op == "merge":
+        lg.relabel(i, add(vi.label, vk.label))
+        _cut(lg, k, side, ref[side])
+        step = EliminationStep("extended-merge-superset", updated=(i, k))
+    elif op == "absorb":
+        lg.relabel(k, add(vk.label, prod(*ops)))
+        _cut(lg, i if side == "p" else j, side, own[side])
+        step = _face_step("extended-absorb-subset", i, j, ops, k)
+    else:
+        kind, v = _fill(lg, i, j, add(prod(*ops), vk.label))
+        _cut(lg, k, side, ref[side])
+        step = _face_step("extended-fillin-superset", i, j, ops, v, created=kind == "fillin")
+    return [step] + _cleanup(lg, [i, j, k, v])
 
 
 # ---------------------------------------------------------------------------
@@ -407,19 +379,19 @@ def resolve_vertex(lg, spec, defs=None):
     return hits[0]
 
 
-def run_elimination(lg, order, defs=None, allow_extended=False):
+def run_elimination(lg, order, defs=None):
     """Apply a face order; returns the full trace.
 
-    Order entries are (a, b) pairs resolved by value, or explicit rule
-    records ``(rule, ...)`` when extended rewrites are allowed.
+    Order entries are (a, b) face pairs or extended rule records (see
+    :func:`extended_rewrite`); :func:`resolve_vertex` resolves every operand.
     """
     trace = []
     for entry in order:
-        if allow_extended and entry and isinstance(entry[0], str) and entry[0].startswith(
-            ("absorb-", "fillin-", "merge-")
-        ):
+        if entry and entry[0] in EXTENDED_RULES:
             rule, *args = entry
             ids = [resolve_vertex(lg, a, defs) for a in args]
+            if rule.startswith("merge-"):
+                ids.insert(1, None)  # a merge record names no face, only i and k
             trace.extend(extended_rewrite(lg, rule, *ids))
             continue
         a, b = entry

@@ -341,6 +341,120 @@ def test_extended_condition_violation():
     _check_index(lg)
 
 
+# the hand-built states above, per rule: i, j, k are labeled a, b, c (i, k
+# labeled a, b for the merge rules)
+EXTENDED_STATES = {
+    "absorb-s-subset": (
+        {"i": "a", "j": "b", "k": "c", "m1": "d", "m2": "e"},
+        [("Y", "i"), ("i", "j"), ("Y", "k"), ("j", "m1"), ("j", "m2"),
+         ("k", "m1"), ("m1", "X"), ("m2", "X")],
+        ["Y"], ["X"],
+    ),
+    "absorb-p-subset": (
+        {"i": "a", "j": "b", "k": "c", "m1": "d", "m2": "e"},
+        [("X", "m1"), ("X", "m2"), ("m1", "i"), ("m2", "i"), ("m1", "k"),
+         ("i", "j"), ("j", "Y"), ("k", "Y")],
+        ["X"], ["Y"],
+    ),
+    "fillin-s-superset": (
+        {"i": "a", "j": "b", "k": "c", "u": "u", "w": "w", "m1": "d", "m2": "e"},
+        [("Y", "i"), ("Y2", "u"), ("i", "j"), ("u", "j"), ("i", "w"),
+         ("Y", "k"), ("j", "m1"), ("k", "m1"), ("k", "m2"),
+         ("m1", "X"), ("m2", "X2"), ("w", "X2")],
+        ["Y", "Y2"], ["X", "X2"],
+    ),
+    "fillin-p-superset": (
+        {"i": "a", "j": "b", "k": "c", "u": "u", "w": "w", "m1": "d", "m2": "e"},
+        [("j", "Y"), ("u", "Y2"), ("i", "j"), ("i", "u"), ("w", "j"),
+         ("k", "Y"), ("m1", "i"), ("m1", "k"), ("m2", "k"),
+         ("X", "m1"), ("X2", "m2"), ("X2", "w")],
+        ["X", "X2"], ["Y", "Y2"],
+    ),
+    "merge-p-superset": (
+        {"i": "a", "k": "b", "m": "m", "q": "q"},
+        [("Y", "i"), ("Y", "k"), ("Y2", "q"), ("q", "k"),
+         ("i", "m"), ("k", "m"), ("m", "X")],
+        ["Y", "Y2"], ["X"],
+    ),
+    "merge-s-superset": (
+        {"i": "a", "k": "b", "m": "m", "q": "q"},
+        [("i", "Y"), ("k", "Y"), ("q", "Y2"), ("k", "q"),
+         ("m", "i"), ("m", "k"), ("X", "m")],
+        ["X"], ["Y", "Y2"],
+    ),
+}
+
+# k shares i's predecessors and, for a face, j's successors, else i's own
+EQUAL_STATES = {
+    "face": (
+        {"i": "a", "j": "b", "k": "c", "m1": "d"},
+        [("Y", "i"), ("i", "j"), ("Y", "k"), ("j", "m1"), ("k", "m1"), ("m1", "X")],
+        ["Y"], ["X"],
+    ),
+    "merge": (
+        {"i": "a", "k": "b", "m": "m"},
+        [("Y", "i"), ("Y", "k"), ("i", "m"), ("k", "m"), ("m", "X")],
+        ["Y"], ["X"],
+    ),
+}
+
+
+def _direct(lg, ids, rule):
+    if rule.startswith("merge-"):
+        return extended_rewrite(lg, rule, ids["i"], k=ids["k"])
+    return extended_rewrite(lg, rule, ids["i"], ids["j"], ids["k"])
+
+
+def _outcome(lg, steps, vertspec):
+    labels = {v.vid: format_expr(v.label) for v in lg.labeled()}
+    return [s.record() for s in steps], labels, _value_snapshot(lg, set(vertspec.values()))
+
+
+@pytest.mark.parametrize("rule", linegraph.EXTENDED_RULES)
+def test_extended_record_matches_direct_call(rule):
+    spec = EXTENDED_STATES[rule]
+    lg, ids = _build(*spec)
+    direct = _outcome(lg, _direct(lg, ids, rule), spec[0])
+    assert direct[0][0]["kind"].startswith("extended-")
+    record = (rule, "a", "b") if rule.startswith("merge-") else (rule, "a", "b", "c")
+    lg, ids = _build(*spec)
+    assert _outcome(lg, run_elimination(lg, [record]), spec[0]) == direct
+    _check_index(lg)
+
+
+@pytest.mark.parametrize("rule", linegraph.EXTENDED_RULES)
+def test_extended_equal_falls_back_to_plain(rule):
+    merge = rule.startswith("merge-")
+    lg, ids = _build(*EQUAL_STATES["merge" if merge else "face"])
+    steps = _direct(lg, ids, rule)
+    _check_index(lg)
+    if merge:
+        assert [s.kind for s in steps] == ["merge"]
+        assert ids["k"] not in lg.vertices
+    else:
+        assert [s.kind for s in steps] == ["absorb", "remove-isolated", "remove-isolated"]
+        assert format_expr(lg.vertices[ids["k"]].label) == "c+a*b"
+
+
+def test_extended_operand_errors():
+    spec = EXTENDED_STATES["absorb-s-subset"]
+    lg, ids = _build(*spec)
+    before = _value_snapshot(lg, set(spec[0].values()))
+    i, j = ids["i"], ids["j"]
+    with pytest.raises(FaceError, match="no vertex 999"):
+        extended_rewrite(lg, "absorb-s-subset", i, j, 999)
+    with pytest.raises(FaceError, match="no vertex"):
+        extended_rewrite(lg, "merge-p-superset", i)  # no partner
+    with pytest.raises(FaceError, match="meta"):
+        extended_rewrite(lg, "absorb-s-subset", i, j, ids["Y"])
+    with pytest.raises(FaceError, match="partner other than"):
+        extended_rewrite(lg, "merge-s-superset", i, k=i)
+    with pytest.raises(FaceError, match="unknown rule"):
+        extended_rewrite(lg, "absorb-s-superset", i, j, ids["k"])
+    _check_index(lg)
+    assert _value_snapshot(lg, set(spec[0].values())) == before
+
+
 # ---------------------------------------------------------------------------
 # the label index and the local absorber search against full scans
 
