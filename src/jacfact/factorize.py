@@ -15,9 +15,11 @@ splits and root/terminal separations, and stubborn multi-level sections are
 compressed one level at a time.  The pages that fall out are simple per
 root-terminal pair and merge into one expression set.  Reference names come
 from :meth:`~jacfact.expr.ExprSet.intern`: ref mode interns into the set it
-returns, and the pages of one plan share one set.  Every pair region is
-the edge list :func:`~jacfact.graph.region_edges` gives; only a complex
-region that must be factorized is built into a graph.
+returns, and the pages of one plan share one set.  Every region, of a pair
+or between vertex sets, is the edge list :func:`~jacfact.graph.region_edges`
+gives: a split cuts a page into the set regions of its two sides, so pages
+never gain a vertex, and only a complex region that must be factorized is
+built into a graph.
 """
 from __future__ import annotations
 
@@ -29,12 +31,10 @@ from .graph import (
     DiffGraph,
     Edge,
     UNIT_LABEL,
-    count_paths,
     depth_levels,
+    reach,
     region_edges,
-    roots_reaching,
     rt_degrees,
-    terminals_reachable,
 )
 from .structure import (
     ComplexBlockError,
@@ -56,7 +56,6 @@ _MAX_PASSES = 10_000
 class Page:
     pid: int
     graph: DiffGraph
-    provenance: dict
     refs: ExprSet  # the reference definitions, shared by every page of a plan
     entries: list = None  # [((root, terminal), Expr)] once finalized
 
@@ -132,6 +131,15 @@ class WorkGraph:
         self._clock += 1
         self._link(e)
         return eid
+
+    def name_structure(self, ce, refs):
+        """Replace the edges of the contracted structure `ce` by one edge
+        labeled with the name `refs` interns for its expression; returns
+        that edge."""
+        name = refs.intern(ce.expr).name
+        for eid in ce.emembers:
+            self.remove(eid)
+        return self.edges[self.add(ce.src, ce.dst, name)]
 
     def remove(self, eid):
         e = self.edges.pop(eid)
@@ -283,11 +291,7 @@ class SplitGraph(WorkGraph):
                 if ce.kind == "edge" or ce.expr is None:
                     replaced.append(ce)
                     continue
-                name = refs.intern(ce.expr)
-                for eid in ce.emembers:
-                    self.remove(eid)
-                eid = self.add(ce.src, ce.dst, name.name, base_id=name.name)
-                replaced.append(edge_cedge(self.edges[eid], ce.seq))
+                replaced.append(edge_cedge(self.name_structure(ce, refs), ce.seq))
             carried = replaced
 
         for route in routes:
@@ -384,21 +388,9 @@ def _active_pairs(g):
     return pairs
 
 
-def _pair_edges(g, pairs):
-    edges = set()
-    for y, x in pairs:
-        edges.update(e.id for e in region_edges(g, y, x))
-    return edges
-
-
-def _page_from_edges(page, edge_ids, pid):
-    keep = set(edge_ids)
-    edges = [e for e in page.graph.edges if e.id in keep]
-    if not edges:
-        return None
-    g = DiffGraph(edges)
-    prov = {v: page.provenance.get(v, v) for v in g.vertices}
-    return Page(pid, g, prov, page.refs)
+def _page_from_edges(page, edges, pid):
+    keep = {e.id for e in edges}
+    return Page(pid, DiffGraph(e for e in page.graph.edges if e.id in keep), page.refs)
 
 
 def _replace_simple_structures(page, transcript):
@@ -412,17 +404,14 @@ def _replace_simple_structures(page, transcript):
         return False
     work = WorkGraph(page.graph)
     for ce in victims:
-        name = page.refs.intern(ce.expr)
-        for eid in ce.emembers:
-            work.remove(eid)
-        work.add(ce.src, ce.dst, name.name, base_id=name.name)
+        ref = work.name_structure(ce, page.refs)
         transcript.append(
             {
                 "op": "replace-structure",
                 "args": {
                     "src": ce.src,
                     "sink": ce.dst,
-                    "ref": name.name,
+                    "ref": ref.label,
                     "expr": format_expr(ce.expr),
                 },
                 "page": page.pid,
@@ -450,21 +439,16 @@ def _pivots(g):
     return v_i, v_j
 
 
-def _single_edge_path(g, a, b):
-    direct = any(e.dst == b for e in g.out_edges(a))
-    return direct and count_paths(g, a, b) == 1
-
-
 def _finalize(page, transcript):
     entries = []
     for y, x in _active_pairs(page.graph):
-        edges = region_edges(page.graph, y, x)
+        edges = region_edges(page.graph, [y], [x])
         try:
             expr = edges_expr(edges, y, x)
         except ComplexBlockError:
             fixed, _ = _factorize(DiffGraph(edges), "backward", refs=page.refs)
             expr = region_expr(fixed, y, x)
-        entries.append(((page.provenance.get(y, y), page.provenance.get(x, x)), expr))
+        entries.append(((y, x), expr))
     page.entries = entries
     transcript.append(
         {
@@ -476,18 +460,14 @@ def _finalize(page, transcript):
     return page
 
 
-def _band_pass(page, v_i, v_j, transcript):
+def _band_pass(page, v_i, v_j, levels, transcript):
     """Compress the level band below the pivot by one level."""
     g = page.graph
-    levels, _ = depth_levels(g)
     a, b = levels[v_i], levels[v_j]
-    v_a = {u for u in g.reaching(v_j) if levels[u] == a}
-    v_b = {w for w in g.reachable_from(v_i) if levels[w] == b}
-    from_a = set().union(*[g.reachable_from(u) for u in v_a])
-    to_b = set().union(*[g.reaching(w) for w in v_b])
-    band = sorted(
-        m for m in from_a & to_b if levels[m] == a + 1
-    )
+    v_a = [u for u in g.reaching(v_j) if levels[u] == a]
+    v_b = [w for w in g.reachable_from(v_i) if levels[w] == b]
+    between = reach(v_a, g.successors) & reach(v_b, g.predecessors)
+    band = sorted(m for m in between if levels[m] == a + 1)
     if not band:
         return False
     work = WorkGraph(g)
@@ -503,8 +483,7 @@ def _band_pass(page, v_i, v_j, transcript):
                 if prior is not None:
                     term = add(_atom(work.edges[prior].label), term)
                     work.remove(prior)
-                label = _label_of(page.refs.intern(term))
-                work.add(ein.src, eout.dst, label, base_id=label)
+                work.add(ein.src, eout.dst, _label_of(page.refs.intern(term)))
         for e in ins + outs:
             work.remove(e.id)
     page.graph = work.graph()
@@ -529,12 +508,13 @@ def plan_pages(g):
     whenever its pivot pair does not span all of its roots and terminals;
     root/terminal pairs are then peeled off (preferring the edges that cross
     the most levels) until single-pair pages remain, and multi-level middles
-    are compressed one level per pass.  The union of pages covers every
-    root-terminal entry of the input.
+    are compressed one level per pass.  Every page is cut from its parent
+    page's graph as the set regions :func:`~jacfact.graph.region_edges`
+    gives, so a page's vertices are vertices of the input.  The union of
+    pages covers every root-terminal entry of the input.
     """
     transcript = []
-    first = Page(0, g, {v: v for v in g.vertices}, ExprSet())
-    queue = [first]
+    queue = [Page(0, g, ExprSet())]
     done = []
     next_pid = 1
     guard = 0
@@ -544,28 +524,19 @@ def plan_pages(g):
             raise FactorizationError("page planning did not settle")
         page = queue.pop(0)
         _replace_simple_structures(page, transcript)
-        pairs = _active_pairs(page.graph)
-        if not pairs:
-            continue
-        if len(pairs) == 1:
-            done.append(_finalize(page, transcript))
-            continue
-        pivots = _pivots(page.graph)
+        g_p = page.graph
+        roots, terminals = list(g_p.roots), list(g_p.terminals)
+        pivots = None if len(roots) == len(terminals) == 1 else _pivots(g_p)
         if pivots is None:
             done.append(_finalize(page, transcript))
             continue
         v_i, v_j = pivots
-        g_p = page.graph
-        active_y = sorted({y for y, _ in pairs})
-        active_x = sorted({x for _, x in pairs})
-        y_i = sorted(roots_reaching(g_p, v_i))
-        x_j = sorted(terminals_reachable(g_p, v_j))
-        levels, _ = depth_levels(g_p)
-        if y_i != active_y or x_j != active_x:
-            wanted = [(y, x) for y, x in pairs if y in y_i and x in x_j]
-            rest = [p for p in pairs if p not in wanted]
-            pa = _page_from_edges(page, _pair_edges(g_p, wanted), next_pid)
-            pb = _page_from_edges(page, _pair_edges(g_p, rest), next_pid + 1)
+        y_i = sorted(g_p.reaching(v_i).intersection(roots))
+        x_j = sorted(g_p.reachable_from(v_j).intersection(terminals))
+        if y_i != roots or x_j != terminals:
+            other_y = set(roots) - set(y_i)
+            other_x = set(terminals) - set(x_j)
+            rest = region_edges(g_p, other_y, terminals) + region_edges(g_p, roots, other_x)
             transcript.append(
                 {
                     "op": "split-page",
@@ -573,77 +544,65 @@ def plan_pages(g):
                     "page": page.pid,
                 }
             )
+            queue.append(_page_from_edges(page, region_edges(g_p, y_i, x_j), next_pid))
+            queue.append(_page_from_edges(page, rest, next_pid + 1))
             next_pid += 2
-            queue.extend(p for p in (pa, pb) if p is not None)
             continue
-        if levels[v_i] == levels[v_j] or _single_edge_path(g_p, v_i, v_j):
-            split = _separate(page, v_i, v_j, active_y, active_x, next_pid, transcript)
-            if split is not None:
-                next_pid += 2
-                queue.extend(split)
-                continue
-            done.append(_finalize(page, transcript))
+        levels, _ = depth_levels(g_p)
+        if levels[v_i] == levels[v_j] or len(region_edges(g_p, [v_i], [v_j])) == 1:
+            queue += _separate(page, v_i, v_j, levels, next_pid, transcript)
+            next_pid += 2
             continue
-        if _band_pass(page, v_i, v_j, transcript):
+        if _band_pass(page, v_i, v_j, levels, transcript):
             queue.append(page)
             continue
         done.append(_finalize(page, transcript))
     return done, merge_pages(done), transcript
 
 
-def _separate(page, v_i, v_j, active_y, active_x, next_pid, transcript):
+def _separate(page, v_i, v_j, levels, next_pid, transcript):
+    """Peel a page with several roots or terminals into two: the regions
+    through the edges that leave a root or enter a terminal across the most
+    levels against every other edge, or else one root's (one terminal's)
+    regions against the rest."""
     g = page.graph
-    pairs = _active_pairs(g)
-    levels, cross = depth_levels(g)
+    roots, terminals = list(g.roots), list(g.terminals)
     span = lambda e: levels[e.dst] - levels[e.src]
-    root_cross = [e for e in g.edges if e.src in active_y and span(e) > 1]
-    term_cross = [e for e in g.edges if e.dst in active_x and span(e) > 1]
-    s_edges = None
-    detail = None
+    root_cross = [e for e in g.edges if e.src in roots and span(e) > 1]
+    term_cross = [e for e in g.edges if e.dst in terminals and span(e) > 1]
+    chosen = through = []
     if root_cross or term_cross:
         r_span = max((span(e) for e in root_cross), default=0)
         t_span = max((span(e) for e in term_cross), default=0)
         if r_span >= t_span:
             chosen = [e for e in root_cross if span(e) == r_span]
+            through = region_edges(g, {e.dst for e in chosen}, terminals)
         else:
             chosen = [e for e in term_cross if span(e) == t_span]
-        s_edges = set()
-        for e in chosen:
-            s_edges.add(e.id)
-            s_edges |= _pair_edges(g, [(y, e.src) for y in active_y])
-            s_edges |= _pair_edges(g, [(e.dst, x) for x in active_x])
+            through = region_edges(g, roots, {e.src for e in chosen})
+    left = [e for e in g.edges if e not in chosen]
+    l_y = levels[v_i]
+    l_x = max(levels[x] for x in terminals) - levels[v_j]
+    if chosen and left:
+        s_edges, rest_edges = chosen + through, left
         detail = {"kind": "cross-level", "edges": sorted(e.id for e in chosen)}
-        left = [e for e in g.edges if e.id not in {c.id for c in chosen}]
-        remaining = DiffGraph(left) if left else None
-        rest_edges = (
-            _pair_edges(remaining, _active_pairs(remaining)) if remaining else set()
-        )
-        if not rest_edges:
-            s_edges = None  # every path crosses E'; fall back to a root/terminal pick
-    if s_edges is None:
-        l_y = levels[v_i]
-        l_x = max(levels[x] for x in active_x) - levels[v_j]
-        if len(active_y) > 1 and (l_y >= l_x or len(active_x) == 1):
-            pick = active_y[0]
-            wanted = [(y, x) for y, x in pairs if y == pick]
-            detail = {"kind": "root", "root": pick}
-        elif len(active_x) > 1:
-            pick = active_x[0]
-            wanted = [(y, x) for y, x in pairs if x == pick]
-            detail = {"kind": "terminal", "terminal": pick}
-        else:
-            return None
-        rest = [p for p in pairs if p not in wanted]
-        s_edges = _pair_edges(g, wanted)
-        rest_edges = _pair_edges(g, rest)
-    pa = _page_from_edges(page, s_edges, next_pid)
-    pb = _page_from_edges(page, rest_edges, next_pid + 1)
-    if pa is None or pb is None:
-        return None
+    elif len(roots) > 1 and (l_y >= l_x or len(terminals) == 1):
+        pick = roots[0]
+        s_edges = region_edges(g, [pick], terminals)
+        rest_edges = region_edges(g, roots[1:], terminals)
+        detail = {"kind": "root", "root": pick}
+    else:
+        pick = terminals[0]
+        s_edges = region_edges(g, roots, [pick])
+        rest_edges = region_edges(g, roots, terminals[1:])
+        detail = {"kind": "terminal", "terminal": pick}
     transcript.append(
         {"op": "separate", "args": detail, "page": page.pid}
     )
-    return [pa, pb]
+    return [
+        _page_from_edges(page, s_edges, next_pid),
+        _page_from_edges(page, rest_edges, next_pid + 1),
+    ]
 
 
 def merge_pages(pages):

@@ -5,7 +5,8 @@ direction of dependence (roots at the top, terminals at the bottom).  Each
 edge carries a symbolic label; the label ``1`` marks a unit edge inserted by
 cross-level segmentation.  All queries here are pure functions over immutable
 graphs, so instances can be shared freely.  :func:`region_edges` is the one
-definition of a vertex pair's region, as an edge list in graph order.
+definition of a region, between two vertices or two vertex sets, as an edge
+list in graph order.
 """
 from __future__ import annotations
 
@@ -128,24 +129,24 @@ class DiffGraph:
     def reachable_from(self, v):
         """All vertices reachable from v by directed paths of length >= 1."""
         self.require(v)
-        return reach(v, self.successors)
+        return reach([v], self.successors)
 
     def reaching(self, v):
         """All vertices with a directed path of length >= 1 to v."""
         self.require(v)
-        return reach(v, self.predecessors)
+        return reach([v], self.predecessors)
 
 
-def reach(start, step, stop=()):
-    """All vertices reachable from `start` by paths of length >= 1 whose
-    interior avoids `stop`: the walk reaches a vertex of `stop` but does not
-    go on from it.
+def reach(starts, step, stop=()):
+    """All vertices reachable from a vertex of `starts` by paths of length
+    >= 1 whose interior avoids `stop`: the walk reaches a vertex of `stop`
+    but does not go on from it.
 
     `step(v)` lists the vertex at the far end of each edge leaving v, so the
     same walk runs forward, backward, or over any adjacency.
     """
     out = set()
-    stack = list(step(start))
+    stack = [w for v in starts for w in step(v)]
     while stack:
         u = stack.pop()
         if u not in out:
@@ -290,34 +291,26 @@ def rt_degrees(g):
     return {v: (len(r[v]), len(t[v])) for v in g.vertices}
 
 
-def roots_reaching(g, v):
-    return g.reaching(v) & set(g.roots)
-
-
-def terminals_reachable(g, v):
-    return g.reachable_from(v) & set(g.terminals)
-
-
 def overlap_degree(g, paths, edge_id):
     """Number of paths in `paths` that pass through the given edge."""
     g.edge(edge_id)
     return sum(1 for p in paths if edge_id in p)
 
 
-def region_edges(g, src, sink, avoid=()):
-    """The edges on the paths from src to sink whose interior vertices avoid
-    `avoid`, in ``g.edges`` order; empty when there is no such path.
+def region_edges(g, srcs, sinks, avoid=()):
+    """The edges on the paths from a vertex of `srcs` to a vertex of `sinks`
+    whose interior vertices avoid both ends and `avoid`, in ``g.edges``
+    order; empty when there is no such path.
 
-    This is the region of the pair: its edges contract to the pair's
-    expression.  One walk goes down from src and one up from sink, each
-    stopping at the far end and at `avoid`.
+    For one source and one sink this is the region of the pair: its edges
+    contract to the pair's expression.  One walk goes down from the sources
+    and one up from the sinks, each stopping at the ends and at `avoid`.
     """
-    g.require(src, sink)
-    avoid = set(avoid)
-    below = reach(src, g.successors, avoid | {sink})
-    above = reach(sink, g.predecessors, avoid | {src})
-    inner = (below & above) - avoid
+    srcs, sinks = set(srcs), set(sinks)
+    g.require(*sorted(srcs | sinks))
+    ends = srcs | sinks | set(avoid)
+    inner = (reach(srcs, g.successors, ends) & reach(sinks, g.predecessors, ends)) - ends
     return [
         e for e in g.edges
-        if (e.src == src or e.src in inner) and (e.dst == sink or e.dst in inner)
+        if (e.src in srcs or e.src in inner) and (e.dst in sinks or e.dst in inner)
     ]

@@ -389,8 +389,12 @@ def run_elimination(lg, order, defs=None):
     for entry in order:
         if entry and entry[0] in EXTENDED_RULES:
             rule, *args = entry
+            merge = rule.startswith("merge-")
+            want = 2 if merge else 3
+            if len(args) != want:
+                raise FaceError(f"{rule} takes {want} operands, got {len(args)}")
             ids = [resolve_vertex(lg, a, defs) for a in args]
-            if rule.startswith("merge-"):
+            if merge:
                 ids.insert(1, None)  # a merge record names no face, only i and k
             trace.extend(extended_rewrite(lg, rule, *ids))
             continue

@@ -60,7 +60,7 @@ def extract_local_jacobian(g, rows, cols):
     entries = {}
     for r in rows:
         for c in cols:
-            edges = region_edges(g, r, c, boundary - {r, c})
+            edges = region_edges(g, [r], [c], boundary)
             if edges:
                 entries[(r, c)] = edges_expr(edges, r, c)
     return LocalJacobian(rows, cols, entries)

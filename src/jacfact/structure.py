@@ -293,8 +293,8 @@ class _Contraction:
         down = lambda v: [c.dst for c in out.get(v, ())]
         up = lambda v: [c.src for c in inn.get(v, ())]
         verts = set(out) | set(inn)
-        below = {v: reach(v, down) for v in verts}
-        above = {v: reach(v, up) for v in verts}
+        below = {v: reach([v], down) for v in verts}
+        above = {v: reach([v], up) for v in verts}
         candidates = []
         for a in sorted(verts):
             if len(out.get(a, ())) < 2:
@@ -381,7 +381,7 @@ def region_expr(g, src, sink):
     Factor order follows the root-to-terminal direction.  Raises
     :class:`ComplexBlockError` when the region contains a complex block.
     """
-    edges = region_edges(g, src, sink)
+    edges = region_edges(g, [src], [sink])
     if not edges:
         raise StructureError(f"no paths from {src} to {sink}")
     return edges_expr(edges, src, sink)

@@ -17,6 +17,7 @@ from jacfact.oracle import check_equiv
 from jacfact.structure import find_structures
 
 from conftest import load_exprset, load_graph, sets_match_up_to_naming
+from test_digests import _seeded_graphs
 
 
 def test_backward_fig4b_gives_eq3(fig4b):
@@ -85,7 +86,7 @@ def test_refs_cost_matches_matrix_chain_orders(fig4b):
 
 def test_plan_pages_step1_refs():
     g = load_graph("fig10a")
-    page = Page(0, g, {v: v for v in g.vertices}, ExprSet())
+    page = Page(0, g, ExprSet())
     transcript = []
     _replace_simple_structures(page, transcript)
     replaced = {
@@ -99,7 +100,7 @@ def test_plan_pages_step1_refs():
 
 
 def test_pivots_fig9a_after_step1(fig9a):
-    page = Page(0, fig9a, {v: v for v in fig9a.vertices}, ExprSet())
+    page = Page(0, fig9a, ExprSet())
     _replace_simple_structures(page, [])
     assert _pivots(page.graph) == ("v5", "v5")
 
@@ -108,7 +109,7 @@ def test_pivots_fig10_follow_the_rule():
     # with the extra root edge into v1, v3 collects all four roots and sits
     # closer to them than v5, so the selection rule picks it
     g = load_graph("fig10a")
-    page = Page(0, g, {v: v for v in g.vertices}, ExprSet())
+    page = Page(0, g, ExprSet())
     _replace_simple_structures(page, [])
     assert _pivots(page.graph) == ("v3", "v5")
 
@@ -161,6 +162,15 @@ def test_plan_pages_value_preserved_everywhere():
         g = load_graph(name)
         _, s, _ = plan_pages(g)
         assert check_equiv(g, s).ok, name
+
+
+def test_pages_only_hold_input_vertices():
+    # pages are cut from their parent's graph and compressed, never grown,
+    # so a page's pairs name the input's vertices as they are
+    for name, g in sorted(_seeded_graphs().items()):
+        pages, _, _ = plan_pages(g)
+        for page in pages:
+            assert page.graph.vertices <= g.vertices, (name, page.pid)
 
 
 def test_backward_multi_root_value_preserved(fig9a):

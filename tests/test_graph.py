@@ -124,6 +124,16 @@ def _brute_region(g, src, sink, avoid):
     return [e.id for e in g.edges if e.id in keep]
 
 
+def _brute_set_region(g, srcs, sinks, avoid):
+    """The union of the brute-force pair regions over srcs x sinks, each
+    avoiding the other ends as well as `avoid`."""
+    keep = set()
+    for src in srcs:
+        for sink in sinks:
+            keep.update(_brute_region(g, src, sink, set(avoid) | set(srcs) | set(sinks)))
+    return [e.id for e in g.edges if e.id in keep]
+
+
 def test_region_edges_match_path_enumeration():
     rng = random.Random(7)
     checked = nonempty = 0
@@ -133,15 +143,28 @@ def test_region_edges_match_path_enumeration():
         for src in verts:
             for sink in verts:
                 for avoid in (set(), set(rng.sample(verts, min(3, len(verts)))), set(verts) - {src, sink}, {src, sink}):
-                    got = [e.id for e in region_edges(g, src, sink, avoid)]
+                    got = [e.id for e in region_edges(g, [src], [sink], avoid)]
                     assert got == _brute_region(g, src, sink, avoid), (format_graph(g), src, sink, avoid)
                     checked += 1
                     nonempty += bool(got)
+        sides = [g.roots, g.terminals]
+        for _ in range(6):
+            sides.append(rng.sample(verts, rng.randint(1, min(4, len(verts)))))
+        sides += [[v] for v in verts]
+        for srcs in sides:
+            for sinks in (g.terminals, g.roots, rng.sample(verts, min(3, len(verts)))):
+                for s, t in ((srcs, sinks), (sinks, srcs)):
+                    avoid = set(rng.sample(verts, rng.randint(0, 2)))
+                    got = [e.id for e in region_edges(g, s, t, avoid)]
+                    assert got == _brute_set_region(g, s, t, avoid), (format_graph(g), s, t, avoid)
+                    checked += 1
+                    nonempty += bool(got)
+        assert region_edges(g, g.roots, g.terminals) == list(g.edges)
         with pytest.raises(GraphError, match="unknown vertex nope"):
-            region_edges(g, "nope", verts[0])
+            region_edges(g, ["nope"], [verts[0]])
         with pytest.raises(GraphError, match="unknown vertex nope"):
-            region_edges(g, verts[0], "nope")
-    assert nonempty > checked // 10  # the pairs are not mostly unreachable
+            region_edges(g, g.roots, [verts[0], "nope"])
+    assert nonempty > checked // 10  # the regions are not mostly empty
 
 
 def test_depth_levels_fig5a():

@@ -455,6 +455,24 @@ def test_extended_operand_errors():
     assert _value_snapshot(lg, set(spec[0].values())) == before
 
 
+@pytest.mark.parametrize(
+    "record, want, got",
+    [
+        (("absorb-s-subset", "e1", "e2", "e3", "e1"), 3, 4),
+        (("absorb-s-subset", "e1", "e2"), 3, 2),
+        (("fillin-p-superset", "e1"), 3, 1),
+        (("merge-p-superset", "e1", "e2", "e3"), 2, 3),
+        (("merge-p-superset", "e1"), 2, 1),
+    ],
+)
+def test_rule_record_operand_count(record, want, got):
+    lg = build_line_graph(parse_graph("e e1 a b\ne e2 b c\ne e3 c d\n"))
+    before = line_graph_dot(lg)
+    with pytest.raises(FaceError, match=f"^{record[0]} takes {want} operands, got {got}$"):
+        run_elimination(lg, [record])
+    assert line_graph_dot(lg) == before
+
+
 # ---------------------------------------------------------------------------
 # the label index and the local absorber search against full scans
 
