@@ -292,6 +292,8 @@ def main(argv=None):
         args = parser.parse_args(argv)
         if getattr(args, "trials", 1) < 1:
             parser.error(f"argument --trials: must be at least 1, not {args.trials}")
+        if getattr(args, "seed", 0) < 0:
+            parser.error(f"argument --seed: must be at least 0, not {args.seed}")
     except SystemExit as exc:
         return EXIT_USAGE if exc.code not in (0, None) else EXIT_OK
     try:

@@ -10,14 +10,15 @@ overwhelming probability.  The pass also counts paths exactly and keeps the
 path guard of :func:`~jacfact.graph.enumerate_paths`.
 
 :func:`check_equiv` evaluates each artifact once for all of its trials: a
-:class:`Trials` batch holds one value column per label, and every vertex,
-definition and entry carries one value per trial.  Within an expression set,
-structurally equal subterms share one column.
+:class:`Trials` batch holds, per label, its value in ``instantiate(labels,
+seed + t)`` for each trial ``t``; every vertex, definition and entry carries
+one value per trial, and structurally equal subterms share one column.
 """
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
+from functools import reduce
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sum, Sym, _Unit
@@ -49,14 +50,18 @@ class Instantiation:
 
 
 def instantiate(labels, seed):
-    """Deterministic nonzero assignment for every non-unit label.
-
-    Values are drawn uniformly from [2, p-2]: zero would mask dropped
-    factors and one would mask dropped unit handling.
-    """
+    """Nonzero ``random.Random(seed).randrange(2, PRIME - 1)`` for each non-unit
+    label in sorted order (zero would mask dropped factors, one dropped units).
+    CPython draws it as ``2 + getrandbits(61)`` unless the bits are ``PRIME - 3``
+    or more (about one draw in 2^59); then ``randrange`` redraws the whole row."""
+    keys = sorted(set(labels) - {UNIT_LABEL})
     rng = random.Random(seed)
-    values = {label: rng.randrange(2, PRIME - 1) for label in sorted(set(labels) - {UNIT_LABEL})}
-    return Instantiation(values, seed)
+    bits = rng.getrandbits
+    row = [bits(61) + 2 for _ in keys]
+    if keys and max(row) >= PRIME - 1:
+        rng.seed(seed)
+        row = [rng.randrange(2, PRIME - 1) for _ in keys]
+    return Instantiation(dict(zip(keys, row)), seed)
 
 
 @dataclass
@@ -103,12 +108,11 @@ class Trials:
 
 
 def draw_trials(labels, seed, trials):
-    """Trials ``seed .. seed+trials-1``, each drawn by :func:`instantiate`."""
-    columns = {}
-    for t in range(trials):
-        for label, v in instantiate(labels, seed + t).values.items():
-            columns.setdefault(label, []).append(v)
-    return Trials(columns, trials)
+    """Trials ``seed .. seed+trials-1``: trial ``t`` holds ``instantiate(labels,
+    seed + t)``, called once per trial, which is how perfbench counts trials."""
+    keys = sorted(set(labels) - {UNIT_LABEL})
+    rows = [instantiate(keys, s).values.values() for s in range(seed, seed + trials)]
+    return Trials(dict(zip(keys, map(list, zip(*rows)))), trials)
 
 
 class _Columns:
@@ -162,12 +166,8 @@ class _Columns:
                     todo.extend((k, False) for k in reversed(kids))
                     continue
                 split = len(stack) - len(kids)
-                vals = stack[split:]
+                acc = reduce(trials.mul if is_prod else trials.add, stack[split:])
                 del stack[split:]
-                combine = trials.mul if is_prod else trials.add
-                acc = vals[0]
-                for v in vals[1:]:
-                    acc = combine(acc, v)
                 columns[node] = acc
                 stack.append(acc)
             else:
@@ -299,11 +299,13 @@ def check_equiv(a, b, trials=100, seed=0):
 
     Supports must match exactly, and values are compared exactly in the
     field.  The report carries every mismatching (pair, seed), trial by
-    trial, so a failure is reproducible.  Fewer than one trial raises
-    :class:`OracleError`: it would compare nothing.
+    trial, so a failure is reproducible.  Fewer than one trial, which
+    would compare nothing, or a negative seed raises :class:`OracleError`.
     """
     if trials < 1:
         raise OracleError(f"need at least one trial, not {trials}")
+    if seed < 0:  # Random(-k) is Random(k): trials would repeat
+        raise OracleError(f"need a seed of at least 0, not {seed}")
     labels = labels_of(a) | labels_of(b)
     report = EquivReport(trials)
     batch = draw_trials(labels, seed, trials)
@@ -312,10 +314,7 @@ def check_equiv(a, b, trials=100, seed=0):
     if set(va) != set(vb):
         missing = set(va) ^ set(vb)
         raise SupportMismatch(f"entry supports differ on {sorted(missing)}")
-    pairs = sorted(va)
+    pairs = [pair for pair in sorted(va) if va[pair] != vb[pair]]  # whole columns first
     for t in range(trials):
-        for pair in pairs:
-            x, y = va[pair][t], vb[pair][t]
-            if x != y:
-                report.mismatches.append((pair, seed + t, x, y))
+        report.mismatches += [(p, seed + t, va[p][t], vb[p][t]) for p in pairs if va[p][t] != vb[p][t]]
     return report

@@ -162,6 +162,18 @@ def test_trials_below_one_is_a_usage_error(capsys, trials):
     assert "--trials: must be at least 1" in err
 
 
+@pytest.mark.parametrize("command", ["verify", "factorize"])
+def test_negative_seed_is_a_usage_error(capsys, command):
+    # Random(-k) is Random(k): a negative seed would repeat trials
+    if command == "verify":
+        args = [str(FIXTURES / "eq1.exprs"), str(FIXTURES / "eq2.exprs")]
+    else:
+        args = [str(FIXTURES / "fig4a.graph"), "--direction", "backward"]
+    code, out, err = run_cli(capsys, command, *args, "--seed", "-50")
+    assert code == 1 and not out
+    assert "--seed: must be at least 0, not -50" in err
+
+
 @pytest.mark.parametrize("line", ["J[a,b] = (x", "s1 = (x"])
 def test_exprset_syntax_error_names_the_line_once(capsys, tmp_path, line):
     bad = tmp_path / "bad.exprs"

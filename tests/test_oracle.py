@@ -102,6 +102,64 @@ def test_check_equiv_needs_a_trial(fig4a, fig4b, trials):
         check_equiv(fig4a, fig4b, trials=trials)
 
 
+def test_check_equiv_rejects_a_negative_seed(fig4a):
+    # Random(-k) is Random(k), so seeds -50 .. 49 would draw 51 distinct trials
+    with pytest.raises(OracleError, match="seed of at least 0, not -50"):
+        check_equiv(fig4a, fig4a, seed=-50)
+
+
+def _reference_columns(labels, seed, trials):
+    """``randrange(2, PRIME - 1)`` per sorted non-unit label, trial by trial."""
+    keys = sorted(set(labels) - {UNIT_LABEL})
+    columns = {label: [] for label in keys}
+    for t in range(trials):
+        rng = random.Random(seed + t)
+        for label in keys:
+            columns[label].append(rng.randrange(2, PRIME - 1))
+    return columns
+
+
+def test_draw_trials_match_randrange():
+    rng = random.Random(17)
+    cases = [([], 3, 5), (["1"], 0, 2), (["b", "a", "b", "1", "a"], 9, 4)]
+    cases.append(([f"e{i}" for i in range(1500)], 123, 3))
+    for _ in range(40):
+        labels = [rng.choice(["1", "e1", "x"]) + str(rng.randrange(60)) for _ in range(rng.randrange(30))]
+        cases.append((labels + ["1"] * rng.randrange(2), rng.randrange(10**6), rng.randint(1, 8)))
+    for labels, seed, trials in cases:
+        batch = draw_trials(labels, seed, trials)
+        assert batch.size == trials
+        assert batch.columns == _reference_columns(labels, seed, trials)
+        for t in range(trials):
+            values = instantiate(labels, seed + t).values
+            assert values == {label: col[t] for label, col in batch.columns.items()}
+
+
+class _FirstBitsRejected(random.Random):
+    """A generator whose first draw after seeding is bits that
+    ``randrange(2, PRIME - 1)`` rejects; later draws are ``random.Random``'s."""
+
+    def seed(self, *args, **kwargs):
+        self.forced = True
+        super().seed(*args, **kwargs)
+
+    def getrandbits(self, k):
+        if self.forced:
+            self.forced = False
+            return PRIME - 3
+        return super().getrandbits(k)
+
+
+def test_draws_fall_back_to_randrange_on_rejected_bits(monkeypatch):
+    labels = ["c", "a", "1", "b"]
+    want = _reference_columns(labels, 40, 6)
+    # randrange draws past the rejected bits, so its values are random.Random's
+    assert _FirstBitsRejected(40).randrange(2, PRIME - 1) == want["a"][0]
+    monkeypatch.setattr(random, "Random", _FirstBitsRejected)
+    assert draw_trials(labels, 40, 6).columns == want
+    assert instantiate(labels, 45).values == {label: col[5] for label, col in want.items()}
+
+
 def test_eval_exprset_defs_once():
     s = load_exprset("eq5")
     inst = instantiate({f"e{i}" for i in range(1, 13)}, seed=9)
@@ -202,6 +260,32 @@ def test_check_equiv_mismatches_match_per_trial_loop():
                 expected.append((pair, 11 + t, va[pair], vb[pair]))
     report = check_equiv(lhs, bad, trials=30, seed=11)
     assert len(expected) == 60
+    assert report.mismatches == expected
+
+
+class _ThreeValues(random.Random):
+    """Labels instantiate to 2, 3 or 4, so unequal sums agree in some trials."""
+
+    def getrandbits(self, k):
+        return super().getrandbits(k) % 3
+
+
+def test_check_equiv_mismatches_in_some_trials_match_per_trial_loop(monkeypatch):
+    monkeypatch.setattr(random, "Random", _ThreeValues)
+    lhs = parse_exprset("J[r,t1] = a*b\nJ[r,t2] = a+c\nJ[r,t3] = c\nJ[r,t4] = a*(b+c)\nJ[q,t1] = b\n")
+    rhs = parse_exprset("J[r,t1] = b*a\nJ[r,t2] = b+c\nJ[r,t3] = c\nJ[r,t4] = a*b+a*c\nJ[q,t1] = a\n")
+    expected = []
+    for t in range(40):
+        inst = instantiate({"a", "b", "c"}, 7 + t)
+        va = {p: _ref_eval(e, inst.values) for p, e in lhs.entry_map().items()}
+        vb = {p: _ref_eval(e, inst.values) for p, e in rhs.entry_map().items()}
+        for pair in sorted(va):
+            if va[pair] != vb[pair]:
+                expected.append((pair, 7 + t, va[pair], vb[pair]))
+    report = check_equiv(lhs, rhs, trials=40, seed=7)
+    differing = {pair for pair, *_ in expected}
+    assert differing == {("r", "t2"), ("q", "t1")}
+    assert 2 < len(expected) < 2 * 40
     assert report.mismatches == expected
 
 
