@@ -5,7 +5,7 @@ or with shared reference edges), plan multi-root/multi-terminal pages,
 accumulate sparse local Jacobians, run face elimination on the line graph,
 analyze elimination dependencies, and verify every transformation against a
 multi-path chain-rule oracle: a dynamic-programming path sum that carries all
-randomized trials at once and keeps a guard of 10^6 paths per entry.
+randomized trials at once.
 """
 
 from .convert import expr_to_graph, graph_to_expr

@@ -1,8 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 verification failure,
-4 circular dependencies, 5 guard limit exceeded.  Outputs are deterministic
-for fixed inputs, flags and seed.
+4 circular dependencies, 5 work budget exceeded (factorization or page
+planning did not settle).  Outputs are deterministic for fixed inputs, flags
+and seed.
 """
 from __future__ import annotations
 
@@ -15,7 +16,6 @@ from .expr import format_expr, format_exprset, parse_expr, parse_exprset
 from .graph import (
     GraphError,
     GraphParseError,
-    PathGuardExceeded,
     classify_vertices,
     depth_levels,
     format_graph,
@@ -28,7 +28,7 @@ EXIT_USAGE = 1
 EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CYCLE = 4
-EXIT_GUARD = 5
+EXIT_BUDGET = 5
 
 
 class CliError(Exception):
@@ -301,9 +301,9 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except PathGuardExceeded as exc:
+    except factorize.FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_GUARD
+        return EXIT_BUDGET
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE

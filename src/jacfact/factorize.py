@@ -92,9 +92,6 @@ class WorkGraph:
     def graph(self):
         return DiffGraph(self.edges.values())
 
-    def has_vertex(self, v):
-        return v in self.succ
-
     def in_edges(self, v):
         return [self.edges[i] for i in self.pred[v]]
 
@@ -286,13 +283,10 @@ class SplitGraph(WorkGraph):
 
         # In ref mode, structures that would be copied become reference edges.
         if refs is not None:
-            replaced = []
-            for ce in carried:
-                if ce.kind == "edge" or ce.expr is None:
-                    replaced.append(ce)
-                    continue
-                replaced.append(edge_cedge(self.name_structure(ce, refs), ce.seq))
-            carried = replaced
+            carried = [
+                ce if ce.kind == "edge" else edge_cedge(self.name_structure(ce, refs), ce.seq)
+                for ce in carried
+            ]
 
         for route in routes:
             copy = self.fresh_vertex(v)
@@ -395,11 +389,7 @@ def _page_from_edges(page, edges, pid):
 
 def _replace_simple_structures(page, transcript):
     c = contract(page.graph, record=False)
-    victims = [
-        ce
-        for ce in sorted(c.edges, key=lambda ce: ce.seq)
-        if ce.kind in ("chain", "block") and ce.simple and ce.expr is not None
-    ]
+    victims = [ce for ce in sorted(c.edges, key=lambda ce: ce.seq) if ce.kind != "edge"]
     if not victims:
         return False
     work = WorkGraph(page.graph)
@@ -472,8 +462,6 @@ def _band_pass(page, v_i, v_j, levels, transcript):
         return False
     work = WorkGraph(g)
     for m in band:
-        if not work.has_vertex(m):
-            continue
         ins = work.in_edges(m)
         outs = work.out_edges(m)
         for ein in sorted(ins, key=lambda e: e.id):

@@ -6,8 +6,7 @@ prime field GF(2^61 - 1), where multiplication commutes and
 equality is exact, so the path sum is one forward dynamic-programming pass
 over the topological order (vertex elimination) instead of an enumeration;
 a random instantiation exposes any fixed polynomial discrepancy with
-overwhelming probability.  The pass also counts paths exactly and keeps the
-path guard of :func:`~jacfact.graph.enumerate_paths`.
+overwhelming probability.
 
 :func:`check_equiv` evaluates each artifact once for all of its trials: a
 :class:`Trials` batch holds, per label, its value in ``instantiate(labels,
@@ -22,7 +21,7 @@ from functools import reduce
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sum, Sym, _Unit
-from .graph import DEFAULT_PATH_GUARD, DiffGraph, PathGuardExceeded, UNIT_LABEL
+from .graph import DiffGraph, UNIT_LABEL
 
 PRIME = 2**61 - 1
 
@@ -199,14 +198,11 @@ def eval_exprset(s, inst):
     return trials.scalars(out)
 
 
-def bauer_eval(g, inst, guard=DEFAULT_PATH_GUARD):
+def bauer_eval(g, inst):
     """Jacobian entries as path sums, exact in the field.
 
     One forward pass over the topological order per root: each reached
-    vertex carries its path sum per trial and its exact path count.  Raises
-    :class:`~jacfact.graph.PathGuardExceeded` on the first (root, terminal)
-    pair, roots and terminals in sorted order, with more than ``guard``
-    paths.
+    vertex carries its path sum per trial.
     """
     trials = Trials.of(inst)
     terminals = g.terminals
@@ -218,29 +214,22 @@ def bauer_eval(g, inst, guard=DEFAULT_PATH_GUARD):
     out = {}
     for y in g.roots:
         value = {y: trials.constant(1)}
-        count = {y: 1}
         for v in g.topo_order:
             if v not in value:
                 continue
-            vv, cv = value[v], count[v]
+            vv = value[v]
             for dst, col in succ[v]:
                 if dst not in value:
                     value[dst] = vv if col is None else trials.mul(vv, col)
-                    count[dst] = cv
-                    continue
-                if col is None:
+                elif col is None:
                     value[dst] = trials.add(value[dst], vv)
                 else:
                     value[dst] = trials.fma(value[dst], vv, col)
-                count[dst] += cv
             if v not in is_terminal:
                 del value[v]
         for x in terminals:
-            if x == y or x not in count:
-                continue
-            if count[x] > guard:
-                raise PathGuardExceeded(f"more than {guard} paths between {y} and {x}")
-            out[(y, x)] = value[x]
+            if x != y and x in value:
+                out[(y, x)] = value[x]
     return trials.scalars(out)
 
 
@@ -253,11 +242,6 @@ def labels_of(artifact):
         return {e.label for e in artifact.edges if e.label != UNIT_LABEL}
     if isinstance(artifact, ExprSet):
         return ex.base_symbols(artifact)
-    if isinstance(artifact, dict):
-        labels = set()
-        for e in artifact.values():
-            labels |= ex.free_symbols(e)
-        return labels
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 
@@ -266,10 +250,6 @@ def eval_artifact(artifact, inst):
         return bauer_eval(artifact, inst)
     if isinstance(artifact, ExprSet):
         return eval_exprset(artifact, inst)
-    if isinstance(artifact, dict):  # (root, terminal) -> Expr
-        trials = Trials.of(inst)
-        columns = _Columns(trials, {})
-        return trials.scalars({pair: columns.of(e) for pair, e in artifact.items()})
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 
@@ -295,7 +275,9 @@ class EquivReport:
 
 
 def check_equiv(a, b, trials=100, seed=0):
-    """Randomized equivalence of two evaluatable artifacts.
+    """Randomized equivalence of two evaluatable artifacts: graphs,
+    expression sets, or (root, terminal) -> Expr dicts such as a line-graph
+    readout, checked as the set of those entries.
 
     Supports must match exactly, and values are compared exactly in the
     field.  The report carries every mismatching (pair, seed), trial by
@@ -306,6 +288,7 @@ def check_equiv(a, b, trials=100, seed=0):
         raise OracleError(f"need at least one trial, not {trials}")
     if seed < 0:  # Random(-k) is Random(k): trials would repeat
         raise OracleError(f"need a seed of at least 0, not {seed}")
+    a, b = (ExprSet(entries=list(x.items())) if isinstance(x, dict) else x for x in (a, b))
     labels = labels_of(a) | labels_of(b)
     report = EquivReport(trials)
     batch = draw_trials(labels, seed, trials)

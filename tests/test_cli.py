@@ -183,20 +183,39 @@ def test_exprset_syntax_error_names_the_line_once(capsys, tmp_path, line):
     assert err == f"error: {bad}: line 1: expected ')' (at position 2)\n"
 
 
-def test_guard_exit_code(capsys, tmp_path):
-    edges = []
-    for i in range(25):
-        edges.append(f"e a{i} n{i} m{i}a")
-        edges.append(f"e b{i} n{i} m{i}b")
-        edges.append(f"e c{i} m{i}a n{i+1}")
-        edges.append(f"e d{i} m{i}b n{i+1}")
-    p = tmp_path / "wide.graph"
-    p.write_text("\n".join(edges) + "\n")
-    other = tmp_path / "same.graph"
-    other.write_text("\n".join(edges) + "\n")
-    code, _, err = run_cli(capsys, "verify", str(p), str(other))
-    assert code == 5
-    assert "paths" in err
+def test_chain_of_40_diamonds_runs_every_subcommand(capsys, tmp_path):
+    # 2^40 paths per entry
+    p = tmp_path / "diamonds.graph"
+    p.write_text(_diamond_chain(40))
+    for direction in ("backward", "forward", "refs", "pages"):
+        code, out, err = run_cli(capsys, "factorize", str(p), "--direction", direction)
+        assert code == 0, (direction, err)
+        if direction == "refs":
+            (tmp_path / "refs.exprs").write_text(out)
+    refs = str(tmp_path / "refs.exprs")
+    code, out, err = run_cli(capsys, "verify", str(p), refs)
+    assert code == 0, err
+    assert out.startswith("PASS")
+    code, out, err = run_cli(capsys, "eliminate", str(p), "--from-exprset", refs)
+    assert code == 0, err
+    assert out.endswith("multiplications: 119\n")
+
+
+@pytest.mark.parametrize(
+    "direction, message",
+    [
+        ("backward", "factorization did not settle"),
+        ("forward", "factorization did not settle"),
+        ("refs", "factorization did not settle"),
+        ("pages", "page planning did not settle"),
+    ],
+)
+def test_work_budget_exit_code(capsys, monkeypatch, direction, message):
+    monkeypatch.setattr("jacfact.factorize._MAX_PASSES", 0)
+    code, out, err = run_cli(
+        capsys, "factorize", str(FIXTURES / "fig4b.graph"), "--direction", direction
+    )
+    assert (code, out, err) == (5, "", f"error: {message}\n")
 
 
 def test_dot_outputs(capsys):
@@ -254,7 +273,7 @@ def test_factorize_long_chain(capsys, tmp_path, direction):
 
 def test_verify_many_paths(capsys, tmp_path):
     p = tmp_path / "diamonds.graph"
-    p.write_text(_diamond_chain(19))  # 2^19 = 524288 paths, under the guard
+    p.write_text(_diamond_chain(200))  # 2^200 paths
     code, out, _ = run_cli(capsys, "verify", str(p), str(p))
     assert code == 0 and out.startswith("PASS")
 

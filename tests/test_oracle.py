@@ -4,6 +4,7 @@ import pytest
 
 from jacfact.expr import (
     CyclicReferenceError,
+    ExprSet,
     Prod,
     Sum,
     Sym,
@@ -11,15 +12,16 @@ from jacfact.expr import (
     expand_expr,
     expand_refs,
     parse_exprset,
+    prod,
 )
 from jacfact.graph import (
     UNIT_LABEL,
     DiffGraph,
     Edge,
-    PathGuardExceeded,
     enumerate_paths,
     parse_graph,
 )
+from jacfact.linegraph import build_line_graph, eliminate_face, readout_jacobian
 from jacfact.oracle import (
     PRIME,
     Instantiation,
@@ -88,6 +90,26 @@ def test_check_equiv_detects_perturbation():
     pair, seed, lhs, rhs = report.mismatches[0]
     assert pair == ("v1", "v7") and lhs != rhs
     assert report.to_json()["mismatches"]
+
+
+def test_check_equiv_dict_with_a_mismatch_reports_like_its_entry_set():
+    g = random_layered_dag(random.Random(4), max_vertices=12, max_edges=20)
+    rng = random.Random(4)
+    lg = build_line_graph(g)
+    while lg.intermediate_faces():
+        eliminate_face(lg, *rng.choice(lg.intermediate_faces()))
+    readout = readout_jacobian(lg)
+    assert len(readout) > 2
+    victim = sorted(readout)[1]
+    readout[victim] = prod(readout[victim], Sym(sorted(e.label for e in g.edges)[0]))
+    as_set = ExprSet(entries=list(readout.items()))
+    report = check_equiv(g, readout, trials=20, seed=9)
+    assert {pair for pair, *_ in report.mismatches} == {victim}
+    assert report.mismatches == check_equiv(g, as_set, trials=20, seed=9).mismatches
+    assert report.to_json() == check_equiv(g, as_set, trials=20, seed=9).to_json()
+    flipped = check_equiv(readout, g, trials=20, seed=9)
+    assert flipped.mismatches == check_equiv(as_set, g, trials=20, seed=9).mismatches
+    assert len(flipped.mismatches) == 20
 
 
 def test_check_equiv_support_mismatch(fig4a):
@@ -210,21 +232,21 @@ def test_bauer_matches_path_enumeration():
     assert checked >= 40
 
 
-def test_bauer_guard_names_first_pair_over_limit():
-    # (r0, t0) and (r0, t1) have one path each, (r1, t0) 8 and (r1, t1) 9
-    lines = ["e a r0 t1", "e b r0 t0", "e c r1 t1", "e g k3 t1"]
-    for i in range(3):
-        src, dst = ("r1" if i == 0 else f"k{i}"), f"k{i + 1}"
-        lines += [f"e u{i} {src} m{i}", f"e v{i} {src} w{i}",
-                  f"e x{i} m{i} {dst}", f"e z{i} w{i} {dst}"]
-    lines.append("e f k3 t0")
+def test_bauer_chain_of_60_diamonds_matches_closed_form():
+    # 2^60 paths per entry; the path sum factors into one sum per diamond
+    lines = []
+    for i in range(60):
+        lines += [f"e a{i} n{i} m{i}", f"e b{i} n{i} w{i}",
+                  f"e c{i} m{i} n{i + 1}", f"e d{i} w{i} n{i + 1}"]
     g = parse_graph("\n".join(lines) + "\n")
-    inst = instantiate({e.label for e in g.edges}, 0)
-    assert len(bauer_eval(g, inst, guard=9)) == 4
-    with pytest.raises(PathGuardExceeded, match="^more than 8 paths between r1 and t1$"):
-        bauer_eval(g, inst, guard=8)
-    with pytest.raises(PathGuardExceeded, match="^more than 7 paths between r1 and t0$"):
-        bauer_eval(g, inst, guard=7)
+    batch = draw_trials({e.label for e in g.edges}, 3, 20)
+    col = batch.columns
+    expected = [1] * 20
+    for t in range(20):
+        for i in range(60):
+            term = col[f"a{i}"][t] * col[f"c{i}"][t] + col[f"b{i}"][t] * col[f"d{i}"][t]
+            expected[t] = expected[t] * term % PRIME
+    assert bauer_eval(g, batch) == {("n0", "n60"): expected}
 
 
 def _ref_eval(e, values):
