@@ -12,7 +12,7 @@ import json
 import sys
 
 from . import convert, factorize, linegraph, oracle, relations, structure
-from .expr import format_expr, format_exprset, parse_expr, parse_exprset
+from .expr import _DEF_LINE, format_expr, format_exprset, parse_expr, parse_exprset
 from .graph import (
     GraphError,
     GraphParseError,
@@ -46,13 +46,14 @@ def _read(path):
 
 
 def load_artifact(path):
-    """Sniff a file as a graph or an expression set."""
+    """Sniff a file as a graph or an expression set: a graph's first
+    content line is an edge line, and ``e = <expr>`` defines a reference."""
     text = _read(path)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.split()[0] == "e":
+        if line.split()[0] == "e" and not _DEF_LINE.match(line):
             try:
                 return "graph", parse_graph(text)
             except GraphParseError as exc:
@@ -132,6 +133,11 @@ def cmd_inspect(args):
 
 
 def cmd_factorize(args):
+    if args.expr and args.direction not in ("backward", "forward"):
+        raise CliError("--expr needs --direction backward or forward", EXIT_USAGE)
+    for flag, value in (("--transcript", args.transcript), ("--pages-out", args.pages_out)):
+        if value and args.direction != "pages":
+            raise CliError(f"{flag} needs --direction pages", EXIT_USAGE)
     g = load_graph(args.graph)
     if args.direction in ("backward", "forward"):
         out = getattr(factorize, f"factorize_{args.direction}")(g)

@@ -7,7 +7,7 @@ form and must be factorized first.
 from __future__ import annotations
 
 from .expr import Prod, Sum, Sym, _Unit
-from .graph import DiffGraph, Edge, UNIT_LABEL
+from .graph import DiffGraph, Edge, Names, UNIT_LABEL
 from .structure import StructureError, region_expr
 
 
@@ -30,7 +30,7 @@ class _GraphBuilder:
     def __init__(self):
         self.edges = []
         self.vcount = 0
-        self.label_counts = {}
+        self.ids = Names(start=2)
         self.pairs = set()
 
     def new_vertex(self):
@@ -41,10 +41,7 @@ class _GraphBuilder:
         if (src, dst) in self.pairs:
             raise StructureError(f"parallel edge between {src} and {dst}")
         self.pairs.add((src, dst))
-        n = self.label_counts.get(label, 0) + 1
-        self.label_counts[label] = n
-        eid = label if n == 1 else f"{label}.{n}"
-        self.edges.append(Edge(eid, src, dst, label))
+        self.edges.append(Edge(self.ids.fresh(label, bare=True), src, dst, label))
 
 
 def expr_to_graph(e):

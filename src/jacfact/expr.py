@@ -393,6 +393,7 @@ class ExprSet:
     entries: list = field(default_factory=list)  # [((root, terminal), Expr)]
     _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _reserved: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self._defs.update(self.defs)
@@ -407,8 +408,15 @@ class ExprSet:
         self.defs.append((name, expr))
         self._defs[name] = expr
 
+    def reserve(self, names):
+        """Keep :meth:`intern` from naming a reference after any of `names`,
+        the labels of the planner's input."""
+        self._reserved.update(names)
+
     def intern(self, expr):
-        """The reference naming `expr`, defined as ``s<n>`` on first use.
+        """The reference naming `expr`, defined on first use as ``s<n>`` for
+        the least n past the definitions so far whose name is neither
+        defined nor reserved.
 
         Symbols and ``1`` stand for themselves.  Interning is by the
         canonical node of the expansion, so one structure reached through a
@@ -419,7 +427,10 @@ class ExprSet:
         key = canonical(expand_expr(expr, self._defs))
         name = self._interned.get(key)
         if name is None:
-            name = self._interned[key] = f"s{len(self.defs) + 1}"
+            n = len(self.defs) + 1
+            while f"s{n}" in self._defs or f"s{n}" in self._reserved:
+                n += 1
+            name = self._interned[key] = f"s{n}"
             self.define(name, expr)
         return Sym(name)
 

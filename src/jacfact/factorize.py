@@ -15,11 +15,13 @@ splits and root/terminal separations, and stubborn multi-level sections are
 compressed one level at a time.  The pages that fall out are simple per
 root-terminal pair and merge into one expression set.  Reference names come
 from :meth:`~jacfact.expr.ExprSet.intern`: ref mode interns into the set it
-returns, and the pages of one plan share one set.  Every region, of a pair
-or between vertex sets, is the edge list :func:`~jacfact.graph.region_edges`
-gives: a split cuts a page into the set regions of its two sides, so pages
-never gain a vertex, and only a complex region that must be factorized is
-built into a graph.
+returns, and the pages of one plan share one set; either set reserves the
+input's labels, so no reference is named after one.  Every region, of a
+pair or between vertex sets, is the edge list
+:func:`~jacfact.graph.region_edges` gives: a split cuts a page into the set
+regions of its two sides, so pages never gain a vertex.  The other page
+steps rewrite the page's edge list, and every name they or the split
+passes make up comes from :class:`~jacfact.graph.Names`.
 """
 from __future__ import annotations
 
@@ -30,6 +32,7 @@ from .expr import ExprSet, Sym, UNIT, _Unit, add, format_expr, inline_single_use
 from .graph import (
     DiffGraph,
     Edge,
+    Names,
     UNIT_LABEL,
     depth_levels,
     reach,
@@ -64,64 +67,48 @@ class Page:
 # the working graph
 
 
-class WorkGraph:
-    """A graph under in-place edits, indexed by edge id, vertex and pair.
+class SplitGraph:
+    """The working graph of the split passes in one direction, edited in
+    place and indexed by edge id and vertex.
 
     `edges` keeps the order of an edge list: a retargeted edge keeps its
     place and a new edge goes last, so :meth:`graph` lists the edges in the
     order they were edited in, and `stamp` numbers them in that order.  A
-    vertex exists while it has an edge.  Vertex and edge names, once used,
-    are never handed out again, even after their edges are gone.
+    vertex exists while it has an edge; names, once used, are never handed
+    out again.  Besides the edges it keeps `view`, the contraction of the current graph
+    held at its fixpoint, whose `by_src` and `by_dst` (vertex ->
+    {CEdge: None}) it exposes; each vertex's level, the length of the
+    longest root path to it (what ``depth_levels`` gives every vertex but a
+    terminal); and `crowded`, the vertices whose contracted in-degree
+    (backward) or out-degree (forward) is above one.  A split pass detaches
+    and attaches the CEdges around one vertex and runs the contraction
+    around them, so no pass rebuilds or re-contracts the whole graph.
     """
 
-    def __init__(self, g):
+    def __init__(self, g, direction):
         self.edges = {e.id: e for e in g.edges}
         self.stamp = {e.id: k for k, e in enumerate(g.edges)}
         self._clock = len(g.edges)
         self.succ = {v: {} for v in g.vertices}  # vertex -> {edge id: None}
         self.pred = {v: {} for v in g.vertices}
-        self.pair = {}  # (src, dst) -> edge id
         for e in g.edges:
             self.succ[e.src][e.id] = None
             self.pred[e.dst][e.id] = None
-            self.pair[e.src, e.dst] = e.id
-        self._vnames = set(g.vertices)
-        self._enames = set(self.edges)
-        self._vsuffix, self._esuffix = {}, {}  # base -> least suffix maybe free
+        self.vnames, self.ids = Names(g.vertices), Names(self.edges)
+        self.backward = direction == "backward"
+        self.view = contract(g, record=False)
+        self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
+        self.crowded = set()
+        self._recount(g.vertices)
+        self._stale = set()  # vertices whose in-edges changed since the last relevel
+        levels, _ = depth_levels(g)
+        self.level = {v: lv for v, lv in levels.items() if g.out_edges(v)}
 
     def graph(self):
         return DiffGraph(self.edges.values())
 
-    def in_edges(self, v):
-        return [self.edges[i] for i in self.pred[v]]
-
-    def out_edges(self, v):
-        return [self.edges[i] for i in self.succ[v]]
-
-    @staticmethod
-    def _fresh(base, names, suffix):
-        """``base.n`` for the least n not in `names`.  Names are never
-        dropped from `names`, so the least free n only grows and the search
-        resumes where the last one for `base` ended."""
-        n = suffix.get(base, 1)
-        while f"{base}.{n}" in names:
-            n += 1
-        suffix[base] = n + 1
-        name = f"{base}.{n}"
-        names.add(name)
-        return name
-
-    def fresh_vertex(self, base):
-        return self._fresh(base, self._vnames, self._vsuffix)
-
-    def fresh_edge_id(self, base):
-        if base not in self._enames:
-            self._enames.add(base)
-            return base
-        return self._fresh(base, self._enames, self._esuffix)
-
-    def add(self, src, dst, label, base_id=None):
-        eid = self.fresh_edge_id(base_id or label)
+    def add(self, src, dst, label, base_id):
+        eid = self.ids.fresh(base_id, bare=True)
         e = Edge(eid, src, dst, label)
         self.edges[eid] = e
         self.stamp[eid] = self._clock
@@ -136,14 +123,13 @@ class WorkGraph:
         name = refs.intern(ce.expr).name
         for eid in ce.emembers:
             self.remove(eid)
-        return self.edges[self.add(ce.src, ce.dst, name)]
+        return self.edges[self.add(ce.src, ce.dst, name, name)]
 
     def remove(self, eid):
         e = self.edges.pop(eid)
         del self.stamp[eid]
         self._unlink(e)
-        self._prune(e.src)
-        self._prune(e.dst)
+        self._prune(e.src, e.dst)
 
     def retarget(self, eid, new_dst=None, new_src=None):
         e = self.edges[eid]
@@ -151,56 +137,28 @@ class WorkGraph:
         self._unlink(e)
         self.edges[eid] = moved
         self._link(moved)
-        self._prune(e.src)
-        self._prune(e.dst)
+        self._prune(e.src, e.dst)
         return moved
 
     def _link(self, e):
         for v in (e.src, e.dst):
             if v not in self.succ:
                 self.succ[v], self.pred[v] = {}, {}
-                self._vnames.add(v)
         self.succ[e.src][e.id] = None
         self.pred[e.dst][e.id] = None
-        self.pair[e.src, e.dst] = e.id
+        self._stale.add(e.dst)
 
     def _unlink(self, e):
         del self.succ[e.src][e.id]
         del self.pred[e.dst][e.id]
-        if self.pair.get((e.src, e.dst)) == e.id:
-            del self.pair[e.src, e.dst]
+        self._stale.add(e.dst)
 
-    def _prune(self, v):
-        """Drop `v` once its last edge is gone; True when it went."""
-        if v in self.succ and not self.succ[v] and not self.pred[v]:
-            del self.succ[v], self.pred[v]
-            return True
-        return False
-
-
-class SplitGraph(WorkGraph):
-    """The working graph of the split passes in one direction.
-
-    Besides the edges it keeps `view`, the contraction of the current graph
-    held at its fixpoint, whose `by_src` and `by_dst` (vertex ->
-    {CEdge: None}) it exposes; each vertex's level, the length of the
-    longest root path to it (what ``depth_levels`` gives every vertex but a
-    terminal); and `crowded`, the vertices whose contracted in-degree
-    (backward) or out-degree (forward) is above one.  A split pass detaches
-    and attaches the CEdges around one vertex and runs the contraction
-    around them, so no pass rebuilds or re-contracts the whole graph.
-    """
-
-    def __init__(self, g, direction):
-        super().__init__(g)
-        self.backward = direction == "backward"
-        self.view = contract(g, record=False)
-        self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
-        self.crowded = set()
-        self._recount(g.vertices)
-        self._stale = set()  # vertices whose in-edges changed since the last relevel
-        levels, _ = depth_levels(g)
-        self.level = {v: lv for v, lv in levels.items() if g.out_edges(v)}
+    def _prune(self, *vertices):
+        """Drop each of `vertices` once its last edge is gone."""
+        for v in vertices:
+            if not self.succ[v] and not self.pred[v]:
+                del self.succ[v], self.pred[v]
+                self.level.pop(v, None)
 
     def _recount(self, vertices):
         side = self.by_dst if self.backward else self.by_src
@@ -214,20 +172,6 @@ class SplitGraph(WorkGraph):
         self.view.attach(edge_cedge(self.edges[eid], self.stamp[eid]))
 
     # -- levels ---------------------------------------------------------------
-
-    def _link(self, e):
-        super()._link(e)
-        self._stale.add(e.dst)
-
-    def _unlink(self, e):
-        super()._unlink(e)
-        self._stale.add(e.dst)
-
-    def _prune(self, v):
-        gone = super()._prune(v)
-        if gone:
-            self.level.pop(v, None)
-        return gone
 
     def _relevel(self):
         """Recompute the levels of the vertices whose in-edges changed, and
@@ -289,7 +233,7 @@ class SplitGraph(WorkGraph):
             ]
 
         for route in routes:
-            copy = self.fresh_vertex(v)
+            copy = self.vnames.fresh(v)
             prov[copy] = prov.get(v, v)
             # the route's edges at v now end (backward) or start at the copy
             at_v = self.pred[v] if backward else self.succ[v]
@@ -306,7 +250,7 @@ class SplitGraph(WorkGraph):
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
                 if ce.kind == "edge":
                     e = ce.original
-                    self._attach_edge(self.add(src, dst, e.label, base_id=e.id))
+                    self._attach_edge(self.add(src, dst, e.label, e.id))
                 else:
                     self._copy_substructure(ce, src, dst, prov)
         for ce in carried:
@@ -321,13 +265,13 @@ class SplitGraph(WorkGraph):
         endpoints, as raw edges for the view to contract."""
         vmap = {}
         for v in sorted(ce.vmembers):
-            vmap[v] = self.fresh_vertex(v)
+            vmap[v] = self.vnames.fresh(v)
             prov[vmap[v]] = prov.get(v, v)
         vmap[ce.src] = new_src
         vmap[ce.dst] = new_dst
         for eid in sorted(ce.emembers):
             e = self.edges[eid]
-            self._attach_edge(self.add(vmap[e.src], vmap[e.dst], e.label, base_id=e.id))
+            self._attach_edge(self.add(vmap[e.src], vmap[e.dst], e.label, e.id))
 
 
 def _atom(label):
@@ -364,6 +308,7 @@ def factorize_with_refs(g, direction="backward"):
     inlined away.
     """
     s = ExprSet()
+    s.reserve(e.label for e in g.edges)
     out, _ = _factorize(g, direction, refs=s)
     for y, x in _active_pairs(out):
         s.add_entry(y, x, region_expr(out, y, x))
@@ -388,26 +333,32 @@ def _page_from_edges(page, edges, pid):
 
 
 def _replace_simple_structures(page, transcript):
+    """Replace every simple structure of the page by one edge labeled with
+    its reference name: the page's other edges keep their order and the
+    named edges follow, in contraction order."""
     c = contract(page.graph, record=False)
     victims = [ce for ce in sorted(c.edges, key=lambda ce: ce.seq) if ce.kind != "edge"]
     if not victims:
         return False
-    work = WorkGraph(page.graph)
+    ids = Names(e.id for e in page.graph.edges)
+    members = {eid for ce in victims for eid in ce.emembers}
+    edges = [e for e in page.graph.edges if e.id not in members]
     for ce in victims:
-        ref = work.name_structure(ce, page.refs)
+        name = page.refs.intern(ce.expr).name
+        edges.append(Edge(ids.fresh(name, bare=True), ce.src, ce.dst, name))
         transcript.append(
             {
                 "op": "replace-structure",
                 "args": {
                     "src": ce.src,
                     "sink": ce.dst,
-                    "ref": ref.label,
+                    "ref": name,
                     "expr": format_expr(ce.expr),
                 },
                 "page": page.pid,
             }
         )
-    page.graph = work.graph()
+    page.graph = DiffGraph(edges)
     return True
 
 
@@ -460,21 +411,24 @@ def _band_pass(page, v_i, v_j, levels, transcript):
     band = sorted(m for m in between if levels[m] == a + 1)
     if not band:
         return False
-    work = WorkGraph(g)
+    ids = Names(e.id for e in g.edges)
+    edges = {(e.src, e.dst): e for e in g.edges}  # a DiffGraph has one edge per pair
     for m in band:
-        ins = work.in_edges(m)
-        outs = work.out_edges(m)
-        for ein in sorted(ins, key=lambda e: e.id):
-            for eout in sorted(outs, key=lambda e: e.id):
+        # band vertices share one level, so no new edge touches another's
+        ins = sorted(g.in_edges(m), key=lambda e: e.id)
+        outs = sorted(g.out_edges(m), key=lambda e: e.id)
+        for ein in ins:
+            for eout in outs:
                 term = prod(_atom(ein.label), _atom(eout.label))
-                prior = work.pair.get((ein.src, eout.dst))
+                prior = edges.pop((ein.src, eout.dst), None)  # re-added last
                 if prior is not None:
-                    term = add(_atom(work.edges[prior].label), term)
-                    work.remove(prior)
-                work.add(ein.src, eout.dst, _label_of(page.refs.intern(term)))
+                    term = add(_atom(prior.label), term)
+                label = _label_of(page.refs.intern(term))
+                eid = ids.fresh(label, bare=True)
+                edges[ein.src, eout.dst] = Edge(eid, ein.src, eout.dst, label)
         for e in ins + outs:
-            work.remove(e.id)
-    page.graph = work.graph()
+            del edges[e.src, e.dst]
+    page.graph = DiffGraph(edges.values())
     transcript.append(
         {
             "op": "band-eliminate",
@@ -502,7 +456,9 @@ def plan_pages(g):
     pages covers every root-terminal entry of the input.
     """
     transcript = []
-    queue = [Page(0, g, ExprSet())]
+    refs = ExprSet()
+    refs.reserve(e.label for e in g.edges)
+    queue = [Page(0, g, refs)]
     done = []
     next_pid = 1
     guard = 0

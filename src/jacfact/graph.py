@@ -6,7 +6,8 @@ edge carries a symbolic label; the label ``1`` marks a unit edge inserted by
 cross-level segmentation.  All queries here are pure functions over immutable
 graphs, so instances can be shared freely.  :func:`region_edges` is the one
 definition of a region, between two vertices or two vertex sets, as an edge
-list in graph order.
+list in graph order.  :class:`Names` hands out every vertex and edge name a
+rewrite makes up, so a made-up name never meets one already in use.
 """
 from __future__ import annotations
 
@@ -135,6 +136,33 @@ class DiffGraph:
         """All vertices with a directed path of length >= 1 to v."""
         self.require(v)
         return reach([v], self.predecessors)
+
+
+class Names:
+    """Fresh names beside the names already taken.
+
+    :meth:`fresh` gives `base` itself when asked and free, and otherwise
+    ``base.n`` for the least n >= `start` not taken.  A name handed out is
+    never given back, so the least free n only grows and the search for a
+    base resumes where its last one ended.
+    """
+
+    def __init__(self, taken=(), start=1):
+        self.taken = set(taken)
+        self.start = start
+        self._next = {}  # base -> least suffix that may be free
+
+    def fresh(self, base, bare=False):
+        if bare and base not in self.taken:
+            name = base
+        else:
+            n = self._next.get(base, self.start)
+            while f"{base}.{n}" in self.taken:
+                n += 1
+            self._next[base] = n + 1
+            name = f"{base}.{n}"
+        self.taken.add(name)
+        return name
 
 
 def reach(starts, step, stop=()):

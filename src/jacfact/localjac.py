@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .expr import ExprSet, _Unit, add, format_expr, inline_single_use, prod
+from .expr import ExprSet, _Unit, add, format_expr, free_symbols, inline_single_use, prod
 from .graph import region_edges
 from .structure import edges_expr
 
@@ -93,6 +93,9 @@ class _Accumulator:
         self.chain = list(chain)
         self.cost = 0
         self.refs = ExprSet()  # compound entries, named so later uses share them
+        for m in self.chain:  # no reference takes the name of an input label
+            for e in m.entries.values():
+                self.refs.reserve(free_symbols(e))
 
     def product(self, left, right):
         if left.cols != right.rows:

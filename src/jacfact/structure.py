@@ -19,6 +19,7 @@ from .expr import UNIT, Sym, add, prod
 from .graph import (
     DiffGraph,
     Edge,
+    Names,
     UNIT_LABEL,
     count_paths,
     depth_levels,
@@ -402,30 +403,22 @@ def segment_cross_level(g):
     """Insert unit-labeled filler chains so every edge spans adjacent levels.
 
     New vertices derive from the head (source) vertex of each cross-level
-    edge; the original label rides on the final hop, so the unit hops cost
-    nothing.
+    edge and the unit hops' ids from the edge's own id, both fresh by
+    :class:`~jacfact.graph.Names`; the original label and id ride on the
+    final hop, so the unit hops cost nothing.
     """
     levels, cross = depth_levels(g)
     if not cross:
         return g
-    existing = set(g.vertices)
+    vnames, ids = Names(g.vertices), Names(e.id for e in g.edges)
     edges = []
     for e in g.edges:
         if e.id not in cross:
             edges.append(e)
             continue
         span = levels[e.dst] - levels[e.src]
-        waypoints = []
-        n = 1
-        while len(waypoints) < span - 1:
-            cand = f"{e.src}.{n}"
-            n += 1
-            if cand in existing:
-                continue
-            existing.add(cand)
-            waypoints.append(cand)
-        hops = [e.src] + waypoints + [e.dst]
-        for k in range(span - 1):
-            edges.append(Edge(f"{e.id}.{k + 1}", hops[k], hops[k + 1], UNIT_LABEL))
+        hops = [e.src] + [vnames.fresh(e.src) for _ in range(span - 1)] + [e.dst]
+        for a, b in zip(hops[:-2], hops[1:-1]):
+            edges.append(Edge(ids.fresh(e.id), a, b, UNIT_LABEL))
         edges.append(Edge(e.id, hops[-2], hops[-1], e.label))
     return DiffGraph(edges)

@@ -37,6 +37,13 @@ def fig4b():
     return load_graph("fig4b")
 
 
+def fig4b_labeled_s1():
+    """fig4b with edge e3 labeled `s1`, the name a planner's first
+    reference would take."""
+    text = (FIXTURES / "fig4b.graph").read_text()
+    return text.replace("e e3 v2 v4\n", "e e3 v2 v4 s1\n")
+
+
 @pytest.fixture
 def fig9a():
     return load_graph("fig9a")

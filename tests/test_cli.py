@@ -289,3 +289,53 @@ def test_verify_deep_entry(capsys, tmp_path):
     )
     assert code == 0, err
     assert out.startswith("PASS")
+
+
+@pytest.mark.parametrize("direction", ["refs", "pages"])
+def test_reference_names_skip_input_labels(capsys, tmp_path, direction):
+    from conftest import fig4b_labeled_s1
+
+    g = tmp_path / "fig4b_s1.graph"
+    g.write_text(fig4b_labeled_s1())
+    code, out, err = run_cli(capsys, "factorize", str(g), "--direction", direction)
+    assert code == 0, err
+    (tmp_path / "plan.exprs").write_text(out)
+    code, out, _ = run_cli(capsys, "verify", str(g), str(tmp_path / "plan.exprs"))
+    assert code == 0 and out.startswith("PASS")
+
+
+def test_reference_named_e_is_an_expression_set(capsys, tmp_path):
+    p = tmp_path / "e.exprs"
+    p.write_text("e = a*b\nJ[x,y] = e*c\n")
+    (tmp_path / "flat.exprs").write_text("J[x,y] = a*b*c\n")
+    code, out, err = run_cli(capsys, "verify", str(p), str(tmp_path / "flat.exprs"))
+    assert code == 0, err
+    assert out.startswith("PASS")
+
+
+def test_fixtures_load_by_their_kind():
+    from jacfact.cli import load_artifact
+
+    for path in sorted(FIXTURES.iterdir()):
+        kind, _ = load_artifact(str(path))
+        assert kind == {".graph": "graph", ".exprs": "exprset"}[path.suffix], path.name
+
+
+@pytest.mark.parametrize(
+    "direction, flag, needs",
+    [
+        ("refs", ["--expr"], "backward or forward"),
+        ("pages", ["--expr"], "backward or forward"),
+        ("backward", ["--transcript", "t.jsonl"], "pages"),
+        ("refs", ["--pages-out", "p.txt"], "pages"),
+    ],
+)
+def test_flag_without_its_direction_is_a_usage_error(capsys, tmp_path, direction, flag, needs):
+    if len(flag) == 2:
+        flag = [flag[0], str(tmp_path / flag[1])]
+    code, out, err = run_cli(
+        capsys, "factorize", str(FIXTURES / "fig4b.graph"), "--direction", direction, *flag
+    )
+    assert code == 1 and out == ""
+    assert f"{flag[0]} needs --direction {needs}" in err
+    assert list(tmp_path.iterdir()) == []  # no file written

@@ -89,3 +89,12 @@ def test_expr_eval_matches_bauer(fig4a, fig4b):
             assert eval_expr(e, inst) == total
             if (src, sink) == ("v1", "v7"):
                 assert bauer_eval(g, inst)[(src, sink)] == total
+
+
+def test_edge_ids_skip_taken_ids():
+    # the second `a` would get the id a.2, which the label a.2 already holds
+    e = parse_expr("a.2*x + a*y + a*z")
+    g = expr_to_graph(e)
+    ids = {edge.id: edge.label for edge in g.edges if edge.label.startswith("a")}
+    assert ids == {"a.2": "a.2", "a": "a", "a.3": "a"}
+    assert equivalent_form(graph_to_expr(g), e)

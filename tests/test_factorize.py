@@ -16,7 +16,7 @@ from jacfact.graph import parse_graph
 from jacfact.oracle import check_equiv
 from jacfact.structure import find_structures
 
-from conftest import load_exprset, load_graph, sets_match_up_to_naming
+from conftest import fig4b_labeled_s1, load_exprset, load_graph, sets_match_up_to_naming
 from test_digests import _seeded_graphs
 
 
@@ -188,3 +188,28 @@ def test_provenance_maps_copies_back(fig4b):
     assert copies
     for copy in copies:
         assert prov[copy] in fig4b.vertices
+
+
+def test_named_structure_id_skips_an_edge_id():
+    # the chain r1-a-t1 is named s1, and the edge r2-t2 already has the id s1
+    g = parse_graph("e e1 r1 a\ne e2 a t1\ne s1 r2 t2 x\n")
+    page = Page(0, g, ExprSet())
+    _replace_simple_structures(page, [])
+    assert [(e.id, e.src, e.dst, e.label) for e in page.graph.edges] == [
+        ("s1", "r2", "t2", "x"),
+        ("s1.1", "r1", "t1", "s1"),
+    ]
+    _, s, _ = plan_pages(g)
+    assert check_equiv(g, s).ok
+
+
+def test_reference_names_skip_input_labels():
+    g = parse_graph(fig4b_labeled_s1())
+    _, refs = factorize_with_refs(g)
+    _, pages, _ = plan_pages(g)
+    for s in (refs, pages):
+        assert "s1" not in s.def_map
+        assert check_equiv(g, s).ok
+    # with nothing to avoid, the numbering is unchanged
+    _, plain = factorize_with_refs(load_graph("fig4b"))
+    assert [name for name, _ in plain.defs] == ["s1"]

@@ -7,6 +7,7 @@ from jacfact.graph import (
     Edge,
     GraphError,
     GraphParseError,
+    Names,
     PathGuardExceeded,
     classify_vertices,
     count_paths,
@@ -297,3 +298,29 @@ def test_topo_order_matches_sorted_queue_definition():
     graphs += [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
     for g in graphs:
         assert g.topo_order == _sorted_queue_topo_order(g)
+
+
+def test_names_hands_out_free_names_once():
+    names = Names({"a", "a.1", "a.3", "b"})
+    assert names.fresh("c", bare=True) == "c"  # the bare name when free
+    assert names.fresh("b", bare=True) == "b.1"
+    assert [names.fresh("a") for _ in range(3)] == ["a.2", "a.4", "a.5"]
+    assert names.fresh("c") == "c.1"  # a copy is never bare
+    assert names.fresh("c", bare=True) == "c.2"  # "c" is taken now
+    from_two = Names({"x.2"}, start=2)
+    assert [from_two.fresh("x", bare=True) for _ in range(3)] == ["x", "x.3", "x.4"]
+
+
+def test_names_search_resumes_per_base():
+    class Probes(set):
+        count = 0
+
+        def __contains__(self, name):
+            Probes.count += 1
+            return super().__contains__(name)
+
+    names = Names({"v"})
+    names.taken = Probes(names.taken)
+    handed = [names.fresh("v") for _ in range(200)]
+    assert handed == [f"v.{n}" for n in range(1, 201)]
+    assert Probes.count <= 2 * len(handed)  # not one probe per earlier copy

@@ -16,7 +16,7 @@ from jacfact.localjac import (
 )
 from jacfact.oracle import check_equiv
 
-from conftest import enumerate_parenthesizations, load_graph
+from conftest import enumerate_parenthesizations, fig4b_labeled_s1, load_graph
 
 
 def _fig4b_chain(fig4b):
@@ -188,3 +188,11 @@ def test_dp_matches_bruteforce_on_fig_chains(fig4a, fig4b):
 def test_extract_names_an_unknown_vertex(fig4b, rows, cols):
     with pytest.raises(GraphError, match="^unknown vertex nope$"):
         extract_local_jacobian(fig4b, rows, cols)
+
+
+@pytest.mark.parametrize("order", [left_assoc(4), right_assoc(4)])
+def test_accumulate_names_skip_input_labels(order):
+    g = parse_graph(fig4b_labeled_s1())
+    s, cost = accumulate(_fig4b_chain(g), order)
+    assert "s1" not in s.def_map and cost == 10
+    assert check_equiv(g, s).ok

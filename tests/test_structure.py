@@ -197,3 +197,16 @@ CONTRACTION_DIGESTS = {
 def test_contraction_matches_recorded_digest(name):
     text = _contraction_text(_contraction_graphs()[name])
     assert hashlib.sha256(text.encode()).hexdigest() == CONTRACTION_DIGESTS[name]
+
+
+def test_segment_hop_ids_skip_taken_ids():
+    # the cross-level edge e1 would name its unit hop e1.1, an id in use
+    g = parse_graph("e e1 a c\ne e1.1 a b\ne e2 b c\n")
+    seg = segment_cross_level(g)
+    assert [(e.id, e.src, e.dst, e.label) for e in seg.edges] == [
+        ("e1.2", "a", "a.1", UNIT_LABEL),
+        ("e1", "a.1", "c", "e1"),
+        ("e1.1", "a", "b", "e1.1"),
+        ("e2", "b", "c", "e2"),
+    ]
+    assert check_equiv(g, seg, trials=20).ok
