@@ -47,17 +47,20 @@ def _read(path):
 
 def load_artifact(path):
     """Sniff a file as a graph or an expression set: a graph's first
-    content line is an edge line, and ``e = <expr>`` defines a reference."""
+    content line is an edge line.  ``e = <expr>`` may also define a
+    reference, so a file that starts so and is not a graph is read as an
+    expression set."""
     text = _read(path)
     for raw in text.splitlines():
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if line.split()[0] == "e" and not _DEF_LINE.match(line):
+        if line.split()[0] == "e":
             try:
                 return "graph", parse_graph(text)
             except GraphParseError as exc:
-                raise CliError(f"{path}: {exc}", EXIT_PARSE)
+                if not _DEF_LINE.match(line):
+                    raise CliError(f"{path}: {exc}", EXIT_PARSE)
         break
     try:
         return "exprset", parse_exprset(text)

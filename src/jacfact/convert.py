@@ -41,7 +41,7 @@ class _GraphBuilder:
         if (src, dst) in self.pairs:
             raise StructureError(f"parallel edge between {src} and {dst}")
         self.pairs.add((src, dst))
-        self.edges.append(Edge(self.ids.fresh(label, bare=True), src, dst, label))
+        self.edges.append(Edge(self.ids.fresh(label), src, dst, label))
 
 
 def expr_to_graph(e):

@@ -108,7 +108,7 @@ class SplitGraph:
         return DiffGraph(self.edges.values())
 
     def add(self, src, dst, label, base_id):
-        eid = self.ids.fresh(base_id, bare=True)
+        eid = self.ids.fresh(base_id)
         e = Edge(eid, src, dst, label)
         self.edges[eid] = e
         self.stamp[eid] = self._clock
@@ -345,7 +345,7 @@ def _replace_simple_structures(page, transcript):
     edges = [e for e in page.graph.edges if e.id not in members]
     for ce in victims:
         name = page.refs.intern(ce.expr).name
-        edges.append(Edge(ids.fresh(name, bare=True), ce.src, ce.dst, name))
+        edges.append(Edge(ids.fresh(name), ce.src, ce.dst, name))
         transcript.append(
             {
                 "op": "replace-structure",
@@ -424,7 +424,7 @@ def _band_pass(page, v_i, v_j, levels, transcript):
                 if prior is not None:
                     term = add(_atom(prior.label), term)
                 label = _label_of(page.refs.intern(term))
-                eid = ids.fresh(label, bare=True)
+                eid = ids.fresh(label)
                 edges[ein.src, eout.dst] = Edge(eid, ein.src, eout.dst, label)
         for e in ins + outs:
             del edges[e.src, e.dst]

@@ -141,7 +141,7 @@ class DiffGraph:
 class Names:
     """Fresh names beside the names already taken.
 
-    :meth:`fresh` gives `base` itself when asked and free, and otherwise
+    :meth:`fresh` gives `base` itself when it is free, and otherwise
     ``base.n`` for the least n >= `start` not taken.  A name handed out is
     never given back, so the least free n only grows and the search for a
     base resumes where its last one ended.
@@ -152,8 +152,8 @@ class Names:
         self.start = start
         self._next = {}  # base -> least suffix that may be free
 
-    def fresh(self, base, bare=False):
-        if bare and base not in self.taken:
+    def fresh(self, base):
+        if base not in self.taken:
             name = base
         else:
             n = self._next.get(base, self.start)

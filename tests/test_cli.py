@@ -313,6 +313,17 @@ def test_reference_named_e_is_an_expression_set(capsys, tmp_path):
     assert out.startswith("PASS")
 
 
+@pytest.mark.parametrize("first", ["e = a b x", "e =x a b x"])
+def test_edge_id_starting_with_equals_is_a_graph(tmp_path, first):
+    from jacfact.cli import load_artifact
+
+    p = tmp_path / "g.graph"
+    p.write_text(f"{first}\ne e2 b c y\n")
+    kind, g = load_artifact(str(p))
+    assert kind == "graph"
+    assert [e.src for e in g.edges] == ["a", "b"]
+
+
 def test_fixtures_load_by_their_kind():
     from jacfact.cli import load_artifact
 

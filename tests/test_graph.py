@@ -302,13 +302,12 @@ def test_topo_order_matches_sorted_queue_definition():
 
 def test_names_hands_out_free_names_once():
     names = Names({"a", "a.1", "a.3", "b"})
-    assert names.fresh("c", bare=True) == "c"  # the bare name when free
-    assert names.fresh("b", bare=True) == "b.1"
+    assert names.fresh("c") == "c"  # the bare name when free
+    assert names.fresh("b") == "b.1"
     assert [names.fresh("a") for _ in range(3)] == ["a.2", "a.4", "a.5"]
-    assert names.fresh("c") == "c.1"  # a copy is never bare
-    assert names.fresh("c", bare=True) == "c.2"  # "c" is taken now
+    assert names.fresh("c") == "c.1"  # "c" is taken now
     from_two = Names({"x.2"}, start=2)
-    assert [from_two.fresh("x", bare=True) for _ in range(3)] == ["x", "x.3", "x.4"]
+    assert [from_two.fresh("x") for _ in range(3)] == ["x", "x.3", "x.4"]
 
 
 def test_names_search_resumes_per_base():
