@@ -201,7 +201,7 @@ class SplitGraph:
 
     # -- the split pass -------------------------------------------------------
 
-    def split(self, refs, prov):
+    def split(self, refs):
         """Split the deepest (backward) or shallowest (forward) crowded
         intermediate, ties to the least name; False when none remains.
 
@@ -234,7 +234,6 @@ class SplitGraph:
 
         for route in routes:
             copy = self.vnames.fresh(v)
-            prov[copy] = prov.get(v, v)
             # the route's edges at v now end (backward) or start at the copy
             at_v = self.pred[v] if backward else self.succ[v]
             for eid in [i for i in at_v if i in route.emembers]:
@@ -252,7 +251,7 @@ class SplitGraph:
                     e = ce.original
                     self._attach_edge(self.add(src, dst, e.label, e.id))
                 else:
-                    self._copy_substructure(ce, src, dst, prov)
+                    self._copy_substructure(ce, src, dst)
         for ce in carried:
             for eid in ce.emembers:
                 self.remove(eid)
@@ -260,13 +259,12 @@ class SplitGraph:
         self._relevel()
         return True
 
-    def _copy_substructure(self, ce, new_src, new_dst, prov):
+    def _copy_substructure(self, ce, new_src, new_dst):
         """Fresh copy of a substitute structure's members between the given
         endpoints, as raw edges for the view to contract."""
         vmap = {}
         for v in sorted(ce.vmembers):
             vmap[v] = self.vnames.fresh(v)
-            prov[vmap[v]] = prov.get(v, v)
         vmap[ce.src] = new_src
         vmap[ce.dst] = new_dst
         for eid in sorted(ce.emembers):
@@ -278,26 +276,22 @@ def _atom(label):
     return UNIT if label == UNIT_LABEL else Sym(label)
 
 
-def _factorize(g, direction, refs=None, prov=None):
+def _factorize(g, direction, refs=None):
     work = SplitGraph(g, direction)
-    prov = prov if prov is not None else {}
     for _ in range(_MAX_PASSES):
-        if not work.split(refs, prov):
-            out = work.graph()
-            return out, prov
+        if not work.split(refs):
+            return work.graph()
     raise FactorizationError("factorization did not settle")
 
 
 def factorize_backward(g):
     """Split in-degree overlaps bottom-up until no complex block remains."""
-    out, _ = _factorize(g, "backward")
-    return out
+    return _factorize(g, "backward")
 
 
 def factorize_forward(g):
     """Mirror of backward: split out-degree overlaps top-down."""
-    out, _ = _factorize(g, "forward")
-    return out
+    return _factorize(g, "forward")
 
 
 def factorize_with_refs(g, direction="backward"):
@@ -309,7 +303,7 @@ def factorize_with_refs(g, direction="backward"):
     """
     s = ExprSet()
     s.reserve(e.label for e in g.edges)
-    out, _ = _factorize(g, direction, refs=s)
+    out = _factorize(g, direction, refs=s)
     for y, x in _active_pairs(out):
         s.add_entry(y, x, region_expr(out, y, x))
     return out, inline_single_use(s)
@@ -387,7 +381,7 @@ def _finalize(page, transcript):
         try:
             expr = edges_expr(edges, y, x)
         except ComplexBlockError:
-            fixed, _ = _factorize(DiffGraph(edges), "backward", refs=page.refs)
+            fixed = _factorize(DiffGraph(edges), "backward", refs=page.refs)
             expr = region_expr(fixed, y, x)
         entries.append(((y, x), expr))
     page.entries = entries

@@ -180,16 +180,6 @@ def test_backward_multi_root_value_preserved(fig9a):
     assert check_equiv(fig9a, out).ok
 
 
-def test_provenance_maps_copies_back(fig4b):
-    from jacfact.factorize import _factorize
-
-    out, prov = _factorize(fig4b, "backward")
-    copies = [v for v in out.vertices if "." in v]
-    assert copies
-    for copy in copies:
-        assert prov[copy] in fig4b.vertices
-
-
 def test_named_structure_id_skips_an_edge_id():
     # the chain r1-a-t1 is named s1, and the edge r2-t2 already has the id s1
     g = parse_graph("e e1 r1 a\ne e2 a t1\ne s1 r2 t2 x\n")

@@ -38,7 +38,6 @@ def _view(cedges):
 
 def _check_every_pass(g, direction, refs):
     work = SplitGraph(g, direction)
-    prov = {}
     passes = 0
     while True:
         now = work.graph()
@@ -46,7 +45,7 @@ def _check_every_pass(g, direction, refs):
         levels, _ = depth_levels(now)
         # terminals keep no level in the engine
         assert work.level == {v: lv for v, lv in levels.items() if now.out_edges(v)}
-        if not work.split(refs, prov):
+        if not work.split(refs):
             return passes
         passes += 1
 
@@ -81,8 +80,7 @@ def _outputs(g):
     """Every factorization output of `g` as text, per strategy."""
     out = {}
     for direction in ("backward", "forward"):
-        fg, _ = _factorize(g, direction)
-        out[direction] = format_graph(fg)
+        out[direction] = format_graph(_factorize(g, direction))
     fg, s = factorize_with_refs(g)
     out["refs"] = format_graph(fg) + format_exprset(s) + f"cost {fma_cost(s)}\n"
     out["refs-order"] = _order_text(s)
