@@ -1,9 +1,9 @@
 """Command-line front end.
 
 Exit codes: 0 success, 1 usage error, 2 parse error, 3 verification failure,
-4 circular dependencies, 5 work budget exceeded (factorization or page
-planning did not settle).  Outputs are deterministic for fixed inputs, flags
-and seed.
+4 circular elimination dependencies or references, 5 work budget exceeded
+(factorization or page planning did not settle).  Outputs are deterministic
+for fixed inputs, flags and seed.
 """
 from __future__ import annotations
 
@@ -12,7 +12,14 @@ import json
 import sys
 
 from . import convert, factorize, linegraph, oracle, relations, structure
-from .expr import _DEF_LINE, format_expr, format_exprset, parse_expr, parse_exprset
+from .expr import (
+    _DEF_LINE,
+    CyclicReferenceError,
+    format_expr,
+    format_exprset,
+    parse_expr,
+    parse_exprset,
+)
 from .graph import (
     GraphError,
     GraphParseError,
@@ -222,10 +229,7 @@ def cmd_eliminate(args):
 def cmd_verify(args):
     _, a = load_artifact(args.left)
     _, b = load_artifact(args.right)
-    try:
-        report = oracle.check_equiv(a, b, trials=args.trials, seed=args.seed)
-    except oracle.SupportMismatch as exc:
-        raise CliError(str(exc), EXIT_VERIFY)
+    report = oracle.check_equiv(a, b, trials=args.trials, seed=args.seed)
     if args.format == "json":
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
@@ -316,7 +320,10 @@ def main(argv=None):
     except GraphParseError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PARSE
-    except relations.CircularDependencyError as exc:
+    except oracle.SupportMismatch as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_VERIFY
+    except (relations.CircularDependencyError, CyclicReferenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CYCLE
     except (GraphError, ValueError) as exc:

@@ -533,8 +533,9 @@ def check_references(e, def_map, clean):
     would raise, without expanding anything.
 
     Depth-first over references in the order ``expand_expr`` takes them.  A
-    name whose references were all followed without a cycle joins ``clean``
-    and is never followed again, so one pass over a whole set is linear.
+    name whose references were all followed without a cycle joins the dict
+    ``clean`` after every name it references, and is never followed again,
+    so one pass over a whole set is linear.
     """
     path = {}  # reference names being followed, outermost first
     frames = [(None, iter((e,)))]
@@ -545,7 +546,7 @@ def check_references(e, def_map, clean):
             frames.pop()
             if name is not None:
                 path.popitem()
-                clean.add(name)
+                clean[name] = None
         elif isinstance(node, Sym):
             ref = node.name
             if ref in def_map and ref not in clean:
@@ -558,6 +559,23 @@ def check_references(e, def_map, clean):
             frames.append((None, iter(node.factors if isinstance(node, Prod) else node.terms)))
         elif not isinstance(node, _Unit):
             raise ExprError(f"not an expression: {node!r}")
+
+
+def reference_order(s):
+    """Names of the definitions of `s`, each after the names it references.
+
+    Definitions are taken in set order and their references depth-first in
+    term order, by :func:`check_references`' walk, so a set that defines
+    every name before using it keeps its own order.  A cycle raises the
+    :class:`CyclicReferenceError` that ``expand_expr`` raises on the first
+    definition whose expansion meets it.
+    """
+    dm, clean = s.def_map, {}
+    for name, e in s.defs:
+        if name not in clean:
+            check_references(e, dm, clean)
+            clean[name] = None
+    return list(clean)
 
 
 def expand_refs(s):
@@ -597,7 +615,7 @@ def fma_cost(s):
     """
     if isinstance(s, Expr):
         return _expr_cost(s)
-    dm, clean = s.def_map, set()
+    dm, clean = s.def_map, {}
     for _, e in s.entries:
         check_references(e, dm, clean)  # raises on cyclic or malformed references
     total = 0
@@ -625,24 +643,35 @@ def inline_single_use(s):
     Shared structure stays named; one-shot names disappear, which keeps the
     set minimal without changing its value or multiplication count.  Names
     are never renumbered, so gaps in the s-numbering are expected.
+
+    One pass: definitions are visited in reverse :func:`reference_order`, so
+    every user of a name is settled before the name.  A name used once is
+    substituted into its user; a name no longer used at all is dropped, and
+    the uses in its body go with it.
     """
-    while True:
-        counts = {name: 0 for name, _ in s.defs}
-        for _, e in s.all_exprs():
-            for name, k in symbol_occurrences(e).items():
-                if name in counts:
-                    counts[name] += k
-        victims = {n for n, k in counts.items() if k <= 1}
-        if not victims:
-            return s
-        dm = {n: d for n, d in s.defs if n in victims}
-        out = ExprSet()
-        for name, e in s.defs:
-            if name not in victims:
-                out.define(name, expand_expr(e, dm))
-        for (r, t), e in s.entries:
-            out.add_entry(r, t, expand_expr(e, dm))
-        s = out
+    dm = s.def_map
+    counts = dict.fromkeys(dm, 0)
+    for _, e in s.all_exprs():
+        for name, k in symbol_occurrences(e).items():
+            if name in counts:
+                counts[name] += k
+    victims = {}
+    for name in reversed(reference_order(s)):
+        if counts[name] <= 1:
+            victims[name] = dm[name]
+            if not counts[name]:
+                for ref, k in symbol_occurrences(dm[name]).items():
+                    if ref in counts:
+                        counts[ref] -= k
+    if not victims:
+        return s
+    out = ExprSet()
+    for name, e in s.defs:
+        if name not in victims:
+            out.define(name, expand_expr(e, victims))
+    for (r, t), e in s.entries:
+        out.add_entry(r, t, expand_expr(e, victims))
+    return out
 
 
 def base_symbols(s):

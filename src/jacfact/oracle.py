@@ -120,7 +120,10 @@ class _Columns:
     Each product and sum node gets one column, so structurally equal
     subexpressions, which are one node, are evaluated once.  Factorized
     sets repeat the same subterm many times over (a dense 4x4 refs plan
-    has 1680 products and sums, 240 of them distinct).
+    has 1680 products and sums, 240 of them distinct).  A name reads as its
+    definition once that is evaluated, and as a label otherwise; definitions
+    are evaluated in reference order, so a name that has one never reads as
+    a label.
     """
 
     def __init__(self, trials, def_values):
@@ -132,9 +135,6 @@ class _Columns:
         """Evaluate definition `name` = `e`; from here on `name` reads as
         the definition."""
         self.def_values[name] = self.of(e)
-        if name in self.trials.columns:
-            # columns worked out so far may have read the label of that name
-            self.columns.clear()
 
     def of(self, e):
         """Value column of one expression, iteratively (no Python
@@ -151,7 +151,6 @@ class _Columns:
             if isinstance(node, _Unit):
                 stack.append(trials[UNIT_LABEL])
             elif isinstance(node, Sym):
-                # a name reads as a label until a definition of it has been evaluated
                 name = node.name
                 stack.append(def_values[name] if name in def_values else trials[name])
             elif isinstance(node, (Prod, Sum)):
@@ -183,14 +182,13 @@ def eval_expr(e, inst, def_values=None):
 
 
 def eval_exprset(s, inst):
-    """Map (root, terminal) -> value, with each definition evaluated once."""
+    """Map (root, terminal) -> value, with each definition evaluated once,
+    in :func:`~jacfact.expr.reference_order`."""
     trials = Trials.of(inst)
     def_map = s.def_map
-    clean = set()
     columns = _Columns(trials, {})
-    for name, e in s.defs:
-        ex.check_references(e, def_map, clean)
-        columns.define(name, e)
+    for name in ex.reference_order(s):
+        columns.define(name, def_map[name])
     out = {}
     for pair, e in s.entries:
         v = columns.of(e)

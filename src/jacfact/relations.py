@@ -9,6 +9,7 @@ form the dependency graph, whose cycles make a safe order impossible.
 """
 from __future__ import annotations
 
+from collections import Counter, deque
 from dataclasses import dataclass, field
 
 from .expr import (
@@ -19,8 +20,8 @@ from .expr import (
     add,
     canonical_text,
     expand_expr,
-    free_symbols,
     prod,
+    reference_order,
 )
 
 
@@ -302,7 +303,6 @@ def detect_cycles(d):
 @dataclass
 class _Task:
     site: str
-    seq: int
     face: tuple  # (left label Expr, right label Expr), expanded
     pair: tuple  # syntactic (left key, right key)
 
@@ -330,10 +330,17 @@ def safe_elimination_order(s):
     """Face order that replays the set without breaking any parenthesis.
 
     Faces that other faces depend on come first (deepest dependency targets
-    lead), definitions precede the entries that use them, and products
-    associate left to right.  Raises :class:`CircularDependencyError` when
-    the dependency graph is cyclic.
+    lead), definitions precede the entries that use them and follow the
+    definitions they use, in :func:`~jacfact.expr.reference_order`, and
+    products associate left to right.  Raises the
+    :class:`~jacfact.expr.CyclicReferenceError` of ``expand_expr`` on a
+    reference cycle, and :class:`CircularDependencyError` when the
+    dependency graph is cyclic.
     """
+    site_rank = {name: i for i, name in enumerate(reference_order(s))}
+    base = len(site_rank)
+    for i, (pair, _) in enumerate(s.entries):
+        site_rank[_site_name(pair)] = base + i
     defs = s.def_map
     sites = _sites(s)
     d = _dep_graph(_relation_table(sites, defs))
@@ -341,90 +348,48 @@ def safe_elimination_order(s):
     if cycles:
         raise CircularDependencyError(cycles)
 
-    # order definition sites so that used definitions come first
-    site_rank = {}
-    remaining = dict(s.defs)
-    placed = []
-    while remaining:
-        progress = False
-        for name in list(remaining):
-            e = remaining[name]
-            if free_symbols(e) & set(remaining) - {name}:
-                continue
-            placed.append(name)
-            del remaining[name]
-            progress = True
-        if not progress:
-            raise CircularDependencyError([tuple(sorted(remaining))])
-    for i, name in enumerate(placed):
-        site_rank[name] = i
-    base = len(placed)
-    for i, (pair, _) in enumerate(s.entries):
-        site_rank[_site_name(pair)] = base + i
-
-    tasks = []
+    queues = {}  # site -> its faces not yet emitted, in order
+    left = Counter()  # pair -> its faces not yet emitted
     for site, e in sites:
-        _plan_site(e, site, defs, tasks)
-
+        tasks = _plan_site(e, site, defs)
+        if tasks:
+            queues.setdefault(site, deque()).extend(tasks)
+            left.update(t.pair for t in tasks)
     depth = _dep_depth(d)
     deps_of = {}
     for a, b, _ in d.edges:
         deps_of.setdefault(a, set()).add(b)
 
-    done_pairs = {}
-    total_pairs = {}
-    for t in tasks:
-        total_pairs[t.pair] = total_pairs.get(t.pair, 0) + 1
-
-    site_tasks = {}
-    for t in tasks:
-        site_tasks.setdefault(t.site, []).append(t)
-    site_positions = {site: 0 for site in site_tasks}
-    emitted = []
-
-    def ready(t):
-        for need in deps_of.get(t.pair, ()):
-            if need in total_pairs and done_pairs.get(need, 0) < total_pairs[need]:
-                return False
-        return True
-
-    pending = sum(len(v) for v in site_tasks.values())
-    while pending:
-        candidates = []
-        for site, pos in site_positions.items():
-            queue = site_tasks[site]
-            if pos >= len(queue):
-                continue
-            t = queue[pos]
-            if ready(t):
-                candidates.append(t)
-        if not candidates:
-            stuck = [
-                site_tasks[site][pos].pair
-                for site, pos in site_positions.items()
-                if pos < len(site_tasks[site])
-            ]
+    order = []
+    while queues:
+        heads = [
+            q[0] for q in queues.values()
+            if not any(left[need] for need in deps_of.get(q[0].pair, ()))
+        ]
+        if not heads:
+            stuck = [q[0].pair for q in queues.values()]
             raise RelationError(f"no safe order; stuck on faces {stuck}")
-        best = min(
-            candidates,
-            key=lambda t: (-depth.get(t.pair, 0), site_rank[t.site], t.seq),
-        )
-        site_positions[best.site] += 1
-        pending -= 1
-        done_pairs[best.pair] = done_pairs.get(best.pair, 0) + 1
-        emitted.append(best)
-    return [(t.face[0], t.face[1]) for t in emitted]
+        # one head per site and one rank per site, so the key never ties
+        best = min(heads, key=lambda t: (-depth.get(t.pair, 0), site_rank[t.site]))
+        queue = queues[best.site]
+        queue.popleft()
+        if not queue:
+            del queues[best.site]
+        left[best.pair] -= 1
+        order.append(best.face)
+    return order
 
 
-def _plan_site(e, site, defs, tasks):
-    """Append the faces of one site to `tasks`, products left to right,
-    inner products first.
+def _plan_site(e, site, defs):
+    """The faces of one site as tasks, products left to right, inner
+    products first.
 
     A face is the pair of expanded operands its multiplication combines:
     the product accumulated so far and the next factor's expansion.  The
     walk is iterative, so nesting depth is not bounded by the recursion
     limit.
     """
+    tasks = []
     todo = [(e, False)]
     values = []  # expansions of the nodes finished so far, in order
     while todo:
@@ -445,6 +410,7 @@ def _plan_site(e, site, defs, tasks):
             del values[-len(node.factors):]
             acc = labels[0]
             for prev, f, label in zip(node.factors, node.factors[1:], labels[1:]):
-                tasks.append(_Task(site, len(tasks), (acc, label), (face_key(prev), face_key(f))))
+                tasks.append(_Task(site, (acc, label), (face_key(prev), face_key(f))))
                 acc = prod(acc, label)
             values.append(acc)
+    return tasks

@@ -110,6 +110,27 @@ def dense_layered(width, depth, seed=0):
     )
 
 
+def random_exprset(rng, labels="abcd"):
+    """A random acyclic expression set with its definitions shuffled, so
+    names are often used before they are defined, and some definitions are
+    used by nothing."""
+    names = [f"s{i}" for i in range(rng.randint(1, 6))]
+
+    def expr(atoms, depth=2):
+        if depth == 0 or rng.random() < 0.3:
+            return Sym(rng.choice(atoms))
+        kids = [expr(atoms, depth - 1) for _ in range(rng.randint(2, 3))]
+        return (prod if rng.random() < 0.6 else add)(*kids)
+
+    # a name uses only the names after it in `names`, so no cycle forms
+    defs = [(name, expr([*labels, *names[i + 1:]])) for i, name in enumerate(names)]
+    rng.shuffle(defs)
+    s = ExprSet(defs)
+    for _ in range(rng.randint(1, 3)):
+        s.add_entry(rng.choice("pq"), rng.choice("xy"), expr([*labels, *names]))
+    return s
+
+
 def enumerate_parenthesizations(n):
     """All binary association trees over n leaves (brute-force oracle)."""
 

@@ -5,7 +5,9 @@ from pathlib import Path
 
 import pytest
 
+from jacfact import factorize
 from jacfact.cli import main
+from jacfact.expr import Sym
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -100,6 +102,49 @@ def test_eliminate_cycle_exit_code(capsys):
     )
     assert code == 4
     assert out.count("cycle:") == 1
+
+
+CHAIN = "e e1 r m a\ne e2 m n b\ne e3 n t c\n"
+
+
+@pytest.mark.parametrize("first, second", [("s1", "s2"), ("s10", "s11")])
+@pytest.mark.parametrize("command", ["eliminate", "verify"])
+def test_reference_cycle_exit_code(capsys, tmp_path, command, first, second):
+    g = tmp_path / "chain.graph"
+    g.write_text(CHAIN)
+    s = tmp_path / "cyc.exprs"
+    s.write_text(f"{first} = {second}*a\n{second} = {first}*b\nJ[r,t] = {first}\n")
+    args = ["--from-exprset", str(s)] if command == "eliminate" else [str(s)]
+    code, out, err = run_cli(capsys, command, str(g), *args)
+    assert (code, out) == (4, "")
+    assert err == f"error: cyclic reference: {second} -> {first} -> {second}\n"
+
+
+def test_forward_reference_verifies_and_replays(capsys, tmp_path):
+    g = tmp_path / "chain.graph"
+    g.write_text(CHAIN)
+    s = tmp_path / "fwd.exprs"
+    s.write_text("s2 = s1*c\ns1 = a*b\nJ[r,t] = s2\n")
+    code, out, _ = run_cli(capsys, "verify", str(g), str(s))
+    assert code == 0 and out.startswith("PASS")
+    code, out, _ = run_cli(capsys, "eliminate", str(g), "--from-exprset", str(s))
+    assert code == 0 and out == "J[r,t] = a*b*c\nmultiplications: 2\n"
+
+
+def test_self_verify_support_mismatch_exit_code(capsys, monkeypatch):
+    plan = factorize.plan_pages
+
+    def spurious(g):
+        pages, s, transcript = plan(g)
+        s.add_entry("v1", "v1", Sym("e1"))
+        return pages, s, transcript
+
+    monkeypatch.setattr(factorize, "plan_pages", spurious)
+    code, out, err = run_cli(
+        capsys, "factorize", str(FIXTURES / "fig4b.graph"), "--direction", "pages"
+    )
+    assert (code, out) == (3, "")
+    assert err == "error: entry supports differ on [('v1', 'v1')]\n"
 
 
 def test_eliminate_order_file(capsys, tmp_path):

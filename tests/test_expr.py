@@ -28,12 +28,14 @@ from jacfact.expr import (
     parse_expr,
     parse_exprset,
     prod,
+    reference_order,
+    symbol_occurrences,
 )
 
 from jacfact.graph import parse_graph
 from jacfact.oracle import check_equiv, eval_exprset, instantiate
 
-from conftest import load_exprset
+from conftest import load_exprset, random_exprset
 
 
 def test_parse_product_of_sums():
@@ -146,12 +148,54 @@ def test_check_references_matches_expand_expr():
             atoms = [Sym(rng.choice(names + list("abcdefgh"))) for _ in range(rng.randint(1, 4))]
             defs.append((name, add(prod(*atoms[:2]), *atoms[2:])))
         dm = dict(defs)
-        clean = set()
+        clean = {}
         want = _first_error(expand_expr, defs, dm)
         got = _first_error(lambda e, d: check_references(e, d, clean), defs, dm)
         assert got == want
         found += want is not None
+        _check_reference_order(ExprSet(defs), want)
     assert 50 < found < 250  # both outcomes are well represented
+
+
+def _symbols_in_order(e):
+    if isinstance(e, Sym):
+        return [e.name]
+    kids = getattr(e, "factors", ()) + getattr(e, "terms", ())
+    return [name for k in kids for name in _symbols_in_order(k)]
+
+
+def _ref_reference_order(s):
+    """Depth-first postorder over the definitions in set order, references
+    in term order: the order `reference_order` documents, recursively."""
+    dm, out = s.def_map, {}
+
+    def visit(name):
+        if name not in out:
+            for ref in _symbols_in_order(dm[name]):
+                if ref in dm:
+                    visit(ref)
+            out[name] = None
+
+    for name, _ in s.defs:
+        visit(name)
+    return list(out)
+
+
+def _check_reference_order(s, cycle):
+    """`reference_order(s)` raises `cycle`, the text of the first error
+    ``expand_expr`` meets over the definitions in set order, or lists every
+    name once, after every name it references."""
+    if cycle is not None:
+        with pytest.raises(CyclicReferenceError) as exc:
+            reference_order(s)
+        assert str(exc.value) == cycle
+        return
+    order = reference_order(s)
+    dm = s.def_map
+    assert order == _ref_reference_order(s)
+    place = {name: i for i, name in enumerate(order)}
+    for name, e in s.defs:
+        assert all(place[ref] < place[name] for ref in free_symbols(e) & set(dm))
 
 
 def test_fma_cost_deep_reference_chain():
@@ -190,6 +234,43 @@ def test_inline_single_use():
     out = inline_single_use(s)
     assert [n for n, _ in out.defs] == ["s2"]
     assert format_expr(out.entry_map()[("y", "x")]) == "a*b*e+s2*f+s2*g"
+
+
+def _ref_inline_single_use(s):
+    """Inlining as a fixpoint: rebuild the set until no name is used at
+    most once."""
+    while True:
+        counts = {name: 0 for name, _ in s.defs}
+        for _, e in s.all_exprs():
+            for name, k in symbol_occurrences(e).items():
+                if name in counts:
+                    counts[name] += k
+        victims = {n for n, k in counts.items() if k <= 1}
+        if not victims:
+            return s
+        dm = {n: d for n, d in s.defs if n in victims}
+        out = ExprSet()
+        for name, e in s.defs:
+            if name not in victims:
+                out.define(name, expand_expr(e, dm))
+        for (r, t), e in s.entries:
+            out.add_entry(r, t, expand_expr(e, dm))
+        s = out
+
+
+def test_inline_single_use_matches_the_fixpoint():
+    changed = forward = dead = 0
+    for seed in range(1500):
+        s = random_exprset(random.Random(seed))
+        want = _ref_inline_single_use(s)
+        got = inline_single_use(s)
+        assert (got.defs, got.entries) == (want.defs, want.entries)
+        changed += want is not s
+        forward += reference_order(s) != [name for name, _ in s.defs]
+        used = set().union(*(free_symbols(e) for _, e in s.all_exprs()))
+        dead += any(name not in used for name, _ in s.defs)
+    # sets inlining leaves alone, forward references and dead definitions
+    assert 500 < changed < 1500 and forward > 300 and dead > 300
 
 
 _sym = st.sampled_from("abcdefgh")

@@ -13,6 +13,7 @@ from jacfact.expr import (
     expand_refs,
     parse_exprset,
     prod,
+    reference_order,
 )
 from jacfact.graph import (
     UNIT_LABEL,
@@ -34,7 +35,7 @@ from jacfact.oracle import (
     instantiate,
 )
 
-from conftest import load_exprset, load_graph, random_layered_dag
+from conftest import load_exprset, load_graph, random_exprset, random_layered_dag
 
 
 def test_instantiate_deterministic():
@@ -353,9 +354,19 @@ def test_eval_exprset_equal_subterms_match_recursive_evaluation():
         assert {pair: col[t] for pair, col in got.items()} == want
 
 
-def test_eval_exprset_reads_a_name_as_its_label_until_defined():
-    # s1 is evaluated before s2 is defined, so its s2*a reads the label s2;
-    # the entry's s2*a, the same node, reads the definition
+def test_eval_exprset_reads_a_name_as_its_definition_before_it_is_defined():
+    # s1 uses s2 before the set defines it; both s2*a, one node, read the
+    # definition b, as expand_refs does, and never the label s2
     s = parse_exprset("s1 = s2*a\ns2 = b\nJ[r,t] = s1+s2*a\n")
     inst = Instantiation({"a": 3, "b": 5, "s2": 7}, 0)
-    assert eval_exprset(s, inst) == {("r", "t"): 7 * 3 + 5 * 3}
+    assert eval_exprset(s, inst) == {("r", "t"): 5 * 3 + 5 * 3}
+
+
+def test_eval_exprset_matches_expand_refs_with_shuffled_definitions():
+    forward = 0
+    for seed in range(300):
+        s = random_exprset(random.Random(seed))
+        batch = draw_trials(base_symbols(s), seed, 3)
+        assert eval_exprset(s, batch) == eval_exprset(expand_refs(s), batch)
+        forward += reference_order(s) != [name for name, _ in s.defs]
+    assert forward > 50

@@ -6,7 +6,7 @@ import sys
 import pytest
 
 from jacfact.convert import expr_to_graph
-from jacfact.expr import fma_cost, parse_expr, parse_exprset
+from jacfact.expr import CyclicReferenceError, ExprSet, fma_cost, parse_expr, parse_exprset
 from jacfact.graph import DiffGraph, parse_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
 from jacfact.oracle import check_equiv
@@ -156,6 +156,26 @@ def test_safe_order_replays_exactly(sec5, fig9a):
     entries = readout_jacobian(lg)
     assert set(entries) == set(sec5.entry_map())
     assert check_equiv(sec5, entries).ok
+
+
+def test_safe_order_replays_shuffled_definitions(sec5, fig9a):
+    page = DiffGraph(
+        [e for e in fig9a.edges if e.id not in ("e0", "e17", "e1", "e2")]
+    )
+    for seed in range(30):
+        defs = list(sec5.defs)
+        random.Random(seed).shuffle(defs)
+        s = ExprSet(defs, list(sec5.entries))
+        lg = build_line_graph(page)
+        trace = run_elimination(lg, safe_elimination_order(s), defs=s.def_map)
+        assert trace_mult_count(trace) == fma_cost(s) == 26
+        assert check_equiv(s, readout_jacobian(lg)).ok
+
+
+def test_safe_order_reference_cycle_is_a_cyclic_reference():
+    s = parse_exprset("s1 = s2*a\ns2 = s1*b\nJ[r,t] = s1\n")
+    with pytest.raises(CyclicReferenceError, match="^cyclic reference: s2 -> s1 -> s2$"):
+        safe_elimination_order(s)
 
 
 def test_safe_order_direct_only_topological():
