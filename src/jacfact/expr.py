@@ -393,6 +393,7 @@ class ExprSet:
     entries: list = field(default_factory=list)  # [((root, terminal), Expr)]
     _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
+    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
     _reserved: set = field(default_factory=set, init=False, repr=False, compare=False)
 
     def __post_init__(self):
@@ -420,11 +421,14 @@ class ExprSet:
 
         Symbols and ``1`` stand for themselves.  Interning is by the
         canonical node of the expansion, so one structure reached through a
-        reference or spelled out shares one name.
+        reference or spelled out shares one name.  The set keeps every
+        reference expansion it has made, which never goes stale because a
+        definition never changes, so an expression is expanded only down to
+        the references it uses, not through them.
         """
         if isinstance(expr, (Sym, _Unit)):
             return expr
-        key = canonical(expand_expr(expr, self._defs))
+        key = canonical(expand_expr(expr, self._defs, self._expanded))
         name = self._interned.get(key)
         if name is None:
             n = len(self.defs) + 1
@@ -477,16 +481,19 @@ def format_exprset(s):
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def expand_expr(e, def_map):
+def expand_expr(e, def_map, expanded=None):
     """Substitute reference definitions into an expression.
 
     The walk is iterative, so nesting depth is not bounded by the recursion
     limit, and each node and each definition is expanded once per call, its
-    expansion shared by every use.  A cyclic reference raises
-    :class:`CyclicReferenceError` naming the first cycle met depth-first,
-    references taken in term order.
+    expansion shared by every use.  `expanded` (reference name -> its
+    expansion) carries those expansions from call to call; it must only
+    ever be used with one `def_map` whose definitions do not change.  A
+    cyclic reference raises :class:`CyclicReferenceError` naming the first
+    cycle met depth-first, references taken in term order.
     """
-    expanded = {}  # reference name -> its expansion
+    if expanded is None:
+        expanded = {}
     done = {}  # product or sum -> its expansion
     path = {}  # reference names being expanded, outermost first
 
@@ -611,13 +618,18 @@ def fma_cost(s):
 
     Accepts a single expression or an :class:`ExprSet`.  Each reference
     definition is counted once no matter how often it is used.  Products
-    are built without unit factors, so multiplying by ``1`` is free.
+    are built without unit factors, so multiplying by ``1`` is free.  A
+    reference cycle raises :class:`CyclicReferenceError`, also one among
+    definitions no entry uses; a cycle reached from an entry is named as
+    from that entry.
     """
     if isinstance(s, Expr):
         return _expr_cost(s)
     dm, clean = s.def_map, {}
     for _, e in s.entries:
         check_references(e, dm, clean)  # raises on cyclic or malformed references
+    for _, e in s.defs:
+        check_references(e, dm, clean)
     total = 0
     for _, e in s.all_exprs():
         total += _expr_cost(e)

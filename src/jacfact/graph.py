@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from functools import cached_property
 
 UNIT_LABEL = "1"
 DEFAULT_PATH_GUARD = 10**6
@@ -88,6 +89,16 @@ class DiffGraph:
             return self._edge_by_id[edge_id]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id}") from None
+
+    @cached_property
+    def edge_pos(self):
+        """Edge id -> its place in `edges`."""
+        return {e.id: k for k, e in enumerate(self.edges)}
+
+    @cached_property
+    def topo_pos(self):
+        """Vertex -> its place in `topo_order`."""
+        return {v: k for k, v in enumerate(self.topo_order)}
 
     def require(self, *vertices):
         """Raise :class:`GraphError` for the first vertex not in the graph."""
@@ -332,13 +343,17 @@ def region_edges(g, srcs, sinks, avoid=()):
 
     For one source and one sink this is the region of the pair: its edges
     contract to the pair's expression.  One walk goes down from the sources
-    and one up from the sinks, each stopping at the ends and at `avoid`.
+    and one up from the sinks, each stopping at the ends and at `avoid`;
+    the out-edges of the sources and the inner vertices are then sorted by
+    ``g.edge_pos``, so the cost follows the region, not the graph.
     """
     srcs, sinks = set(srcs), set(sinks)
     g.require(*sorted(srcs | sinks))
     ends = srcs | sinks | set(avoid)
     inner = (reach(srcs, g.successors, ends) & reach(sinks, g.predecessors, ends)) - ends
-    return [
-        e for e in g.edges
-        if (e.src in srcs or e.src in inner) and (e.dst in sinks or e.dst in inner)
+    edges = [
+        e for v in srcs | inner for e in g.out_edges(v)
+        if e.dst in sinks or e.dst in inner
     ]
+    edges.sort(key=lambda e: g.edge_pos[e.id])
+    return edges

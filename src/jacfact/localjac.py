@@ -14,7 +14,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .expr import ExprSet, _Unit, add, format_expr, free_symbols, inline_single_use, prod
-from .graph import region_edges
+from .graph import reach, region_edges
 from .structure import edges_expr
 
 
@@ -48,11 +48,19 @@ def extract_local_jacobian(g, rows, cols):
     to paths whose interiors avoid all other row/column vertices, so a chain
     of extractions over a level partition multiplies back to the full
     Jacobian.  A complex region raises.
+
+    Only the region between the two sets is walked: a column can precede a
+    row only if it comes before the last row in topological order, so the
+    check walks down from a column through those vertices alone.
     """
     rows = tuple(rows)
     cols = tuple(cols)
+    g.require(*cols, *rows)
     boundary = set(rows) | set(cols)
-    below = {c: g.reachable_from(c) for c in cols}
+    pos = g.topo_pos
+    last = max((pos[r] for r in rows), default=-1)
+    step = lambda v: [w for w in g.successors(v) if pos[w] <= last]
+    below = {c: reach([c], step) if pos[c] < last else () for c in cols}
     for r in rows:
         for c in cols:
             if r in below[c]:
@@ -145,38 +153,43 @@ def accumulate(chain, parenthesization):
     return inline_single_use(s), acc.cost
 
 
-def _pattern(m):
-    """Entry pattern: 0 structural zero, 1 unit, 2 general."""
-    pat = {}
-    for key, e in m.entries.items():
-        pat[key] = 1 if _is_unit(e) else 2
-    return m.rows, m.cols, pat
+class _Pattern:
+    """The zero/unit/general pattern of a chain interval's product, with
+    the number of general entries in each of its columns and rows.
 
+    The pattern does not depend on how the interval is bracketed: an entry
+    is zero when no index sequence through the interval is nonzero, unit
+    when exactly one is and all its factors are unit, and general otherwise.
+    """
 
-def _pattern_product(a, b):
-    rows_a, mid, pa = a
-    mid_b, cols, pb = b
-    if mid != mid_b:
-        raise JacobianError("chain is not conformable")
-    out = {}
-    cost = 0
-    for (r, m), x in pa.items():
-        for c in cols:
-            y = pb.get((m, c))
-            if y is None:
-                continue
-            if x == 2 and y == 2:
-                cost += 1
-            elif x == 2 or y == 2:
-                pass  # unit factor: free
-            # unit*unit stays unit and is free
-            val = 1 if (x == 1 and y == 1) else 2
-            key = (r, c)
-            if key in out:
-                out[key] = 2
-            else:
-                out[key] = val
-    return (rows_a, cols, out), cost
+    def __init__(self, cols, pat):
+        self.cols, self.pat = cols, pat  # pat: (r, c) -> 1 unit, 2 general
+        self.col_general = {}
+        self.row_general = {}
+        for (r, c), x in pat.items():
+            if x == 2:
+                self.col_general[c] = self.col_general.get(c, 0) + 1
+                self.row_general[r] = self.row_general.get(r, 0) + 1
+
+    @classmethod
+    def of(cls, m):
+        return cls(m.cols, {k: 1 if _is_unit(e) else 2 for k, e in m.entries.items()})
+
+    def join_cost(self, right):
+        """Multiplications of ``self @ right``: each general entry (r, m)
+        meets each general entry (m, c)."""
+        rg = right.row_general
+        return sum(n * rg.get(m, 0) for m, n in self.col_general.items())
+
+    def __matmul__(self, right):
+        out = {}
+        for (r, m), x in self.pat.items():
+            for c in right.cols:
+                y = right.pat.get((m, c))
+                if y is not None:
+                    key = (r, c)
+                    out[key] = 2 if key in out or x == 2 or y == 2 else 1
+        return _Pattern(right.cols, out)
 
 
 def best_accumulation_order(chain, bound=12):
@@ -184,7 +197,14 @@ def best_accumulation_order(chain, bound=12):
 
     Sparsity-aware interval dynamic program: the cost of joining two
     intervals depends on the nonzero/unit pattern of each accumulated
-    product, not just on dimensions.  Returns (tree, cost).
+    product, not just on dimensions.  Each interval's pattern is worked out
+    once, and a split is costed from its two parts' general-entry counts.
+    Ties go to the least split point.  Returns (tree, cost).
+
+    The program is cubic in the chain's length, but a chain of 1x1 factors
+    with nonzero entries has a closed form: every association costs one
+    multiplication fewer than its general factors, so the tie-break gives
+    the right-associated tree without running it.
     """
     n = len(chain)
     if n == 0:
@@ -193,20 +213,23 @@ def best_accumulation_order(chain, bound=12):
         raise JacobianError(f"chain length {n} over exhaustive bound {bound}")
     if n == 1:
         return 0, 0
+    if any(a.cols != b.rows for a, b in zip(chain, chain[1:])):
+        raise JacobianError("chain is not conformable")
+    if all(len(m.rows) == len(m.cols) == len(m.entries) == 1 for m in chain):
+        general = sum(not _is_unit(e) for m in chain for e in m.entries.values())
+        return right_assoc(n), max(0, general - 1)
     pats = {}
     best = {}
     for i, m in enumerate(chain):
-        pats[(i, i)] = _pattern(m)
+        pats[(i, i)] = _Pattern.of(m)
         best[(i, i)] = (0, i)
     for span in range(1, n):
         for i in range(n - span):
             j = i + span
-            options = []
-            for k in range(i, j):
-                combined, join_cost = _pattern_product(pats[(i, k)], pats[(k + 1, j)])
-                cost = best[(i, k)][0] + best[(k + 1, j)][0] + join_cost
-                options.append((cost, k, combined))
-            cost, k, combined = min(options, key=lambda o: (o[0], o[1]))
-            pats[(i, j)] = combined
+            cost, k = min(
+                (best[(i, k)][0] + best[(k + 1, j)][0] + pats[(i, k)].join_cost(pats[(k + 1, j)]), k)
+                for k in range(i, j)
+            )
+            pats[(i, j)] = pats[(i, k)] @ pats[(k + 1, j)]
             best[(i, j)] = (cost, (best[(i, k)][1], best[(k + 1, j)][1]))
     return best[(0, n - 1)][1], best[(0, n - 1)][0]

@@ -49,10 +49,10 @@ def fig9a():
     return load_graph("fig9a")
 
 
-def random_layered_dag(rng, max_vertices=10, max_edges=16):
+def random_layered_dag(rng, max_vertices=10, max_edges=16, max_levels=4):
     """Connected-ish layered DAG: every non-root has an in-edge, every
     non-terminal an out-edge, optional cross-level extras."""
-    n_levels = rng.randint(2, 4)
+    n_levels = rng.randint(2, max_levels)
     total = rng.randint(n_levels, max_vertices)
     sizes = [1] * n_levels
     for _ in range(total - n_levels):

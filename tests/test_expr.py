@@ -212,6 +212,12 @@ def test_fma_cost_cyclic_reference_message():
     assert str(exc.value) == "cyclic reference: s1 -> s3 -> s4 -> s3"
 
 
+def test_fma_cost_rejects_a_cycle_among_unused_definitions():
+    s = parse_exprset("s1 = s2*a\ns2 = s1*b\nJ[r,t] = a*c\n")
+    with pytest.raises(CyclicReferenceError, match=r"^cyclic reference: s2 -> s1 -> s2$"):
+        fma_cost(s)
+
+
 def test_define_rejects_duplicate_name():
     s = ExprSet([("s1", Sym("a"))])
     s.define("s2", parse_expr("a*b"))
@@ -487,6 +493,28 @@ def test_exprset_intern_names_each_structure_once():
     ]
     assert s.def_map == dict(s.defs) and s.def_map is not s.def_map
     assert fma_cost(s) == 2
+
+
+def test_exprset_intern_names_as_without_its_expansion_memo():
+    # the same names as interning by the expansion made afresh on every call
+    rng = random.Random(7)
+    s, names, by_key = ExprSet(), [], {}
+    memo = {}
+    for _ in range(300):
+        atoms = [Sym(rng.choice("abcde")) for _ in range(4)] + [Sym(n) for n in names]
+        kids = rng.sample(atoms, rng.randint(2, 3))
+        if names and rng.random() < 0.3:  # a defined structure spelled out
+            kids[0] = expand_expr(Sym(rng.choice(names)), s.def_map)
+        e = (prod if rng.random() < 0.6 else add)(*kids)
+        dm = s.def_map
+        expected = by_key.get(canonical(expand_expr(e, dm)))
+        assert expand_expr(e, dm, memo) is expand_expr(e, dm)
+        got = s.intern(e)
+        if expected is None:
+            expected = by_key[canonical(expand_expr(e, dm))] = f"s{len(names) + 1}"
+            names.append(expected)
+        assert got == Sym(expected)
+    assert [name for name, _ in s.defs] == names
 
 
 def test_canonical_keeps_canonical_subterms():

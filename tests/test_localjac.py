@@ -4,7 +4,8 @@ import random
 import pytest
 
 from jacfact.expr import Sym, UNIT, fma_cost, format_expr, parse_expr
-from jacfact.graph import GraphError, parse_graph
+from jacfact.graph import GraphError, depth_levels, parse_graph
+from jacfact.linegraph import build_line_graph, run_elimination, trace_mult_count
 from jacfact.localjac import (
     JacobianError,
     LocalJacobian,
@@ -15,8 +16,16 @@ from jacfact.localjac import (
     right_assoc,
 )
 from jacfact.oracle import check_equiv
+from jacfact.relations import safe_elimination_order
+from jacfact.structure import segment_cross_level
 
-from conftest import enumerate_parenthesizations, fig4b_labeled_s1, load_graph
+from conftest import (
+    dense_layered,
+    enumerate_parenthesizations,
+    fig4b_labeled_s1,
+    load_graph,
+    random_layered_dag,
+)
 
 
 def _fig4b_chain(fig4b):
@@ -196,3 +205,130 @@ def test_accumulate_names_skip_input_labels(order):
     s, cost = accumulate(_fig4b_chain(g), order)
     assert "s1" not in s.def_map and cost == 10
     assert check_equiv(g, s).ok
+
+
+def _level_chain(g):
+    """One local Jacobian per pair of adjacent levels of the segmented graph,
+    and the segmented graph."""
+    seg = segment_cross_level(g)
+    levels, _ = depth_levels(seg)
+    rows = [[] for _ in range(max(levels.values()) + 1)]
+    for v in sorted(levels):
+        rows[levels[v]].append(v)
+    return [extract_local_jacobian(seg, rows[k], rows[k + 1]) for k in range(len(rows) - 1)], seg
+
+
+def _reference_order(chain):
+    """The interval DP costing every split by a full pattern product (0 zero,
+    1 unit, 2 general), ties to the least split: what
+    `best_accumulation_order` must return."""
+    def pattern(m):
+        return m.rows, m.cols, {k: 1 if e is UNIT else 2 for k, e in m.entries.items()}
+
+    def product(a, b):
+        rows, mid, pa = a
+        mid_b, cols, pb = b
+        if mid != mid_b:
+            raise JacobianError("chain is not conformable")
+        out, cost = {}, 0
+        for (r, m), x in pa.items():
+            for c in cols:
+                y = pb.get((m, c))
+                if y is None:
+                    continue
+                cost += x == 2 and y == 2
+                out[(r, c)] = 2 if (r, c) in out else (1 if x == y == 1 else 2)
+        return (rows, cols, out), cost
+
+    n = len(chain)
+    if n == 1:
+        return 0, 0
+    pats = {(i, i): pattern(m) for i, m in enumerate(chain)}
+    best = {(i, i): (0, i) for i in range(n)}
+    for span in range(1, n):
+        for i in range(n - span):
+            j = i + span
+            options = []
+            for k in range(i, j):
+                combined, join = product(pats[(i, k)], pats[(k + 1, j)])
+                options.append((best[(i, k)][0] + best[(k + 1, j)][0] + join, k, combined))
+            cost, k, pats[(i, j)] = min(options, key=lambda o: (o[0], o[1]))
+            best[(i, j)] = (cost, (best[(i, k)][1], best[(k + 1, j)][1]))
+    return best[(0, n - 1)][1], best[(0, n - 1)][0]
+
+
+def _diamond_chain(count):
+    lines = []
+    for d in range(count):
+        for side in "lr":
+            lines += [f"e {side}{d}a c{d} m{d}{side}\n", f"e {side}{d}b m{d}{side} c{d + 1}\n"]
+    return parse_graph("".join(lines))
+
+
+def _random_chain(rng, n, max_dim, unit_share=0.25, zero_share=0.3):
+    """A conformable chain of n random sparse factors; every row of a
+    factor keeps one entry, so no product is all zero."""
+    dims = [rng.randint(1, max_dim) for _ in range(n + 1)]
+    chain, k = [], 0
+    for step in range(n):
+        rows = tuple(f"r{step}_{i}" for i in range(dims[step]))
+        cols = tuple(f"r{step + 1}_{i}" for i in range(dims[step + 1]))
+        entries = {}
+        for i, r in enumerate(rows):
+            for j, c in enumerate(cols):
+                if j != i % len(cols) and rng.random() < zero_share:
+                    continue
+                k += 1
+                entries[(r, c)] = UNIT if rng.random() < unit_share else Sym(f"p{k}")
+        chain.append(LocalJacobian(rows, cols, entries))
+    return chain
+
+
+def _dp_corpus():
+    rng = random.Random(2021)
+    for _ in range(120):
+        g = random_layered_dag(rng, max_vertices=rng.randint(10, 40), max_edges=60, max_levels=8)
+        yield _level_chain(g)[0]
+    for width, depth in [(2, 8), (3, 5), (4, 4), (2, 4), (3, 3), (5, 2)]:
+        yield _level_chain(dense_layered(width, depth))[0]
+    for count in range(4, 13):
+        yield _level_chain(_diamond_chain(count))[0]
+    for _ in range(100):
+        yield _random_chain(rng, rng.randint(2, 10), 4)
+    for _ in range(80):  # 1x1 chains, often with unit entries
+        yield _random_chain(rng, rng.randint(1, 14), 1, unit_share=rng.random())
+
+
+def test_best_order_matches_reference_dp():
+    corpus = list(_dp_corpus())
+    assert len(corpus) >= 300 and max(len(c) for c in corpus) >= 24
+    for chain in corpus:
+        assert best_accumulation_order(chain, bound=len(chain)) == _reference_order(chain)
+
+
+def test_best_order_rejects_a_non_conformable_1x1_chain():
+    mats = [
+        LocalJacobian(("a",), ("b",), {("a", "b"): Sym("m0")}),
+        LocalJacobian(("x",), ("c",), {("x", "c"): Sym("m1")}),
+    ]
+    with pytest.raises(JacobianError, match="^chain is not conformable$"):
+        best_accumulation_order(mats)
+
+
+def test_plain_chain_of_1500_edges_runs_end_to_end():
+    n = 1500
+    g = parse_graph("".join(f"e c{k} p{k} p{k + 1}\n" for k in range(n)))
+    chain, seg = _level_chain(g)
+    assert seg is g and len(chain) == n
+    tree, cost = best_accumulation_order(chain, bound=len(chain))
+    assert cost == n - 1
+    node = tree
+    for k in range(n - 1):  # right-associated, walked: `==` would recurse 1500 deep
+        assert node[0] == k
+        node = node[1]
+    assert node == n - 1
+    s, acc_cost = accumulate(chain, tree)
+    assert acc_cost == fma_cost(s) == n - 1
+    assert check_equiv(g, s).ok
+    trace = run_elimination(build_line_graph(g), safe_elimination_order(s), defs=s.def_map)
+    assert trace_mult_count(trace) == n - 1
