@@ -43,7 +43,6 @@ from .graph import (
     depth_levels,
     enumerate_paths,
     format_graph,
-    overlap_degree,
     parse_graph,
     rt_degrees,
 )
@@ -72,6 +71,6 @@ from .relations import (
     lemma1_audit,
     safe_elimination_order,
 )
-from .structure import classify_block, find_structures, segment_cross_level
+from .structure import find_structures, segment_cross_level
 
 __version__ = "0.1.0"

@@ -317,9 +317,6 @@ def main(argv=None):
     except factorize.FactorizationError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except GraphParseError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PARSE
     except oracle.SupportMismatch as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VERIFY

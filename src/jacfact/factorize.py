@@ -396,15 +396,14 @@ def _finalize(page, transcript):
 
 
 def _band_pass(page, v_i, v_j, levels, transcript):
-    """Compress the level band below the pivot by one level."""
+    """Compress the level band below the pivot by one level; the band is never
+    empty, as a longest root path to an inner vertex of the region crosses it."""
     g = page.graph
     a, b = levels[v_i], levels[v_j]
     v_a = [u for u in g.reaching(v_j) if levels[u] == a]
     v_b = [w for w in g.reachable_from(v_i) if levels[w] == b]
     between = reach(v_a, g.successors) & reach(v_b, g.predecessors)
     band = sorted(m for m in between if levels[m] == a + 1)
-    if not band:
-        return False
     ids = Names(e.id for e in g.edges)
     edges = {(e.src, e.dst): e for e in g.edges}  # a DiffGraph has one edge per pair
     for m in band:
@@ -430,7 +429,6 @@ def _band_pass(page, v_i, v_j, levels, transcript):
             "page": page.pid,
         }
     )
-    return True
 
 
 def _label_of(atom):
@@ -491,10 +489,8 @@ def plan_pages(g):
             queue += _separate(page, v_i, v_j, levels, next_pid, transcript)
             next_pid += 2
             continue
-        if _band_pass(page, v_i, v_j, levels, transcript):
-            queue.append(page)
-            continue
-        done.append(_finalize(page, transcript))
+        _band_pass(page, v_i, v_j, levels, transcript)
+        queue.append(page)
     return done, merge_pages(done), transcript
 
 

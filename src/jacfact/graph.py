@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import cached_property
 
 UNIT_LABEL = "1"
-DEFAULT_PATH_GUARD = 10**6
 
 
 class GraphError(ValueError):
@@ -25,10 +24,6 @@ class GraphError(ValueError):
 
 class GraphParseError(GraphError):
     pass
-
-
-class PathGuardExceeded(GraphError):
-    """Path enumeration grew beyond the configured guard limit."""
 
 
 @dataclass(frozen=True)
@@ -255,7 +250,7 @@ def classify_vertices(g):
     return y, z, x
 
 
-def enumerate_paths(g, frm, to, guard=DEFAULT_PATH_GUARD):
+def enumerate_paths(g, frm, to):
     """All directed paths from `frm` to `to` as tuples of edge ids.
 
     Deterministic: depth-first with out-edges taken in edge-id order, which
@@ -278,8 +273,6 @@ def enumerate_paths(g, frm, to, guard=DEFAULT_PATH_GUARD):
             todo.append(out_by_id(e.dst))
             continue
         paths.append(tuple(path))
-        if len(paths) > guard:
-            raise PathGuardExceeded(f"more than {guard} paths between {frm} and {to}")
         path.pop()
     return paths
 
@@ -328,12 +321,6 @@ def rt_degrees(g):
                 t[v].add(e.dst)
             t[v] |= t[e.dst]
     return {v: (len(r[v]), len(t[v])) for v in g.vertices}
-
-
-def overlap_degree(g, paths, edge_id):
-    """Number of paths in `paths` that pass through the given edge."""
-    g.edge(edge_id)
-    return sum(1 for p in paths if edge_id in p)
 
 
 def region_edges(g, srcs, sinks, avoid=()):

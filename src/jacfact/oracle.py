@@ -12,6 +12,8 @@ overwhelming probability.
 :class:`Trials` batch holds, per label, its value in ``instantiate(labels,
 seed + t)`` for each trial ``t``; every vertex, definition and entry carries
 one value per trial, and structurally equal subterms share one column.
+Every evaluator takes such a batch and returns columns; one trial is the
+batch ``draw_trials(labels, seed, 1)``.
 """
 from __future__ import annotations
 
@@ -34,25 +36,12 @@ class SupportMismatch(OracleError):
     pass
 
 
-@dataclass
-class Instantiation:
-    values: dict
-    seed: int
-
-    def __getitem__(self, label):
-        if label == UNIT_LABEL:
-            return 1
-        try:
-            return self.values[label]
-        except KeyError:
-            raise OracleError(f"label {label} not instantiated") from None
-
-
 def instantiate(labels, seed):
-    """Nonzero ``random.Random(seed).randrange(2, PRIME - 1)`` for each non-unit
-    label in sorted order (zero would mask dropped factors, one dropped units).
-    CPython draws it as ``2 + getrandbits(61)`` unless the bits are ``PRIME - 3``
-    or more (about one draw in 2^59); then ``randrange`` redraws the whole row."""
+    """Map each non-unit label, in sorted order, to
+    ``random.Random(seed).randrange(2, PRIME - 1)`` (zero would mask dropped
+    factors, one dropped units).  CPython draws it as ``2 + getrandbits(61)``
+    unless the bits are ``PRIME - 3`` or more (about one draw in 2^59); then
+    ``randrange`` redraws the whole row."""
     keys = sorted(set(labels) - {UNIT_LABEL})
     rng = random.Random(seed)
     bits = rng.getrandbits
@@ -60,7 +49,7 @@ def instantiate(labels, seed):
     if keys and max(row) >= PRIME - 1:
         rng.seed(seed)
         row = [rng.randrange(2, PRIME - 1) for _ in keys]
-    return Instantiation(dict(zip(keys, row)), seed)
+    return dict(zip(keys, row))
 
 
 @dataclass
@@ -71,18 +60,6 @@ class Trials:
 
     columns: dict
     size: int
-    single: bool = False  # built from one Instantiation: results are scalars
-
-    @classmethod
-    def of(cls, inst):
-        if isinstance(inst, Trials):
-            return inst
-        columns = {label: [v] for label, v in inst.values.items()}
-        return cls(columns, 1, single=True)
-
-    def scalars(self, out):
-        """Unwrap a {key: column} result when the batch is one Instantiation."""
-        return {k: col[0] for k, col in out.items()} if self.single else out
 
     def __getitem__(self, label):
         if label == UNIT_LABEL:
@@ -110,7 +87,7 @@ def draw_trials(labels, seed, trials):
     """Trials ``seed .. seed+trials-1``: trial ``t`` holds ``instantiate(labels,
     seed + t)``, called once per trial, which is how perfbench counts trials."""
     keys = sorted(set(labels) - {UNIT_LABEL})
-    rows = [instantiate(keys, s).values.values() for s in range(seed, seed + trials)]
+    rows = [instantiate(keys, s).values() for s in range(seed, seed + trials)]
     return Trials(dict(zip(keys, map(list, zip(*rows)))), trials)
 
 
@@ -173,18 +150,16 @@ class _Columns:
         return stack[0]
 
 
-def eval_expr(e, inst, def_values=None):
-    """Value of one expression under one :class:`Instantiation`;
-    ``def_values`` maps reference names to their values."""
-    trials = Trials.of(inst)
-    defs = {name: [v] for name, v in (def_values or {}).items()}
-    return trials.scalars({None: _Columns(trials, defs).of(e)})[None]
+def eval_expr(e, trials):
+    """Value column of one expression over a :class:`Trials` batch; every
+    name reads as a label."""
+    return _Columns(trials, {}).of(e)
 
 
-def eval_exprset(s, inst):
-    """Map (root, terminal) -> value, with each definition evaluated once,
-    in :func:`~jacfact.expr.reference_order`."""
-    trials = Trials.of(inst)
+def eval_exprset(s, trials):
+    """Map (root, terminal) -> value column over a :class:`Trials` batch,
+    with each definition evaluated once, in
+    :func:`~jacfact.expr.reference_order`."""
     def_map = s.def_map
     columns = _Columns(trials, {})
     for name in ex.reference_order(s):
@@ -193,16 +168,16 @@ def eval_exprset(s, inst):
     for pair, e in s.entries:
         v = columns.of(e)
         out[pair] = trials.add(out[pair], v) if pair in out else v
-    return trials.scalars(out)
+    return out
 
 
-def bauer_eval(g, inst):
-    """Jacobian entries as path sums, exact in the field.
+def bauer_eval(g, trials):
+    """Jacobian entries as path sums over a :class:`Trials` batch, exact in
+    the field: map (root, terminal) -> value column.
 
     One forward pass over the topological order per root: each reached
     vertex carries its path sum per trial.
     """
-    trials = Trials.of(inst)
     terminals = g.terminals
     is_terminal = set(terminals)
     succ = {
@@ -228,7 +203,7 @@ def bauer_eval(g, inst):
         for x in terminals:
             if x != y and x in value:
                 out[(y, x)] = value[x]
-    return trials.scalars(out)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -243,11 +218,11 @@ def labels_of(artifact):
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 
-def eval_artifact(artifact, inst):
+def eval_artifact(artifact, trials):
     if isinstance(artifact, DiffGraph):
-        return bauer_eval(artifact, inst)
+        return bauer_eval(artifact, trials)
     if isinstance(artifact, ExprSet):
-        return eval_exprset(artifact, inst)
+        return eval_exprset(artifact, trials)
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 

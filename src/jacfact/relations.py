@@ -193,15 +193,6 @@ class DepGraph:
     def successors(self, face):
         return [b for a, b, _ in self.edges if a == face]
 
-    def to_json(self):
-        return {
-            "nodes": sorted(map(list, self.nodes)),
-            "edges": [
-                {"from": list(a), "to": list(b), "mirrored": m}
-                for a, b, m in self.edges
-            ],
-        }
-
     def to_dot(self):
         def nid(face):
             return f'"{face[0]},{face[1]}"'

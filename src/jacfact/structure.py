@@ -21,7 +21,6 @@ from .graph import (
     Edge,
     Names,
     UNIT_LABEL,
-    count_paths,
     depth_levels,
     path_counts,
     reach,
@@ -355,25 +354,6 @@ def find_structures(g):
         _, a, b, region = stuck[0]
         c.substitute_stuck_block(a, b, region)
     return [r for r in c.records if r is not None]
-
-
-def classify_block(g, src, sink):
-    """Classification of the structure between a vertex pair.
-
-    Returns the outermost structure recorded for the pair; a bare original
-    edge with no other paths classifies as ``edge``.
-    """
-    structures = find_structures(g)
-    found = [s for s in structures if s.src == src and s.sink == sink]
-    if found:
-        return found[-1]
-    for e in g.edges:
-        if e.src == src and e.dst == sink:
-            if count_paths(g, src, sink) == 1:
-                return Structure(
-                    "edge", src, sink, frozenset([src, sink]), frozenset([e.id])
-                )
-    raise StructureError(f"no chain or block between {src} and {sink}")
 
 
 def region_expr(g, src, sink):

@@ -223,9 +223,9 @@ def sets_match_up_to_naming(mine, reference):
     return True, "ok"
 
 
-def lg_value(lg, inst):
-    """Independent line-graph semantics: per (root, terminal), the sum over
-    all source-to-sink paths of the product of vertex labels."""
+def lg_value(lg, trials):
+    """Independent line-graph semantics in one trial: per (root, terminal),
+    the sum over all source-to-sink paths of the product of vertex labels."""
     from jacfact.oracle import PRIME, eval_expr
 
     src_of = {vid: r for r, vid in lg.sources.items()}
@@ -238,7 +238,7 @@ def lg_value(lg, inst):
             return {(sink_of[vid],): acc}
         total = {}
         if v.kind == "label":
-            acc = acc * eval_expr(v.label, inst) % PRIME
+            acc = acc * eval_expr(v.label, trials)[0] % PRIME
         for s in sorted(v.succs):
             for k, val in walk(s, acc).items():
                 total[k] = (total.get(k, 0) + val) % PRIME

@@ -3,7 +3,7 @@ import pytest
 from jacfact.convert import expr_to_graph, graph_to_expr
 from jacfact.expr import equivalent_form, format_expr, parse_expr
 from jacfact.graph import parse_graph
-from jacfact.oracle import bauer_eval, eval_expr, instantiate
+from jacfact.oracle import bauer_eval, draw_trials, eval_expr
 from jacfact.structure import ComplexBlockError, StructureError
 
 from conftest import load_exprset, load_graph
@@ -79,16 +79,16 @@ def test_expr_eval_matches_bauer(fig4a, fig4b):
         e = graph_to_expr(g, src, sink)
         labels = {edge.label for edge in g.edges}
         for seed in range(100):
-            inst = instantiate(labels, seed)
+            batch = draw_trials(labels, seed, 1)
             total = 0
             for path in enumerate_paths(g, src, sink):
                 term = 1
                 for eid in path:
-                    term = term * inst[g.edge(eid).label] % PRIME
+                    term = term * batch[g.edge(eid).label][0] % PRIME
                 total = (total + term) % PRIME
-            assert eval_expr(e, inst) == total
+            assert eval_expr(e, batch) == [total]
             if (src, sink) == ("v1", "v7"):
-                assert bauer_eval(g, inst)[(src, sink)] == total
+                assert bauer_eval(g, batch)[(src, sink)] == [total]
 
 
 def test_edge_ids_skip_taken_ids():

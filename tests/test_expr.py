@@ -33,7 +33,7 @@ from jacfact.expr import (
 )
 
 from jacfact.graph import parse_graph
-from jacfact.oracle import check_equiv, eval_exprset, instantiate
+from jacfact.oracle import check_equiv, draw_trials, eval_exprset
 
 from conftest import load_exprset, random_exprset
 
@@ -556,8 +556,8 @@ def test_expand_refs_deep_reference_chain():
     out = expand_refs(s)
     assert out.defs == []
     assert fma_cost(out) == 3000  # a chain shares nothing, so nothing is lost
-    inst = instantiate(base_symbols(s), 1)
-    assert eval_exprset(out, inst) == eval_exprset(s, inst)
+    batch = draw_trials(base_symbols(s), 1, 1)
+    assert eval_exprset(out, batch) == eval_exprset(s, batch)
 
 
 def test_inline_single_use_deep_reference_chain():
@@ -565,8 +565,8 @@ def test_inline_single_use_deep_reference_chain():
     out = inline_single_use(s)
     assert out.defs == []
     assert fma_cost(out) == 3000
-    inst = instantiate(base_symbols(s), 1)
-    assert eval_exprset(out, inst) == eval_exprset(s, inst)
+    batch = draw_trials(base_symbols(s), 1, 1)
+    assert eval_exprset(out, batch) == eval_exprset(s, batch)
 
 
 def deep_entry(n):

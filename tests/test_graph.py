@@ -8,13 +8,11 @@ from jacfact.graph import (
     GraphError,
     GraphParseError,
     Names,
-    PathGuardExceeded,
     classify_vertices,
     count_paths,
     depth_levels,
     enumerate_paths,
     format_graph,
-    overlap_degree,
     parse_graph,
     region_edges,
     rt_degrees,
@@ -22,15 +20,6 @@ from jacfact.graph import (
 from jacfact.structure import segment_cross_level
 
 from conftest import FIXTURES, dense_layered, load_graph, random_layered_dag
-
-
-def inout_paths(g, v):
-    """All length-2 paths through an intermediate vertex."""
-    return [
-        (a.id, b.id)
-        for a in sorted(g.in_edges(v), key=lambda e: e.id)
-        for b in sorted(g.out_edges(v), key=lambda e: e.id)
-    ]
 
 
 def test_parse_fig1a_partition():
@@ -92,19 +81,6 @@ def test_reachability_names_an_unknown_vertex(fig4b):
     for walk in (fig4b.reachable_from, fig4b.reaching):
         with pytest.raises(GraphError, match="^unknown vertex nope$"):
             walk("nope")
-
-
-def test_path_guard():
-    edges = []
-    # ladder of diamonds: 2**12 paths
-    for i in range(12):
-        edges.append(Edge(f"a{i}", f"n{i}", f"m{i}a", f"a{i}"))
-        edges.append(Edge(f"b{i}", f"n{i}", f"m{i}b", f"b{i}"))
-        edges.append(Edge(f"c{i}", f"m{i}a", f"n{i+1}", f"c{i}"))
-        edges.append(Edge(f"d{i}", f"m{i}b", f"n{i+1}", f"d{i}"))
-    g = DiffGraph(edges)
-    with pytest.raises(PathGuardExceeded, match="^more than 1000 paths between n0 and n12$"):
-        enumerate_paths(g, "n0", "n12", guard=1000)
 
 
 def test_enumerate_paths_long_chain():
@@ -214,27 +190,6 @@ def test_rt_degrees_fig9a(fig9a):
         assert rt[r][0] == 0
     for t in fig9a.terminals:
         assert rt[t][1] == 0
-
-
-def test_overlap_degree(fig4a, fig4b):
-    # paths through one vertex: incoming edges overlap out-degree times
-    paths = [tuple(p) for p in inout_paths(fig4b, "v7")]
-    assert overlap_degree(fig4b, paths, "e11") == 2
-    paths_yx = enumerate_paths(fig4a, "v1", "v7")
-    assert overlap_degree(fig4a, paths_yx, "e3") == 2
-    assert overlap_degree(fig4a, paths_yx, "e1") == 2
-    assert overlap_degree(fig4a, [], "e1") == 0
-    with pytest.raises(GraphError):
-        overlap_degree(fig4a, paths_yx, "zzz")
-
-
-def test_overlap_formula_on_vertex_paths(fig4b):
-    for v in ("v2", "v3", "v5", "v7", "v8"):
-        paths = inout_paths(fig4b, v)
-        for e in fig4b.in_edges(v):
-            assert overlap_degree(fig4b, paths, e.id) == len(fig4b.out_edges(v))
-        for e in fig4b.out_edges(v):
-            assert overlap_degree(fig4b, paths, e.id) == len(fig4b.in_edges(v))
 
 
 def test_path_count_matches_levelwise_matrix_product():

@@ -19,7 +19,7 @@ from jacfact.linegraph import (
     trace_mult_count,
 )
 from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian
-from jacfact.oracle import bauer_eval, check_equiv, instantiate
+from jacfact.oracle import bauer_eval, check_equiv, draw_trials
 from jacfact.relations import safe_elimination_order
 
 from conftest import lg_value, load_graph, random_layered_dag
@@ -174,8 +174,7 @@ def test_dot_output(fig4a):
 
 
 def _value_snapshot(lg, labels, seed=3):
-    inst = instantiate(labels, seed)
-    return lg_value(lg, inst)
+    return lg_value(lg, draw_trials(labels, seed, 1))
 
 
 def _build(vertspec, edges, sources, sinks):

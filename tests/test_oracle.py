@@ -25,9 +25,9 @@ from jacfact.graph import (
 from jacfact.linegraph import build_line_graph, eliminate_face, readout_jacobian
 from jacfact.oracle import (
     PRIME,
-    Instantiation,
     OracleError,
     SupportMismatch,
+    Trials,
     bauer_eval,
     check_equiv,
     draw_trials,
@@ -41,36 +41,36 @@ from conftest import load_exprset, load_graph, random_exprset, random_layered_da
 def test_instantiate_deterministic():
     a = instantiate({"e1", "e2", "e3"}, seed=42)
     b = instantiate({"e3", "e2", "e1"}, seed=42)
-    assert a.values == b.values
+    assert a == b
     c = instantiate({"e1", "e2", "e3"}, seed=43)
-    assert a.values != c.values
+    assert a != c
 
 
 def test_instantiate_nonzero_distinct():
-    inst = instantiate({f"e{i}" for i in range(8)}, seed=42)
-    vals = list(inst.values.values())
+    vals = list(instantiate({f"e{i}" for i in range(8)}, seed=42).values())
     assert len(vals) == 8
     assert all(2 <= v <= PRIME - 2 for v in vals)
     assert len(set(vals)) == 8
 
 
 def test_unit_label_maps_to_one():
-    inst = instantiate({"e1", "1"}, seed=0)
-    assert inst["1"] == 1
-    assert "1" not in inst.values
+    assert "1" not in instantiate({"e1", "1"}, seed=0)
+    batch = draw_trials({"e1", "1"}, 0, 3)
+    assert "1" not in batch.columns
+    assert batch["1"] == [1, 1, 1]
 
 
 def test_bauer_counts_paths_with_unit_labels(fig4a, fig4b):
-    ones = Instantiation({e.label: 1 for e in fig4a.edges}, seed=0)
-    assert bauer_eval(fig4a, ones)[("v1", "v7")] == 4
-    ones_b = Instantiation({e.label: 1 for e in fig4b.edges}, seed=0)
-    assert bauer_eval(fig4b, ones_b)[("v1", "v9")] == 6
+    ones = Trials({e.label: [1] for e in fig4a.edges}, 1)
+    assert bauer_eval(fig4a, ones)[("v1", "v7")] == [4]
+    ones_b = Trials({e.label: [1] for e in fig4b.edges}, 1)
+    assert bauer_eval(fig4b, ones_b)[("v1", "v9")] == [6]
 
 
 def test_bauer_single_edge():
     g = parse_graph("e e1 a b\n")
-    inst = instantiate({"e1"}, seed=5)
-    assert bauer_eval(g, inst)[("a", "b")] == inst["e1"]
+    batch = draw_trials({"e1"}, 5, 1)
+    assert bauer_eval(g, batch)[("a", "b")] == batch["e1"]
 
 
 def test_check_equiv_eq1_eq2():
@@ -154,7 +154,7 @@ def test_draw_trials_match_randrange():
         assert batch.size == trials
         assert batch.columns == _reference_columns(labels, seed, trials)
         for t in range(trials):
-            values = instantiate(labels, seed + t).values
+            values = instantiate(labels, seed + t)
             assert values == {label: col[t] for label, col in batch.columns.items()}
 
 
@@ -180,13 +180,12 @@ def test_draws_fall_back_to_randrange_on_rejected_bits(monkeypatch):
     assert _FirstBitsRejected(40).randrange(2, PRIME - 1) == want["a"][0]
     monkeypatch.setattr(random, "Random", _FirstBitsRejected)
     assert draw_trials(labels, 40, 6).columns == want
-    assert instantiate(labels, 45).values == {label: col[5] for label, col in want.items()}
+    assert instantiate(labels, 45) == {label: col[5] for label, col in want.items()}
 
 
 def test_eval_exprset_defs_once():
     s = load_exprset("eq5")
-    inst = instantiate({f"e{i}" for i in range(1, 13)}, seed=9)
-    entries = eval_exprset(s, inst)
+    entries = eval_exprset(s, draw_trials({f"e{i}" for i in range(1, 13)}, 9, 1))
     assert set(entries) == {("v1", "v9")}
 
 
@@ -194,8 +193,9 @@ def test_eval_exprset_defs_once():
 # cross-checks against brute force
 
 
-def brute_path_sums(g, inst):
-    """Bauer's rule by enumerating every root-to-terminal path."""
+def brute_path_sums(g, batch):
+    """Bauer's rule by enumerating every root-to-terminal path, for a batch
+    of one trial."""
     out = {}
     for y in g.roots:
         for x in g.terminals:
@@ -206,9 +206,9 @@ def brute_path_sums(g, inst):
             for path in paths:
                 term = 1
                 for eid in path:
-                    term = term * inst[g.edge(eid).label] % PRIME
+                    term = term * batch[g.edge(eid).label][0] % PRIME
                 total = (total + term) % PRIME
-            out[(y, x)] = total
+            out[(y, x)] = [total]
     return out
 
 
@@ -227,8 +227,8 @@ def test_bauer_matches_path_enumeration():
         if len(g.vertices) < 9:
             continue
         for graph in (g, _with_unit_edges(g)):
-            inst = instantiate({e.label for e in graph.edges}, seed)
-            assert bauer_eval(graph, inst) == brute_path_sums(graph, inst)
+            batch = draw_trials({e.label for e in graph.edges}, seed, 1)
+            assert bauer_eval(graph, batch) == brute_path_sums(graph, batch)
         checked += 1
     assert checked >= 40
 
@@ -276,8 +276,8 @@ def test_check_equiv_mismatches_match_per_trial_loop():
     expected = []
     for t in range(30):
         inst = instantiate(labels, 11 + t)
-        va = {p: _ref_eval(e, inst.values) for p, e in expand_refs(lhs).entry_map().items()}
-        vb = {p: _ref_eval(e, inst.values) for p, e in expand_refs(bad).entry_map().items()}
+        va = {p: _ref_eval(e, inst) for p, e in expand_refs(lhs).entry_map().items()}
+        vb = {p: _ref_eval(e, inst) for p, e in expand_refs(bad).entry_map().items()}
         for pair in sorted(va):
             if va[pair] != vb[pair]:
                 expected.append((pair, 11 + t, va[pair], vb[pair]))
@@ -300,8 +300,8 @@ def test_check_equiv_mismatches_in_some_trials_match_per_trial_loop(monkeypatch)
     expected = []
     for t in range(40):
         inst = instantiate({"a", "b", "c"}, 7 + t)
-        va = {p: _ref_eval(e, inst.values) for p, e in lhs.entry_map().items()}
-        vb = {p: _ref_eval(e, inst.values) for p, e in rhs.entry_map().items()}
+        va = {p: _ref_eval(e, inst) for p, e in lhs.entry_map().items()}
+        vb = {p: _ref_eval(e, inst) for p, e in rhs.entry_map().items()}
         for pair in sorted(va):
             if va[pair] != vb[pair]:
                 expected.append((pair, 7 + t, va[pair], vb[pair]))
@@ -316,9 +316,9 @@ def test_eval_exprset_reports_cycles_like_expand_expr():
     s = parse_exprset("s1 = e1*s3\ns3 = e2+s4\ns4 = e3*s3\nJ[a,b] = s1\n")
     with pytest.raises(CyclicReferenceError) as want:
         expand_expr(s.defs[0][1], s.def_map)
-    inst = instantiate({"e1", "e2", "e3"}, 0)
+    batch = draw_trials({"e1", "e2", "e3"}, 0, 1)
     with pytest.raises(CyclicReferenceError) as got:
-        eval_exprset(s, inst)
+        eval_exprset(s, batch)
     assert str(got.value) == str(want.value) == "cyclic reference: s3 -> s4 -> s3"
 
 
@@ -326,11 +326,12 @@ def test_eval_exprset_deep_reference_chain():
     n = 3000
     lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n)]
     s = parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n - 1}\n")
-    inst = instantiate({f"e{i}" for i in range(n)}, 4)
+    labels = {f"e{i}" for i in range(n)}
+    inst = instantiate(labels, 4)
     v = inst["e0"]
     for i in range(1, n):
         v = (v * inst[f"e{i}"] + inst[f"e{i}"]) % PRIME
-    assert eval_exprset(s, inst) == {("a", "b"): v}
+    assert eval_exprset(s, draw_trials(labels, 4, 1)) == {("a", "b"): [v]}
 
 
 def test_eval_exprset_equal_subterms_match_recursive_evaluation():
@@ -349,7 +350,7 @@ def test_eval_exprset_equal_subterms_match_recursive_evaluation():
         inst = instantiate(labels, 3 + t)
         want = {}
         for pair, e in expand_refs(s).entries:
-            v = _ref_eval(e, inst.values)
+            v = _ref_eval(e, inst)
             want[pair] = (want[pair] + v) % PRIME if pair in want else v
         assert {pair: col[t] for pair, col in got.items()} == want
 
@@ -358,8 +359,8 @@ def test_eval_exprset_reads_a_name_as_its_definition_before_it_is_defined():
     # s1 uses s2 before the set defines it; both s2*a, one node, read the
     # definition b, as expand_refs does, and never the label s2
     s = parse_exprset("s1 = s2*a\ns2 = b\nJ[r,t] = s1+s2*a\n")
-    inst = Instantiation({"a": 3, "b": 5, "s2": 7}, 0)
-    assert eval_exprset(s, inst) == {("r", "t"): 5 * 3 + 5 * 3}
+    batch = Trials({"a": [3], "b": [5], "s2": [7]}, 1)
+    assert eval_exprset(s, batch) == {("r", "t"): [5 * 3 + 5 * 3]}
 
 
 def test_eval_exprset_matches_expand_refs_with_shuffled_definitions():
