@@ -149,6 +149,8 @@ def cmd_factorize(args):
         if value and args.direction != "pages":
             raise CliError(f"{flag} needs --direction pages", EXIT_USAGE)
     g = load_graph(args.graph)
+    if args.expr and (len(g.roots) != 1 or len(g.terminals) != 1):
+        raise CliError("--expr needs a graph with one root and one terminal", EXIT_USAGE)
     if args.direction in ("backward", "forward"):
         out = getattr(factorize, f"factorize_{args.direction}")(g)
         _self_verify(g, out, args.trials, args.seed)

@@ -378,20 +378,27 @@ def test_fixtures_load_by_their_kind():
 
 
 @pytest.mark.parametrize(
-    "direction, flag, needs",
+    "graph, direction, flag, needs",
     [
-        ("refs", ["--expr"], "backward or forward"),
-        ("pages", ["--expr"], "backward or forward"),
-        ("backward", ["--transcript", "t.jsonl"], "pages"),
-        ("refs", ["--pages-out", "p.txt"], "pages"),
+        pytest.param("fig4b", "refs", ["--expr"], "--direction backward or forward",
+                     id="refs-flag0-backward or forward"),
+        pytest.param("fig4b", "pages", ["--expr"], "--direction backward or forward",
+                     id="pages-flag1-backward or forward"),
+        pytest.param("fig4b", "backward", ["--transcript", "t.jsonl"], "--direction pages",
+                     id="backward-flag2-pages"),
+        pytest.param("fig4b", "refs", ["--pages-out", "p.txt"], "--direction pages",
+                     id="refs-flag3-pages"),
+        # four roots and four terminals: no one expression to print
+        pytest.param("fig9a", "backward", ["--expr"], "a graph with one root and one terminal",
+                     id="fig9a-backward-expr"),
     ],
 )
-def test_flag_without_its_direction_is_a_usage_error(capsys, tmp_path, direction, flag, needs):
+def test_flag_without_its_direction_is_a_usage_error(capsys, tmp_path, graph, direction, flag, needs):
     if len(flag) == 2:
         flag = [flag[0], str(tmp_path / flag[1])]
     code, out, err = run_cli(
-        capsys, "factorize", str(FIXTURES / "fig4b.graph"), "--direction", direction, *flag
+        capsys, "factorize", str(FIXTURES / f"{graph}.graph"), "--direction", direction, *flag
     )
     assert code == 1 and out == ""
-    assert f"{flag[0]} needs --direction {needs}" in err
+    assert f"{flag[0]} needs {needs}" in err
     assert list(tmp_path.iterdir()) == []  # no file written

@@ -157,13 +157,13 @@ CLI_DIGESTS = {
     'eq3': '913b519ce92c9be4bd968306b3071cba88ae33102c562a796bdf3ed8bb03f0cc',
     'eq4': '190d75af59c6abc2524cbfc8a31254b973c2cd9c7ae424b250a48f1f3d3d8cc2',
     'eq5': 'c85b1509c0a7f73f8982421d7208806a3b81ce62af34bfe73ec0bec944be6a28',
-    'fig10a': '1325d55af2b366ac5ab92d7829ecf1284f1e724a74d1ab9827932c5bf3852ccd',
-    'fig1a': '9e2fa87cf2ea8ca45994b84b0e820accf32d7d6f5828b5b21b69e0b9a822b960',
+    'fig10a': 'ae51715781d20bb2b9387a3ef87d23aa9869ebe1cfcf412a9201dcbdfaeedccb',
+    'fig1a': '3c0d2fe0f8c951e973b0c4bf9d5f71f15a96342d28ce9123c25b1a1cdbcd4d93',
     'fig4a': 'e82eb315fcc4656e50408162f2d93fcea1a79464ff9b9885f731949e872105d7',
     'fig4b': 'f8945fdefbc56ee03083308b4cee44c2bf55ccc10940f364380db43fab1d3786',
     'fig5a': '151e45c9a7f97f0d6301bcde779a3a09133b808b761346a88b918889bc80e9b0',
-    'fig7a': '6a9bec450a779d8f7aa9abd7488673c99bfee3d1241b05fbb8867cd4a9fbae66',
-    'fig9a': '7fb8eb2bd2034421a52b5321cb3fbe8c7fb082b802f4a251ff4299062e79fa2a',
+    'fig7a': '58b111774785104845027efe5035b1b5afa8509f1219ef99d9c03b7fa9193916',
+    'fig9a': '78a82f294ac9fe9d82d04a5664b3f2a533faa560ccda269ff820aac9f72f78e9',
     'sec5set': '78567a97411e479c52d8c650e40826c436f1f49774e251c6d927c50f282fc7b0',
 }
 
