@@ -402,3 +402,42 @@ def test_flag_without_its_direction_is_a_usage_error(capsys, tmp_path, graph, di
     assert code == 1 and out == ""
     assert f"{flag[0]} needs {needs}" in err
     assert list(tmp_path.iterdir()) == []  # no file written
+
+
+_CHAIN = "# a chain\n\ne e1 a b\n  # indented comment\ne e2 b c\n"
+
+
+@pytest.mark.parametrize(
+    "files, args, code, expect",
+    [
+        pytest.param({"g.graph": "e e1 a a\n"}, ["inspect", "g.graph"],
+                     2, "self loop on a", id="graph-self-loop"),
+        pytest.param({"g.graph": "e e1 a b\ne e2 a b\n"}, ["inspect", "g.graph"],
+                     2, "duplicate edge between a and b", id="graph-two-edges-on-a-pair"),
+        pytest.param({"g.graph": _CHAIN, "s.exprs": "# plan\n\nJ[a,c] = e1*e2\n"},
+                     ["verify", "g.graph", "s.exprs"],
+                     0, "PASS (100 trials, field)\n", id="comments-and-blank-lines"),
+        pytest.param({"g.graph": _CHAIN, "o.txt": "# first face\n\ne1 e2\n"},
+                     ["eliminate", "g.graph", "--order", "o.txt"],
+                     0, "J[a,c] = e1*e2\nmultiplications: 1\n", id="order-whitespace-form"),
+        pytest.param({"g.graph": _CHAIN, "o.txt": "e1 | e2\ne1 e2 e3\n"},
+                     ["eliminate", "g.graph", "--order", "o.txt"],
+                     2, "order line 2: expected '<expr> | <expr>'", id="order-malformed-line"),
+        pytest.param({"g.graph": _CHAIN, "o.txt": "# bad\n(e1 | e2\n"},
+                     ["eliminate", "g.graph", "--order", "o.txt"],
+                     2, "order line 2: expected ')'", id="order-bad-expression"),
+        pytest.param({"s.exprs": "J[a,c] = e1*e2\nnot a line\n"}, ["verify", "s.exprs", "s.exprs"],
+                     2, "line 2: expected 'name = expr' or 'J[r,t] = expr'", id="exprs-malformed-line"),
+        pytest.param({"g.graph": _CHAIN}, ["eliminate", "g.graph", "--from-exprset", "g.graph"],
+                     1, "g.graph: expected an expression set", id="from-exprset-given-a-graph"),
+    ],
+)
+def test_input_checks(capsys, tmp_path, files, args, code, expect):
+    for name, text in files.items():
+        (tmp_path / name).write_text(text)
+    got, out, err = run_cli(capsys, *(str(tmp_path / a) if a in files else a for a in args))
+    assert got == code
+    if code == 0:
+        assert (out, err) == (expect, "")
+    else:
+        assert out == "" and err.startswith("error: ") and expect in err
