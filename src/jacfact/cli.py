@@ -1,9 +1,9 @@
 """Command-line front end.
 
-Exit codes: 0 success, 1 usage error, 2 parse error, 3 verification failure,
-4 circular elimination dependencies or references, 5 work budget exceeded
-(factorization or page planning did not settle).  Outputs are deterministic
-for fixed inputs, flags and seed.
+Exit codes: 0 success, 1 usage error or a set that verifies but cannot replay,
+2 parse error, 3 verification failure, 4 circular elimination dependencies or
+references, 5 work budget exceeded (factorization or page planning did not
+settle).  Outputs are deterministic for fixed inputs, flags and seed.
 """
 from __future__ import annotations
 

@@ -158,8 +158,7 @@ def eval_expr(e, trials):
 
 def eval_exprset(s, trials):
     """Map (root, terminal) -> value column over a :class:`Trials` batch,
-    with each definition evaluated once, in
-    :func:`~jacfact.expr.reference_order`."""
+    with each definition evaluated once, in reference order."""
     def_map = s.def_map
     columns = _Columns(trials, {})
     for name in ex.reference_order(s):
@@ -172,11 +171,10 @@ def eval_exprset(s, trials):
 
 
 def bauer_eval(g, trials):
-    """Jacobian entries as path sums over a :class:`Trials` batch, exact in
-    the field: map (root, terminal) -> value column.
+    """Jacobian entries as path sums, exact in the field.
 
     One forward pass over the topological order per root: each reached
-    vertex carries its path sum per trial.
+    vertex carries its path sum as a column over the :class:`Trials` batch.
     """
     terminals = g.terminals
     is_terminal = set(terminals)
