@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 
 from . import convert, factorize, linegraph, oracle, relations, structure
@@ -182,17 +183,18 @@ def _parse_order_file(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        if "|" in line:
-            left, _, right = line.partition("|")
+        if "|" in raw:
+            cut = raw.index("|")
+            spans = [(0, cut), (cut + 1, len(raw))]
         else:
-            parts = line.split()
-            if len(parts) != 2:
+            spans = [m.span() for m in re.finditer(r"\S+", raw)]
+            if len(spans) != 2:
                 raise CliError(
                     f"order line {lineno}: expected '<expr> | <expr>'", EXIT_PARSE
                 )
-            left, right = parts
         try:
-            order.append((parse_expr(left.strip()), parse_expr(right.strip())))
+            # each side parsed in place, so an error's position is in the line
+            order.append(tuple(parse_expr(raw[:end], start) for start, end in spans))
         except Exception as exc:
             raise CliError(f"order line {lineno}: {exc}", EXIT_PARSE)
     return order

@@ -20,6 +20,7 @@ from __future__ import annotations
 import operator
 import re
 import weakref
+from collections import ChainMap
 from dataclasses import dataclass, field
 
 
@@ -153,26 +154,32 @@ def _of_symbols(node):
     return set(map(type, _kids(node))) == {Sym}
 
 
-def _pending(e, done):
+def _pending(e, done=None):
     """The products and sums of `e`, itself included, for which
-    ``done(node)`` is false, each once, children before parents.
+    ``done(node)`` is false (all of them when `done` is None), each once,
+    children before parents, children in term order.
 
     The walk is iterative, so nesting depth is not bounded by the recursion
     limit, and it does not descend below a node that is done.
     """
-    order, seen, stack = [], set(), [(e, False)]
-    while stack:
-        node, finished = stack.pop()
-        if finished:
-            order.append(node)
-        elif isinstance(node, _Compound):
-            if node not in seen and not done(node):
-                seen.add(node)
-                stack.append((node, True))
-                if not _of_symbols(node):
-                    stack.extend((k, False) for k in reversed(_kids(node)))
-        elif not isinstance(node, Expr):
-            raise ExprError(f"not an expression: {node!r}")
+    order, seen = [], set()
+    frames = [(None, iter((e,)))]  # (node whose children these are, its children)
+    while frames:
+        node, kids = frames[-1]
+        for k in kids:
+            if type(k) is Sym:  # the commonest child
+                continue
+            if isinstance(k, _Compound):
+                if k not in seen and (done is None or not done(k)):
+                    seen.add(k)
+                    frames.append((k, iter(_kids(k))))
+                    break
+            elif not isinstance(k, Expr):
+                raise ExprError(f"not an expression: {k!r}")
+        else:
+            frames.pop()
+            if node is not None:
+                order.append(node)
     return order
 
 
@@ -229,16 +236,10 @@ def equivalent_form(a, b):
 
 
 def free_symbols(e):
-    """Names of the symbols in `e`, walked iteratively."""
-    out, seen, stack = set(), set(), [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            out.add(node.name)
-        elif isinstance(node, _Compound) and node not in seen:
-            seen.add(node)
-            stack.extend(node.factors if isinstance(node, Prod) else node.terms)
-    return out
+    """Names of the symbols in `e`."""
+    if isinstance(e, Sym):
+        return {e.name}
+    return {k.name for node in _pending(e) for k in _kids(node) if isinstance(k, Sym)}
 
 
 # ---------------------------------------------------------------------------
@@ -362,9 +363,11 @@ class _Parser:
                 factors.append(value)
 
 
-def parse_expr(text):
-    """Parse ``*``/``+``/parenthesis syntax into an expression."""
+def parse_expr(text, start=0):
+    """Parse ``*``/``+``/parenthesis syntax in ``text[start:]`` into an
+    expression; a syntax error's position counts from the start of `text`."""
     p = _Parser(text)
+    p.pos = start
     e = p.parse_sum()
     p.skip_ws()
     if p.pos != len(p.text):
@@ -460,12 +463,12 @@ def parse_exprset(text):
         line = raw.strip()
         if not line or line.startswith("#"):
             continue
-        entry = _ENTRY_LINE.match(line)
-        m = entry or _DEF_LINE.match(line)
+        entry = _ENTRY_LINE.match(raw)
+        m = entry or _DEF_LINE.match(raw)
         if not m:
             raise ExprError(f"line {lineno}: expected 'name = expr' or 'J[r,t] = expr'")
         try:
-            e = parse_expr(m.group(3) if entry else m.group(2))
+            e = parse_expr(raw, m.start(3) if entry else m.start(2))
         except ExprSyntaxError as exc:
             raise ExprSyntaxError(f"line {lineno}: {exc.reason}", exc.position) from None
         if entry:
@@ -484,76 +487,63 @@ def format_exprset(s):
 def expand_expr(e, def_map, expanded=None):
     """Substitute reference definitions into an expression.
 
-    The walk is iterative, so nesting depth is not bounded by the recursion
-    limit, and each node and each definition is expanded once per call, its
-    expansion shared by every use.  `expanded` (reference name -> its
-    expansion) carries those expansions from call to call; it must only
-    ever be used with one `def_map` whose definitions do not change.  A
-    cyclic reference raises :class:`CyclicReferenceError` naming the first
-    cycle met depth-first, references taken in term order.
+    Each definition `e` reaches is expanded once, iteratively, and its
+    expansion shared by every use.  `expanded` (reference name -> its expansion)
+    carries those expansions from call to call; it must only ever be used
+    with one `def_map` whose definitions do not change.  A cyclic reference
+    raises the :class:`CyclicReferenceError` of :func:`check_references`.
     """
     if expanded is None:
         expanded = {}
-    done = {}  # product or sum -> its expansion
-    path = {}  # reference names being expanded, outermost first
+    if isinstance(e, Sym) and (e.name in expanded or e.name not in def_map):
+        return expanded.get(e.name, e)  # a label or a name expanded before
+    new = {}
+    check_references(e, def_map, ChainMap(new, expanded))
+    for name in new:
+        expanded[name] = _substitute(def_map[name], expanded)
+    return _substitute(e, expanded)
 
-    def known(k):
-        """The expansion of `k` if it is at hand, else None."""
-        if isinstance(k, Sym):
-            return expanded.get(k.name) if k.name in def_map else k
-        return k if isinstance(k, _Unit) else done.get(k)
 
-    stack = [] if known(e) is not None else [e]
-    while stack:
-        node = stack[-1]
-        if isinstance(node, _Compound):
-            if node in done:
-                stack.pop()
-                continue
-            todo = [k for k in _kids(node) if known(k) is None]
-            if todo:
-                stack.extend(reversed(todo))
-                continue
-            stack.pop()
-            done[node] = (prod if isinstance(node, Prod) else add)(*map(known, _kids(node)))
-        elif isinstance(node, Sym):  # a reference, the only symbols stacked
-            name = node.name
-            body = def_map[name]
-            value = known(body)
-            if value is not None:
-                stack.pop()
-                path.pop(name, None)
-                expanded[name] = value
-            elif name in path:
-                cycle = " -> ".join([*path, name])
-                raise CyclicReferenceError(f"cyclic reference: {cycle}")
-            else:
-                path[name] = None
-                stack.append(body)
-        else:
-            raise ExprError(f"not an expression: {node!r}")
-    return known(e)
+def _substitute(e, values):
+    """`e` with every symbol named in `values` replaced by its value; a node
+    none of whose children change is kept as it is."""
+    done = {}  # product or sum -> its substitution
+
+    def value(k):
+        return values.get(k.name, k) if isinstance(k, Sym) else done.get(k, k)
+
+    for node in _pending(e):
+        kids = _kids(node)
+        new = tuple(map(value, kids))
+        done[node] = node if all(map(operator.is_, new, kids)) else type(node)(new)
+    return value(e)
 
 
 def check_references(e, def_map, clean):
-    """Raise the :class:`CyclicReferenceError` that ``expand_expr(e, def_map)``
-    would raise, without expanding anything.
+    """Add to the mapping `clean` every name of `def_map` that `e` reaches
+    through references and `clean` does not hold yet, each after every name
+    it references.
 
-    Depth-first over references in the order ``expand_expr`` takes them.  A
-    name whose references were all followed without a cycle joins the dict
-    ``clean`` after every name it references, and is never followed again,
-    so one pass over a whole set is linear.
+    Depth-first over references in term order, iteratively.  A name of
+    `clean` is never followed, so one pass over a whole set with one
+    `clean` is linear.  A product or sum is not walked again in a call once
+    its walk has finished; marking it when its walk starts would miss a
+    cycle that comes back through it.  A cyclic reference raises
+    :class:`CyclicReferenceError` naming the first cycle met.
     """
     path = {}  # reference names being followed, outermost first
-    frames = [(None, iter((e,)))]
+    finished = set()  # products and sums walked without a cycle
+    frames = [(None, iter((e,)))]  # (name or node whose walk this is, its children)
     while frames:
-        name, pending = frames[-1]
+        owner, pending = frames[-1]
         node = next(pending, None)
         if node is None:
             frames.pop()
-            if name is not None:
+            if isinstance(owner, str):
                 path.popitem()
-                clean[name] = None
+                clean[owner] = None
+            elif owner is not None:
+                finished.add(owner)
         elif isinstance(node, Sym):
             ref = node.name
             if ref in def_map and ref not in clean:
@@ -562,8 +552,9 @@ def check_references(e, def_map, clean):
                     raise CyclicReferenceError(f"cyclic reference: {cycle}")
                 path[ref] = None
                 frames.append((ref, iter((def_map[ref],))))
-        elif isinstance(node, (Prod, Sum)):
-            frames.append((None, iter(node.factors if isinstance(node, Prod) else node.terms)))
+        elif isinstance(node, _Compound):
+            if node not in finished:
+                frames.append((node, iter(_kids(node))))
         elif not isinstance(node, _Unit):
             raise ExprError(f"not an expression: {node!r}")
 
@@ -591,26 +582,30 @@ def expand_refs(s):
     The value of every entry is preserved; the multiplication count may grow
     because sharing is lost.
     """
-    dm = s.def_map
+    dm, expanded = s.def_map, {}
     out = ExprSet()
     for pair, e in s.entries:
-        out.entries.append((pair, expand_expr(e, dm)))
+        out.entries.append((pair, expand_expr(e, dm, expanded)))
     return out
+
+
+def _occurrences(e):
+    """Each distinct node of `e` with the number of times it occurs in the
+    tree of `e`: parents are counted before their children, so the walk is
+    linear in the distinct nodes."""
+    counts = {e: 1}
+    for node in reversed(_pending(e)):
+        n = counts[node]
+        for k in _kids(node):
+            counts[k] = counts.get(k, 0) + n
+    return counts
 
 
 def _expr_cost(e):
     """Multiplications in one expression: n - 1 per product of n factors."""
-    total, stack = 0, [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Prod):
-            total += len(node.factors) - 1
-            stack.extend(node.factors)
-        elif isinstance(node, Sum):
-            stack.extend(node.terms)
-        elif not isinstance(node, (Sym, _Unit)):
-            raise ExprError(f"not an expression: {node!r}")
-    return total
+    return sum(
+        n * (len(node.factors) - 1) for node, n in _occurrences(e).items() if isinstance(node, Prod)
+    )
 
 
 def fma_cost(s):
@@ -638,15 +633,7 @@ def fma_cost(s):
 
 def symbol_occurrences(e):
     """Occurrence count per symbol (a symbol used twice counts twice)."""
-    counts = {}
-    stack = [e]
-    while stack:
-        node = stack.pop()
-        if isinstance(node, Sym):
-            counts[node.name] = counts.get(node.name, 0) + 1
-        elif isinstance(node, (Prod, Sum)):
-            stack.extend(node.factors if isinstance(node, Prod) else node.terms)
-    return counts
+    return {node.name: n for node, n in _occurrences(e).items() if isinstance(node, Sym)}
 
 
 def inline_single_use(s):

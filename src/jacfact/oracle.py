@@ -22,7 +22,7 @@ from dataclasses import dataclass, field
 from functools import reduce
 
 from . import expr as ex
-from .expr import ExprSet, Prod, Sum, Sym, _Unit
+from .expr import UNIT, ExprSet, Prod, Sym, _kids, _pending
 from .graph import DiffGraph, UNIT_LABEL
 
 PRIME = 2**61 - 1
@@ -103,64 +103,43 @@ class _Columns:
     a label.
     """
 
-    def __init__(self, trials, def_values):
+    def __init__(self, trials):
         self.trials = trials
-        self.def_values = def_values  # reference name -> column; may grow
-        self.columns = {}  # product or sum -> value column
+        self.columns = {}  # product, sum or defined name's symbol -> value column
 
     def define(self, name, e):
         """Evaluate definition `name` = `e`; from here on `name` reads as
         the definition."""
-        self.def_values[name] = self.of(e)
+        self.columns[Sym(name)] = self.of(e)
 
     def of(self, e):
-        """Value column of one expression, iteratively (no Python
-        recursion).
+        """Value column of one expression; each product and sum not yet
+        evaluated is evaluated once, children first."""
+        trials, columns = self.trials, self.columns
+        for node in _pending(e, columns.__contains__):
+            fold = trials.mul if isinstance(node, Prod) else trials.add
+            columns[node] = reduce(fold, map(self._value, _kids(node)))
+        return self._value(e)
 
-        Children are visited left to right, so an uninstantiated label is
-        reported where a recursive evaluation would first meet it.
-        """
-        trials, columns, def_values = self.trials, self.columns, self.def_values
-        todo = [(e, False)]
-        stack = []  # columns of the values computed so far
-        while todo:
-            node, ready = todo.pop()
-            if isinstance(node, _Unit):
-                stack.append(trials[UNIT_LABEL])
-            elif isinstance(node, Sym):
-                name = node.name
-                stack.append(def_values[name] if name in def_values else trials[name])
-            elif isinstance(node, (Prod, Sum)):
-                if node in columns:
-                    stack.append(columns[node])
-                    continue
-                is_prod = isinstance(node, Prod)
-                kids = node.factors if is_prod else node.terms
-                if not ready:
-                    todo.append((node, True))
-                    todo.extend((k, False) for k in reversed(kids))
-                    continue
-                split = len(stack) - len(kids)
-                acc = reduce(trials.mul if is_prod else trials.add, stack[split:])
-                del stack[split:]
-                columns[node] = acc
-                stack.append(acc)
-            else:
-                raise OracleError(f"not an expression: {node!r}")
-        return stack[0]
+    def _value(self, node):
+        """The column of an evaluated node or defined name, else of a label
+        or ``1``."""
+        if node in self.columns:
+            return self.columns[node]
+        return self.trials[UNIT_LABEL if node is UNIT else node.name]
 
 
 def eval_expr(e, trials):
     """Value column of one expression over a :class:`Trials` batch; every
     name reads as a label."""
-    return _Columns(trials, {}).of(e)
+    return _Columns(trials).of(e)
 
 
 def eval_exprset(s, trials):
     """Map (root, terminal) -> value column over a :class:`Trials` batch,
     with each definition evaluated once, in reference order."""
     def_map = s.def_map
-    columns = _Columns(trials, {})
+    columns = _Columns(trials)
     for name in ex.reference_order(s):
         columns.define(name, def_map[name])
     out = {}

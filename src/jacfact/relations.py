@@ -341,8 +341,9 @@ def safe_elimination_order(s):
 
     queues = {}  # site -> its faces not yet emitted, in order
     left = Counter()  # pair -> its faces not yet emitted
+    expanded = {}  # reference name -> its expansion, shared by every site
     for site, e in sites:
-        tasks = _plan_site(e, site, defs)
+        tasks = _plan_site(e, site, defs, expanded)
         if tasks:
             queues.setdefault(site, deque()).extend(tasks)
             left.update(t.pair for t in tasks)
@@ -371,9 +372,10 @@ def safe_elimination_order(s):
     return order
 
 
-def _plan_site(e, site, defs):
+def _plan_site(e, site, defs, expanded):
     """The faces of one site as tasks, products left to right, inner
-    products first.
+    products first; `expanded` is the reference expansion memo of
+    :func:`~jacfact.expr.expand_expr` for `defs`.
 
     A face is the pair of expanded operands its multiplication combines:
     the product accumulated so far and the next factor's expansion.  The
@@ -386,7 +388,7 @@ def _plan_site(e, site, defs):
     while todo:
         node, ready = todo.pop()
         if isinstance(node, (Sym, _Unit)):
-            values.append(expand_expr(node, defs))
+            values.append(expand_expr(node, defs, expanded))
         elif not isinstance(node, (Prod, Sum)):
             raise RelationError(f"not an expression: {node!r}")
         elif not ready:

@@ -225,7 +225,7 @@ def test_exprset_syntax_error_names_the_line_once(capsys, tmp_path, line):
     bad.write_text(line + "\n")
     code, _, err = run_cli(capsys, "verify", str(bad), str(bad))
     assert code == 2
-    assert err == f"error: {bad}: line 1: expected ')' (at position 2)\n"
+    assert err == f"error: {bad}: line 1: expected ')' (at position {len(line)})\n"
 
 
 def test_chain_of_40_diamonds_runs_every_subcommand(capsys, tmp_path):
@@ -426,6 +426,11 @@ _CHAIN = "# a chain\n\ne e1 a b\n  # indented comment\ne e2 b c\n"
         pytest.param({"g.graph": _CHAIN, "o.txt": "# bad\n(e1 | e2\n"},
                      ["eliminate", "g.graph", "--order", "o.txt"],
                      2, "order line 2: expected ')'", id="order-bad-expression"),
+        pytest.param({"g.graph": _CHAIN, "o.txt": "e1 | (e2\n"},
+                     ["eliminate", "g.graph", "--order", "o.txt"],
+                     2, "order line 1: expected ')' (at position 8)\n", id="order-error-column"),
+        pytest.param({"s.exprs": "J[a,c] =   (e1\n"}, ["verify", "s.exprs", "s.exprs"],
+                     2, "line 1: expected ')' (at position 14)\n", id="exprs-error-column"),
         pytest.param({"s.exprs": "J[a,c] = e1*e2\nnot a line\n"}, ["verify", "s.exprs", "s.exprs"],
                      2, "line 2: expected 'name = expr' or 'J[r,t] = expr'", id="exprs-malformed-line"),
         pytest.param({"g.graph": _CHAIN}, ["eliminate", "g.graph", "--from-exprset", "g.graph"],

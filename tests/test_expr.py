@@ -61,8 +61,8 @@ def test_syntax_error_position():
 def test_exprset_syntax_error_names_its_line(line):
     with pytest.raises(ExprSyntaxError) as err:
         parse_exprset("J[u,v] = e1\n" + line + "\n")
-    assert str(err.value) == "line 2: expected ')' (at position 2)"
-    assert err.value.position == 2
+    assert str(err.value) == f"line 2: expected ')' (at position {len(line)})"
+    assert err.value.position == len(line)  # the missing ')' ends the line
 
 
 @pytest.mark.parametrize(
@@ -543,6 +543,14 @@ def test_expand_expr_matches_recursive_definition():
             want = _outcome(_ref_expand, Sym(name), dm)
             assert _outcome(expand_expr, Sym(name), dm) == want
             cycles += isinstance(want, str)
+            # a name used twice shares its expansion
+            twice = add(prod(Sym(name), Sym("a")), prod(Sym("b"), Sym(name)))
+            got = _outcome(expand_expr, twice, dm)
+            assert got == _outcome(_ref_expand, twice, dm)
+            if not isinstance(got, str):
+                assert fma_cost(got) == _ref_fma_cost(got)
+                assert symbol_occurrences(got) == _ref_symbol_occurrences(got)
+                assert free_symbols(got) == _ref_free_symbols(got)
     assert 50 < cycles < 1000  # both outcomes are well represented
 
 
@@ -567,6 +575,28 @@ def test_inline_single_use_deep_reference_chain():
     assert fma_cost(out) == 3000
     batch = draw_trials(base_symbols(s), 1, 1)
     assert eval_exprset(out, batch) == eval_exprset(s, batch)
+
+
+def test_doubly_used_reference_chain_folds_once_per_node():
+    # each definition uses the previous name twice, so the expanded entry is
+    # a DAG of three products and sums per level whose tree has 2**61 - 1
+    # products
+    n = 60
+    lines = ["s1 = a0*b0+c0*d0"] + [f"s{i} = s{i - 1}*e{i}+s{i - 1}*f{i}" for i in range(2, n + 1)]
+    s = parse_exprset("\n".join(lines) + f"\nJ[r,t] = s{n}*z\n")
+    out = expand_refs(s)
+    (_, e), = out.entries
+    assert fma_cost(out) == 2**61 - 1
+    counts = symbol_occurrences(e)
+    for i in range(2, n + 1):
+        assert counts[f"e{i}"] == counts[f"f{i}"] == 2 ** (n - i)
+    assert counts["a0"] == 2**59 and counts["z"] == 1
+    assert base_symbols(out) == set(counts)
+    clean = {}
+    check_references(e, s.def_map, clean)
+    assert clean == {}
+    check_references(s.entries[0][1], s.def_map, clean)
+    assert list(clean) == [f"s{i}" for i in range(1, n + 1)]
 
 
 def deep_entry(n):
@@ -609,6 +639,20 @@ def _ref_free_symbols(e):
     out = set()
     for sub in getattr(e, "factors", ()) + getattr(e, "terms", ()):
         out |= _ref_free_symbols(sub)
+    return out
+
+
+def _ref_fma_cost(e):
+    kids = getattr(e, "factors", ()) + getattr(e, "terms", ())
+    return (len(kids) - 1 if isinstance(e, Prod) else 0) + sum(map(_ref_fma_cost, kids))
+
+
+def _ref_symbol_occurrences(e, out=None):
+    out = {} if out is None else out
+    if isinstance(e, Sym):
+        out[e.name] = out.get(e.name, 0) + 1
+    for sub in getattr(e, "factors", ()) + getattr(e, "terms", ()):
+        _ref_symbol_occurrences(sub, out)
     return out
 
 
@@ -682,8 +726,13 @@ def test_parse_format_free_symbols_match_recursive_definitions():
         e = _raw_expr(rng, 5, atoms=["a", "b1", "x.y", "s2'"])
         text = _ref_format(e)
         assert format_expr(e) == text
-        assert free_symbols(e) == _ref_free_symbols(e)
         assert parse_expr(text) == _ref_parse(text)
+        # `e` and expressions that hold it, or a subterm of it, more than once
+        inner = next((k for k in _nodes(e)[1:] if isinstance(k, (Prod, Sum))), e)
+        for x in (e, prod(e, add(e, Sym("a"))), add(prod(e, inner), prod(inner, e, e))):
+            assert free_symbols(x) == _ref_free_symbols(x)
+            assert fma_cost(x) == _ref_fma_cost(x)
+            assert symbol_occurrences(x) == _ref_symbol_occurrences(x)
         cut = rng.randrange(len(text) + 1)
         broken = text[:cut] + rng.choice(["(", ")", "*", "+", " ", "#", "1"]) + text[cut:]
         assert _parsed(parse_expr, broken) == _parsed(_ref_parse, broken)

@@ -222,6 +222,15 @@ def test_deep_entry_plans_and_replays():
     assert check_equiv(g, readout_jacobian(lg), trials=3).ok
 
 
+def test_safe_order_deep_reference_chain():
+    # s_i = s_{i-1}*e_i+e_i: the faces of every site expand the names it
+    # uses, and one expansion memo for all sites expands each name once
+    n = 1000
+    lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n + 1)]
+    s = parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n}*z\n")
+    assert len(safe_elimination_order(s)) == fma_cost(s) == n + 1
+
+
 def test_cycles_empty_iff_safe_order_succeeds(sec5):
     assert detect_cycles(build_dep_graph(sec5)) == []
     safe_elimination_order(sec5)  # does not raise
