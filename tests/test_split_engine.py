@@ -12,7 +12,7 @@ from collections import Counter
 import pytest
 
 from jacfact import factorize, structure
-from jacfact.expr import ExprSet, fma_cost, format_exprset
+from jacfact.expr import ExprSet, expand_expr, fma_cost, format_exprset
 from jacfact.factorize import (
     SplitGraph,
     _factorize,
@@ -70,10 +70,14 @@ def test_view_and_levels_match_a_rebuild_after_every_pass(mode):
 
 
 def _order_text(s):
+    """The order's faces with every operand expanded, so an order that
+    spells operands with the set's names hashes as its values."""
     try:
-        return repr(safe_elimination_order(s))
+        order = safe_elimination_order(s)
     except RelationError as exc:
         return repr(exc)
+    dm, memo = s.def_map, {}
+    return repr([tuple(expand_expr(x, dm, memo) for x in face) for face in order])
 
 
 def _outputs(g):
