@@ -39,13 +39,7 @@ from .graph import (
     region_edges,
     rt_degrees,
 )
-from .structure import (
-    ComplexBlockError,
-    contract,
-    edge_cedge,
-    edges_expr,
-    region_expr,
-)
+from .structure import contract, edge_cedge, region_expr
 
 
 class FactorizationError(ValueError):
@@ -375,20 +369,22 @@ def _pivots(g):
 
 
 def _finalize(page, transcript):
-    entries = []
-    for y, x in _active_pairs(page.graph):
-        edges = region_edges(page.graph, [y], [x])
-        try:
-            expr = edges_expr(edges, y, x)
-        except ComplexBlockError:
-            fixed = _factorize(DiffGraph(edges), "backward", refs=page.refs)
-            expr = region_expr(fixed, y, x)
-        entries.append(((y, x), expr))
-    page.entries = entries
+    """Read the page's entries off its edges.  Its structures are named, so
+    it contracts no further: each pair's region is one edge, whose atom is
+    the entry, unless the page is a complex block of one pair and several
+    edges, which ref mode factorizes."""
+    g = page.graph
+    pairs = _active_pairs(g)
+    if len(pairs) == 1 and len(g.edges) > 1:
+        (y, x), = pairs
+        page.entries = [((y, x), region_expr(_factorize(g, "backward", refs=page.refs), y, x))]
+    else:
+        atoms = {(e.src, e.dst): _atom(e.label) for e in g.edges}
+        page.entries = [(pair, atoms[pair]) for pair in pairs]
     transcript.append(
         {
             "op": "finalize",
-            "args": {"pairs": [list(p) for p, _ in entries]},
+            "args": {"pairs": [list(p) for p in pairs]},
             "page": page.pid,
         }
     )
@@ -546,13 +542,10 @@ def merge_pages(pages):
     The same pair appearing on several pages sums, and names used at most
     once are inlined away.
     """
-    entry_acc = {}
-    for page in pages:
-        for pair, e in page.entries:
-            entry_acc[pair] = add(entry_acc[pair], e) if pair in entry_acc else e
+    sums = ExprSet(entries=[entry for page in pages for entry in page.entries]).entry_map()
     s = ExprSet(list(pages[0].refs.defs) if pages else [])
-    for pair in sorted(entry_acc):
-        s.add_entry(pair[0], pair[1], entry_acc[pair])
+    for pair in sorted(sums):
+        s.add_entry(*pair, sums[pair])
     return inline_single_use(s)
 
 

@@ -357,11 +357,12 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
 # driving an elimination
 
 
-def resolve_vertex(lg, spec, defs=None):
+def resolve_vertex(lg, spec, defs=None, expanded=None):
     """Find the labeled vertex currently holding a value.
 
-    `spec` is a vertex id, an expression, or a symbol name; names that match
-    a definition resolve to the definition's expanded expression.
+    `spec` is a vertex id, an expression, or a symbol name; the names of
+    `defs` in it stand for their definitions, expanded through `defs` with
+    `expanded` as the memo of :func:`~jacfact.expr.expand_expr`.
     """
     if isinstance(spec, int):
         if spec not in lg.vertices:
@@ -372,7 +373,7 @@ def resolve_vertex(lg, spec, defs=None):
     elif not isinstance(spec, Expr):
         raise FaceError(f"cannot resolve {spec!r}")
     # without definitions there is nothing to substitute
-    target = expand_expr(spec, defs) if defs else spec
+    target = expand_expr(spec, defs, expanded) if defs else spec
     hits = lg.find_by_label(target)
     if not hits:
         raise FaceError(f"no vertex labeled {format_expr(target)}")
@@ -383,9 +384,12 @@ def run_elimination(lg, order, defs=None):
     """Apply a face order; returns the full trace.
 
     Order entries are (a, b) face pairs or extended rule records (see
-    :func:`extended_rewrite`); :func:`resolve_vertex` resolves every operand.
+    :func:`extended_rewrite`); :func:`resolve_vertex` resolves every
+    operand, expanding the names of `defs` once per name per order.  An
+    order from :func:`~jacfact.relations.safe_elimination_order` names the
+    set's references, so it replays only with ``defs=s.def_map``.
     """
-    trace = []
+    trace, expanded = [], {}
     for entry in order:
         if entry and entry[0] in EXTENDED_RULES:
             rule, *args = entry
@@ -393,14 +397,14 @@ def run_elimination(lg, order, defs=None):
             want = 2 if merge else 3
             if len(args) != want:
                 raise FaceError(f"{rule} takes {want} operands, got {len(args)}")
-            ids = [resolve_vertex(lg, a, defs) for a in args]
+            ids = [resolve_vertex(lg, a, defs, expanded) for a in args]
             if merge:
                 ids.insert(1, None)  # a merge record names no face, only i and k
             trace.extend(extended_rewrite(lg, rule, *ids))
             continue
         a, b = entry
-        i = resolve_vertex(lg, a, defs)
-        j = resolve_vertex(lg, b, defs)
+        i = resolve_vertex(lg, a, defs, expanded)
+        j = resolve_vertex(lg, b, defs, expanded)
         trace.extend(eliminate_face(lg, i, j))
     return trace
 

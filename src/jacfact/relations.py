@@ -9,20 +9,11 @@ form the dependency graph, whose cycles make a safe order impossible.
 """
 from __future__ import annotations
 
+import heapq
 from collections import Counter, deque
 from dataclasses import dataclass, field
 
-from .expr import (
-    Prod,
-    Sum,
-    Sym,
-    _Unit,
-    add,
-    canonical_text,
-    expand_expr,
-    prod,
-    reference_order,
-)
+from .expr import Prod, Sum, Sym, _Unit, _kids, canonical_text, prod, reference_order
 
 
 class RelationError(ValueError):
@@ -294,7 +285,7 @@ def detect_cycles(d):
 @dataclass
 class _Task:
     site: str
-    face: tuple  # (left label Expr, right label Expr), expanded
+    face: tuple  # (left operand, right operand), as the set spells them
     pair: tuple  # syntactic (left key, right key)
 
 
@@ -323,87 +314,97 @@ def safe_elimination_order(s):
     Faces that other faces depend on come first (deepest dependency targets
     lead), definitions precede the entries that use them and follow the
     definitions they use, in :func:`~jacfact.expr.reference_order`, and
-    products associate left to right.  Raises the
-    :class:`~jacfact.expr.CyclicReferenceError` of ``expand_expr`` on a
-    reference cycle, and :class:`CircularDependencyError` when the
-    dependency graph is cyclic.
+    products associate left to right.  Face operands are spelled with the
+    set's own names, so the order replays only with the set's definitions:
+    ``run_elimination(lg, order, defs=s.def_map)``.  Raises the
+    :class:`~jacfact.expr.CyclicReferenceError` of ``reference_order`` on a
+    reference cycle, :class:`CircularDependencyError` when the dependency
+    graph is cyclic, and :class:`RelationError` when every face left waits
+    on another.
     """
     site_rank = {name: i for i, name in enumerate(reference_order(s))}
     base = len(site_rank)
     for i, (pair, _) in enumerate(s.entries):
         site_rank[_site_name(pair)] = base + i
-    defs = s.def_map
     sites = _sites(s)
-    d = _dep_graph(_relation_table(sites, defs))
+    d = _dep_graph(_relation_table(sites, s.def_map))
     cycles = detect_cycles(d)
     if cycles:
         raise CircularDependencyError(cycles)
 
     queues = {}  # site -> its faces not yet emitted, in order
     left = Counter()  # pair -> its faces not yet emitted
-    expanded = {}  # reference name -> its expansion, shared by every site
     for site, e in sites:
-        tasks = _plan_site(e, site, defs, expanded)
+        tasks = _plan_site(e, site)
         if tasks:
             queues.setdefault(site, deque()).extend(tasks)
             left.update(t.pair for t in tasks)
     depth = _dep_depth(d)
-    deps_of = {}
-    for a, b, _ in d.edges:
-        deps_of.setdefault(a, set()).add(b)
-
-    order = []
-    while queues:
-        heads = [
-            q[0] for q in queues.values()
-            if not any(left[need] for need in deps_of.get(q[0].pair, ()))
-        ]
-        if not heads:
-            stuck = [q[0].pair for q in queues.values()]
-            raise RelationError(f"no safe order; stuck on faces {stuck}")
-        # one head per site and one rank per site, so the key never ties
-        best = min(heads, key=lambda t: (-depth.get(t.pair, 0), site_rank[t.site]))
-        queue = queues[best.site]
-        queue.popleft()
-        if not queue:
-            del queues[best.site]
-        left[best.pair] -= 1
-        order.append(best.face)
+    # one head per site and one rank per site, so the key never ties
+    key = lambda t: (-depth.get(t.pair, 0), site_rank[t.site])
+    order = _schedule(queues, left, _successor_sets(d), key)
+    if queues:
+        stuck = [q[0].pair for q in queues.values()]
+        raise RelationError(f"no safe order; stuck on faces {stuck}")
     return order
 
 
-def _plan_site(e, site, defs, expanded):
-    """The faces of one site as tasks, products left to right, inner
-    products first; `expanded` is the reference expansion memo of
-    :func:`~jacfact.expr.expand_expr` for `defs`.
+def _schedule(queues, left, deps_of, key):
+    """The faces of the site `queues`, emitting while it can the head of
+    least `key` among the heads whose pair depends (`deps_of`) on no pair
+    with faces `left`; a queue goes once empty, so the queues left are
+    stuck.  Ready heads wait in a heap, and a head waiting on a pair is
+    offered again when the pair's last face is emitted."""
+    ready, waiting, order = [], {}, []  # waiting: pair -> sites whose head waits on it
 
-    A face is the pair of expanded operands its multiplication combines:
-    the product accumulated so far and the next factor's expansion.  The
-    walk is iterative, so nesting depth is not bounded by the recursion
-    limit.
+    def offer(site):
+        head = queues[site][0]
+        need = next((p for p in deps_of.get(head.pair, ()) if left[p]), None)
+        if need is None:
+            heapq.heappush(ready, (key(head), site))
+        else:
+            waiting.setdefault(need, []).append(site)
+
+    for site in queues:
+        offer(site)
+    while ready:
+        site = heapq.heappop(ready)[1]
+        queue = queues[site]
+        task = queue.popleft()
+        order.append(task.face)
+        left[task.pair] -= 1
+        if not left[task.pair]:
+            for other in waiting.pop(task.pair, ()):
+                offer(other)
+        if queue:
+            offer(site)
+        else:
+            del queues[site]
+    return order
+
+
+def _plan_site(e, site):
+    """The faces of one site as tasks, products left to right, inner
+    products first.
+
+    A face is the pair of operands its multiplication combines, spelled as
+    the set spells them: the product of the factors so far and the next
+    factor.  The walk is iterative, so nesting depth is not bounded by the
+    recursion limit.
     """
     tasks = []
     todo = [(e, False)]
-    values = []  # expansions of the nodes finished so far, in order
     while todo:
         node, ready = todo.pop()
-        if isinstance(node, (Sym, _Unit)):
-            values.append(expand_expr(node, defs, expanded))
-        elif not isinstance(node, (Prod, Sum)):
+        if ready:
+            acc = node.factors[0]
+            for prev, f in zip(node.factors, node.factors[1:]):
+                tasks.append(_Task(site, (acc, f), (face_key(prev), face_key(f))))
+                acc = prod(acc, f)
+        elif isinstance(node, (Prod, Sum)):
+            if isinstance(node, Prod):
+                todo.append((node, True))
+            todo.extend((k, False) for k in reversed(_kids(node)))
+        elif not isinstance(node, (Sym, _Unit)):
             raise RelationError(f"not an expression: {node!r}")
-        elif not ready:
-            todo.append((node, True))
-            todo.extend((k, False) for k in reversed(node.terms if isinstance(node, Sum) else node.factors))
-        elif isinstance(node, Sum):
-            terms = values[-len(node.terms):]
-            del values[-len(node.terms):]
-            values.append(add(*terms))
-        else:
-            labels = values[-len(node.factors):]
-            del values[-len(node.factors):]
-            acc = labels[0]
-            for prev, f, label in zip(node.factors, node.factors[1:], labels[1:]):
-                tasks.append(_Task(site, (acc, label), (face_key(prev), face_key(f))))
-                acc = prod(acc, label)
-            values.append(acc)
     return tasks

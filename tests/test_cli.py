@@ -7,7 +7,7 @@ import pytest
 
 from jacfact import factorize
 from jacfact.cli import main
-from jacfact.expr import Sym
+from jacfact.expr import Sym, parse_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -145,6 +145,22 @@ def test_self_verify_support_mismatch_exit_code(capsys, monkeypatch):
     )
     assert (code, out) == (3, "")
     assert err == "error: entry supports differ on [('v1', 'v1')]\n"
+
+
+def test_self_verify_value_mismatch_exit_code(capsys, monkeypatch):
+    plan = factorize.factorize_with_refs
+
+    def wrong(g):
+        out, s = plan(g)
+        s.entries = [(p, parse_expr("e1*e3") if p == ("v1", "v9") else e) for p, e in s.entries]
+        return out, s
+
+    monkeypatch.setattr(factorize, "factorize_with_refs", wrong)
+    code, out, err = run_cli(
+        capsys, "factorize", str(FIXTURES / "fig4b.graph"), "--direction", "refs"
+    )
+    assert (code, out) == (3, "")
+    assert err.startswith("error: internal error: output disagrees with input on ('v1', 'v9')")
 
 
 def test_eliminate_order_file(capsys, tmp_path):

@@ -5,6 +5,7 @@ import sys
 
 import pytest
 
+from jacfact import relations
 from jacfact.convert import expr_to_graph
 from jacfact.expr import CyclicReferenceError, ExprSet, fma_cost, parse_expr, parse_exprset
 from jacfact.graph import DiffGraph, parse_graph
@@ -13,6 +14,7 @@ from jacfact.oracle import check_equiv
 from jacfact.relations import (
     CircularDependencyError,
     DepGraph,
+    RelationError,
     build_dep_graph,
     classify_relations,
     detect_cycles,
@@ -21,7 +23,7 @@ from jacfact.relations import (
     safe_elimination_order,
 )
 
-from conftest import load_exprset, load_graph
+from conftest import load_exprset, load_graph, random_exprset
 
 
 def table_json(table):
@@ -223,12 +225,64 @@ def test_deep_entry_plans_and_replays():
 
 
 def test_safe_order_deep_reference_chain():
-    # s_i = s_{i-1}*e_i+e_i: the faces of every site expand the names it
-    # uses, and one expansion memo for all sites expands each name once
+    # s_i = s_{i-1}*e_i+e_i: every face names s_{i-1} as the set spells it,
+    # so planning expands no name
     n = 1000
     lines = ["s0 = e0"] + [f"s{i} = s{i - 1}*e{i}+e{i}" for i in range(1, n + 1)]
     s = parse_exprset("\n".join(lines) + f"\nJ[a,b] = s{n}*z\n")
     assert len(safe_elimination_order(s)) == fma_cost(s) == n + 1
+
+
+def test_safe_order_stuck_on_a_face_queued_behind_its_head():
+    # c*s0 puts (c, c) before s0's leading c*b, so every (c, c) face waits
+    # until no (c, b) face is left; J's own c*b comes after its c*c faces
+    s = parse_exprset("s0 = c*b*c+a\nJ[q,x] = c*c*c*c*b*c*s0\n")
+    with pytest.raises(RelationError) as err:
+        safe_elimination_order(s)
+    assert type(err.value) is RelationError
+    assert str(err.value) == "no safe order; stuck on faces [('c', 'c')]"
+
+
+def _ref_schedule(queues, left, deps_of, key):
+    """The scan the heap scheduler replaces: at every step, the head of
+    least `key` among all heads whose pair depends on no pair with faces
+    `left`."""
+    order = []
+    while queues:
+        heads = [
+            q[0] for q in queues.values()
+            if not any(left[need] for need in deps_of.get(q[0].pair, ()))
+        ]
+        if not heads:
+            break
+        best = min(heads, key=key)
+        queue = queues[best.site]
+        queue.popleft()
+        if not queue:
+            del queues[best.site]
+        left[best.pair] -= 1
+        order.append(best.face)
+    return order
+
+
+def _order_or_error(s):
+    try:
+        return safe_elimination_order(s)
+    except RelationError as exc:
+        return repr(exc)
+
+
+def test_scheduler_matches_the_scan(monkeypatch):
+    names = ("cyclic8", "eq1", "eq2", "eq3", "eq4", "eq5", "sec5set")
+    sets = [load_exprset(n) for n in names]
+    sets += [random_exprset(random.Random(seed)) for seed in range(3000)]
+    got = [_order_or_error(s) for s in sets]
+    monkeypatch.setattr(relations, "_schedule", _ref_schedule)
+    assert got == [_order_or_error(s) for s in sets]
+    # sets with dependency edges, sets that get stuck and circular sets
+    assert sum(bool(build_dep_graph(s).edges) for s in sets) > 400
+    assert sum(isinstance(o, str) and "stuck" in o for o in got) > 80
+    assert sum(isinstance(o, str) and "circular" in o for o in got) > 100
 
 
 def test_cycles_empty_iff_safe_order_succeeds(sec5):

@@ -85,6 +85,21 @@ def test_complex_block_survives_a_later_chain():
     assert _outermost(g, "a", "b").kind == "complex-block"
 
 
+def test_parallel_merge_forms_a_complex_block():
+    # the complex chain a -> c runs parallel to the edge e7, so the two
+    # merge into a block that is complex because one branch is
+    g = parse_graph(
+        "e e1 a m1\ne e2 a m2\ne e3 m1 b\ne e4 m2 b\ne e5 m1 m2\n"
+        "e e6 b c\ne e7 a c\n"
+    )
+    found = [(s.kind, s.src, s.sink, sorted(s.edges)) for s in find_structures(g)]
+    assert found == [
+        ("complex-block", "a", "b", ["e1", "e2", "e3", "e4", "e5"]),
+        ("complex-chain", "a", "c", ["e1", "e2", "e3", "e4", "e5", "e6"]),
+        ("complex-block", "a", "c", ["e1", "e2", "e3", "e4", "e5", "e6", "e7"]),
+    ]
+
+
 def test_block_materializes_after_split(fig4b):
     # after the backward pass splits v7/v8, the region below v5 is isolated
     from jacfact.factorize import factorize_backward
