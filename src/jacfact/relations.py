@@ -350,11 +350,10 @@ def safe_elimination_order(s):
 
 
 def _schedule(queues, left, deps_of, key):
-    """The faces of the site `queues`, emitting while it can the head of
-    least `key` among the heads whose pair depends (`deps_of`) on no pair
-    with faces `left`; a queue goes once empty, so the queues left are
-    stuck.  Ready heads wait in a heap, and a head waiting on a pair is
-    offered again when the pair's last face is emitted."""
+    """Emit, while one may go, the queue head of least `key` whose pair
+    depends (`deps_of`) on no pair with faces `left`.  A queue goes once
+    empty, so the `queues` left are stuck.  Ready heads wait in a heap; a
+    head that waits on a pair is offered again when its last face goes."""
     ready, waiting, order = [], {}, []  # waiting: pair -> sites whose head waits on it
 
     def offer(site):
