@@ -8,21 +8,19 @@ settle).  Outputs are deterministic for fixed inputs, flags and seed.
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
+from importlib import import_module
 
-from . import convert, factorize, linegraph, oracle, relations, structure
+# every artifact loader needs these two; each subcommand imports the rest
 from .expr import (
     _DEF_LINE,
-    CyclicReferenceError,
     format_expr,
     format_exprset,
     parse_expr,
     parse_exprset,
 )
 from .graph import (
-    GraphError,
     GraphParseError,
     classify_vertices,
     depth_levels,
@@ -37,6 +35,16 @@ EXIT_PARSE = 2
 EXIT_VERIFY = 3
 EXIT_CYCLE = 4
 EXIT_BUDGET = 5
+
+# Library errors that exit with their own code, in the order main tries them
+# as (module, class, code); any other ValueError, GraphError among them, is a
+# usage error.  Each module is imported only once an error reaches main.
+_ERROR_EXITS = (
+    ("factorize", "FactorizationError", EXIT_BUDGET),
+    ("oracle", "SupportMismatch", EXIT_VERIFY),
+    ("relations", "CircularDependencyError", EXIT_CYCLE),
+    ("expr", "CyclicReferenceError", EXIT_CYCLE),
+)
 
 
 class CliError(Exception):
@@ -92,6 +100,8 @@ def graph_dot(g):
 
 
 def _self_verify(original, result, trials, seed):
+    from . import oracle
+
     report = oracle.check_equiv(original, result, trials=trials, seed=seed)
     if not report.ok:
         pair, bad_seed, lhs, rhs = report.mismatches[0]
@@ -103,12 +113,16 @@ def _self_verify(original, result, trials, seed):
 
 
 def cmd_inspect(args):
+    from . import structure
+
     g = load_graph(args.graph)
     y, z, x = classify_vertices(g)
     levels, cross = depth_levels(g)
     degrees = rt_degrees(g)
     structures = [s.record() for s in structure.find_structures(g)]
     if args.format == "json":
+        import json
+
         print(
             json.dumps(
                 {
@@ -144,6 +158,8 @@ def cmd_inspect(args):
 
 
 def cmd_factorize(args):
+    from . import factorize
+
     if args.expr and args.direction not in ("backward", "forward"):
         raise CliError("--expr needs --direction backward or forward", EXIT_USAGE)
     for flag, value in (("--transcript", args.transcript), ("--pages-out", args.pages_out)):
@@ -157,6 +173,8 @@ def cmd_factorize(args):
         _self_verify(g, out, args.trials, args.seed)
         print(format_graph(out), end="")
         if args.expr:
+            from . import convert
+
             print(f"# expr: {format_expr(convert.graph_to_expr(out))}")
     elif args.direction == "refs":
         out, exprset = factorize.factorize_with_refs(g)
@@ -201,6 +219,8 @@ def _parse_order_file(text):
 
 
 def cmd_eliminate(args):
+    from . import linegraph, relations
+
     g = load_graph(args.graph)
     lg = linegraph.build_line_graph(g)
     defs = None
@@ -224,6 +244,8 @@ def cmd_eliminate(args):
         print(f"J[{y},{x}] = {format_expr(e)}")
     print(f"multiplications: {cost}")
     if args.trace:
+        import json
+
         with open(args.trace, "w", encoding="utf-8") as fh:
             for step in trace:
                 fh.write(json.dumps(step.record(), sort_keys=True) + "\n")
@@ -231,10 +253,14 @@ def cmd_eliminate(args):
 
 
 def cmd_verify(args):
+    from . import oracle
+
     _, a = load_artifact(args.left)
     _, b = load_artifact(args.right)
     report = oracle.check_equiv(a, b, trials=args.trials, seed=args.seed)
     if args.format == "json":
+        import json
+
         print(json.dumps(report.to_json(), indent=2, sort_keys=True))
     else:
         if report.ok:
@@ -248,6 +274,8 @@ def cmd_verify(args):
 def cmd_dot(args):
     art = load_graph(args.artifact)
     if args.line_graph:
+        from . import linegraph
+
         print(linegraph.line_graph_dot(linegraph.build_line_graph(art)), end="")
     else:
         print(graph_dot(art), end="")
@@ -318,18 +346,16 @@ def main(argv=None):
     except CliError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return exc.code
-    except factorize.FactorizationError as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except oracle.SupportMismatch as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VERIFY
-    except (relations.CircularDependencyError, CyclicReferenceError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CYCLE
-    except (GraphError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+        return _exit_code(exc)
+
+
+def _exit_code(exc):
+    for module, name, code in _ERROR_EXITS:
+        if isinstance(exc, getattr(import_module(f".{module}", __package__), name)):
+            return code
+    return EXIT_USAGE
 
 
 if __name__ == "__main__":

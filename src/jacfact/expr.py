@@ -21,7 +21,6 @@ import operator
 import re
 import weakref
 from collections import ChainMap
-from dataclasses import dataclass, field
 
 
 class ExprError(ValueError):
@@ -382,7 +381,6 @@ _DEF_LINE = re.compile(r"^\s*([A-Za-z_][A-Za-z0-9_.']*)\s*=\s*(.*)$")
 _ENTRY_LINE = re.compile(r"^\s*J\[\s*([^,\]]+?)\s*,\s*([^,\]]+?)\s*\]\s*=\s*(.*)$")
 
 
-@dataclass
 class ExprSet:
     """Ordered reference definitions plus (root, terminal) Jacobian entries.
 
@@ -392,15 +390,21 @@ class ExprSet:
     names each shared structure once.
     """
 
-    defs: list = field(default_factory=list)  # [(name, Expr)]
-    entries: list = field(default_factory=list)  # [((root, terminal), Expr)]
-    _defs: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _interned: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _expanded: dict = field(default_factory=dict, init=False, repr=False, compare=False)
-    _reserved: set = field(default_factory=set, init=False, repr=False, compare=False)
+    def __init__(self, defs=None, entries=None):
+        self.defs = [] if defs is None else defs  # [(name, Expr)]
+        self.entries = [] if entries is None else entries  # [((root, terminal), Expr)]
+        self._defs = dict(self.defs)
+        self._interned = {}
+        self._expanded = {}
+        self._reserved = set()
 
-    def __post_init__(self):
-        self._defs.update(self.defs)
+    def __eq__(self, other):
+        if type(other) is not ExprSet:
+            return NotImplemented
+        return (self.defs, self.entries) == (other.defs, other.entries)
+
+    def __repr__(self):
+        return f"ExprSet(defs={self.defs!r}, entries={self.entries!r})"
 
     @property
     def def_map(self):

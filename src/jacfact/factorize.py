@@ -25,9 +25,6 @@ passes make up comes from :class:`~jacfact.graph.Names`.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, replace
-
 from .expr import ExprSet, Sym, UNIT, _Unit, add, format_expr, inline_single_use, prod
 from .graph import (
     DiffGraph,
@@ -49,12 +46,12 @@ class FactorizationError(ValueError):
 _MAX_PASSES = 10_000
 
 
-@dataclass
 class Page:
-    pid: int
-    graph: DiffGraph
-    refs: ExprSet  # the reference definitions, shared by every page of a plan
-    entries: list = None  # [((root, terminal), Expr)] once finalized
+    def __init__(self, pid, graph, refs, entries=None):
+        self.pid = pid
+        self.graph = graph
+        self.refs = refs  # the reference definitions, shared by every page of a plan
+        self.entries = entries  # [((root, terminal), Expr)] once finalized
 
 
 # ---------------------------------------------------------------------------
@@ -238,7 +235,7 @@ class SplitGraph:
             ends = {"dst": copy} if backward else {"src": copy}
             if route.kind == "edge":
                 ends["original"] = moved
-            self.view.attach(replace(route, **ends))
+            self.view.attach(route.replace(**ends))
             for ce in carried:
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
                 if ce.kind == "edge":
@@ -550,6 +547,8 @@ def merge_pages(pages):
 
 
 def transcript_json(transcript):
+    import json
+
     return "\n".join(
         json.dumps({"step": i, **rec}, sort_keys=True)
         for i, rec in enumerate(transcript, start=1)

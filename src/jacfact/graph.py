@@ -12,7 +12,6 @@ rewrite makes up, so a made-up name never meets one already in use.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
 from functools import cached_property
 
 UNIT_LABEL = "1"
@@ -26,12 +25,29 @@ class GraphParseError(GraphError):
     pass
 
 
-@dataclass(frozen=True)
 class Edge:
-    id: str
-    src: str
-    dst: str
-    label: str
+    """A labeled edge.  It hashes by value, so it never changes once made."""
+
+    __slots__ = ("id", "src", "dst", "label")
+
+    def __init__(self, id, src, dst, label):
+        self.id = id
+        self.src = src
+        self.dst = dst
+        self.label = label
+
+    def __eq__(self, other):
+        if type(other) is not Edge:
+            return NotImplemented
+        return (self.id, self.src, self.dst, self.label) == (
+            other.id, other.src, other.dst, other.label
+        )
+
+    def __hash__(self):
+        return hash((self.id, self.src, self.dst, self.label))
+
+    def __repr__(self):
+        return f"Edge(id={self.id!r}, src={self.src!r}, dst={self.dst!r}, label={self.label!r})"
 
 
 class DiffGraph:

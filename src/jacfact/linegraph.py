@@ -17,7 +17,6 @@ one; the sum of per-step multiplication flags is the cost of the run.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, prod
 from .graph import UNIT_LABEL
@@ -31,25 +30,27 @@ class IncompleteElimination(FaceError):
     pass
 
 
-@dataclass(eq=False)
 class LGVertex:
-    vid: int
-    label: object  # Expr for labeled vertices, None for meta
-    kind: str  # 'label', 'source', 'sink'
-    graph_vertex: str = None
-    preds: set = field(default_factory=set)
-    succs: set = field(default_factory=set)
+    def __init__(self, vid, label, kind, graph_vertex=None, preds=None, succs=None):
+        self.vid = vid
+        self.label = label  # Expr for labeled vertices, None for meta
+        self.kind = kind  # 'label', 'source', 'sink'
+        self.graph_vertex = graph_vertex
+        self.preds = set() if preds is None else preds
+        self.succs = set() if succs is None else succs
 
 
-@dataclass
 class EliminationStep:
-    kind: str
-    face: tuple = None  # (vid, vid)
-    operands: tuple = None  # labels of the face, formatted by record()
-    created: tuple = ()
-    updated: tuple = ()
-    removed: tuple = ()
-    mult: int = 0
+    def __init__(
+        self, kind, face=None, operands=None, created=(), updated=(), removed=(), mult=0
+    ):
+        self.kind = kind
+        self.face = face  # (vid, vid)
+        self.operands = operands  # labels of the face, formatted by record()
+        self.created = created
+        self.updated = updated
+        self.removed = removed
+        self.mult = mult
 
     def record(self):
         return {

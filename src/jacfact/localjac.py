@@ -11,8 +11,6 @@ reference definition.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 from .expr import ExprSet, _Unit, add, format_expr, free_symbols, inline_single_use, prod
 from .graph import reach, region_edges
 from .structure import edges_expr
@@ -22,11 +20,11 @@ class JacobianError(ValueError):
     pass
 
 
-@dataclass
 class LocalJacobian:
-    rows: tuple
-    cols: tuple
-    entries: dict  # (row, col) -> Expr; absent means structural zero
+    def __init__(self, rows, cols, entries):
+        self.rows = rows  # tuple
+        self.cols = cols  # tuple
+        self.entries = entries  # (row, col) -> Expr; absent means structural zero
 
     def entry(self, r, c):
         return self.entries.get((r, c))

@@ -18,7 +18,6 @@ batch ``draw_trials(labels, seed, 1)``.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
 from functools import reduce
 
 from . import expr as ex
@@ -52,14 +51,14 @@ def instantiate(labels, seed):
     return dict(zip(keys, row))
 
 
-@dataclass
 class Trials:
     """A batch of instantiations as value columns: ``columns[label][t]`` is
     the label's value in trial ``t``.  Evaluating against a batch yields one
     such column per result."""
 
-    columns: dict
-    size: int
+    def __init__(self, columns, size):
+        self.columns = columns
+        self.size = size
 
     def __getitem__(self, label):
         if label == UNIT_LABEL:
@@ -203,11 +202,12 @@ def eval_artifact(artifact, trials):
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 
-@dataclass
 class EquivReport:
-    trials: int
-    mismatches: list = field(default_factory=list)
     mode = "field"  # the arithmetic of every check
+
+    def __init__(self, trials, mismatches=None):
+        self.trials = trials
+        self.mismatches = [] if mismatches is None else mismatches
 
     @property
     def ok(self):

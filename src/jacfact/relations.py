@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import heapq
 from collections import Counter, deque
-from dataclasses import dataclass, field
 
 from .expr import Prod, Sum, Sym, _Unit, _kids, canonical_text, prod, reference_order
 
@@ -30,11 +29,11 @@ class CircularDependencyError(RelationError):
 face_key = canonical_text  # the name of a face operand in relations and orders
 
 
-@dataclass
 class Occurrence:
-    site: str
-    kind: str  # direct, indirect-right, indirect-left, distant
-    witness: str = None
+    def __init__(self, site, kind, witness=None):
+        self.site = site
+        self.kind = kind  # direct, indirect-right, indirect-left, distant
+        self.witness = witness
 
     def record(self):
         return {"site": self.site, "kind": self.kind, "witness": self.witness}
@@ -176,10 +175,10 @@ def lemma1_audit(s):
     return violations
 
 
-@dataclass
 class DepGraph:
-    nodes: set = field(default_factory=set)
-    edges: list = field(default_factory=list)  # (from_face, to_face, mirrored)
+    def __init__(self, nodes=None, edges=None):
+        self.nodes = set() if nodes is None else nodes
+        self.edges = [] if edges is None else edges  # (from_face, to_face, mirrored)
 
     def successors(self, face):
         return [b for a, b, _ in self.edges if a == face]
@@ -282,11 +281,11 @@ def detect_cycles(d):
 # safe elimination order
 
 
-@dataclass
 class _Task:
-    site: str
-    face: tuple  # (left operand, right operand), as the set spells them
-    pair: tuple  # syntactic (left key, right key)
+    def __init__(self, site, face, pair):
+        self.site = site
+        self.face = face  # (left operand, right operand), as the set spells them
+        self.pair = pair  # syntactic (left key, right key)
 
 
 def _dep_depth(d):

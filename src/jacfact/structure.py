@@ -13,7 +13,6 @@ split passes edit and re-contract around the vertices they touch.
 from __future__ import annotations
 
 import operator
-from dataclasses import dataclass
 
 from .expr import UNIT, Sym, add, prod
 from .graph import (
@@ -41,14 +40,22 @@ class ComplexBlockError(StructureError):
         self.sink = sink
 
 
-@dataclass
 class Structure:
-    kind: str  # direct-simple-chain, indirect-simple-chain, complex-chain,
-    #            direct-simple-block, indirect-simple-block, complex-block, edge
-    src: str
-    sink: str
-    vertices: frozenset
-    edges: frozenset
+    def __init__(self, kind, src, sink, vertices, edges):
+        # direct-simple-chain, indirect-simple-chain, complex-chain,
+        # direct-simple-block, indirect-simple-block, complex-block, edge
+        self.kind = kind
+        self.src = src
+        self.sink = sink
+        self.vertices = vertices  # frozenset
+        self.edges = edges  # frozenset
+
+    def __eq__(self, other):
+        if type(other) is not Structure:
+            return NotImplemented
+        return (self.kind, self.src, self.sink, self.vertices, self.edges) == (
+            other.kind, other.src, other.sink, other.vertices, other.edges
+        )
 
     def record(self):
         return {
@@ -60,22 +67,29 @@ class Structure:
         }
 
 
-@dataclass(eq=False)
 class CEdge:
     """Contraction edge: an original edge or a substitute for a structure."""
 
-    src: str
-    dst: str
-    expr: object  # Expr, or None inside complex substitutes
-    kind: str  # 'edge', 'chain', 'block'
-    simple: bool
-    direct: bool
-    vmembers: frozenset = frozenset()  # interior vertices only
-    emembers: frozenset = frozenset()  # original edge ids
-    original: Edge = None
-    seq: int = 0
-    record_idx: int = -1
-    branches: tuple = ()  # block branches as (seq, expr, kind, simple, direct)
+    def __init__(
+        self, src, dst, expr, kind, simple, direct, vmembers=frozenset(),
+        emembers=frozenset(), original=None, seq=0, record_idx=-1, branches=(),
+    ):
+        self.src = src
+        self.dst = dst
+        self.expr = expr  # Expr, or None inside complex substitutes
+        self.kind = kind  # 'edge', 'chain', 'block'
+        self.simple = simple
+        self.direct = direct
+        self.vmembers = vmembers  # interior vertices only
+        self.emembers = emembers  # original edge ids
+        self.original = original  # the Edge of kind 'edge'
+        self.seq = seq
+        self.record_idx = record_idx
+        self.branches = branches  # block branches as (seq, expr, kind, simple, direct)
+
+    def replace(self, **changes):
+        """A copy with `changes` applied to its fields."""
+        return CEdge(**{**vars(self), **changes})
 
     def as_branch(self):
         return (self.seq, self.expr, self.kind, self.simple, self.direct)

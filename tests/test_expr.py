@@ -232,6 +232,13 @@ def test_exprset_round_trip():
     assert format_exprset(parse_exprset(text)) == text
 
 
+def test_exprset_compares_and_prints_its_defs_and_entries():
+    s = ExprSet([("s1", Sym("a"))], [(("r", "t"), Sym("s1"))])
+    assert s == parse_exprset("s1 = a\nJ[r,t] = s1\n")
+    assert s != parse_exprset("J[r,t] = a\n")
+    assert repr(s) == "ExprSet(defs=[('s1', Sym(name='a'))], entries=[(('r', 't'), Sym(name='s1'))])"
+
+
 def test_inline_single_use():
     s = ExprSet()
     s.define("s1", parse_expr("a*b"))

@@ -22,6 +22,14 @@ from jacfact.structure import segment_cross_level
 from conftest import FIXTURES, dense_layered, load_graph, random_layered_dag
 
 
+def test_edge_is_a_value():
+    e = Edge("e1", "a", "b", "x")
+    assert e == Edge("e1", "a", "b", "x")
+    assert e != Edge("e1", "a", "b", "y") and e != ("e1", "a", "b", "x")
+    assert hash(e) == hash(("e1", "a", "b", "x"))  # set and dict order depend on it
+    assert repr(e) == "Edge(id='e1', src='a', dst='b', label='x')"
+
+
 def test_parse_fig1a_partition():
     g = load_graph("fig1a")
     y, z, x = classify_vertices(g)

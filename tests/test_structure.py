@@ -6,7 +6,7 @@ import pytest
 
 from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
 from jacfact.oracle import check_equiv
-from jacfact.structure import contract, find_structures, segment_cross_level
+from jacfact.structure import contract, edge_cedge, find_structures, segment_cross_level
 
 from conftest import load_graph, random_layered_dag
 
@@ -30,6 +30,19 @@ def test_find_structures_fig4a(fig4a):
     # blocks come before the chain that contains them
     order = [(s.src, s.sink) for s in found]
     assert order.index(("v1", "v4")) < order.index(("v1", "v7"))
+
+
+def test_structures_compare_by_fields(fig4a, fig4b):
+    assert find_structures(fig4a) == find_structures(load_graph("fig4a"))
+    assert find_structures(fig4a) != find_structures(fig4b)
+
+
+def test_cedge_replace_changes_only_the_given_fields():
+    ce = edge_cedge(Edge("e1", "a", "b", "x"), 3)
+    moved = ce.replace(dst="c")
+    assert (moved.src, moved.dst, moved.seq, moved.original) == ("a", "c", 3, ce.original)
+    assert moved.emembers == ce.emembers == {"e1"}
+    assert ce.dst == "b"
 
 
 def test_find_structures_fig4b(fig4b):
