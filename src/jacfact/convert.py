@@ -31,16 +31,12 @@ class _GraphBuilder:
         self.edges = []
         self.vcount = 0
         self.ids = Names(start=2)
-        self.pairs = set()
 
     def new_vertex(self):
         self.vcount += 1
         return f"v{self.vcount}"
 
     def add_edge(self, src, dst, label):
-        if (src, dst) in self.pairs:
-            raise StructureError(f"parallel edge between {src} and {dst}")
-        self.pairs.add((src, dst))
         self.edges.append(Edge(self.ids.fresh(label), src, dst, label))
 
 

@@ -261,8 +261,6 @@ def format_expr(e):
     depth is not bounded by the recursion limit."""
     if isinstance(e, Sym):
         return e.name
-    if isinstance(e, Prod) and set(map(type, e.factors)) == {Sym}:
-        return "*".join(map(_name, e.factors))  # the commonest label
     out = []
     stack = [e]
     while stack:
@@ -678,9 +676,8 @@ def inline_single_use(s):
 
 
 def base_symbols(s):
-    """Symbols that are not reference names (the instantiable labels)."""
-    if isinstance(s, Expr):
-        return free_symbols(s)
+    """Symbols of set `s` that are not reference names (the instantiable
+    labels)."""
     dm = s.def_map
     out = set()
     for _, e in s.all_exprs():

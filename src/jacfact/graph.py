@@ -84,7 +84,6 @@ class DiffGraph:
         for e in edges:
             self._succ[e.src].append(e)
             self._pred[e.dst].append(e)
-        self._edge_by_id = {e.id: e for e in edges}
         self._toposort()  # raises on cycles
 
     # -- basic accessors ----------------------------------------------------
@@ -97,7 +96,7 @@ class DiffGraph:
 
     def edge(self, edge_id):
         try:
-            return self._edge_by_id[edge_id]
+            return self.edges[self.edge_pos[edge_id]]
         except KeyError:
             raise GraphError(f"unknown edge id {edge_id}") from None
 

@@ -31,13 +31,13 @@ class IncompleteElimination(FaceError):
 
 
 class LGVertex:
-    def __init__(self, vid, label, kind, graph_vertex=None, preds=None, succs=None):
+    def __init__(self, vid, label, kind, graph_vertex=None):
         self.vid = vid
         self.label = label  # Expr for labeled vertices, None for meta
         self.kind = kind  # 'label', 'source', 'sink'
         self.graph_vertex = graph_vertex
-        self.preds = set() if preds is None else preds
-        self.succs = set() if succs is None else succs
+        self.preds = set()
+        self.succs = set()
 
 
 class EliminationStep:
@@ -185,26 +185,16 @@ def _require_labeled(lg, *vids):
 
 def _twins(lg, preds, succs, skip):
     """Yield, ascending, the vids of the labeled vertices not in `skip`
-    whose predecessors are `preds` and successors `succs`.  Such a vertex
-    succeeds every vertex of `preds`, so only the successors of the one with
-    the fewest are looked at.  The candidates are fixed before the first
-    yield, so the caller may remove a vertex yielded."""
-    if preds:
-        p = min(preds, key=lambda p: len(lg.vertices[p].succs))
-        candidates = sorted(lg.vertices[p].succs)
-    else:
-        candidates = list(lg.vertices)
-    for vid in candidates:
+    whose predecessors are `preds` and successors `succs`, a live labeled
+    vertex's and so not empty.  Such a vertex succeeds every vertex of
+    `preds`, so only the successors of the one with the fewest are looked
+    at.  The candidates are fixed before the first yield, so the caller may
+    remove a vertex yielded."""
+    p = min(preds, key=lambda p: len(lg.vertices[p].succs))
+    for vid in sorted(lg.vertices[p].succs):
         w = lg.vertices[vid]
         if w.kind == "label" and vid not in skip and w.preds == preds and w.succs == succs:
             yield vid
-
-
-def _find_absorber(lg, vi, vj):
-    """The lowest-vid labeled vertex other than `vi` and `vj` with the
-    predecessors of `vi` and the successors of `vj`."""
-    k = next(_twins(lg, vi.preds, vj.succs, (vi.vid, vj.vid)), None)
-    return None if k is None else lg.vertices[k]
 
 
 def _merge(lg, i, k):
@@ -277,10 +267,10 @@ def eliminate_face(lg, i, j):
     vi, vj = lg.vertices[i], lg.vertices[j]
     ops = (vi.label, vj.label)
     product = prod(*ops)
-    absorber = _find_absorber(lg, vi, vj)
-    if absorber is not None:
-        v = absorber.vid
-        lg.relabel(v, add(absorber.label, product))
+    # the lowest-vid other vertex with the flows P_i and S_j absorbs the product
+    v = next(_twins(lg, vi.preds, vj.succs, (i, j)), None)
+    if v is not None:
+        lg.relabel(v, add(lg.vertices[v].label, product))
         lg.remove_edge(i, j)
         step = _face_step("absorb", i, j, ops, v)
     else:
@@ -361,14 +351,10 @@ def extended_rewrite(lg, rule, i, j=None, k=None):
 def resolve_vertex(lg, spec, defs=None, expanded=None):
     """Find the labeled vertex currently holding a value.
 
-    `spec` is a vertex id, an expression, or a symbol name; the names of
-    `defs` in it stand for their definitions, expanded through `defs` with
-    `expanded` as the memo of :func:`~jacfact.expr.expand_expr`.
+    `spec` is an expression or a symbol name; the names of `defs` in it
+    stand for their definitions, expanded through `defs` with `expanded` as
+    the memo of :func:`~jacfact.expr.expand_expr`.
     """
-    if isinstance(spec, int):
-        if spec not in lg.vertices:
-            raise FaceError(f"no vertex {spec}")
-        return spec
     if isinstance(spec, str):
         spec = Sym(spec)
     elif not isinstance(spec, Expr):

@@ -186,19 +186,12 @@ def bauer_eval(g, trials):
 # equivalence checking
 
 
-def labels_of(artifact):
+def _evaluable(artifact):
+    """The labels of a graph or expression set, and its evaluator."""
     if isinstance(artifact, DiffGraph):
-        return {e.label for e in artifact.edges if e.label != UNIT_LABEL}
+        return {e.label for e in artifact.edges if e.label != UNIT_LABEL}, bauer_eval
     if isinstance(artifact, ExprSet):
-        return ex.base_symbols(artifact)
-    raise OracleError(f"cannot evaluate {type(artifact).__name__}")
-
-
-def eval_artifact(artifact, trials):
-    if isinstance(artifact, DiffGraph):
-        return bauer_eval(artifact, trials)
-    if isinstance(artifact, ExprSet):
-        return eval_exprset(artifact, trials)
+        return ex.base_symbols(artifact), eval_exprset
     raise OracleError(f"cannot evaluate {type(artifact).__name__}")
 
 
@@ -239,11 +232,11 @@ def check_equiv(a, b, trials=100, seed=0):
     if seed < 0:  # Random(-k) is Random(k): trials would repeat
         raise OracleError(f"need a seed of at least 0, not {seed}")
     a, b = (ExprSet(entries=list(x.items())) if isinstance(x, dict) else x for x in (a, b))
-    labels = labels_of(a) | labels_of(b)
+    (labels_a, eval_a), (labels_b, eval_b) = _evaluable(a), _evaluable(b)
     report = EquivReport(trials)
-    batch = draw_trials(labels, seed, trials)
-    va = eval_artifact(a, batch)
-    vb = eval_artifact(b, batch)
+    batch = draw_trials(labels_a | labels_b, seed, trials)
+    va = eval_a(a, batch)
+    vb = eval_b(b, batch)
     if set(va) != set(vb):
         missing = set(va) ^ set(vb)
         raise SupportMismatch(f"entry supports differ on {sorted(missing)}")

@@ -85,14 +85,11 @@ class CEdge:
         self.original = original  # the Edge of kind 'edge'
         self.seq = seq
         self.record_idx = record_idx
-        self.branches = branches  # block branches as (seq, expr, kind, simple, direct)
+        self.branches = branches  # a block's branch CEdges, in seq order
 
     def replace(self, **changes):
         """A copy with `changes` applied to its fields."""
         return CEdge(**{**vars(self), **changes})
-
-    def as_branch(self):
-        return (self.seq, self.expr, self.kind, self.simple, self.direct)
 
 
 def edge_cedge(e, seq):
@@ -114,10 +111,10 @@ class _Contraction:
     destination (`by_dst`) and endpoint pair (`between`), each a mapping to
     ``{CEdge: None}``.  :meth:`attach` and :meth:`detach` edit them and mark
     the endpoints changed; :meth:`run` contracts around the changed vertices
-    until nothing moves.  With `record`, every chain and block formed is
-    appended to `records` as a :class:`Structure`; one absorbed into a longer
-    chain or a wider block has its entry set to None rather than removed, so
-    every `record_idx` stays valid from run to run.
+    until nothing moves.  With `record`, every chain and block substitute
+    formed is appended to `records`; one absorbed into a longer chain or a
+    wider block has its entry set to None rather than removed, so every
+    `record_idx` stays valid from run to run.
     """
 
     def __init__(self, edges, record=True):
@@ -166,11 +163,11 @@ class _Contraction:
         self.seq += 1
         return self.seq
 
-    def _record(self, structure):
-        if self.records is None:
-            return -1
-        self.records.append(structure)
-        return len(self.records) - 1
+    def _record(self, ce):
+        if self.records is not None:
+            ce.record_idx = len(self.records)
+            self.records.append(ce)
+        return ce
 
     def _drop_record(self, idx):
         if self.records is not None and idx >= 0:
@@ -193,26 +190,19 @@ class _Contraction:
                 self._drop_record(c.record_idx)
                 branches.extend(c.branches)
             else:
-                branches.append(c.as_branch())
-        branches.sort(key=lambda b: b[0])
-        simple = all(k == "edge" or s for _, _, k, s, _ in branches)
-        direct = all(k == "edge" or (k == "chain" and d) for _, _, k, _, d in branches)
-        if not simple:
-            kind = "complex-block"
-        elif direct:
-            kind = "direct-simple-block"
-        else:
-            kind = "indirect-simple-block"
+                branches.append(c)
+        branches.sort(key=_SEQ)
+        simple = all(b.kind == "edge" or b.simple for b in branches)
+        direct = all(b.kind == "edge" or (b.kind == "chain" and b.direct) for b in branches)
         vmem = frozenset().union(*[c.vmembers for c in group])
         emem = frozenset().union(*[c.emembers for c in group])
         expr = None
-        if simple and all(e is not None for _, e, *_ in branches):
-            expr = add(*[e for _, e, *_ in branches])
-        idx = self._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
-        return CEdge(
+        if simple and all(b.expr is not None for b in branches):
+            expr = add(*[b.expr for b in branches])
+        return self._record(CEdge(
             src, dst, expr, "block", simple, direct,
-            vmem, emem, None, group[0].seq, idx, tuple(branches),
-        )
+            vmem, emem, None, group[0].seq, branches=tuple(branches),
+        ))
 
     def _chain(self, run):
         """The chain substitute for `run`, CEdges end to end.  A chain inside
@@ -226,20 +216,13 @@ class _Contraction:
         emem = frozenset().union(*[c.emembers for c in run])
         direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
         simple = all(c.kind == "edge" or c.simple for c in run)
-        if direct:
-            kind = "direct-simple-chain"
-        elif simple:
-            kind = "indirect-simple-chain"
-        else:
-            kind = "complex-chain"
         expr = None
         if all(c.expr is not None for c in run):
             expr = prod(*[c.expr for c in run])
-        idx = self._record(Structure(kind, src, dst, vmem | {src, dst}, emem))
-        return CEdge(
+        return self._record(CEdge(
             src, dst, expr, "chain", simple, direct,
-            vmem, emem, None, min(c.seq for c in run), idx,
-        )
+            vmem, emem, None, min(c.seq for c in run),
+        ))
 
     # -- contraction ------------------------------------------------------------
 
@@ -339,20 +322,32 @@ class _Contraction:
         group = [c for c in self.live if c.src in region and c.dst in region]
         vmem = (region - {a, b}) | frozenset().union(*[c.vmembers for c in group])
         emem = frozenset().union(*[c.emembers for c in group])
-        idx = self._record(Structure("complex-block", a, b, region | vmem, emem))
         for c in group:
             self.detach(c)
-        self.attach(CEdge(a, b, None, "block", False, False, frozenset(vmem), emem,
-                          None, self._next_seq(), idx))
+        self.attach(self._record(CEdge(a, b, None, "block", False, False, vmem, emem,
+                                       None, self._next_seq())))
+
+
+def _structures(records):
+    """The live `records`, each as the :class:`Structure` its substitute
+    stands for.  A direct chain or block is simple: its members are edges
+    and direct chains."""
+    out = []
+    for ce in records:
+        if ce is not None:
+            grade = "direct-simple" if ce.direct else "indirect-simple" if ce.simple else "complex"
+            out.append(Structure(f"{grade}-{ce.kind}", ce.src, ce.dst,
+                                 ce.vmembers | {ce.src, ce.dst}, ce.emembers))
+    return out
 
 
 def contract(g, record=True):
     """Contract to fixpoint; returns the contraction state, its records
-    without the superseded ones."""
+    as structures without the superseded ones."""
     c = _Contraction(g.edges, record=record)
     c.run()
     if c.records is not None:
-        c.records = [r for r in c.records if r is not None]
+        c.records = _structures(c.records)
     return c
 
 
@@ -367,7 +362,7 @@ def find_structures(g):
             break
         _, a, b, region = stuck[0]
         c.substitute_stuck_block(a, b, region)
-    return [r for r in c.records if r is not None]
+    return _structures(c.records)
 
 
 def region_expr(g, src, sink):

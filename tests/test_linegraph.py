@@ -542,8 +542,8 @@ def test_index_and_absorber_match_full_scans():
                 break
             i, j = rng.choice(faces)
             want = _scan_absorber(lg, i, j)
-            found = linegraph._find_absorber(lg, lg.vertices[i], lg.vertices[j])
-            assert (found and found.vid) == want
+            vi, vj = lg.vertices[i], lg.vertices[j]
+            assert next(linegraph._twins(lg, vi.preds, vj.succs, (i, j)), None) == want
             steps = eliminate_face(lg, i, j)
             assert (steps[0].kind == "absorb") == (want is not None)
             absorbs += want is not None

@@ -4,6 +4,7 @@ from hypothesis import given, settings, strategies as st
 
 from jacfact.convert import expr_to_graph, graph_to_expr
 from jacfact.expr import (
+    ExprSet,
     Sym,
     add,
     canonical,
@@ -13,10 +14,16 @@ from jacfact.expr import (
     parse_expr,
     prod,
 )
-from jacfact.factorize import plan_pages
-from jacfact.graph import classify_vertices, depth_levels, rt_degrees
+from jacfact.factorize import (
+    factorize_backward,
+    factorize_forward,
+    factorize_with_refs,
+    plan_pages,
+)
+from jacfact.graph import DiffGraph, Edge, classify_vertices, count_paths, depth_levels, rt_degrees
 from jacfact.oracle import check_equiv
 from jacfact.relations import classify_relations
+from jacfact.structure import region_expr
 
 from conftest import load_exprset, random_layered_dag
 
@@ -108,3 +115,43 @@ def test_direct_occurrences_count_cost_on_planned_sets():
         table = classify_relations(s)
         direct = sum(1 for occs in table.values() for o in occs if o.kind == "direct")
         assert direct == fma_cost(s)
+
+
+def _region_cost(out):
+    """A factorized graph costed as its per-pair region expressions."""
+    s = ExprSet()
+    for y in out.roots:
+        for x in out.terminals:
+            if count_paths(out, y, x):
+                s.add_entry(y, x, region_expr(out, y, x))
+    return fma_cost(s)
+
+
+def _strategy_costs(g):
+    return {
+        "backward": _region_cost(factorize_backward(g)),
+        "forward": _region_cost(factorize_forward(g)),
+        "refs": fma_cost(factorize_with_refs(g)[1]),
+        "pages": fma_cost(plan_pages(g)[1]),
+    }
+
+
+def test_costs_invariant_under_edge_order_renaming_and_reversal():
+    # pages picks pivots and breaks ties by vertex name, so renaming can
+    # change its cost (i = 56 here); the other three do not depend on names
+    named = ("backward", "forward", "refs")
+    for i in range(60):
+        g = random_layered_dag(random.Random(7000 + i), max_vertices=15, max_edges=27)
+        rng = random.Random(i)
+        costs = _strategy_costs(g)
+        shuffled = list(g.edges)
+        rng.shuffle(shuffled)
+        assert _strategy_costs(DiffGraph(shuffled)) == costs, i
+        names = sorted(g.vertices)
+        rename = dict(zip(names, rng.sample(names, len(names))))
+        renamed = _strategy_costs(DiffGraph(
+            Edge(e.id, rename[e.src], rename[e.dst], e.label) for e in g.edges
+        ))
+        assert [renamed[k] for k in named] == [costs[k] for k in named], i
+        reverse = DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in g.edges)
+        assert _region_cost(factorize_backward(reverse)) == costs["forward"], i
