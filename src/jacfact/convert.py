@@ -55,13 +55,12 @@ def expr_to_graph(e):
     while todo:
         node, src, dst, pad = todo.pop()
         if isinstance(node, (Sym, _Unit)):
-            label = UNIT_LABEL if isinstance(node, _Unit) else node.name
             if pad:
                 mid = b.new_vertex()
-                b.add_edge(src, mid, label)
+                b.add_edge(src, mid, node.name)
                 b.add_edge(mid, dst, UNIT_LABEL)
             else:
-                b.add_edge(src, dst, label)
+                b.add_edge(src, dst, node.name)
         elif isinstance(node, Prod):
             waypoints = [src] + [b.new_vertex() for _ in node.factors[:-1]] + [dst]
             todo.extend(reversed([

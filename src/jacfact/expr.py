@@ -22,6 +22,8 @@ import re
 import weakref
 from collections import ChainMap
 
+from .graph import UNIT_LABEL
+
 
 class ExprError(ValueError):
     pass
@@ -73,6 +75,7 @@ class Sym(Expr):
 
 class _Unit(Expr):
     __slots__ = ()
+    name = UNIT_LABEL  # so `.name` gives any atom's label
 
     def __new__(cls):
         return UNIT
@@ -82,6 +85,12 @@ class _Unit(Expr):
 
 
 UNIT = object.__new__(_Unit)
+
+
+def atom(label):
+    """The expression of edge label `label`: ``UNIT`` for the unit label,
+    else the symbol; ``.name`` turns it back into the label."""
+    return UNIT if label == UNIT_LABEL else Sym(label)
 
 
 class _Compound(Expr):
@@ -214,10 +223,8 @@ def canonical_text(e):
 
 def _text(c):
     """Text of canonical node `c`, worked out once and kept on it."""
-    if isinstance(c, Sym):
+    if isinstance(c, (Sym, _Unit)):
         return c.name
-    if c is UNIT:
-        return "1"
     if c._text is None:
         for node in _pending(c, lambda n: n._text is not None):
             if isinstance(node, Prod):
@@ -267,10 +274,8 @@ def format_expr(e):
         node = stack.pop()
         if type(node) is _Token:
             out.append(node)
-        elif isinstance(node, Sym):
+        elif isinstance(node, (Sym, _Unit)):
             out.append(node.name)
-        elif isinstance(node, _Unit):
-            out.append("1")
         elif isinstance(node, (Prod, Sum)):
             is_prod = isinstance(node, Prod)
             kids = node.factors if is_prod else node.terms

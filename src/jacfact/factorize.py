@@ -25,12 +25,11 @@ passes make up comes from :class:`~jacfact.graph.Names`.
 """
 from __future__ import annotations
 
-from .expr import ExprSet, Sym, UNIT, _Unit, add, format_expr, inline_single_use, prod
+from .expr import ExprSet, add, atom, format_expr, inline_single_use, prod
 from .graph import (
     DiffGraph,
     Edge,
     Names,
-    UNIT_LABEL,
     depth_levels,
     reach,
     region_edges,
@@ -87,7 +86,7 @@ class SplitGraph:
             self.pred[e.dst][e.id] = None
         self.vnames, self.ids = Names(g.vertices), Names(self.edges)
         self.backward = direction == "backward"
-        self.view = contract(g, record=False)
+        self.view = contract(g)
         self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
         self.crowded = set()
         self._recount(g.vertices)
@@ -263,10 +262,6 @@ class SplitGraph:
             self._attach_edge(self.add(vmap[e.src], vmap[e.dst], e.label, e.id))
 
 
-def _atom(label):
-    return UNIT if label == UNIT_LABEL else Sym(label)
-
-
 def _factorize(g, direction, refs=None):
     work = SplitGraph(g, direction)
     for _ in range(_MAX_PASSES):
@@ -321,7 +316,7 @@ def _replace_simple_structures(page, transcript):
     """Replace every simple structure of the page by one edge labeled with
     its reference name: the page's other edges keep their order and the
     named edges follow, in contraction order."""
-    c = contract(page.graph, record=False)
+    c = contract(page.graph)
     victims = [ce for ce in sorted(c.edges, key=lambda ce: ce.seq) if ce.kind != "edge"]
     if not victims:
         return False
@@ -376,7 +371,7 @@ def _finalize(page, transcript):
         (y, x), = pairs
         page.entries = [((y, x), region_expr(_factorize(g, "backward", refs=page.refs), y, x))]
     else:
-        atoms = {(e.src, e.dst): _atom(e.label) for e in g.edges}
+        atoms = {(e.src, e.dst): atom(e.label) for e in g.edges}
         page.entries = [(pair, atoms[pair]) for pair in pairs]
     transcript.append(
         {
@@ -405,11 +400,11 @@ def _band_pass(page, v_i, v_j, levels, transcript):
         outs = sorted(g.out_edges(m), key=lambda e: e.id)
         for ein in ins:
             for eout in outs:
-                term = prod(_atom(ein.label), _atom(eout.label))
+                term = prod(atom(ein.label), atom(eout.label))
                 prior = edges.pop((ein.src, eout.dst), None)  # re-added last
                 if prior is not None:
-                    term = add(_atom(prior.label), term)
-                label = _label_of(page.refs.intern(term))
+                    term = add(atom(prior.label), term)
+                label = page.refs.intern(term).name
                 eid = ids.fresh(label)
                 edges[ein.src, eout.dst] = Edge(eid, ein.src, eout.dst, label)
         for e in ins + outs:
@@ -422,10 +417,6 @@ def _band_pass(page, v_i, v_j, levels, transcript):
             "page": page.pid,
         }
     )
-
-
-def _label_of(atom):
-    return UNIT_LABEL if isinstance(atom, _Unit) else atom.name
 
 
 def plan_pages(g):

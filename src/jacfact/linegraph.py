@@ -18,8 +18,7 @@ from __future__ import annotations
 
 from collections import deque
 
-from .expr import UNIT, Expr, Sym, _Unit, _canonical_form, add, canonical, expand_expr, format_expr, prod
-from .graph import UNIT_LABEL
+from .expr import Expr, _Unit, _canonical_form, add, atom, canonical, expand_expr, format_expr, prod
 
 
 class FaceError(ValueError):
@@ -35,7 +34,7 @@ class LGVertex:
         self.vid = vid
         self.label = label  # Expr for labeled vertices, None for meta
         self.kind = kind  # 'label', 'source', 'sink'
-        self.graph_vertex = graph_vertex
+        self.graph_vertex = graph_vertex  # the root or terminal of a meta vertex
         self.preds = set()
         self.succs = set()
 
@@ -72,13 +71,12 @@ class LineGraph:
     larger vid, so the dict's order is vid order.  Every label write goes
     through :meth:`relabel`, which files the vertex under the canonical node
     of its new label.  A label keeps its canonical node, so taking a vertex
-    out of the index never canonicalizes anything.
+    out of the index never canonicalizes anything.  A meta vertex carries
+    its root or terminal as ``graph_vertex``, the one place that says which.
     """
 
     def __init__(self):
         self.vertices = {}
-        self.sources = {}  # root vertex id -> lg vid
-        self.sinks = {}  # terminal vertex id -> lg vid
         self._next = 0
         self._by_key = {}  # canonical label -> set of vids
 
@@ -147,19 +145,16 @@ def build_line_graph(g):
     lg = LineGraph()
     by_edge = {}
     for e in g.edges:
-        label = UNIT if e.label == UNIT_LABEL else Sym(e.label)
-        by_edge[e.id] = lg.add_vertex(label)
+        by_edge[e.id] = lg.add_vertex(atom(e.label))
     for a in g.edges:
         for b in g.out_edges(a.dst):
             lg.add_edge(by_edge[a.id], by_edge[b.id])
     for r in g.roots:
         s = lg.add_vertex(None, "source", r)
-        lg.sources[r] = s
         for e in g.out_edges(r):
             lg.add_edge(s, by_edge[e.id])
     for t in g.terminals:
         s = lg.add_vertex(None, "sink", t)
-        lg.sinks[t] = s
         for e in g.in_edges(t):
             lg.add_edge(by_edge[e.id], s)
     return lg
@@ -356,7 +351,7 @@ def resolve_vertex(lg, spec, defs=None, expanded=None):
     the memo of :func:`~jacfact.expr.expand_expr`.
     """
     if isinstance(spec, str):
-        spec = Sym(spec)
+        spec = atom(spec)
     elif not isinstance(spec, Expr):
         raise FaceError(f"cannot resolve {spec!r}")
     # without definitions there is nothing to substitute
@@ -403,16 +398,14 @@ def trace_mult_count(trace):
 def readout_jacobian(lg):
     """Entries after a complete elimination: per (root, terminal), the sum of
     labels of vertices wired to that source and sink."""
-    remaining = lg.intermediate_faces()
-    if remaining:
-        raise IncompleteElimination(f"{len(remaining)} intermediate faces remain")
-    src_of = {vid: r for r, vid in lg.sources.items()}
-    sink_of = {vid: t for t, vid in lg.sinks.items()}
+    vertices, labeled = lg.vertices, lg.labeled()
+    if any(vertices[s].kind == "label" for v in labeled for s in v.succs):
+        raise IncompleteElimination(f"{len(lg.intermediate_faces())} intermediate faces remain")
     out = {}
-    for v in lg.labeled():
+    for v in labeled:
         for p in sorted(v.preds):
             for s in sorted(v.succs):
-                pair = (src_of[p], sink_of[s])
+                pair = (vertices[p].graph_vertex, vertices[s].graph_vertex)
                 out[pair] = add(out[pair], v.label) if pair in out else v.label
     return out
 

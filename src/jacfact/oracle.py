@@ -21,7 +21,7 @@ import random
 from functools import reduce
 
 from . import expr as ex
-from .expr import UNIT, ExprSet, Prod, Sym, _kids, _pending
+from .expr import ExprSet, Prod, Sym, _kids, _pending
 from .graph import DiffGraph, UNIT_LABEL
 
 PRIME = 2**61 - 1
@@ -125,7 +125,7 @@ class _Columns:
         or ``1``."""
         if node in self.columns:
             return self.columns[node]
-        return self.trials[UNIT_LABEL if node is UNIT else node.name]
+        return self.trials[node.name]
 
 
 def eval_expr(e, trials):

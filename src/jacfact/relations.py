@@ -83,16 +83,12 @@ def classify_relations(s):
     boundary (including one reference whose definition is a sum) and deeper
     separations are reported as distant.
     """
-    return _relation_table(_sites(s), s.def_map)
-
-
-def _relation_table(sites, defs):
-    table = {}
+    defs, table = s.def_map, {}
 
     def note(left_key, right_key, occ):
         table.setdefault((left_key, right_key), []).append(occ)
 
-    for site, e in sites:
+    for site, e in _sites(s):
         stack = [e]  # pre-order: a product's relations, then its factors'
         while stack:
             e = stack.pop()
@@ -176,12 +172,16 @@ def lemma1_audit(s):
 
 
 class DepGraph:
+    """Faces, the dependency edges (from_face, to_face, mirrored) between
+    them, and `succ`, each face's targets as ``{face: None}`` in edge order:
+    the one successor map every walk over the graph reads."""
+
     def __init__(self, nodes=None, edges=None):
         self.nodes = set() if nodes is None else nodes
-        self.edges = [] if edges is None else edges  # (from_face, to_face, mirrored)
-
-    def successors(self, face):
-        return [b for a, b, _ in self.edges if a == face]
+        self.edges = [] if edges is None else edges
+        self.succ = {n: {} for n in self.nodes}
+        for a, b, _ in self.edges:
+            self.succ[a][b] = None
 
     def to_dot(self):
         def nid(face):
@@ -198,40 +198,28 @@ class DepGraph:
 
 
 def build_dep_graph(s):
-    """Dependency edges per witnessed indirect occurrences.
+    """Dependency edges per witnessed indirect occurrences, in the order of
+    the sorted relation table.
 
     An edge (a, b) -> (b, w) says: the face (a, b) may only be eliminated
     after (b, w).  Mirrored edges (a, b) -> (w, a) come from left-side
     indirection and are flagged, since they follow by symmetry.
     """
-    return _dep_graph(classify_relations(s))
-
-
-def _dep_graph(table):
-    d = DepGraph()
-    for (a, b), occs in sorted(table.items()):
+    nodes, edges = set(), {}
+    for (a, b), occs in sorted(classify_relations(s).items()):
         direct = [o for o in occs if o.kind == "direct"]
         indirect = [o for o in occs if o.kind.startswith("indirect")]
         if not (direct and indirect):
             continue
         face = (a, b)
-        d.nodes.add(face)
+        nodes.add(face)
         for o in indirect:
             if o.witness is None:
                 continue
             target = (b, o.witness) if o.kind == "indirect-right" else (o.witness, a)
-            d.nodes.add(target)
-            edge = (face, target, o.kind == "indirect-left")
-            if edge not in d.edges:
-                d.edges.append(edge)
-    return d
-
-
-def _successor_sets(d):
-    succ = {n: set() for n in d.nodes}
-    for a, b, _ in d.edges:
-        succ[a].add(b)
-    return succ
+            nodes.add(target)
+            edges[face, target, o.kind == "indirect-left"] = None
+    return DepGraph(nodes, list(edges))
 
 
 def detect_cycles(d):
@@ -241,7 +229,7 @@ def detect_cycles(d):
     starts the circuits whose other nodes are all greater, and blocked sets
     keep the search off nodes that cannot lead back to it yet.
     """
-    succ = _successor_sets(d)
+    succ = d.succ
     cycles = []
     for start in sorted(succ):
         path, blocked, b_sets = [start], {start}, {}
@@ -290,7 +278,7 @@ class _Task:
 
 def _dep_depth(d):
     """Longest dependency path into each face (more depended-upon = deeper)."""
-    succ = _successor_sets(d)
+    succ = d.succ
     indeg = dict.fromkeys(succ, 0)
     for ws in succ.values():
         for w in ws:
@@ -325,15 +313,14 @@ def safe_elimination_order(s):
     base = len(site_rank)
     for i, (pair, _) in enumerate(s.entries):
         site_rank[_site_name(pair)] = base + i
-    sites = _sites(s)
-    d = _dep_graph(_relation_table(sites, s.def_map))
+    d = build_dep_graph(s)
     cycles = detect_cycles(d)
     if cycles:
         raise CircularDependencyError(cycles)
 
     queues = {}  # site -> its faces not yet emitted, in order
     left = Counter()  # pair -> its faces not yet emitted
-    for site, e in sites:
+    for site, e in _sites(s):
         tasks = _plan_site(e, site)
         if tasks:
             queues.setdefault(site, deque()).extend(tasks)
@@ -341,7 +328,7 @@ def safe_elimination_order(s):
     depth = _dep_depth(d)
     # one head per site and one rank per site, so the key never ties
     key = lambda t: (-depth.get(t.pair, 0), site_rank[t.site])
-    order = _schedule(queues, left, _successor_sets(d), key)
+    order = _schedule(queues, left, d.succ, key)
     if queues:
         stuck = [q[0].pair for q in queues.values()]
         raise RelationError(f"no safe order; stuck on faces {stuck}")

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import operator
 
-from .expr import UNIT, Sym, add, prod
+from .expr import add, atom, prod
 from .graph import (
     DiffGraph,
     Edge,
@@ -93,9 +93,8 @@ class CEdge:
 
 
 def edge_cedge(e, seq):
-    expr = UNIT if e.label == UNIT_LABEL else Sym(e.label)
     return CEdge(
-        e.src, e.dst, expr, "edge", True, True,
+        e.src, e.dst, atom(e.label), "edge", True, True,
         frozenset(), frozenset([e.id]), e, seq,
     )
 
@@ -341,13 +340,11 @@ def _structures(records):
     return out
 
 
-def contract(g, record=True):
-    """Contract to fixpoint; returns the contraction state, its records
-    as structures without the superseded ones."""
-    c = _Contraction(g.edges, record=record)
+def contract(g):
+    """The contraction of `g` at its fixpoint, keeping no records; the split
+    passes edit it further, and a page reads its substitutes off it."""
+    c = _Contraction(g.edges, record=False)
     c.run()
-    if c.records is not None:
-        c.records = _structures(c.records)
     return c
 
 

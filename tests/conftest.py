@@ -228,14 +228,12 @@ def lg_value(lg, trials):
     the sum over all source-to-sink paths of the product of vertex labels."""
     from jacfact.oracle import PRIME, eval_expr
 
-    src_of = {vid: r for r, vid in lg.sources.items()}
-    sink_of = {vid: t for t, vid in lg.sinks.items()}
     out = {}
 
     def walk(vid, acc):
         v = lg.vertices[vid]
         if v.kind == "sink":
-            return {(sink_of[vid],): acc}
+            return {(v.graph_vertex,): acc}
         total = {}
         if v.kind == "label":
             acc = acc * eval_expr(v.label, trials)[0] % PRIME
@@ -244,7 +242,8 @@ def lg_value(lg, trials):
                 total[k] = (total.get(k, 0) + val) % PRIME
         return total
 
-    for r, vid in sorted(lg.sources.items()):
+    sources = sorted((v.graph_vertex, vid) for vid, v in lg.vertices.items() if v.kind == "source")
+    for r, vid in sources:
         for key, val in walk(vid, 1).items():
             out[(r, key[0])] = val
     return out

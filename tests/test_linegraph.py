@@ -3,7 +3,7 @@ import random
 import pytest
 
 from jacfact import linegraph
-from jacfact.expr import Sym, canonical, canonical_text, fma_cost, format_expr, parse_expr
+from jacfact.expr import UNIT, Sym, atom, canonical, canonical_text, fma_cost, format_expr, parse_expr
 from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (
     FaceError,
@@ -21,6 +21,7 @@ from jacfact.linegraph import (
 from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian
 from jacfact.oracle import bauer_eval, check_equiv, draw_trials
 from jacfact.relations import safe_elimination_order
+from jacfact.structure import contract
 
 from conftest import lg_value, load_graph, random_layered_dag
 
@@ -109,7 +110,7 @@ def test_eliminate_face_errors(fig4b):
     j = resolve_vertex(lg, "e12")
     with pytest.raises(FaceError, match="not present"):
         eliminate_face(lg, i, j)
-    src = lg.sources["v1"]
+    src = next(vid for vid, v in lg.vertices.items() if v.kind == "source" and v.graph_vertex == "v1")
     with pytest.raises(FaceError, match="meta"):
         eliminate_face(lg, src, i)
     with pytest.raises(FaceError):
@@ -118,7 +119,7 @@ def test_eliminate_face_errors(fig4b):
 
 def test_readout_requires_completion(fig4b):
     lg = build_line_graph(fig4b)
-    with pytest.raises(IncompleteElimination):
+    with pytest.raises(IncompleteElimination, match="^14 intermediate faces remain$"):
         readout_jacobian(lg)
 
 
@@ -157,9 +158,21 @@ def test_trace_replay_deterministic(fig4a):
 def test_unit_labels_multiply_free():
     g = parse_graph("e e1 a b\ne u1 b c 1\n")
     lg = build_line_graph(g)
+    unit = resolve_vertex(lg, "1")  # a name resolves as its atom, 1 included
+    assert unit == resolve_vertex(lg, parse_expr("1")) and lg.vertices[unit].label is UNIT
     trace = run_elimination(lg, [("e1", parse_expr("1"))])
     assert trace_mult_count(trace) == 0
     assert readout_jacobian(lg)[("a", "c")] == Sym("e1")
+
+
+@pytest.mark.parametrize("label", ["1", "e1"])
+def test_atom_is_the_one_label_convention(label):
+    assert atom(label).name == label
+    assert (atom(label) is UNIT) == (label == "1")
+    g = parse_graph(f"e x a b {label}\n")
+    (v,) = build_line_graph(g).labeled()
+    (ce,) = contract(g).edges
+    assert v.label is ce.expr is atom(label)
 
 
 def test_dot_output(fig4a):
@@ -184,10 +197,8 @@ def _build(vertspec, edges, sources, sinks):
         ids[name] = lg.add_vertex(parse_expr(label))
     for r in sources:
         ids[r] = lg.add_vertex(None, "source", r)
-        lg.sources[r] = ids[r]
     for t in sinks:
         ids[t] = lg.add_vertex(None, "sink", t)
-        lg.sinks[t] = ids[t]
     for a, b in edges:
         lg.add_edge(ids[a], ids[b])
     return lg, ids
@@ -296,7 +307,7 @@ def test_extended_merge_p_superset():
     _check_index(lg)
     assert steps[0].kind == "extended-merge-superset"
     assert format_expr(lg.vertices[ids["i"]].label) == "a+b"
-    assert lg.sources["Y"] not in lg.vertices[ids["k"]].preds
+    assert ids["Y"] not in lg.vertices[ids["k"]].preds
     assert _value_snapshot(lg, labels) == before
 
 
@@ -313,7 +324,7 @@ def test_extended_merge_s_superset():
     _check_index(lg)
     assert steps[0].kind == "extended-merge-superset"
     assert format_expr(lg.vertices[ids["i"]].label) == "a+b"
-    assert lg.sinks["Y"] not in lg.vertices[ids["k"]].succs
+    assert ids["Y"] not in lg.vertices[ids["k"]].succs
     assert _value_snapshot(lg, labels) == before
 
 

@@ -104,11 +104,11 @@ def test_lemma1_direct_only_clean():
 
 def test_dep_graph_edges(sec5):
     d = build_dep_graph(sec5)
-    assert ("e8", "e11") in d.successors(("e4", "e8"))
-    assert ("e9", "e12") in d.successors(("e4", "e9"))
-    assert set(d.successors(("e18", "e4"))) == {("e4", "s4"), ("e4", "e8")}
-    assert d.successors(("e8", "e11")) == []
-    assert d.successors(("e9", "e12")) == []
+    assert ("e8", "e11") in d.succ[("e4", "e8")]
+    assert ("e9", "e12") in d.succ[("e4", "e9")]
+    assert set(d.succ[("e18", "e4")]) == {("e4", "s4"), ("e4", "e8")}
+    assert d.succ[("e8", "e11")] == {}
+    assert d.succ[("e9", "e12")] == {}
     assert detect_cycles(d) == []
     dot = d.to_dot()
     assert '"e4,e8" -> "e8,e11"' in dot
@@ -315,6 +315,9 @@ def test_detect_cycles_matches_brute_force():
         # a face pair may also carry a mirrored edge
         dep_edges += [(a, b, True) for a, b in sorted(edges) if rng.random() < 0.3]
         d = DepGraph(set(nodes), dep_edges)
+        assert {n: set(ws) for n, ws in d.succ.items()} == {
+            n: {b for a, b in edges if a == n} for n in nodes
+        }
         want = _brute_force_cycles(sorted(nodes), edges)
         assert detect_cycles(d) == want
         found += len(want)

@@ -41,7 +41,7 @@ def _check_every_pass(g, direction, refs):
     passes = 0
     while True:
         now = work.graph()
-        assert _view(ce for at in work.by_src.values() for ce in at) == _view(contract(now, record=False).edges)
+        assert _view(ce for at in work.by_src.values() for ce in at) == _view(contract(now).edges)
         levels, _ = depth_levels(now)
         # terminals keep no level in the engine
         assert work.level == {v: lv for v, lv in levels.items() if now.out_edges(v)}

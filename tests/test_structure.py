@@ -6,7 +6,7 @@ import pytest
 
 from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
 from jacfact.oracle import check_equiv
-from jacfact.structure import contract, edge_cedge, find_structures, segment_cross_level
+from jacfact.structure import _Contraction, _structures, edge_cedge, find_structures, segment_cross_level
 
 from conftest import load_graph, random_layered_dag
 
@@ -185,14 +185,15 @@ def test_segment_preserves_values_random():
 def _contraction_text(g):
     from jacfact.expr import format_expr
 
-    c = contract(g)
+    c = _Contraction(g.edges)
+    c.run()
     cedges = [
         [ce.src, ce.dst, ce.kind, ce.simple, ce.direct, ce.seq, ce.record_idx,
          None if ce.expr is None else format_expr(ce.expr),
          sorted(ce.vmembers), sorted(ce.emembers)]
         for ce in c.edges
     ]
-    return json.dumps([cedges, [r.record() for r in c.records],
+    return json.dumps([cedges, [r.record() for r in _structures(c.records)],
                        [s.record() for s in find_structures(g)]])
 
 
