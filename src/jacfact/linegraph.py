@@ -11,11 +11,17 @@ plain and the extended rules share one rewrite core: the fill-in, arc
 cutting and merging helpers and the search for vertices with given
 neighbors.
 
+The graph keeps its intermediate faces, the arcs between two labeled
+vertices, in one ascending list, so listing them is one list copy.  Labels
+are filed by their canonical node at the first lookup after a write, so an
+elimination that never looks a label up canonicalizes nothing.
+
 Replaying a recorded trace on the initial line graph reproduces the final
 one; the sum of per-step multiplication flags is the cost of the run.
 """
 from __future__ import annotations
 
+from bisect import bisect_left, insort
 from collections import deque
 
 from .expr import Expr, _Unit, _canonical_form, add, atom, canonical, expand_expr, format_expr, prod
@@ -64,21 +70,28 @@ class EliminationStep:
 
 
 class LineGraph:
-    """Vertices in ascending vid order, with an index from each labeled
-    vertex's canonical label to the vids holding it.
+    """Vertices in ascending vid order, the intermediate faces in vid order,
+    and an index from each labeled vertex's canonical label to the vids
+    holding it.
 
     Only :meth:`add_vertex` inserts into ``vertices``, always with a new,
-    larger vid, so the dict's order is vid order.  Every label write goes
-    through :meth:`relabel`, which files the vertex under the canonical node
-    of its new label.  A label keeps its canonical node, so taking a vertex
-    out of the index never canonicalizes anything.  A meta vertex carries
-    its root or terminal as ``graph_vertex``, the one place that says which.
+    larger vid, so the dict's order is vid order.  ``_faces`` lists every
+    arc between two labeled vertices as ``(i, j)``, ascending, which is vid
+    order and then successor order; the arc methods keep it current.  Every
+    label write goes through :meth:`relabel`, which marks the vertex
+    unfiled; :meth:`find_by_label` files the unfiled vertices under the
+    canonical nodes of their labels before it looks up.  A filed label
+    keeps its canonical node, so taking a vertex out of the index never
+    canonicalizes anything.  A meta vertex carries its root or terminal as
+    ``graph_vertex``, the one place that says which.
     """
 
     def __init__(self):
         self.vertices = {}
         self._next = 0
+        self._faces = []  # (i, j) per arc between labeled vertices, ascending
         self._by_key = {}  # canonical label -> set of vids
+        self._unfiled = set()  # labeled vids written since the last lookup
 
     def add_vertex(self, label, kind="label", graph_vertex=None):
         self._next += 1
@@ -89,12 +102,16 @@ class LineGraph:
         return vid
 
     def relabel(self, vid, label):
-        """Set the label of labeled vertex `vid` and refile it."""
+        """Set the label of labeled vertex `vid`; it is filed at the next
+        lookup."""
         self._unfile(vid)
         self.vertices[vid].label = label
-        self._by_key.setdefault(canonical(label), set()).add(vid)
+        self._unfiled.add(vid)
 
     def _unfile(self, vid):
+        if vid in self._unfiled:  # not filed yet
+            self._unfiled.remove(vid)
+            return
         label = self.vertices[vid].label
         if label is None:  # a new or meta vertex is in no bucket
             return
@@ -105,20 +122,30 @@ class LineGraph:
             del self._by_key[key]
 
     def add_edge(self, i, j):
-        self.vertices[i].succs.add(j)
-        self.vertices[j].preds.add(i)
+        vi, vj = self.vertices[i], self.vertices[j]
+        if j in vi.succs:
+            return
+        vi.succs.add(j)
+        vj.preds.add(i)
+        if vi.kind == vj.kind == "label":
+            insort(self._faces, (i, j))
 
     def remove_edge(self, i, j):
-        self.vertices[i].succs.discard(j)
-        self.vertices[j].preds.discard(i)
+        vi, vj = self.vertices[i], self.vertices[j]
+        if j not in vi.succs:
+            return
+        vi.succs.remove(j)
+        vj.preds.remove(i)
+        if vi.kind == vj.kind == "label":
+            del self._faces[bisect_left(self._faces, (i, j))]
 
     def remove_vertex(self, i):
         self._unfile(i)
-        v = self.vertices.pop(i)
-        for p in list(v.preds):
-            self.vertices[p].succs.discard(i)
-        for s in list(v.succs):
-            self.vertices[s].preds.discard(i)
+        for p in list(self.vertices[i].preds):
+            self.remove_edge(p, i)
+        for s in list(self.vertices[i].succs):
+            self.remove_edge(i, s)
+        del self.vertices[i]
 
     def has_edge(self, i, j):
         return i in self.vertices and j in self.vertices[i].succs
@@ -127,16 +154,15 @@ class LineGraph:
         return [v for v in self.vertices.values() if v.kind == "label"]
 
     def intermediate_faces(self):
-        faces = []
-        for v in self.labeled():
-            for s in sorted(v.succs):
-                if self.vertices[s].kind == "label":
-                    faces.append((v.vid, s))
-        return faces
+        """Every arc between two labeled vertices, in vid order."""
+        return list(self._faces)
 
     def find_by_label(self, target):
         """Vids whose label equals `target` up to the order of sum terms,
         ascending."""
+        for vid in self._unfiled:
+            self._by_key.setdefault(canonical(self.vertices[vid].label), set()).add(vid)
+        self._unfiled.clear()
         return sorted(self._by_key.get(canonical(target), ()))
 
 
@@ -186,10 +212,12 @@ def _twins(lg, preds, succs, skip):
     at.  The candidates are fixed before the first yield, so the caller may
     remove a vertex yielded."""
     p = min(preds, key=lambda p: len(lg.vertices[p].succs))
-    for vid in sorted(lg.vertices[p].succs):
+    found = []
+    for vid in lg.vertices[p].succs:
         w = lg.vertices[vid]
         if w.kind == "label" and vid not in skip and w.preds == preds and w.succs == succs:
-            yield vid
+            found.append(vid)
+    yield from sorted(found)
 
 
 def _merge(lg, i, k):
@@ -398,11 +426,10 @@ def trace_mult_count(trace):
 def readout_jacobian(lg):
     """Entries after a complete elimination: per (root, terminal), the sum of
     labels of vertices wired to that source and sink."""
-    vertices, labeled = lg.vertices, lg.labeled()
-    if any(vertices[s].kind == "label" for v in labeled for s in v.succs):
-        raise IncompleteElimination(f"{len(lg.intermediate_faces())} intermediate faces remain")
-    out = {}
-    for v in labeled:
+    if lg._faces:
+        raise IncompleteElimination(f"{len(lg._faces)} intermediate faces remain")
+    vertices, out = lg.vertices, {}
+    for v in lg.labeled():
         for p in sorted(v.preds):
             for s in sorted(v.succs):
                 pair = (vertices[p].graph_vertex, vertices[s].graph_vertex)

@@ -4,6 +4,7 @@ import pytest
 
 from jacfact import linegraph
 from jacfact.expr import UNIT, Sym, atom, canonical, canonical_text, fma_cost, format_expr, parse_expr
+from jacfact.factorize import factorize_with_refs, plan_pages
 from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (
     FaceError,
@@ -23,16 +24,7 @@ from jacfact.oracle import bauer_eval, check_equiv, draw_trials
 from jacfact.relations import safe_elimination_order
 from jacfact.structure import contract
 
-from conftest import lg_value, load_graph, random_layered_dag
-
-
-def _lg_edge_count(lg):
-    return sum(
-        1
-        for v in lg.labeled()
-        for s in v.succs
-        if lg.vertices[s].kind == "label"
-    )
+from conftest import level_chain, lg_value, load_graph, random_layered_dag
 
 
 def test_fig1a_line_graph_is_k32():
@@ -40,7 +32,7 @@ def test_fig1a_line_graph_is_k32():
     lg = build_line_graph(g)
     labeled = lg.labeled()
     assert len(labeled) == 5
-    assert _lg_edge_count(lg) == 6
+    assert len(_scan_faces(lg)) == 6
     uppers = {v.vid for v in labeled if format_expr(v.label) in ("e3", "e4", "e5")}
     lowers = {v.vid for v in labeled if format_expr(v.label) in ("e1", "e2")}
     for u in uppers:
@@ -123,16 +115,22 @@ def test_readout_requires_completion(fig4b):
         readout_jacobian(lg)
 
 
+def _eliminate_randomly(lg, rng):
+    """Total face elimination in `rng`'s order; returns the trace."""
+    trace = []
+    while True:
+        faces = lg.intermediate_faces()
+        if not faces:
+            return trace
+        trace += eliminate_face(lg, *rng.choice(faces))
+
+
 def test_random_orders_match_oracle():
     rng = random.Random(5)
     for _ in range(20):
         g = random_layered_dag(rng, max_vertices=8, max_edges=12)
         lg = build_line_graph(g)
-        while True:
-            faces = lg.intermediate_faces()
-            if not faces:
-                break
-            eliminate_face(lg, *rng.choice(faces))
+        _eliminate_randomly(lg, rng)
         assert check_equiv(g, readout_jacobian(lg), trials=5).ok
 
 
@@ -426,6 +424,7 @@ def test_extended_record_matches_direct_call(rule):
     lg, ids = _build(*spec)
     direct = _outcome(lg, _direct(lg, ids, rule), spec[0])
     assert direct[0][0]["kind"].startswith("extended-")
+    _check_index(lg)
     record = (rule, "a", "b") if rule.startswith("merge-") else (rule, "a", "b", "c")
     lg, ids = _build(*spec)
     assert _outcome(lg, run_elimination(lg, [record]), spec[0]) == direct
@@ -484,19 +483,36 @@ def test_rule_record_operand_count(record, want, got):
 
 
 # ---------------------------------------------------------------------------
-# the label index and the local absorber search against full scans
+# the face and label indexes and the local absorber search against full scans
+
+
+def _scan_faces(lg):
+    """Every arc between two labeled vertices, by a scan of each labeled
+    vertex's successors in vid order."""
+    faces = []
+    for v in lg.labeled():
+        for s in sorted(v.succs):
+            if lg.vertices[s].kind == "label":
+                faces.append((v.vid, s))
+    return faces
 
 
 def _check_index(lg):
-    """find_by_label against a canonical_text() scan of every labeled vertex,
-    and no stale or misfiled vid in the index."""
+    """intermediate_faces() against _scan_faces(), find_by_label against a
+    canonical_text() scan of every labeled vertex, and no stale or misfiled
+    vid in the label index, before or after the lookups file the vertices
+    written since the last one."""
+    assert lg.intermediate_faces() == _scan_faces(lg)
     labeled = lg.labeled()
     vids = [v.vid for v in labeled]
     assert vids == sorted(vids)
+    filed = [vid for bucket in lg._by_key.values() for vid in bucket]
+    assert sorted(filed + list(lg._unfiled)) == vids  # each filed or pending, once
     keys = {v.vid: canonical_text(v.label) for v in labeled}
     for v in labeled:
         assert lg.find_by_label(v.label) == [u for u in vids if keys[u] == keys[v.vid]]
     assert lg.find_by_label(Sym("absent")) == []
+    assert not lg._unfiled
     indexed = sorted(vid for bucket in lg._by_key.values() for vid in bucket)
     assert indexed == vids
     for key, bucket in lg._by_key.items():
@@ -513,12 +529,25 @@ def _scan_absorber(lg, i, j):
     return None
 
 
+def test_arc_writes_keep_set_semantics():
+    lg, ids = _build(*EQUAL_STATES["face"])
+    lg.add_edge(ids["i"], ids["j"])  # already an arc
+    lg.remove_edge(ids["j"], ids["i"])  # never an arc
+    lg.remove_edge(ids["Y"], ids["j"])  # never an arc, from a meta vertex
+    _check_index(lg)
+    i, j, k, m1 = (ids[n] for n in ("i", "j", "k", "m1"))
+    assert lg.intermediate_faces() == [(i, j), (j, m1), (k, m1)]
+
+
 def test_labeled_in_vid_order_after_fillins_and_removals(fig4b):
     rng = random.Random(0)
     lg = build_line_graph(fig4b)
     kinds = set()
-    while lg.intermediate_faces():
-        steps = eliminate_face(lg, *rng.choice(lg.intermediate_faces()))
+    while True:
+        faces = lg.intermediate_faces()
+        if not faces:
+            break
+        steps = eliminate_face(lg, *rng.choice(faces))
         kinds.update(step.kind for step in steps)
         vids = [v.vid for v in lg.labeled()]
         assert vids == sorted(vids)
@@ -537,7 +566,7 @@ def test_find_by_label_lists_every_holder_ascending():
 
 def test_index_and_absorber_match_full_scans():
     rng = random.Random(11)
-    graphs = absorbs = 0
+    graphs = absorbs = cascades = 0
     while graphs < 20:
         g = random_layered_dag(rng, max_vertices=25, max_edges=40)
         if graphs % 2:  # repeated labels, so several vertices share a key
@@ -558,9 +587,10 @@ def test_index_and_absorber_match_full_scans():
             steps = eliminate_face(lg, i, j)
             assert (steps[0].kind == "absorb") == (want is not None)
             absorbs += want is not None
+            cascades += [s.kind for s in steps].count("remove-isolated") > 1
             _check_index(lg)
         assert check_equiv(g, readout_jacobian(lg), trials=3).ok
-    assert absorbs > 20
+    assert absorbs > 20 and cascades > 20
 
 
 def _dense_layered(width, depth):
@@ -597,3 +627,62 @@ def test_level_chain_replay_canonicalizes_once_per_write_and_lookup(monkeypatch)
     assert check_equiv(g, readout_jacobian(lg), trials=3).ok
     assert calls["find_by_label"] == 2 * len(order)
     assert calls["canonical"] <= calls["relabel"] + calls["find_by_label"]
+
+
+def _level_chain_set(g):
+    """The level-chain DP's set for `g`."""
+    chain, _ = level_chain(g)
+    tree, _ = best_accumulation_order(chain, bound=len(chain))
+    return accumulate(chain, tree)[0]
+
+
+PLANS = {
+    "refs": lambda g: factorize_with_refs(g)[1],
+    "pages": lambda g: plan_pages(g)[1],
+    "chain": _level_chain_set,
+}
+
+
+@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("name", ["fig4b", "fig7a", "fig9a", "dense3x3"])
+def test_indexes_match_full_scans_through_plan_replays(name, plan):
+    # fig9a's refs and pages orders stop at a FaceError, which must leave
+    # both indexes as current as a completed step does
+    g = _dense_layered(3, 3)[0] if name == "dense3x3" else load_graph(name)
+    s = PLANS[plan](g)
+    lg = build_line_graph(g)
+    _check_index(lg)
+    try:
+        for entry in safe_elimination_order(s):
+            run_elimination(lg, [entry], defs=s.def_map)
+            _check_index(lg)
+    except FaceError:
+        _check_index(lg)
+    else:
+        assert check_equiv(g, readout_jacobian(lg), trials=3).ok
+
+
+def test_random_total_elimination_canonicalizes_nothing(monkeypatch):
+    calls = {"canonical": 0}
+
+    def counted(e):
+        calls["canonical"] += 1
+        return canonical(e)
+
+    monkeypatch.setattr(linegraph, "canonical", counted)
+    g, _ = _dense_layered(4, 4)
+    lg = build_line_graph(g)
+    trace = _eliminate_randomly(lg, random.Random(7))
+    assert calls["canonical"] == 0
+    assert check_equiv(g, readout_jacobian(lg), trials=3).ok
+    # the first lookup files every labeled vertex, then looks up its target
+    assert resolve_vertex(lg, lg.labeled()[0].label) == lg.labeled()[0].vid
+    assert calls["canonical"] == len(lg.labeled()) + 1
+    assert {s.kind for s in trace} >= {"absorb", "fillin", "merge", "remove-isolated"}
+
+
+def test_random_total_elimination_of_dense_4x5():
+    g, _ = _dense_layered(4, 5)
+    lg = build_line_graph(g)
+    assert trace_mult_count(_eliminate_randomly(lg, random.Random(7))) == 4306
+    assert check_equiv(g, readout_jacobian(lg), trials=3).ok

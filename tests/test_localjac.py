@@ -4,7 +4,7 @@ import random
 import pytest
 
 from jacfact.expr import Sym, UNIT, fma_cost, format_expr, parse_expr
-from jacfact.graph import GraphError, depth_levels, parse_graph
+from jacfact.graph import GraphError, parse_graph
 from jacfact.linegraph import build_line_graph, run_elimination, trace_mult_count
 from jacfact.localjac import (
     JacobianError,
@@ -17,12 +17,12 @@ from jacfact.localjac import (
 )
 from jacfact.oracle import check_equiv
 from jacfact.relations import safe_elimination_order
-from jacfact.structure import segment_cross_level
 
 from conftest import (
     dense_layered,
     enumerate_parenthesizations,
     fig4b_labeled_s1,
+    level_chain,
     load_graph,
     random_layered_dag,
 )
@@ -207,17 +207,6 @@ def test_accumulate_names_skip_input_labels(order):
     assert check_equiv(g, s).ok
 
 
-def _level_chain(g):
-    """One local Jacobian per pair of adjacent levels of the segmented graph,
-    and the segmented graph."""
-    seg = segment_cross_level(g)
-    levels, _ = depth_levels(seg)
-    rows = [[] for _ in range(max(levels.values()) + 1)]
-    for v in sorted(levels):
-        rows[levels[v]].append(v)
-    return [extract_local_jacobian(seg, rows[k], rows[k + 1]) for k in range(len(rows) - 1)], seg
-
-
 def _reference_order(chain):
     """The interval DP costing every split by a full pattern product (0 zero,
     1 unit, 2 general), ties to the least split: what
@@ -288,11 +277,11 @@ def _dp_corpus():
     rng = random.Random(2021)
     for _ in range(120):
         g = random_layered_dag(rng, max_vertices=rng.randint(10, 40), max_edges=60, max_levels=8)
-        yield _level_chain(g)[0]
+        yield level_chain(g)[0]
     for width, depth in [(2, 8), (3, 5), (4, 4), (2, 4), (3, 3), (5, 2)]:
-        yield _level_chain(dense_layered(width, depth))[0]
+        yield level_chain(dense_layered(width, depth))[0]
     for count in range(4, 13):
-        yield _level_chain(_diamond_chain(count))[0]
+        yield level_chain(_diamond_chain(count))[0]
     for _ in range(100):
         yield _random_chain(rng, rng.randint(2, 10), 4)
     for _ in range(80):  # 1x1 chains, often with unit entries
@@ -318,7 +307,7 @@ def test_best_order_rejects_a_non_conformable_1x1_chain():
 def test_plain_chain_of_1500_edges_runs_end_to_end():
     n = 1500
     g = parse_graph("".join(f"e c{k} p{k} p{k + 1}\n" for k in range(n)))
-    chain, seg = _level_chain(g)
+    chain, seg = level_chain(g)
     assert seg is g and len(chain) == n
     tree, cost = best_accumulation_order(chain, bound=len(chain))
     assert cost == n - 1

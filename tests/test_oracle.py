@@ -97,8 +97,11 @@ def test_check_equiv_dict_with_a_mismatch_reports_like_its_entry_set():
     g = random_layered_dag(random.Random(4), max_vertices=12, max_edges=20)
     rng = random.Random(4)
     lg = build_line_graph(g)
-    while lg.intermediate_faces():
-        eliminate_face(lg, *rng.choice(lg.intermediate_faces()))
+    while True:
+        faces = lg.intermediate_faces()
+        if not faces:
+            break
+        eliminate_face(lg, *rng.choice(faces))
     readout = readout_jacobian(lg)
     assert len(readout) > 2
     victim = sorted(readout)[1]
