@@ -3,10 +3,11 @@
 Bauer's multi-path chain rule gives a Jacobian entry as the sum over every
 root-to-terminal path of the product of its edge labels.  Checks run in the
 prime field GF(2^61 - 1), where multiplication commutes and
-equality is exact, so the path sum is one forward dynamic-programming pass
-over the topological order (vertex elimination) instead of an enumeration;
-a random instantiation exposes any fixed polynomial discrepancy with
-overwhelming probability.
+equality is exact, so the path sums are dynamic-programming sweeps over
+the topological order (vertex elimination) instead of an enumeration: down
+from each root or up from each terminal, whichever touches fewer edges,
+with one reduction per reached vertex.  A random instantiation exposes any
+fixed polynomial discrepancy with overwhelming probability.
 
 :func:`check_equiv` evaluates each artifact once for all of its trials: a
 :class:`Trials` batch holds, per label, its value in ``instantiate(labels,
@@ -19,6 +20,8 @@ from __future__ import annotations
 
 import random
 from functools import reduce
+from heapq import heappop, heappush
+from operator import or_
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sym, _kids, _pending
@@ -40,8 +43,11 @@ def instantiate(labels, seed):
     ``random.Random(seed).randrange(2, PRIME - 1)`` (zero would mask dropped
     factors, one dropped units).  CPython draws it as ``2 + getrandbits(61)``
     unless the bits are ``PRIME - 3`` or more (about one draw in 2^59); then
-    ``randrange`` redraws the whole row."""
-    keys = sorted(set(labels) - {UNIT_LABEL})
+    ``randrange`` redraws the whole row.  Duplicates drop in input order, so
+    labels that come sorted, as from :func:`draw_trials`, sort in one pass."""
+    keys = dict.fromkeys(labels)
+    keys.pop(UNIT_LABEL, None)
+    keys = sorted(keys)
     rng = random.Random(seed)
     bits = rng.getrandbits
     row = [bits(61) + 2 for _ in keys]
@@ -77,9 +83,30 @@ class Trials:
     def add(self, x, y):
         return [(a + b) % PRIME for a, b in zip(x, y)]
 
-    def fma(self, acc, x, y):
-        """``acc + x*y`` per trial."""
-        return [(a + b * c) % PRIME for a, b, c in zip(acc, x, y)]
+    def dot(self, terms):
+        """``x*y`` summed over the column pairs ``(x, y)`` of `terms`, per
+        trial, where a factor ``None`` is the unit.  The sum is carried
+        unreduced and reduced once, with the last term."""
+        last = len(terms)
+        acc = None
+        for k, (x, y) in enumerate(terms, 1):
+            if x is None or y is None:
+                x = y if x is None else x
+                if x is None:
+                    x = self.constant(1)
+                if acc is None:
+                    acc = x
+                elif k < last:
+                    acc = [s + a for s, a in zip(acc, x)]
+                else:
+                    acc = [(s + a) % PRIME for s, a in zip(acc, x)]
+            elif acc is None:
+                acc = [a * b % PRIME for a, b in zip(x, y)] if last == 1 else [a * b for a, b in zip(x, y)]
+            elif k < last:
+                acc = [s + a * b for s, a, b in zip(acc, x, y)]
+            else:
+                acc = [(s + a * b) % PRIME for s, a, b in zip(acc, x, y)]
+        return acc
 
 
 def draw_trials(labels, seed, trials):
@@ -151,35 +178,90 @@ def eval_exprset(s, trials):
 def bauer_eval(g, trials):
     """Jacobian entries as path sums, exact in the field.
 
-    One forward pass over the topological order per root: each reached
-    vertex carries its path sum as a column over the :class:`Trials` batch.
+    The sum can be swept from either end.  Down from a root, a reached
+    vertex's column sums ``value[u] * label(u->v)`` over its reached
+    predecessors; up from a terminal, it sums ``label(v->w) * value[w]``
+    over the successors that reach the terminal, so every product keeps its
+    factors in root-to-terminal order either way.  Whichever side touches
+    fewer edges (see :func:`sweep_costs`) is swept, down on a tie.  Each
+    reached vertex's column is one :meth:`Trials.dot`, reduced once.
     """
-    terminals = g.terminals
-    is_terminal = set(terminals)
-    succ = {
-        v: [(e.dst, None if e.label == UNIT_LABEL else trials[e.label]) for e in g.out_edges(v)]
-        for v in g.vertices
-    }
-    out = {}
-    for y in g.roots:
-        value = {y: trials.constant(1)}
-        for v in g.topo_order:
-            if v not in value:
-                continue
-            vv = value[v]
-            for dst, col in succ[v]:
-                if dst not in value:
-                    value[dst] = vv if col is None else trials.mul(vv, col)
-                elif col is None:
-                    value[dst] = trials.add(value[dst], vv)
-                else:
-                    value[dst] = trials.fma(value[dst], vv, col)
-            if v not in is_terminal:
-                del value[v]
+    down, up = sweep_costs(g)
+    roots, terminals = g.roots, g.terminals  # each sorted
+    if down <= up:
+        step = {v: [(e.dst, _label(trials, e.label)) for e in g.out_edges(v)] for v in g.vertices}
+        by_root = _sweeps(roots, g.topo_order, step, trials, set(terminals), left=False)
+    else:
+        step = {v: [(e.src, _label(trials, e.label)) for e in g.in_edges(v)] for v in g.vertices}
+        by_terminal = _sweeps(terminals, g.topo_order[::-1], step, trials, set(roots), left=True)
+        by_root = {y: {} for y in roots}
         for x in terminals:
-            if x != y and x in value:
-                out[(y, x)] = value[x]
-    return out
+            for y, col in by_terminal[x].items():
+                by_root[y][x] = col
+    return {(y, x): by_root[y][x] for y in roots for x in sorted(by_root[y])}
+
+
+def _label(trials, label):
+    return None if label == UNIT_LABEL else trials[label]
+
+
+def _sweeps(starts, order, step, trials, keep, left):
+    """Start -> {vertex of `keep` it reaches -> column}, one sweep per start
+    through `step` (vertex -> [(next vertex, label column or None for the
+    unit)]) in `order`.  A reached vertex's terms are ``(value, label)``
+    pairs, or ``(label, value)`` with `left`, and its column is their one
+    :meth:`Trials.dot`.  A sweep visits only the vertices it reaches, in
+    `order`, from a heap of their positions."""
+    pos = {v: k for k, v in enumerate(order)}
+    swept = {}
+    for start in starts:
+        pending, ready = {}, []
+        out = swept[start] = {}
+
+        def push(v, value):
+            for w, col in step[v]:
+                if w not in pending:
+                    pending[w] = []
+                    heappush(ready, pos[w])
+                pending[w].append((col, value) if left else (value, col))
+
+        push(start, None)
+        while ready:
+            v = order[heappop(ready)]
+            value = trials.dot(pending.pop(v))
+            if v in keep:
+                out[v] = value
+            push(v, value)
+    return swept
+
+
+def sweep_costs(g):
+    """``(down, up)``: the edges that :func:`bauer_eval`'s sweeps touch,
+    down from every root and up from every terminal.
+
+    A sweep down from a root touches each edge whose source the root
+    reaches, and one up from a terminal each edge whose target reaches the
+    terminal.  So each count sums, over the edges, the number of roots that
+    reach the source or of terminals that the target reaches.  Those are
+    bit sets, filled in one pass over the topological order each way.
+    """
+    order = g.topo_order
+    down = _reach_bits(order, g.roots, g.predecessors)
+    up = _reach_bits(order[::-1], g.terminals, g.successors)
+    return (
+        sum(down[e.src].bit_count() for e in g.edges),
+        sum(up[e.dst].bit_count() for e in g.edges),
+    )
+
+
+def _reach_bits(order, starts, back):
+    """Vertex -> bit set of the `starts` that reach it, where `back(v)`
+    lists the vertices one edge before `v` and `order` lists them first."""
+    bits = {v: 1 << k for k, v in enumerate(starts)}
+    for v in order:
+        if v not in bits:
+            bits[v] = reduce(or_, map(bits.__getitem__, back(v)))
+    return bits
 
 
 # ---------------------------------------------------------------------------
