@@ -63,7 +63,7 @@ class SplitGraph:
 
     `edges` keeps the order of an edge list: a retargeted edge keeps its
     place and a new edge goes last, so :meth:`graph` lists the edges in the
-    order they were edited in, and `stamp` numbers them in that order.  A
+    order they were edited in, and `_clock` counts the edges made so far.  A
     vertex exists while it has an edge; names, once used, are never handed
     out again.  Besides the edges it keeps `view`, the contraction of the current graph
     held at its fixpoint, whose `by_src` and `by_dst` (vertex ->
@@ -77,7 +77,6 @@ class SplitGraph:
 
     def __init__(self, g, direction):
         self.edges = {e.id: e for e in g.edges}
-        self.stamp = {e.id: k for k, e in enumerate(g.edges)}
         self._clock = len(g.edges)
         self.succ = {v: {} for v in g.vertices}  # vertex -> {edge id: None}
         self.pred = {v: {} for v in g.vertices}
@@ -101,7 +100,6 @@ class SplitGraph:
         eid = self.ids.fresh(base_id)
         e = Edge(eid, src, dst, label)
         self.edges[eid] = e
-        self.stamp[eid] = self._clock
         self._clock += 1
         self._link(e)
         return eid
@@ -117,7 +115,6 @@ class SplitGraph:
 
     def remove(self, eid):
         e = self.edges.pop(eid)
-        del self.stamp[eid]
         self._unlink(e)
         self._prune(e.src, e.dst)
 
@@ -158,8 +155,11 @@ class SplitGraph:
             else:
                 self.crowded.discard(v)
 
-    def _attach_edge(self, eid):
-        self.view.attach(edge_cedge(self.edges[eid], self.stamp[eid]))
+    def _add_attached(self, src, dst, label, base_id):
+        """:meth:`add` an edge and attach it to the view, numbered by its
+        place in edit order."""
+        e = self.edges[self.add(src, dst, label, base_id)]
+        self.view.attach(edge_cedge(e, self._clock - 1))
 
     # -- levels ---------------------------------------------------------------
 
@@ -239,7 +239,7 @@ class SplitGraph:
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
                 if ce.kind == "edge":
                     e = ce.original
-                    self._attach_edge(self.add(src, dst, e.label, e.id))
+                    self._add_attached(src, dst, e.label, e.id)
                 else:
                     self._copy_substructure(ce, src, dst)
         for ce in carried:
@@ -259,7 +259,7 @@ class SplitGraph:
         vmap[ce.dst] = new_dst
         for eid in sorted(ce.emembers):
             e = self.edges[eid]
-            self._attach_edge(self.add(vmap[e.src], vmap[e.dst], e.label, e.id))
+            self._add_attached(vmap[e.src], vmap[e.dst], e.label, e.id)
 
 
 def _factorize(g, direction, refs=None):
@@ -300,11 +300,15 @@ def factorize_with_refs(g, direction="backward"):
 
 
 def _active_pairs(g):
-    pairs = []
-    for y in g.roots:
-        below = g.reachable_from(y)
-        pairs += [(y, x) for x in g.terminals if x in below]
-    return pairs
+    """The (root, terminal) pairs a path connects, by root, then terminal."""
+    up = g.reach_bits[1]
+    terminals = g.terminals
+    return [(y, x) for y in g.roots for k, x in enumerate(terminals) if up[y] >> k & 1]
+
+
+def _note(transcript, op, page, **args):
+    """Record page step `op` on `page` with its arguments."""
+    transcript.append({"op": op, "args": args, "page": page.pid})
 
 
 def _page_from_edges(page, edges, pid):
@@ -326,17 +330,9 @@ def _replace_simple_structures(page, transcript):
     for ce in victims:
         name = page.refs.intern(ce.expr).name
         edges.append(Edge(ids.fresh(name), ce.src, ce.dst, name))
-        transcript.append(
-            {
-                "op": "replace-structure",
-                "args": {
-                    "src": ce.src,
-                    "sink": ce.dst,
-                    "ref": name,
-                    "expr": format_expr(ce.expr),
-                },
-                "page": page.pid,
-            }
+        _note(
+            transcript, "replace-structure", page,
+            src=ce.src, sink=ce.dst, ref=name, expr=format_expr(ce.expr),
         )
     page.graph = DiffGraph(edges)
     return True
@@ -373,13 +369,7 @@ def _finalize(page, transcript):
     else:
         atoms = {(e.src, e.dst): atom(e.label) for e in g.edges}
         page.entries = [(pair, atoms[pair]) for pair in pairs]
-    transcript.append(
-        {
-            "op": "finalize",
-            "args": {"pairs": [list(p) for p in pairs]},
-            "page": page.pid,
-        }
-    )
+    _note(transcript, "finalize", page, pairs=[list(p) for p in pairs])
     return page
 
 
@@ -410,13 +400,7 @@ def _band_pass(page, v_i, v_j, levels, transcript):
         for e in ins + outs:
             del edges[e.src, e.dst]
     page.graph = DiffGraph(edges.values())
-    transcript.append(
-        {
-            "op": "band-eliminate",
-            "args": {"pivots": [v_i, v_j], "level": a + 1, "vertices": band},
-            "page": page.pid,
-        }
-    )
+    _note(transcript, "band-eliminate", page, pivots=[v_i, v_j], level=a + 1, vertices=band)
 
 
 def plan_pages(g):
@@ -451,19 +435,14 @@ def plan_pages(g):
             done.append(_finalize(page, transcript))
             continue
         v_i, v_j = pivots
-        y_i = sorted(g_p.reaching(v_i).intersection(roots))
-        x_j = sorted(g_p.reachable_from(v_j).intersection(terminals))
+        down, up = g_p.reach_bits
+        y_i = [y for k, y in enumerate(roots) if down[v_i] >> k & 1]
+        x_j = [x for k, x in enumerate(terminals) if up[v_j] >> k & 1]
         if y_i != roots or x_j != terminals:
             other_y = set(roots) - set(y_i)
             other_x = set(terminals) - set(x_j)
             rest = region_edges(g_p, other_y, terminals) + region_edges(g_p, roots, other_x)
-            transcript.append(
-                {
-                    "op": "split-page",
-                    "args": {"pivots": [v_i, v_j], "roots": y_i, "terminals": x_j},
-                    "page": page.pid,
-                }
-            )
+            _note(transcript, "split-page", page, pivots=[v_i, v_j], roots=y_i, terminals=x_j)
             queue.append(_page_from_edges(page, region_edges(g_p, y_i, x_j), next_pid))
             queue.append(_page_from_edges(page, rest, next_pid + 1))
             next_pid += 2
@@ -514,9 +493,7 @@ def _separate(page, v_i, v_j, levels, next_pid, transcript):
         s_edges = region_edges(g, roots, [pick])
         rest_edges = region_edges(g, roots, terminals[1:])
         detail = {"kind": "terminal", "terminal": pick}
-    transcript.append(
-        {"op": "separate", "args": detail, "page": page.pid}
-    )
+    _note(transcript, "separate", page, **detail)
     return [
         _page_from_edges(page, s_edges, next_pid),
         _page_from_edges(page, rest_edges, next_pid + 1),

@@ -4,7 +4,10 @@ A graph is a rooted multi-level DAG whose directed edges point in the
 direction of dependence (roots at the top, terminals at the bottom).  Each
 edge carries a symbolic label; the label ``1`` marks a unit edge inserted by
 cross-level segmentation.  All queries here are pure functions over immutable
-graphs, so instances can be shared freely.  :func:`region_edges` is the one
+graphs, so instances can be shared freely.  Three helpers answer
+reachability: :func:`reach` walks, :attr:`DiffGraph.reach_bits` holds the
+roots that reach each vertex and the terminals it reaches, and
+:func:`path_counts` counts paths.  :func:`region_edges` is the one
 definition of a region, between two vertices or two vertex sets, as an edge
 list in graph order.  :class:`Names` hands out every vertex and edge name a
 rewrite makes up, so a made-up name never meets one already in use.
@@ -12,7 +15,8 @@ rewrite makes up, so a made-up name never meets one already in use.
 from __future__ import annotations
 
 import heapq
-from functools import cached_property
+from functools import cached_property, reduce
+from operator import or_
 
 UNIT_LABEL = "1"
 
@@ -110,6 +114,18 @@ class DiffGraph:
         """Vertex -> its place in `topo_order`."""
         return {v: k for k, v in enumerate(self.topo_order)}
 
+    @cached_property
+    def reach_bits(self):
+        """``(down, up)``: vertex -> bit set of the roots that reach it, and
+        vertex -> bit set of the terminals it reaches.  Bit k stands for
+        ``roots[k]`` or ``terminals[k]``, and a root or terminal holds its
+        own bit.  One pass over `topo_order` fills each side."""
+        order = self.topo_order
+        return (
+            _reach_bits(order, self.roots, self.predecessors),
+            _reach_bits(order[::-1], self.terminals, self.successors),
+        )
+
     def require(self, *vertices):
         """Raise :class:`GraphError` for the first vertex not in the graph."""
         for v in vertices:
@@ -203,6 +219,16 @@ def reach(starts, step, stop=()):
             if u not in stop:
                 stack.extend(step(u))
     return out
+
+
+def _reach_bits(order, starts, back):
+    """Vertex -> bit set of the `starts` that reach it, where `back(v)`
+    lists the vertices one edge before `v` and `order` lists them first."""
+    bits = {v: 1 << k for k, v in enumerate(starts)}
+    for v in order:
+        if v not in bits:
+            bits[v] = reduce(or_, map(bits.__getitem__, back(v)))
+    return bits
 
 
 def path_counts(start, step, order):
@@ -319,23 +345,15 @@ def depth_levels(g):
 def rt_degrees(g):
     """Per vertex: (#roots that reach it, #terminals it reaches).
 
-    Paths of length >= 1, so roots have r-degree 0 and terminals t-degree 0.
+    Paths of length >= 1, so roots have r-degree 0 and terminals t-degree 0:
+    these are the popcounts of ``g.reach_bits`` less the vertex's own bit.
     """
-    roots = set(g.roots)
-    terminals = set(g.terminals)
-    r = {v: set() for v in g.vertices}
-    for v in g.topo_order:
-        for e in g.in_edges(v):
-            if e.src in roots:
-                r[v].add(e.src)
-            r[v] |= r[e.src]
-    t = {v: set() for v in g.vertices}
-    for v in reversed(g.topo_order):
-        for e in g.out_edges(v):
-            if e.dst in terminals:
-                t[v].add(e.dst)
-            t[v] |= t[e.dst]
-    return {v: (len(r[v]), len(t[v])) for v in g.vertices}
+    down, up = g.reach_bits
+    roots, terminals = set(g.roots), set(g.terminals)
+    return {
+        v: (down[v].bit_count() - (v in roots), up[v].bit_count() - (v in terminals))
+        for v in g.vertices
+    }
 
 
 def region_edges(g, srcs, sinks, avoid=()):

@@ -21,7 +21,6 @@ from __future__ import annotations
 import random
 from functools import reduce
 from heapq import heappop, heappush
-from operator import or_
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sym, _kids, _pending
@@ -77,16 +76,13 @@ class Trials:
     def constant(self, c):
         return [c] * self.size
 
-    def mul(self, x, y):
-        return [a * b % PRIME for a, b in zip(x, y)]
-
-    def add(self, x, y):
-        return [(a + b) % PRIME for a, b in zip(x, y)]
-
     def dot(self, terms):
         """``x*y`` summed over the column pairs ``(x, y)`` of `terms`, per
         trial, where a factor ``None`` is the unit.  The sum is carried
-        unreduced and reduced once, with the last term."""
+        unreduced and reduced once, with the last term.  This is the
+        oracle's only arithmetic: a product folds in each factor after its
+        first with one ``dot([(acc, f)])``, and a sum is one ``dot`` over
+        ``(term, None)`` pairs."""
         last = len(terms)
         acc = None
         for k, (x, y) in enumerate(terms, 1):
@@ -141,10 +137,13 @@ class _Columns:
     def of(self, e):
         """Value column of one expression; each product and sum not yet
         evaluated is evaluated once, children first."""
-        trials, columns = self.trials, self.columns
+        dot, columns = self.trials.dot, self.columns
         for node in _pending(e, columns.__contains__):
-            fold = trials.mul if isinstance(node, Prod) else trials.add
-            columns[node] = reduce(fold, map(self._value, _kids(node)))
+            kids = map(self._value, _kids(node))
+            if isinstance(node, Prod):
+                columns[node] = reduce(lambda acc, f: dot([(acc, f)]), kids)
+            else:
+                columns[node] = dot([(term, None) for term in kids])
         return self._value(e)
 
     def _value(self, node):
@@ -168,11 +167,10 @@ def eval_exprset(s, trials):
     columns = _Columns(trials)
     for name in ex.reference_order(s):
         columns.define(name, def_map[name])
-    out = {}
+    terms = {}
     for pair, e in s.entries:
-        v = columns.of(e)
-        out[pair] = trials.add(out[pair], v) if pair in out else v
-    return out
+        terms.setdefault(pair, []).append((columns.of(e), None))
+    return {pair: trials.dot(t) for pair, t in terms.items()}
 
 
 def bauer_eval(g, trials):
@@ -241,27 +239,14 @@ def sweep_costs(g):
 
     A sweep down from a root touches each edge whose source the root
     reaches, and one up from a terminal each edge whose target reaches the
-    terminal.  So each count sums, over the edges, the number of roots that
-    reach the source or of terminals that the target reaches.  Those are
-    bit sets, filled in one pass over the topological order each way.
+    terminal.  So each count sums, over the edges, the popcount of the
+    source's or the target's :attr:`~jacfact.graph.DiffGraph.reach_bits`.
     """
-    order = g.topo_order
-    down = _reach_bits(order, g.roots, g.predecessors)
-    up = _reach_bits(order[::-1], g.terminals, g.successors)
+    down, up = g.reach_bits
     return (
         sum(down[e.src].bit_count() for e in g.edges),
         sum(up[e.dst].bit_count() for e in g.edges),
     )
-
-
-def _reach_bits(order, starts, back):
-    """Vertex -> bit set of the `starts` that reach it, where `back(v)`
-    lists the vertices one edge before `v` and `order` lists them first."""
-    bits = {v: 1 << k for k, v in enumerate(starts)}
-    for v in order:
-        if v not in bits:
-            bits[v] = reduce(or_, map(bits.__getitem__, back(v)))
-    return bits
 
 
 # ---------------------------------------------------------------------------

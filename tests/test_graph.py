@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+from jacfact.factorize import _active_pairs
 from jacfact.graph import (
     DiffGraph,
     Edge,
@@ -198,6 +199,24 @@ def test_rt_degrees_fig9a(fig9a):
         assert rt[r][0] == 0
     for t in fig9a.terminals:
         assert rt[t][1] == 0
+
+
+def test_reach_bits_match_dfs_and_active_pairs_match_path_counts():
+    rng = random.Random(12)
+    graphs = [random_layered_dag(rng) for _ in range(40)] + [dense_layered(3, 4)]
+    graphs += [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
+    for g in graphs:
+        roots, terminals = g.roots, g.terminals
+        down, up = g.reach_bits
+        assert set(down) == set(up) == g.vertices
+        for v in g.vertices:
+            above = {v} | g.reaching(v)
+            below = {v} | g.reachable_from(v)
+            assert down[v] == sum(1 << k for k, y in enumerate(roots) if y in above)
+            assert up[v] == sum(1 << k for k, x in enumerate(terminals) if x in below)
+        assert _active_pairs(g) == [
+            (y, x) for y in roots for x in terminals if count_paths(g, y, x) > 0
+        ]
 
 
 def test_path_count_matches_levelwise_matrix_product():

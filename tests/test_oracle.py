@@ -316,6 +316,29 @@ class _CountingTrials(Trials):
         return out
 
 
+def test_eval_exprset_calls_dot_once_per_sum_factor_and_pair():
+    # r,t repeats three entries and r,u two equal ones; a*b is one node
+    s = parse_exprset(
+        "s1 = a*b\ns2 = s1+c\n"
+        "J[r,t] = s1*c*d\nJ[r,t] = s2+a*b\nJ[r,t] = d\n"
+        "J[r,u] = a*b+c\nJ[r,u] = a*b+c\nJ[q,t] = d\n"
+    )
+    sets = [s] + [random_exprset(random.Random(seed)) for seed in range(40)]
+    for s in sets:
+        nodes = set()
+        todo = [e for _, e in s.defs + s.entries]
+        while todo:
+            e = todo.pop()
+            if isinstance(e, (Prod, Sum)) and e not in nodes:
+                nodes.add(e)
+                todo += e.factors if isinstance(e, Prod) else e.terms
+        want = sum(1 if isinstance(n, Sum) else len(n.factors) - 1 for n in nodes)
+        want += len({pair for pair, _ in s.entries})
+        batch = _CountingTrials(draw_trials(base_symbols(s), 2, 3))
+        eval_exprset(s, batch)
+        assert batch.dots == want
+
+
 def test_a_sweep_reduces_each_reached_vertex_once(monkeypatch):
     for g in _sweep_cases()[::5]:  # seeded DAGs, dense 2x4 backward, fig9a forward
         down_cost, up_cost = sweep_costs(g)

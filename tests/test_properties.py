@@ -74,14 +74,15 @@ def test_partition_property():
         assert not (set(y) & set(z)) and not (set(y) & set(x)) and not (set(z) & set(x))
 
 
-def test_rt_degree_bounds():
+def test_rt_degrees_match_dfs():
     rng = random.Random(3)
     for _ in range(50):
         g = random_layered_dag(rng)
-        rt = rt_degrees(g)
-        ny, nx = len(g.roots), len(g.terminals)
-        for v, (r, t) in rt.items():
-            assert 0 <= r <= ny and 0 <= t <= nx
+        roots, terminals = set(g.roots), set(g.terminals)
+        assert rt_degrees(g) == {
+            v: (len(g.reaching(v) & roots), len(g.reachable_from(v) & terminals))
+            for v in g.vertices
+        }
 
 
 def test_levels_monotone_along_edges():
