@@ -125,7 +125,6 @@ class SplitGraph:
         self.edges[eid] = moved
         self._link(moved)
         self._prune(e.src, e.dst)
-        return moved
 
     def _link(self, e):
         for v in (e.src, e.dst):
@@ -228,17 +227,14 @@ class SplitGraph:
             at_v = self.pred[v] if backward else self.succ[v]
             for eid in [i for i in at_v if i in route.emembers]:
                 if backward:
-                    moved = self.retarget(eid, new_dst=copy)
+                    self.retarget(eid, new_dst=copy)
                 else:
-                    moved = self.retarget(eid, new_src=copy)
-            ends = {"dst": copy} if backward else {"src": copy}
-            if route.kind == "edge":
-                ends["original"] = moved
-            self.view.attach(route.replace(**ends))
+                    self.retarget(eid, new_src=copy)
+            self.view.attach(route.replace(**{"dst" if backward else "src": copy}))
             for ce in carried:
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
                 if ce.kind == "edge":
-                    e = ce.original
+                    e = self.edges[next(iter(ce.emembers))]
                     self._add_attached(src, dst, e.label, e.id)
                 else:
                     self._copy_substructure(ce, src, dst)
@@ -323,7 +319,7 @@ def _replace_simple_structures(page, transcript):
     c = contract(page.graph)
     victims = [ce for ce in sorted(c.edges, key=lambda ce: ce.seq) if ce.kind != "edge"]
     if not victims:
-        return False
+        return
     ids = Names(e.id for e in page.graph.edges)
     members = {eid for ce in victims for eid in ce.emembers}
     edges = [e for e in page.graph.edges if e.id not in members]
@@ -335,11 +331,11 @@ def _replace_simple_structures(page, transcript):
             src=ce.src, sink=ce.dst, ref=name, expr=format_expr(ce.expr),
         )
     page.graph = DiffGraph(edges)
-    return True
 
 
-def _pivots(g):
-    levels, _ = depth_levels(g)
+def _pivots(g, levels):
+    """The pivot pair of a page, by its `levels`; None without an
+    intermediate vertex."""
     roots, terminals = set(g.roots), set(g.terminals)
     inter = sorted(g.vertices - roots - terminals)
     if not inter:
@@ -430,7 +426,10 @@ def plan_pages(g):
         _replace_simple_structures(page, transcript)
         g_p = page.graph
         roots, terminals = list(g_p.roots), list(g_p.terminals)
-        pivots = None if len(roots) == len(terminals) == 1 else _pivots(g_p)
+        pivots = None
+        if (len(roots), len(terminals)) != (1, 1):
+            levels, _ = depth_levels(g_p)
+            pivots = _pivots(g_p, levels)
         if pivots is None:
             done.append(_finalize(page, transcript))
             continue
@@ -443,25 +442,23 @@ def plan_pages(g):
             other_x = set(terminals) - set(x_j)
             rest = region_edges(g_p, other_y, terminals) + region_edges(g_p, roots, other_x)
             _note(transcript, "split-page", page, pivots=[v_i, v_j], roots=y_i, terminals=x_j)
-            queue.append(_page_from_edges(page, region_edges(g_p, y_i, x_j), next_pid))
-            queue.append(_page_from_edges(page, rest, next_pid + 1))
-            next_pid += 2
+            cut = region_edges(g_p, y_i, x_j), rest
+        elif levels[v_i] == levels[v_j] or len(region_edges(g_p, [v_i], [v_j])) == 1:
+            cut = _separate(page, v_i, v_j, levels, transcript)
+        else:
+            _band_pass(page, v_i, v_j, levels, transcript)
+            queue.append(page)
             continue
-        levels, _ = depth_levels(g_p)
-        if levels[v_i] == levels[v_j] or len(region_edges(g_p, [v_i], [v_j])) == 1:
-            queue += _separate(page, v_i, v_j, levels, next_pid, transcript)
-            next_pid += 2
-            continue
-        _band_pass(page, v_i, v_j, levels, transcript)
-        queue.append(page)
+        queue += [_page_from_edges(page, edges, next_pid + k) for k, edges in enumerate(cut)]
+        next_pid += 2
     return done, merge_pages(done), transcript
 
 
-def _separate(page, v_i, v_j, levels, next_pid, transcript):
+def _separate(page, v_i, v_j, levels, transcript):
     """Peel a page with several roots or terminals into two: the regions
     through the edges that leave a root or enter a terminal across the most
     levels against every other edge, or else one root's (one terminal's)
-    regions against the rest."""
+    regions against the rest.  Returns the two pages' edge lists."""
     g = page.graph
     roots, terminals = list(g.roots), list(g.terminals)
     span = lambda e: levels[e.dst] - levels[e.src]
@@ -494,10 +491,7 @@ def _separate(page, v_i, v_j, levels, next_pid, transcript):
         rest_edges = region_edges(g, roots, terminals[1:])
         detail = {"kind": "terminal", "terminal": pick}
     _note(transcript, "separate", page, **detail)
-    return [
-        _page_from_edges(page, s_edges, next_pid),
-        _page_from_edges(page, rest_edges, next_pid + 1),
-    ]
+    return s_edges, rest_edges
 
 
 def merge_pages(pages):

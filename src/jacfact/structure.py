@@ -71,18 +71,16 @@ class CEdge:
     """Contraction edge: an original edge or a substitute for a structure."""
 
     def __init__(
-        self, src, dst, expr, kind, simple, direct, vmembers=frozenset(),
-        emembers=frozenset(), original=None, seq=0, record_idx=-1, branches=(),
+        self, src, dst, expr, kind, direct, vmembers=frozenset(),
+        emembers=frozenset(), seq=0, record_idx=-1, branches=(),
     ):
         self.src = src
         self.dst = dst
-        self.expr = expr  # Expr, or None inside complex substitutes
+        self.expr = expr  # Expr; None exactly when the structure is complex
         self.kind = kind  # 'edge', 'chain', 'block'
-        self.simple = simple
         self.direct = direct
         self.vmembers = vmembers  # interior vertices only
         self.emembers = emembers  # original edge ids
-        self.original = original  # the Edge of kind 'edge'
         self.seq = seq
         self.record_idx = record_idx
         self.branches = branches  # a block's branch CEdges, in seq order
@@ -93,10 +91,7 @@ class CEdge:
 
 
 def edge_cedge(e, seq):
-    return CEdge(
-        e.src, e.dst, atom(e.label), "edge", True, True,
-        frozenset(), frozenset([e.id]), e, seq,
-    )
+    return CEdge(e.src, e.dst, atom(e.label), "edge", True, frozenset(), frozenset([e.id]), seq)
 
 
 _SEQ = operator.attrgetter("seq")
@@ -118,6 +113,8 @@ class _Contraction:
 
     def __init__(self, edges, record=True):
         self.live = {}  # CEdge -> attach position
+        # `between` finds parallels at once; scanning `by_src` would grow with
+        # the out-degrees that forward splits build up
         self.by_src, self.by_dst, self.between = {}, {}, {}
         self.records = [] if record else None
         self._attached = 0
@@ -191,16 +188,14 @@ class _Contraction:
             else:
                 branches.append(c)
         branches.sort(key=_SEQ)
-        simple = all(b.kind == "edge" or b.simple for b in branches)
         direct = all(b.kind == "edge" or (b.kind == "chain" and b.direct) for b in branches)
         vmem = frozenset().union(*[c.vmembers for c in group])
         emem = frozenset().union(*[c.emembers for c in group])
         expr = None
-        if simple and all(b.expr is not None for b in branches):
+        if all(b.expr is not None for b in branches):
             expr = add(*[b.expr for b in branches])
         return self._record(CEdge(
-            src, dst, expr, "block", simple, direct,
-            vmem, emem, None, group[0].seq, branches=tuple(branches),
+            src, dst, expr, "block", direct, vmem, emem, group[0].seq, branches=tuple(branches),
         ))
 
     def _chain(self, run):
@@ -214,14 +209,10 @@ class _Contraction:
         vmem = frozenset(interior).union(*[c.vmembers for c in run])
         emem = frozenset().union(*[c.emembers for c in run])
         direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
-        simple = all(c.kind == "edge" or c.simple for c in run)
         expr = None
         if all(c.expr is not None for c in run):
             expr = prod(*[c.expr for c in run])
-        return self._record(CEdge(
-            src, dst, expr, "chain", simple, direct,
-            vmem, emem, None, min(c.seq for c in run),
-        ))
+        return self._record(CEdge(src, dst, expr, "chain", direct, vmem, emem, min(map(_SEQ, run))))
 
     # -- contraction ------------------------------------------------------------
 
@@ -323,18 +314,18 @@ class _Contraction:
         emem = frozenset().union(*[c.emembers for c in group])
         for c in group:
             self.detach(c)
-        self.attach(self._record(CEdge(a, b, None, "block", False, False, vmem, emem,
-                                       None, self._next_seq())))
+        self.attach(self._record(CEdge(a, b, None, "block", False, vmem, emem, self._next_seq())))
 
 
 def _structures(records):
     """The live `records`, each as the :class:`Structure` its substitute
     stands for.  A direct chain or block is simple: its members are edges
-    and direct chains."""
+    and direct chains.  Any other is simple exactly when it has an expression."""
     out = []
     for ce in records:
         if ce is not None:
-            grade = "direct-simple" if ce.direct else "indirect-simple" if ce.simple else "complex"
+            grade = ("direct-simple" if ce.direct
+                     else "indirect-simple" if ce.expr is not None else "complex")
             out.append(Structure(f"{grade}-{ce.kind}", ce.src, ce.dst,
                                  ce.vmembers | {ce.src, ce.dst}, ce.emembers))
     return out

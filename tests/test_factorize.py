@@ -3,6 +3,7 @@ import pytest
 from jacfact.convert import graph_to_expr
 from jacfact.expr import ExprSet, equivalent_form, fma_cost, format_expr, free_symbols
 from jacfact.factorize import (
+    FactorizationError,
     Page,
     _pivots,
     _replace_simple_structures,
@@ -12,7 +13,7 @@ from jacfact.factorize import (
     merge_pages,
     plan_pages,
 )
-from jacfact.graph import parse_graph
+from jacfact.graph import depth_levels, parse_graph
 from jacfact.oracle import check_equiv
 from jacfact.structure import find_structures
 
@@ -102,7 +103,7 @@ def test_plan_pages_step1_refs():
 def test_pivots_fig9a_after_step1(fig9a):
     page = Page(0, fig9a, ExprSet())
     _replace_simple_structures(page, [])
-    assert _pivots(page.graph) == ("v5", "v5")
+    assert _pivots(page.graph, depth_levels(page.graph)[0]) == ("v5", "v5")
 
 
 def test_pivots_fig10_follow_the_rule():
@@ -111,7 +112,7 @@ def test_pivots_fig10_follow_the_rule():
     g = load_graph("fig10a")
     page = Page(0, g, ExprSet())
     _replace_simple_structures(page, [])
-    assert _pivots(page.graph) == ("v3", "v5")
+    assert _pivots(page.graph, depth_levels(page.graph)[0]) == ("v3", "v5")
 
 
 def test_plan_pages_fig10_first_split():
@@ -133,6 +134,15 @@ def test_plan_pages_fig9a_matches_displayed_set(fig9a):
     ok, why = sets_match_up_to_naming(s, load_exprset("sec5set"))
     assert ok, why
     assert check_equiv(fig9a, s).ok
+
+
+def test_plan_pages_budget_boundary(fig9a, monkeypatch):
+    # fig9a takes 34 page steps: a budget of 34 plans it, one fewer refuses
+    monkeypatch.setattr("jacfact.factorize._MAX_PASSES", 34)
+    plan_pages(fig9a)
+    monkeypatch.setattr("jacfact.factorize._MAX_PASSES", 33)
+    with pytest.raises(FactorizationError, match="page planning did not settle"):
+        plan_pages(fig9a)
 
 
 def test_plan_pages_single_pair(fig4a):

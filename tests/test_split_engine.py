@@ -31,7 +31,7 @@ from conftest import dense_layered, random_layered_dag
 
 def _view(cedges):
     return [
-        (c.src, c.dst, c.kind, c.simple, c.direct, c.expr, c.vmembers, c.emembers)
+        (c.src, c.dst, c.kind, c.expr is not None, c.direct, c.expr, c.vmembers, c.emembers)
         for c in sorted(cedges, key=lambda c: c.seq)
     ]
 

@@ -8,7 +8,7 @@ from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
 from jacfact.oracle import check_equiv
 from jacfact.structure import _Contraction, _structures, edge_cedge, find_structures, segment_cross_level
 
-from conftest import load_graph, random_layered_dag
+from conftest import FIXTURES, load_graph, random_layered_dag
 
 
 def _by_kind(structures, kind):
@@ -40,9 +40,56 @@ def test_structures_compare_by_fields(fig4a, fig4b):
 def test_cedge_replace_changes_only_the_given_fields():
     ce = edge_cedge(Edge("e1", "a", "b", "x"), 3)
     moved = ce.replace(dst="c")
-    assert (moved.src, moved.dst, moved.seq, moved.original) == ("a", "c", 3, ce.original)
+    assert (moved.src, moved.dst, moved.seq, moved.emembers) == ("a", "c", 3, ce.emembers)
     assert moved.emembers == ce.emembers == {"e1"}
     assert ce.dst == "b"
+
+
+class _GradedContraction(_Contraction):
+    """The contraction, grading every substitute by the recursive rule that
+    contraction edges once stored as a field: an edge is simple, a chain or
+    block is simple when each of its parts is, and a stuck block is not."""
+
+    def __init__(self, edges):
+        self.simple = {}  # substitute CEdge -> grade
+        super().__init__(edges)
+
+    def _all_simple(self, parts):
+        return all(c.kind == "edge" or self.simple[c] for c in parts)
+
+    def _chain(self, run):
+        ce = super()._chain(run)
+        self.simple[ce] = self._all_simple(run)
+        return ce
+
+    def _block(self, group):
+        ce = super()._block(group)
+        self.simple[ce] = self._all_simple(ce.branches)
+        return ce
+
+    def substitute_stuck_block(self, a, b, region):
+        super().substitute_stuck_block(a, b, region)
+        self.simple[self.records[-1]] = False
+
+
+def test_a_substitute_has_an_expression_exactly_when_it_is_simple():
+    graphs = [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
+    graphs += [random_layered_dag(random.Random(seed), 25, 40) for seed in range(40)]
+    grades = []
+    for g in graphs:
+        c = _GradedContraction(g.edges)
+        while True:  # as find_structures runs it
+            c.run()
+            stuck = c.find_stuck_blocks(g.topo_order)
+            if not stuck:
+                break
+            c.substitute_stuck_block(*stuck[0][1:])
+        assert _structures(c.records) == find_structures(g)
+        assert all(ce.expr is not None for ce in c.live if ce.kind == "edge")
+        for ce, simple in c.simple.items():
+            assert (ce.expr is not None) == simple
+        grades += c.simple.values()
+    assert True in grades and False in grades
 
 
 def test_find_structures_fig4b(fig4b):
@@ -188,7 +235,7 @@ def _contraction_text(g):
     c = _Contraction(g.edges)
     c.run()
     cedges = [
-        [ce.src, ce.dst, ce.kind, ce.simple, ce.direct, ce.seq, ce.record_idx,
+        [ce.src, ce.dst, ce.kind, ce.expr is not None, ce.direct, ce.seq, ce.record_idx,
          None if ce.expr is None else format_expr(ce.expr),
          sorted(ce.vmembers), sorted(ce.emembers)]
         for ce in c.edges
