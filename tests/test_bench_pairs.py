@@ -50,7 +50,7 @@ def test_summarize_needs_paired_runs():
         bench_pairs.summarize([1.0, 2.0], [1.0], "s", "lower")
 
 
-def _run(ops_per_s, failing=()):
+def _run(ops_per_s, failing=(), passes=2):
     result = {
         "correct": True,
         "attempted": 4,
@@ -68,8 +68,8 @@ def _run(ops_per_s, failing=()):
          "failed_step": step, "error": error}
         for g, v, r, step, error in failing
     ]
-    record = {"extra": {"passes": 2, "op_ms.tail": {"percentile": 50.0, "samples": 4}}, "ops": ops}
-    return result, record
+    extra = {"passes": passes, "op_ms.tail": {"percentile": 50.0, "samples": 4}}
+    return result, {"extra": extra, "ops": ops * passes}
 
 
 def test_summarize_group_keeps_runs_and_failing_ops():
@@ -98,6 +98,14 @@ def test_summarize_group_keeps_runs_and_failing_ops():
         "correct": True, "attempted": 4, "failed": 2,
         "passes": 2, "tail_percentile": 50.0, "tail_samples": 4,
     }
+
+
+def test_failing_ops_count_once_per_run_however_many_passes():
+    bad = ("g2", True, False, "replay", "FaceError: no vertex labeled x")
+    parent = [_run(30.0, [bad], passes=4)[1] for _ in range(2)]
+    change = [_run(30.0, [bad], passes=5)[1] for _ in range(2)]
+    counts = {"g2 pages [replay] FaceError: no vertex labeled x": 2}
+    assert bench_pairs.failing_ops(parent) == bench_pairs.failing_ops(change) == counts
 
 
 @pytest.mark.parametrize("text, want", [

@@ -48,8 +48,9 @@ METHOD = (
     "each side runs from its own `git archive` export; a pair runs both sides"
     " back to back, the parent first in even pairs and the change first in odd"
     " ones; quartiles are statistics.quantiles(n=4, method='inclusive') over the"
-    " runs; ratios are change / parent per pair; failing_ops counts each failed"
-    " op (verify_ok or replay_ok false) over all runs of a side"
+    " runs; ratios are change / parent per pair; failing_ops counts, for each"
+    " failed op (verify_ok or replay_ok false), the runs of a side in which it"
+    " failed, once per run however many passes the run made"
 )
 
 
@@ -87,15 +88,18 @@ def summarize(parent, change, unit, better, bound=None):
 
 
 def failing_ops(records):
-    """Failed op -> count over run records, keyed by graph, strategy, the
-    step that raised and the start of its error text."""
+    """Failed op -> the number of run records it failed in, keyed by graph,
+    strategy, the step that raised and the start of its error text.  A run
+    repeats its passes, so an op counts once per run, not once per pass."""
     counts = {}
     for record in records:
-        for row in record["ops"]:
-            if row["verify_ok"] is False or row["replay_ok"] is False:
-                key = (f"{row['graph']} {row['strategy']} [{row['failed_step']}]"
-                       f" {row['error'][:ERROR_CHARS]}")
-                counts[key] = counts.get(key, 0) + 1
+        failed = {
+            f"{row['graph']} {row['strategy']} [{row['failed_step']}] {row['error'][:ERROR_CHARS]}"
+            for row in record["ops"]
+            if row["verify_ok"] is False or row["replay_ok"] is False
+        }
+        for key in failed:
+            counts[key] = counts.get(key, 0) + 1
     return dict(sorted(counts.items()))
 
 
