@@ -29,8 +29,13 @@ GRAPH_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.graph"))
 # each expression-set fixture with the graph it is an accumulation of
 EXPRSET_GRAPH = {
     "cyclic8": "fig9a", "eq1": "fig4a", "eq2": "fig4a", "eq3": "fig4b",
-    "eq4": "fig4b", "eq5": "fig4b", "sec5set": "fig9a",
+    "eq4": "fig4b", "eq5": "fig4b", "hazard6": "hazard6", "order4": "order4",
+    "sec5set": "fig9a",
 }
+# the CLI logs by name; a set named like a graph fixture goes by its file name
+CLI_LOGS = GRAPH_FIXTURES + sorted(
+    f"{name}.exprs" if name in GRAPH_FIXTURES else name for name in EXPRSET_GRAPH
+)
 
 
 def _digest(text):
@@ -164,6 +169,10 @@ CLI_DIGESTS = {
     'fig5a': '151e45c9a7f97f0d6301bcde779a3a09133b808b761346a88b918889bc80e9b0',
     'fig7a': '58b111774785104845027efe5035b1b5afa8509f1219ef99d9c03b7fa9193916',
     'fig9a': '78a82f294ac9fe9d82d04a5664b3f2a533faa560ccda269ff820aac9f72f78e9',
+    'hazard6': '936dd0051c4f526a841eb53ae5b054a48ef74f8e5984705165facb3abde2a65d',
+    'hazard6.exprs': '70ef38f22810c8ddf46eb9dee5b0c4ce95fc5fb909425c6069169d5b045af1ef',
+    'order4': 'd6aaca6446b8ad202313b4c910b6dc04113ddd32360d2134b135deffacbdfb15',
+    'order4.exprs': '11ed1c6291e097e13db20d100b21b11521d953b2f5092faeea331c39d741aa08',
     'sec5set': '78567a97411e479c52d8c650e40826c436f1f49774e251c6d927c50f282fc7b0',
 }
 
@@ -203,13 +212,15 @@ LIBRARY_DIGESTS = {
     'fig5a': 'b2866ece267862914d91e5231c999f6afb91601aba014acdbdc804d950d18618',
     'fig7a': '543dcc5d2ebb56f371eaa8ec44bf2fd4e94df58503e7594ea50ad96443f7ad3c',
     'fig9a': '67d46c91d78704fa8372e6fa19cce0a3697cb844ccdd3259c4432ae3811fcd4c',
+    'hazard6': '5a67ec56b66c1536539543c41ef9aed5a1039196e5fc9778227541e59e85a3ac',
+    'order4': 'b0942f4d10a84647783176d4815131b79ba29fcb0e4fa2f0574ae2256b5bc87a',
 }
 
 
-@pytest.mark.parametrize("name", GRAPH_FIXTURES + sorted(EXPRSET_GRAPH))
+@pytest.mark.parametrize("name", CLI_LOGS)
 def test_cli_outputs_match_recorded_digest(capsys, tmp_path, name):
-    log = _exprset_log if name in EXPRSET_GRAPH else _graph_log
-    assert _digest(log(capsys, tmp_path, name)) == CLI_DIGESTS[name]
+    log = _graph_log if name in GRAPH_FIXTURES else _exprset_log
+    assert _digest(log(capsys, tmp_path, name.removesuffix(".exprs"))) == CLI_DIGESTS[name]
 
 
 @pytest.mark.parametrize("name", sorted(_seeded_graphs()))
