@@ -462,3 +462,27 @@ def test_input_checks(capsys, tmp_path, files, args, code, expect):
         assert (out, err) == (expect, "")
     else:
         assert out == "" and err.startswith("error: ") and expect in err
+
+
+# Known defects: each test states the behavior a fix must bring, and is
+# expected to fail until then, so the fix has to flip it.
+
+
+@pytest.mark.xfail(strict=True, reason="merge hazard: the replay exits 1 with "
+                   "'error: no vertex labeled g1' once (g0, g3) merges into g1")
+def test_hazard6_replays_at_its_cost(capsys):
+    code, out, err = run_cli(
+        capsys, "eliminate", str(FIXTURES / "hazard6.graph"),
+        "--from-exprset", str(FIXTURES / "hazard6.exprs"),
+    )
+    assert (code, err) == (0, "")
+    assert "multiplications: 4" in out
+
+
+@pytest.mark.xfail(strict=True, reason="the field oracle commutes, so verify prints "
+                   "'PASS (100 trials, field)' for products in reverse order")
+def test_order4_reversed_products_fail_verify(capsys):
+    code, _, _ = run_cli(
+        capsys, "verify", str(FIXTURES / "order4.graph"), str(FIXTURES / "order4.exprs")
+    )
+    assert code == 3
