@@ -46,9 +46,9 @@ def test_cedge_replace_changes_only_the_given_fields():
 
 
 class _GradedContraction(_Contraction):
-    """The contraction, grading every substitute by the recursive rule that
-    contraction edges once stored as a field: an edge is simple, a chain or
-    block is simple when each of its parts is, and a stuck block is not."""
+    """The contraction, grading every substitute by the recursive definition
+    of a simple structure: an edge is simple, a chain or block is simple
+    when each of its parts is, and a stuck block is not."""
 
     def __init__(self, edges):
         self.simple = {}  # substitute CEdge -> grade
