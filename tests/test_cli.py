@@ -486,3 +486,16 @@ def test_order4_reversed_products_fail_verify(capsys):
         capsys, "verify", str(FIXTURES / "order4.graph"), str(FIXTURES / "order4.exprs")
     )
     assert code == 3
+
+
+@pytest.mark.xfail(strict=True, reason="a product with the unit is built without it, so no "
+                   "order names the face (b, 1): the replay exits 1 with "
+                   "'error: 1 intermediate faces remain'")
+def test_unit3_replays_its_unit_padded_sum(capsys):
+    code, out, err = run_cli(
+        capsys, "eliminate", str(FIXTURES / "unit3.graph"),
+        "--from-exprset", str(FIXTURES / "unit3.exprs"),
+    )
+    assert (code, err) == (0, "")
+    assert "J[v1,v2] = a+b" in out
+    assert "multiplications: 0" in out
