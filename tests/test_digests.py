@@ -30,7 +30,7 @@ GRAPH_FIXTURES = sorted(p.stem for p in FIXTURES.glob("*.graph"))
 EXPRSET_GRAPH = {
     "cyclic8": "fig9a", "eq1": "fig4a", "eq2": "fig4a", "eq3": "fig4b",
     "eq4": "fig4b", "eq5": "fig4b", "hazard6": "hazard6", "order4": "order4",
-    "sec5set": "fig9a",
+    "sec5set": "fig9a", "unit3": "unit3",
 }
 # the CLI logs by name; a set named like a graph fixture goes by its file name
 CLI_LOGS = GRAPH_FIXTURES + sorted(
@@ -174,6 +174,8 @@ CLI_DIGESTS = {
     'order4': 'd6aaca6446b8ad202313b4c910b6dc04113ddd32360d2134b135deffacbdfb15',
     'order4.exprs': '11ed1c6291e097e13db20d100b21b11521d953b2f5092faeea331c39d741aa08',
     'sec5set': '78567a97411e479c52d8c650e40826c436f1f49774e251c6d927c50f282fc7b0',
+    'unit3': '5978093aa3982929b32e31f9792ac52f9495d2d4cb1d6602d85efd3a5f4267e6',
+    'unit3.exprs': 'dc2e4392385d03e112e203be2bdcf65d45f9776c6506e1d1e960ad03e0337e2c',
 }
 
 LIBRARY_DIGESTS = {
@@ -214,6 +216,7 @@ LIBRARY_DIGESTS = {
     'fig9a': '67d46c91d78704fa8372e6fa19cce0a3697cb844ccdd3259c4432ae3811fcd4c',
     'hazard6': '5a67ec56b66c1536539543c41ef9aed5a1039196e5fc9778227541e59e85a3ac',
     'order4': 'b0942f4d10a84647783176d4815131b79ba29fcb0e4fa2f0574ae2256b5bc87a',
+    'unit3': '7070ac14ff15f17fc76a879b695c2bd5859d7e2ce20634c499ec9c761c5aede6',
 }
 
 
