@@ -223,21 +223,18 @@ class SplitGraph:
 
         for route in routes:
             copy = self.vnames.fresh(v)
-            # the route's edges at v now end (backward) or start at the copy
+            # the route and its edges at v now end (backward) or start at the copy
             at_v = self.pred[v] if backward else self.succ[v]
             for eid in [i for i in at_v if i in route.emembers]:
                 if backward:
                     self.retarget(eid, new_dst=copy)
                 else:
                     self.retarget(eid, new_src=copy)
-            self.view.attach(route.replace(**{"dst" if backward else "src": copy}))
+            route.move("dst" if backward else "src", copy)
+            self.view.attach(route)
             for ce in carried:
                 src, dst = (copy, ce.dst) if backward else (ce.src, copy)
-                if ce.kind == "edge":
-                    e = self.edges[next(iter(ce.emembers))]
-                    self._add_attached(src, dst, e.label, e.id)
-                else:
-                    self._copy_substructure(ce, src, dst)
+                self._copy_substructure(ce, src, dst)
         for ce in carried:
             for eid in ce.emembers:
                 self.remove(eid)
@@ -246,15 +243,14 @@ class SplitGraph:
         return True
 
     def _copy_substructure(self, ce, new_src, new_dst):
-        """Fresh copy of a substitute structure's members between the given
-        endpoints, as raw edges for the view to contract."""
-        vmap = {}
-        for v in sorted(ce.vmembers):
-            vmap[v] = self.vnames.fresh(v)
-        vmap[ce.src] = new_src
-        vmap[ce.dst] = new_dst
-        for eid in sorted(ce.emembers):
-            e = self.edges[eid]
+        """Fresh copy of a carried CEdge's member edges between the given
+        endpoints, its interior vertices renamed, as raw edges for the view
+        to contract."""
+        members = [self.edges[eid] for eid in sorted(ce.emembers)]
+        interior = {v for e in members for v in (e.src, e.dst)} - {ce.src, ce.dst}
+        vmap = {v: self.vnames.fresh(v) for v in sorted(interior)}
+        vmap[ce.src], vmap[ce.dst] = new_src, new_dst
+        for e in members:
             self._add_attached(vmap[e.src], vmap[e.dst], e.label, e.id)
 
 

@@ -68,30 +68,36 @@ class Structure:
 
 
 class CEdge:
-    """Contraction edge: an original edge or a substitute for a structure."""
+    """Contraction edge: an original edge or a substitute for a structure.
 
-    def __init__(
-        self, src, dst, expr, kind, direct, vmembers=frozenset(),
-        emembers=frozenset(), seq=0, record_idx=-1, branches=(),
-    ):
+    A substitute keeps its `parts`: a chain its run, end to end; a block its
+    branches, in seq order; a stuck block the group it replaced.  `made`
+    numbers the substitutes of a contraction in the order they formed; an
+    edge's is -1.
+    """
+
+    def __init__(self, src, dst, expr, kind, emembers=frozenset(), seq=0, parts=(), made=-1):
         self.src = src
         self.dst = dst
         self.expr = expr  # Expr; None exactly when the structure is complex
         self.kind = kind  # 'edge', 'chain', 'block'
-        self.direct = direct
-        self.vmembers = vmembers  # interior vertices only
         self.emembers = emembers  # original edge ids
         self.seq = seq
-        self.record_idx = record_idx
-        self.branches = branches  # a block's branch CEdges, in seq order
+        self.parts = parts
+        self.made = made
 
-    def replace(self, **changes):
-        """A copy with `changes` applied to its fields."""
-        return CEdge(**{**vars(self), **changes})
+    def move(self, end, v):
+        """Put its `end`, "src" or "dst", at vertex `v`, and that of every
+        part below it that ends there too."""
+        old, todo = getattr(self, end), [self]
+        while todo:
+            ce = todo.pop()
+            todo += [p for p in ce.parts if getattr(p, end) == old]
+            setattr(ce, end, v)
 
 
 def edge_cedge(e, seq):
-    return CEdge(e.src, e.dst, atom(e.label), "edge", True, frozenset(), frozenset([e.id]), seq)
+    return CEdge(e.src, e.dst, atom(e.label), "edge", frozenset([e.id]), seq)
 
 
 _SEQ = operator.attrgetter("seq")
@@ -105,19 +111,17 @@ class _Contraction:
     destination (`by_dst`) and endpoint pair (`between`), each a mapping to
     ``{CEdge: None}``.  :meth:`attach` and :meth:`detach` edit them and mark
     the endpoints changed; :meth:`run` contracts around the changed vertices
-    until nothing moves.  With `record`, every chain and block substitute
-    formed is appended to `records`; one absorbed into a longer chain or a
-    wider block has its entry set to None rather than removed, so every
-    `record_idx` stays valid from run to run.
+    until nothing moves.  Each substitute formed keeps its parts, so the
+    structures folded so far hang below the live CEdges.
     """
 
-    def __init__(self, edges, record=True):
+    def __init__(self, edges):
         self.live = {}  # CEdge -> attach position
         # `between` finds parallels at once; scanning `by_src` would grow with
         # the out-degrees that forward splits build up
         self.by_src, self.by_dst, self.between = {}, {}, {}
-        self.records = [] if record else None
         self._attached = 0
+        self._made = 0  # substitutes formed so far
         self._parallel = []  # pairs that came to hold two CEdges
         self._changed = set()  # vertices whose CEdges changed since the last run
         for i, e in enumerate(edges):
@@ -160,14 +164,9 @@ class _Contraction:
         return self.seq
 
     def _record(self, ce):
-        if self.records is not None:
-            ce.record_idx = len(self.records)
-            self.records.append(ce)
+        ce.made = self._made
+        self._made += 1
         return ce
-
-    def _drop_record(self, idx):
-        if self.records is not None and idx >= 0:
-            self.records[idx] = None
 
     # -- substitutes ------------------------------------------------------------
 
@@ -175,44 +174,31 @@ class _Contraction:
         """The block substitute for `group`, CEdges sharing both endpoints.
 
         A block among them, formed earlier between the same endpoints, is an
-        artifact of pass scheduling: its branches fold back in, so the result
-        does not depend on the order in which parallels were merged.
+        artifact of pass scheduling: its parts are spliced in, so the result
+        does not depend on the order in which parallels were merged.  A stuck
+        block is never among them: it took every path between its ends.
         """
         group = sorted(group, key=_SEQ)
-        src, dst = group[0].src, group[0].dst
-        branches = []
-        for c in group:
-            if c.kind == "block" and c.branches:
-                self._drop_record(c.record_idx)
-                branches.extend(c.branches)
-            else:
-                branches.append(c)
-        branches.sort(key=_SEQ)
-        direct = all(b.kind == "edge" or (b.kind == "chain" and b.direct) for b in branches)
-        vmem = frozenset().union(*[c.vmembers for c in group])
+        parts = sorted((p for c in group for p in (c.parts if c.kind == "block" else (c,))), key=_SEQ)
         emem = frozenset().union(*[c.emembers for c in group])
         expr = None
-        if all(b.expr is not None for b in branches):
-            expr = add(*[b.expr for b in branches])
+        if all(p.expr is not None for p in parts):
+            expr = add(*[p.expr for p in parts])
         return self._record(CEdge(
-            src, dst, expr, "block", direct, vmem, emem, group[0].seq, branches=tuple(branches),
+            group[0].src, group[0].dst, expr, "block", emem, group[0].seq, tuple(parts),
         ))
 
     def _chain(self, run):
         """The chain substitute for `run`, CEdges end to end.  A chain inside
-        the run is flattened into it."""
-        for c in run:
-            if c.kind == "chain":
-                self._drop_record(c.record_idx)  # superseded by longer run
-        src, dst = run[0].src, run[-1].dst
-        interior = {c.src for c in run[1:]}
-        vmem = frozenset(interior).union(*[c.vmembers for c in run])
+        the run is spliced into it."""
+        parts = tuple(p for c in run for p in (c.parts if c.kind == "chain" else (c,)))
         emem = frozenset().union(*[c.emembers for c in run])
-        direct = all(c.kind == "edge" or (c.kind == "chain" and c.direct) for c in run)
         expr = None
         if all(c.expr is not None for c in run):
             expr = prod(*[c.expr for c in run])
-        return self._record(CEdge(src, dst, expr, "chain", direct, vmem, emem, min(map(_SEQ, run))))
+        return self._record(CEdge(
+            run[0].src, run[-1].dst, expr, "chain", emem, min(map(_SEQ, run)), parts,
+        ))
 
     # -- contraction ------------------------------------------------------------
 
@@ -310,31 +296,43 @@ class _Contraction:
 
     def substitute_stuck_block(self, a, b, region):
         group = [c for c in self.live if c.src in region and c.dst in region]
-        vmem = (region - {a, b}) | frozenset().union(*[c.vmembers for c in group])
         emem = frozenset().union(*[c.emembers for c in group])
         for c in group:
             self.detach(c)
-        self.attach(self._record(CEdge(a, b, None, "block", False, vmem, emem, self._next_seq())))
+        self.attach(self._record(CEdge(a, b, None, "block", emem, self._next_seq(), tuple(group))))
 
 
-def _structures(records):
-    """The live `records`, each as the :class:`Structure` its substitute
-    stands for.  A direct chain or block is simple: its members are edges
-    and direct chains.  Any other is simple exactly when it has an expression."""
+def _direct(ce):
+    """Whether a chain or block is direct: it has an expression, and each of
+    its parts is an edge or a direct chain."""
+    return ce.expr is not None and all(
+        p.kind == "edge" or (p.kind == "chain" and _direct(p)) for p in ce.parts
+    )
+
+
+def _structures(live, g):
+    """Every chain and block below the `live` CEdges, in the order they
+    formed, each as the :class:`Structure` it stands for in `g`.  A direct
+    one is simple; any other is simple exactly when it has an expression."""
+    found, todo = [], list(live)
+    while todo:
+        ce = todo.pop()
+        if ce.parts:
+            found.append(ce)
+            todo.extend(ce.parts)
     out = []
-    for ce in records:
-        if ce is not None:
-            grade = ("direct-simple" if ce.direct
-                     else "indirect-simple" if ce.expr is not None else "complex")
-            out.append(Structure(f"{grade}-{ce.kind}", ce.src, ce.dst,
-                                 ce.vmembers | {ce.src, ce.dst}, ce.emembers))
+    for ce in sorted(found, key=operator.attrgetter("made")):
+        grade = "direct-simple" if _direct(ce) else "indirect-simple" if ce.expr is not None else "complex"
+        members = [g.edge(eid) for eid in ce.emembers]
+        vertices = frozenset(e.src for e in members) | frozenset(e.dst for e in members)
+        out.append(Structure(f"{grade}-{ce.kind}", ce.src, ce.dst, vertices, ce.emembers))
     return out
 
 
 def contract(g):
-    """The contraction of `g` at its fixpoint, keeping no records; the split
-    passes edit it further, and a page reads its substitutes off it."""
-    c = _Contraction(g.edges, record=False)
+    """The contraction of `g` at its fixpoint; the split passes edit it
+    further, and a page reads its substitutes off it."""
+    c = _Contraction(g.edges)
     c.run()
     return c
 
@@ -350,7 +348,7 @@ def find_structures(g):
             break
         _, a, b, region = stuck[0]
         c.substitute_stuck_block(a, b, region)
-    return _structures(c.records)
+    return _structures(c.live, g)
 
 
 def region_expr(g, src, sink):
@@ -369,7 +367,7 @@ def edges_expr(edges, src, sink):
     """Algebraic expression of a region given as its edge list, such as
     :func:`~jacfact.graph.region_edges` returns for (src, sink); raises
     :class:`ComplexBlockError` when the edges contract to more than one."""
-    c = _Contraction(edges, record=False)
+    c = _Contraction(edges)
     c.run()
     if len(c.live) == 1:
         return next(iter(c.live)).expr

@@ -6,7 +6,13 @@ import pytest
 
 from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
 from jacfact.oracle import check_equiv
-from jacfact.structure import _Contraction, _structures, edge_cedge, find_structures, segment_cross_level
+from jacfact.structure import (
+    _Contraction,
+    _direct,
+    _structures,
+    find_structures,
+    segment_cross_level,
+)
 
 from conftest import FIXTURES, load_graph, random_layered_dag
 
@@ -37,12 +43,18 @@ def test_structures_compare_by_fields(fig4a, fig4b):
     assert find_structures(fig4a) != find_structures(fig4b)
 
 
-def test_cedge_replace_changes_only_the_given_fields():
-    ce = edge_cedge(Edge("e1", "a", "b", "x"), 3)
-    moved = ce.replace(dst="c")
-    assert (moved.src, moved.dst, moved.seq, moved.emembers) == ("a", "c", 3, ce.emembers)
-    assert moved.emembers == ce.emembers == {"e1"}
-    assert ce.dst == "b"
+def test_cedge_move_takes_the_parts_at_that_end():
+    # a chain a->b->c whose last part is a block of b->c and b->m->c
+    c = _Contraction(DiffGraph([Edge("e1", "a", "b", "x"), Edge("e2", "b", "c", "y"),
+                                Edge("e3", "b", "m", "z"), Edge("e4", "m", "c", "w")]).edges)
+    c.run()
+    (chain,) = c.live
+    chain.move("dst", "d")
+    first, block = chain.parts
+    assert (chain.src, chain.dst, first.dst, block.src, block.dst) == ("a", "d", "b", "b", "d")
+    edge, run = block.parts
+    assert (edge.dst, run.dst, [(p.src, p.dst) for p in run.parts]) == ("d", "d", [("b", "m"), ("m", "d")])
+    assert chain.emembers == {"e1", "e2", "e3", "e4"} and chain.seq == 0
 
 
 class _GradedContraction(_Contraction):
@@ -64,12 +76,12 @@ class _GradedContraction(_Contraction):
 
     def _block(self, group):
         ce = super()._block(group)
-        self.simple[ce] = self._all_simple(ce.branches)
+        self.simple[ce] = self._all_simple(ce.parts)
         return ce
 
     def substitute_stuck_block(self, a, b, region):
         super().substitute_stuck_block(a, b, region)
-        self.simple[self.records[-1]] = False
+        self.simple[max(self.live, key=lambda ce: ce.made)] = False
 
 
 def test_a_substitute_has_an_expression_exactly_when_it_is_simple():
@@ -84,7 +96,7 @@ def test_a_substitute_has_an_expression_exactly_when_it_is_simple():
             if not stuck:
                 break
             c.substitute_stuck_block(*stuck[0][1:])
-        assert _structures(c.records) == find_structures(g)
+        assert _structures(c.live, g) == find_structures(g)
         assert all(ce.expr is not None for ce in c.live if ce.kind == "edge")
         for ce, simple in c.simple.items():
             assert (ce.expr is not None) == simple
@@ -235,12 +247,14 @@ def _contraction_text(g):
     c = _Contraction(g.edges)
     c.run()
     cedges = [
-        [ce.src, ce.dst, ce.kind, ce.expr is not None, ce.direct, ce.seq, ce.record_idx,
+        [ce.src, ce.dst, ce.kind, ce.expr is not None, _direct(ce), ce.seq, ce.made,
          None if ce.expr is None else format_expr(ce.expr),
-         sorted(ce.vmembers), sorted(ce.emembers)]
+         sorted({v for eid in ce.emembers for v in (g.edge(eid).src, g.edge(eid).dst)}
+                - {ce.src, ce.dst}),
+         sorted(ce.emembers)]
         for ce in c.edges
     ]
-    return json.dumps([cedges, [r.record() for r in _structures(c.records)],
+    return json.dumps([cedges, [r.record() for r in _structures(c.live, g)],
                        [s.record() for s in find_structures(g)]])
 
 
@@ -284,3 +298,4 @@ def test_segment_hop_ids_skip_taken_ids():
         ("e2", "b", "c", "e2"),
     ]
     assert check_equiv(g, seg, trials=20).ok
+
