@@ -260,3 +260,54 @@ def lg_value(lg, trials):
         for key, val in walk(vid, 1).items():
             out[(r, key[0])] = val
     return out
+
+
+def parts_faults(live, g):
+    """How the tree of parts below the `live` CEdges of a contraction of `g`
+    breaks its rules, as text; empty when it keeps them.
+
+    An edge's members are its own id, an edge of `g` with its ends.  A
+    substitute's members are the disjoint union of its parts'.  A chain's
+    parts run end to end from its source to its destination, and none is a
+    chain.  A block's parts share its two ends, in seq order, and none is a
+    block with parts; a stuck block's parts form a region whose one source
+    is its source and whose one sink is its destination.  Each part formed
+    before its parent, and no CEdge is a part twice.
+    """
+    faults, seen, todo = [], set(), list(live)
+    while todo:
+        ce = todo.pop()
+        name = f"{ce.kind} {ce.src}->{ce.dst} made {ce.made}"
+        if id(ce) in seen:
+            faults.append(f"{name} is a part twice")
+        seen.add(id(ce))
+        parts = ce.parts
+        todo.extend(parts)
+        if ce.kind == "edge":
+            (eid,) = ce.emembers
+            e = g.edge(eid)
+            if parts or (e.src, e.dst) != (ce.src, ce.dst):
+                faults.append(f"{name} is not its edge {eid}")
+            continue
+        if len(parts) < 2:
+            faults.append(f"{name} has {len(parts)} parts")
+        members = [eid for p in parts for eid in p.emembers]
+        if len(members) != len(set(members)) or set(members) != ce.emembers:
+            faults.append(f"{name}: members are not the disjoint union of its parts'")
+        if any(p.made >= ce.made for p in parts):
+            faults.append(f"{name} has a part made after it")
+        ends = [(p.src, p.dst) for p in parts]
+        if ce.kind == "chain":
+            run = [ce.src] + [v for end in ends for v in end] + [ce.dst]
+            if run[0::2] != run[1::2] or any(p.kind == "chain" for p in parts):
+                faults.append(f"{name}: parts do not run end to end, or one is a chain")
+        elif all(end == (ce.src, ce.dst) for end in ends):
+            if [p.seq for p in parts] != sorted(p.seq for p in parts) or any(
+                p.kind == "block" and p.parts for p in parts
+            ):
+                faults.append(f"{name}: parts out of seq order, or one is a block")
+        else:
+            into, out_of = {p.dst for p in parts}, {p.src for p in parts}
+            if ce.expr is not None or out_of - into != {ce.src} or into - out_of != {ce.dst}:
+                faults.append(f"{name}: parts are not a region between its ends")
+    return faults

@@ -26,7 +26,7 @@ from jacfact.graph import DiffGraph, depth_levels, format_graph
 from jacfact.relations import RelationError, safe_elimination_order
 from jacfact.structure import contract
 
-from conftest import dense_layered, random_layered_dag
+from conftest import dense_layered, parts_faults, random_layered_dag
 
 
 def _view(cedges):
@@ -42,6 +42,7 @@ def _check_every_pass(g, direction, refs):
     while True:
         now = work.graph()
         assert _view(ce for at in work.by_src.values() for ce in at) == _view(contract(now).edges)
+        assert parts_faults(work.view.live, now) == []
         levels, _ = depth_levels(now)
         # terminals keep no level in the engine
         assert work.level == {v: lv for v, lv in levels.items() if now.out_edges(v)}

@@ -299,3 +299,29 @@ def test_segment_hop_ids_skip_taken_ids():
     ]
     assert check_equiv(g, seg, trials=20).ok
 
+
+def test_substitutes_keep_their_parts():
+    from conftest import dense_layered, parts_faults
+
+    graphs = [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
+    graphs += [random_layered_dag(random.Random(seed), 25, 40) for seed in range(40)]
+    graphs += [dense_layered(w, d) for w, d in ((2, 6), (3, 4), (4, 4))]
+    kinds = set()
+    for g in graphs:
+        c = _Contraction(g.edges)
+        c.run()  # as contract runs it
+        assert parts_faults(c.live, g) == []
+        while True:  # as find_structures runs it
+            stuck = c.find_stuck_blocks(g.topo_order)
+            if not stuck:
+                break
+            c.substitute_stuck_block(*stuck[0][1:])
+            c.run()
+        assert parts_faults(c.live, g) == []
+        todo = list(c.live)
+        while todo:
+            ce = todo.pop()
+            todo += ce.parts
+            kinds.update((ce.kind, p.kind, ce.expr is None) for p in ce.parts)
+    # the corpus nests chains in blocks and blocks in chains, and has stuck blocks
+    assert {("block", "chain", False), ("chain", "block", False), ("block", "edge", True)} <= kinds
