@@ -8,9 +8,17 @@ say; the default is this one) and compare the two lines it prints.  The
 corpus is 508 graphs: `tests/conftest.random_layered_dag(Random(1000*band+i),
 band, int(1.8*band))` for band 9, 15, 25 and 40 and i < 100, then every
 `pages` input of `perfbench` `mixed-corpus` and `dense-layered` at seeds
-1-3 except the 1500-edge chain.  Per graph the hash takes the backward and
-forward graphs, the refs graph and set, the pages set, transcript and page
-graphs, the `find_structures` records, and the text of any error raised.
+1-3 except the 1500-edge chain.  Per graph the hash takes:
+
+- the backward and forward graphs, each with its per-pair `region_expr`
+  set and that set's cost, as `perfbench/ops._region_set` costs it;
+- the refs graph and set, and the pages set, transcript and page graphs;
+- the level chain: each local Jacobian's `dump()`, the DP's tree and cost,
+  and the accumulated set;
+- the `find_structures` records;
+- for the refs, pages and chain sets, the replay through the safe order:
+  its multiplication count and readout;
+- the text of any error raised in place of an output.
 """
 import hashlib
 import json
@@ -22,8 +30,8 @@ root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().paren
 sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
 
 import inputs  # perfbench/inputs.py
-from conftest import random_layered_dag
-from jacfact.expr import format_exprset
+from conftest import level_chain, random_layered_dag
+from jacfact.expr import ExprSet, fma_cost, format_expr, format_exprset
 from jacfact.factorize import (
     factorize_backward,
     factorize_forward,
@@ -31,8 +39,11 @@ from jacfact.factorize import (
     plan_pages,
     transcript_json,
 )
-from jacfact.graph import format_graph, parse_graph
-from jacfact.structure import find_structures
+from jacfact.graph import count_paths, format_graph, parse_graph
+from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
+from jacfact.localjac import accumulate, best_accumulation_order
+from jacfact.relations import safe_elimination_order
+from jacfact.structure import find_structures, region_expr
 
 
 def corpus():
@@ -48,24 +59,64 @@ def corpus():
                     yield f"s{seed}.{op.graph}", parse_graph(op.text)
 
 
+def costed(s):
+    return f"{format_exprset(s)}cost {fma_cost(s)}"
+
+
+def factorized(factorize):
+    """A backward or forward step: the graph, costed as its per-pair
+    region expressions."""
+    def step(g):
+        out, s = factorize(g), ExprSet()
+        for y in out.roots:
+            for x in out.terminals:
+                if count_paths(out, y, x):
+                    s.add_entry(y, x, region_expr(out, y, x))
+        return format_graph(out) + "\n" + costed(s), None
+    return step
+
+
 def refs(g):
     out, s = factorize_with_refs(g)
-    return format_graph(out) + "\n" + format_exprset(s)
+    return format_graph(out) + "\n" + format_exprset(s), s
 
 
 def pages(g):
     done, s, transcript = plan_pages(g)
     graphs = [f"page {p.pid}\n{format_graph(p.graph)}" for p in done]
-    return "\n".join([format_exprset(s), transcript_json(transcript), *graphs])
+    return "\n".join([format_exprset(s), transcript_json(transcript), *graphs]), s
 
 
+def chain(g):
+    jacobians, _ = level_chain(g)
+    tree, cost = best_accumulation_order(jacobians, bound=len(jacobians))
+    s, _ = accumulate(jacobians, tree)
+    return "".join(j.dump() for j in jacobians) + f"{tree!r} dp {cost}\n" + costed(s), s
+
+
+def replay(g, s):
+    lg = build_line_graph(g)
+    trace = run_elimination(lg, safe_elimination_order(s), defs=s.def_map)
+    readout = sorted(readout_jacobian(lg).items())
+    return f"count {trace_mult_count(trace)}\n" + "".join(
+        f"J[{y},{x}] = {format_expr(e)}\n" for (y, x), e in readout
+    )
+
+
+# each step gives its text and the expression set to replay, or None
 STEPS = (
-    ("backward", lambda g: format_graph(factorize_backward(g))),
-    ("forward", lambda g: format_graph(factorize_forward(g))),
+    ("backward", factorized(factorize_backward)),
+    ("forward", factorized(factorize_forward)),
     ("refs", refs),
     ("pages", pages),
-    ("structures", lambda g: json.dumps([s.record() for s in find_structures(g)])),
+    ("chain", chain),
+    ("structures", lambda g: (json.dumps([s.record() for s in find_structures(g)]), None)),
 )
+
+
+def error_text(exc):
+    """An error's text, which is an output too."""
+    return f"error {type(exc).__name__}: {exc}"
 
 
 def main():
@@ -74,10 +125,16 @@ def main():
         n += 1
         for step, run in STEPS:
             try:
-                out = run(g)
-            except Exception as exc:  # an error's text is an output too
-                out = f"error {type(exc).__name__}: {exc}"
+                out, s = run(g)
+            except Exception as exc:
+                out, s = error_text(exc), None
             h.update(f"{name} {step}\n{out}\n".encode())
+            if s is not None:
+                try:
+                    out = replay(g, s)
+                except Exception as exc:
+                    out = error_text(exc)
+                h.update(f"{name} {step} replay\n{out}\n".encode())
     print(f"{n} graphs {h.hexdigest()}")
 
 
