@@ -14,7 +14,7 @@ from jacfact.structure import (
     segment_cross_level,
 )
 
-from conftest import FIXTURES, load_graph, random_layered_dag
+from conftest import FIXTURES, dense_layered, load_graph, parts_faults, random_layered_dag
 
 
 def _by_kind(structures, kind):
@@ -259,8 +259,6 @@ def _contraction_text(g):
 
 
 def _contraction_graphs():
-    from conftest import dense_layered
-
     graphs = {f"dense{w}x{d}": dense_layered(w, d) for w, d in ((2, 6), (3, 4), (4, 4))}
     for seed in (101, 103, 105, 106, 110):
         graphs[f"dag{seed}"] = random_layered_dag(random.Random(seed), 25, 40)
@@ -301,8 +299,6 @@ def test_segment_hop_ids_skip_taken_ids():
 
 
 def test_substitutes_keep_their_parts():
-    from conftest import dense_layered, parts_faults
-
     graphs = [load_graph(p.stem) for p in sorted(FIXTURES.glob("*.graph"))]
     graphs += [random_layered_dag(random.Random(seed), 25, 40) for seed in range(40)]
     graphs += [dense_layered(w, d) for w, d in ((2, 6), (3, 4), (4, 4))]
