@@ -298,6 +298,7 @@ def parts_faults(live, g):
             faults.append(f"{name} has a part made after it")
         ends = [(p.src, p.dst) for p in parts]
         if ce.kind == "chain":
+            # its source, each part's two ends, its destination: pairs must meet
             run = [ce.src] + [v for end in ends for v in end] + [ce.dst]
             if run[0::2] != run[1::2] or any(p.kind == "chain" for p in parts):
                 faults.append(f"{name}: parts do not run end to end, or one is a chain")
