@@ -1,7 +1,7 @@
 """The known planner defects, kept as a ledger of data.
 
 Refs, pages and the level chain each plan every graph of a fixed corpus:
-item 3's 400 seeded layered DAGs, `random_layered_dag(Random(1000*band+i),
+400 seeded layered DAGs, `random_layered_dag(Random(1000*band+i),
 band, int(1.8*band))` for band 9, 15, 25 and 40 and i < 100, plus every
 graph fixture.  Each plan is verified against its graph with
 `check_equiv(trials=20)`, then replayed on the line graph through its safe
