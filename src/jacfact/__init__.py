@@ -23,8 +23,8 @@ _EXPORTS = {
         "inline_single_use", "parse_expr", "parse_exprset", "prod",
     ),
     "factorize": (
-        "Page", "factorize_backward", "factorize_forward", "factorize_with_refs",
-        "merge_pages", "plan_pages",
+        "Page", "Plan", "factorize_backward", "factorize_forward", "factorize_with_refs",
+        "merge_pages", "plan", "plan_pages",
     ),
     "graph": (
         "DiffGraph", "Edge", "classify_vertices", "depth_levels", "format_graph",
@@ -36,7 +36,7 @@ _EXPORTS = {
     ),
     "localjac": (
         "LocalJacobian", "accumulate", "best_accumulation_order",
-        "extract_local_jacobian", "left_assoc", "right_assoc",
+        "extract_local_jacobian", "left_assoc", "level_chain", "right_assoc",
     ),
     "oracle": ("bauer_eval", "check_equiv", "eval_expr", "eval_exprset", "instantiate"),
     "relations": (

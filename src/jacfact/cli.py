@@ -168,30 +168,24 @@ def cmd_factorize(args):
     g = load_graph(args.graph)
     if args.expr and (len(g.roots) != 1 or len(g.terminals) != 1):
         raise CliError("--expr needs a graph with one root and one terminal", EXIT_USAGE)
+    p = factorize.plan(g, args.direction)
     if args.direction in ("backward", "forward"):
-        out = getattr(factorize, f"factorize_{args.direction}")(g)
-        _self_verify(g, out, args.trials, args.seed)
-        print(format_graph(out), end="")
+        _self_verify(g, p.graph, args.trials, args.seed)
+        print(format_graph(p.graph), end="")
         if args.expr:
-            from . import convert
-
-            print(f"# expr: {format_expr(convert.graph_to_expr(out))}")
-    elif args.direction == "refs":
-        out, exprset = factorize.factorize_with_refs(g)
-        _self_verify(g, exprset, args.trials, args.seed)
-        print(format_exprset(exprset), end="")
-    else:  # pages
-        pages, exprset, transcript = factorize.plan_pages(g)
-        _self_verify(g, exprset, args.trials, args.seed)
-        print(format_exprset(exprset), end="")
-        if args.transcript:
-            with open(args.transcript, "w", encoding="utf-8") as fh:
-                fh.write(factorize.transcript_json(transcript))
-        if args.pages_out:
-            with open(args.pages_out, "w", encoding="utf-8") as fh:
-                for page in pages:
-                    fh.write(f"# page {page.pid}\n")
-                    fh.write(format_graph(page.graph))
+            ((_, e),) = p.exprset.entries
+            print(f"# expr: {format_expr(e)}")
+    else:
+        _self_verify(g, p.exprset, args.trials, args.seed)
+        print(format_exprset(p.exprset), end="")
+    if args.transcript:
+        with open(args.transcript, "w", encoding="utf-8") as fh:
+            fh.write(factorize.transcript_json(p.transcript))
+    if args.pages_out:
+        with open(args.pages_out, "w", encoding="utf-8") as fh:
+            for page in p.pages:
+                fh.write(f"# page {page.pid}\n")
+                fh.write(format_graph(page.graph))
     return EXIT_OK
 
 

@@ -25,6 +25,8 @@ passes make up comes from :class:`~jacfact.graph.Names`.
 """
 from __future__ import annotations
 
+from functools import cached_property
+
 from .expr import ExprSet, add, atom, format_expr, inline_single_use, prod
 from .graph import (
     DiffGraph,
@@ -282,9 +284,14 @@ def factorize_with_refs(g, direction="backward"):
     s = ExprSet()
     s.reserve(e.label for e in g.edges)
     out = _factorize(g, direction, refs=s)
-    for y, x in _active_pairs(out):
-        s.add_entry(y, x, region_expr(out, y, x))
-    return out, inline_single_use(s)
+    return out, inline_single_use(_region_set(out, s))
+
+
+def _region_set(g, s):
+    """`s` plus one entry per connected root-terminal pair of `g`: its region."""
+    for y, x in _active_pairs(g):
+        s.add_entry(y, x, region_expr(g, y, x))
+    return s
 
 
 # ---------------------------------------------------------------------------
@@ -511,3 +518,45 @@ def transcript_json(transcript):
         json.dumps({"step": i, **rec}, sort_keys=True)
         for i, rec in enumerate(transcript, start=1)
     ) + ("\n" if transcript else "")
+
+
+# ---------------------------------------------------------------------------
+# one entry for every strategy
+
+
+class Plan:
+    """What :func:`plan` returns: `exprset`, the expression set that carries
+    the cost; `graph`, the factorized graph of backward, forward and refs;
+    `pages` and `transcript`, those of pages.  Backward and forward work out
+    `exprset` on first read, as their graph's per-pair region expressions."""
+
+    def __init__(self, graph=None, exprset=None, pages=None, transcript=None):
+        self.graph, self.pages, self.transcript = graph, pages, transcript
+        if exprset is not None:
+            self.exprset = exprset
+
+    @cached_property
+    def exprset(self):
+        return _region_set(self.graph, ExprSet())
+
+
+def plan(g, strategy):
+    """The :class:`Plan` that `strategy` makes for `g`: backward, forward,
+    refs, pages, or chain, :func:`~jacfact.localjac.level_chain` accumulated
+    in its cheapest order."""
+    if strategy == "backward":
+        return Plan(factorize_backward(g))
+    if strategy == "forward":
+        return Plan(factorize_forward(g))
+    if strategy == "refs":
+        return Plan(*factorize_with_refs(g))
+    if strategy == "pages":
+        pages, s, transcript = plan_pages(g)
+        return Plan(exprset=s, pages=pages, transcript=transcript)
+    if strategy == "chain":
+        from .localjac import accumulate, best_accumulation_order, level_chain
+
+        chain = level_chain(g)
+        tree, _ = best_accumulation_order(chain, bound=len(chain))
+        return Plan(exprset=accumulate(chain, tree)[0])
+    raise ValueError(f"unknown strategy {strategy!r}")

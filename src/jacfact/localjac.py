@@ -12,8 +12,8 @@ reference definition.
 from __future__ import annotations
 
 from .expr import ExprSet, _Unit, add, format_expr, free_symbols, inline_single_use, prod
-from .graph import reach, region_edges
-from .structure import edges_expr
+from .graph import depth_levels, reach, region_edges
+from .structure import edges_expr, segment_cross_level
 
 
 class JacobianError(ValueError):
@@ -70,6 +70,17 @@ def extract_local_jacobian(g, rows, cols):
             if edges:
                 entries[(r, c)] = edges_expr(edges, r, c)
     return LocalJacobian(rows, cols, entries)
+
+
+def level_chain(g):
+    """The local Jacobians between adjacent levels of `g`, its cross-level edges
+    segmented and each level in name order: a chain whose product is its Jacobian."""
+    seg = segment_cross_level(g)
+    levels, _ = depth_levels(seg)
+    rows = [[] for _ in range(max(levels.values()) + 1)]
+    for v in sorted(levels):
+        rows[levels[v]].append(v)
+    return [extract_local_jacobian(seg, rows[k], rows[k + 1]) for k in range(len(rows) - 1)]
 
 
 # ---------------------------------------------------------------------------

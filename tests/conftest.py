@@ -14,9 +14,7 @@ from jacfact.expr import (
     parse_exprset,
     prod,
 )
-from jacfact.graph import DiffGraph, Edge, depth_levels, parse_graph
-from jacfact.localjac import extract_local_jacobian
-from jacfact.structure import segment_cross_level
+from jacfact.graph import DiffGraph, Edge, parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 
@@ -110,17 +108,6 @@ def dense_layered(width, depth, seed=0):
         Edge(f"e{k}", a, b, lab)
         for k, ((a, b), lab) in enumerate(zip(pairs, labels), start=1)
     )
-
-
-def level_chain(g):
-    """One local Jacobian per pair of adjacent levels of the segmented graph,
-    and the segmented graph."""
-    seg = segment_cross_level(g)
-    levels, _ = depth_levels(seg)
-    rows = [[] for _ in range(max(levels.values()) + 1)]
-    for v in sorted(levels):
-        rows[levels[v]].append(v)
-    return [extract_local_jacobian(seg, rows[k], rows[k + 1]) for k in range(len(rows) - 1)], seg
 
 
 def random_exprset(rng, labels="abcd"):

@@ -17,9 +17,9 @@ import pytest
 from jacfact.cli import main
 from jacfact.expr import fma_cost, format_expr, format_exprset
 from jacfact.factorize import factorize_backward, factorize_forward, factorize_with_refs, plan_pages, transcript_json
-from jacfact.graph import depth_levels, format_graph
+from jacfact.graph import format_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination
-from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian
+from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian, level_chain
 from jacfact.relations import safe_elimination_order
 from jacfact.structure import segment_cross_level
 
@@ -117,12 +117,8 @@ def _jacobians(g):
     """The level chain of the segmented graph, accumulated and replayed,
     plus local Jacobians whose columns span two levels, so that a column
     on the next level is a vertex the regions to the level after avoid."""
-    seg = segment_cross_level(g)
-    levels, _ = depth_levels(seg)
-    rows = [[] for _ in range(max(levels.values()) + 1)]
-    for v in sorted(levels):
-        rows[levels[v]].append(v)
-    chain = [extract_local_jacobian(seg, rows[k], rows[k + 1]) for k in range(len(rows) - 1)]
+    seg, chain = segment_cross_level(g), level_chain(g)
+    rows = [j.rows for j in chain] + [chain[-1].cols]
     lines = [j.dump() for j in chain]
     for k in range(len(rows) - 2):
         lines.append(extract_local_jacobian(seg, rows[k], rows[k + 1] + rows[k + 2]).dump())

@@ -1,7 +1,8 @@
 import pytest
 
+from jacfact import factorize
 from jacfact.convert import graph_to_expr
-from jacfact.expr import ExprSet, equivalent_form, fma_cost, format_expr, free_symbols
+from jacfact.expr import ExprSet, equivalent_form, fma_cost, format_expr, format_exprset, free_symbols
 from jacfact.factorize import (
     FactorizationError,
     Page,
@@ -11,14 +12,17 @@ from jacfact.factorize import (
     factorize_forward,
     factorize_with_refs,
     merge_pages,
+    plan,
     plan_pages,
+    transcript_json,
 )
-from jacfact.graph import depth_levels, parse_graph
+from jacfact.graph import count_paths, depth_levels, format_graph, parse_graph
+from jacfact.localjac import best_accumulation_order, level_chain
 from jacfact.oracle import check_equiv
-from jacfact.structure import find_structures
+from jacfact.structure import find_structures, region_expr
 
 from conftest import fig4b_labeled_s1, load_exprset, load_graph, sets_match_up_to_naming
-from test_digests import _seeded_graphs
+from test_digests import GRAPH_FIXTURES, _seeded_graphs
 
 
 def test_backward_fig4b_gives_eq3(fig4b):
@@ -213,3 +217,53 @@ def test_reference_names_skip_input_labels():
     # with nothing to avoid, the numbering is unchanged
     _, plain = factorize_with_refs(load_graph("fig4b"))
     assert [name for name, _ in plain.defs] == ["s1"]
+
+
+@pytest.mark.parametrize("name", GRAPH_FIXTURES)
+def test_plan_matches_the_strategy_functions(name):
+    g = load_graph(name)
+    for strategy, run in (("backward", factorize_backward), ("forward", factorize_forward)):
+        p, out = plan(g, strategy), run(g)
+        assert format_graph(p.graph) == format_graph(out)
+        # the reference: every pair a path connects, as its region expression
+        s = ExprSet()
+        for y in out.roots:
+            for x in out.terminals:
+                if count_paths(out, y, x):
+                    s.add_entry(y, x, region_expr(out, y, x))
+        assert format_exprset(p.exprset) == format_exprset(s)
+    p, (out, s) = plan(g, "refs"), factorize_with_refs(g)
+    assert (format_graph(p.graph), format_exprset(p.exprset)) == (format_graph(out), format_exprset(s))
+    p, (pages, s, transcript) = plan(g, "pages"), plan_pages(g)
+    assert format_exprset(p.exprset) == format_exprset(s)
+    assert transcript_json(p.transcript) == transcript_json(transcript)
+    assert [format_graph(q.graph) for q in p.pages] == [format_graph(q.graph) for q in pages]
+
+
+@pytest.mark.parametrize("name", GRAPH_FIXTURES)
+def test_plan_chain_costs_what_the_dp_predicts(name):
+    g = load_graph(name)
+    chain = level_chain(g)
+    _, cost = best_accumulation_order(chain, bound=len(chain))
+    s = plan(g, "chain").exprset
+    assert fma_cost(s) == cost
+    assert check_equiv(g, s).ok
+
+
+def test_plan_rejects_an_unknown_strategy(fig4b):
+    with pytest.raises(ValueError, match="'best'"):
+        plan(fig4b, "best")
+
+
+def test_plan_costs_backward_only_on_first_read(fig9a, monkeypatch):
+    calls = []
+
+    def counted(g, y, x):
+        calls.append((y, x))
+        return region_expr(g, y, x)
+
+    monkeypatch.setattr(factorize, "region_expr", counted)
+    p = plan(fig9a, "backward")
+    assert calls == []
+    s = p.exprset
+    assert len(calls) == 16 and p.exprset is s

@@ -23,13 +23,12 @@ from pathlib import Path
 import pytest
 
 from jacfact.expr import fma_cost
-from jacfact.factorize import factorize_with_refs, plan_pages
+from jacfact.factorize import plan
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
-from jacfact.localjac import accumulate, best_accumulation_order
 from jacfact.oracle import check_equiv
 from jacfact.relations import safe_elimination_order
 
-from conftest import FIXTURES, level_chain, load_graph, random_layered_dag
+from conftest import FIXTURES, load_graph, random_layered_dag
 
 LEDGER = Path(__file__).resolve().parent / "known_defects.json"
 STRATEGIES = ("refs", "pages", "chain")
@@ -45,16 +44,6 @@ def _corpus():
         yield path.stem, load_graph(path.stem)
 
 
-def _plan(g, strategy):
-    if strategy == "refs":
-        return factorize_with_refs(g)[1]
-    if strategy == "pages":
-        return plan_pages(g)[1]
-    chain, _ = level_chain(g)
-    tree, _ = best_accumulation_order(chain, bound=len(chain))
-    return accumulate(chain, tree)[0]
-
-
 def _kind(exc):
     text = str(exc)
     stem = next((s for s in STEMS if s in text), text)
@@ -64,7 +53,7 @@ def _kind(exc):
 def _failure(g, strategy):
     """The kind of the plan's failure and its cost if it verifies."""
     try:
-        s = _plan(g, strategy)
+        s = plan(g, strategy).exprset
         if not check_equiv(g, s, trials=20).ok:
             return "wrong value", None
     except ValueError as exc:

@@ -4,7 +4,7 @@ import pytest
 
 from jacfact import linegraph
 from jacfact.expr import UNIT, Sym, atom, canonical, canonical_text, fma_cost, format_expr, parse_expr
-from jacfact.factorize import factorize_with_refs, plan_pages
+from jacfact.factorize import plan
 from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (
     FaceError,
@@ -24,7 +24,7 @@ from jacfact.oracle import bauer_eval, check_equiv, draw_trials
 from jacfact.relations import safe_elimination_order
 from jacfact.structure import contract
 
-from conftest import level_chain, lg_value, load_graph, random_layered_dag
+from conftest import lg_value, load_graph, random_layered_dag
 
 
 def test_fig1a_line_graph_is_k32():
@@ -629,27 +629,13 @@ def test_level_chain_replay_canonicalizes_once_per_write_and_lookup(monkeypatch)
     assert calls["canonical"] <= calls["relabel"] + calls["find_by_label"]
 
 
-def _level_chain_set(g):
-    """The level-chain DP's set for `g`."""
-    chain, _ = level_chain(g)
-    tree, _ = best_accumulation_order(chain, bound=len(chain))
-    return accumulate(chain, tree)[0]
-
-
-PLANS = {
-    "refs": lambda g: factorize_with_refs(g)[1],
-    "pages": lambda g: plan_pages(g)[1],
-    "chain": _level_chain_set,
-}
-
-
-@pytest.mark.parametrize("plan", PLANS)
+@pytest.mark.parametrize("strategy", ["refs", "pages", "chain"])
 @pytest.mark.parametrize("name", ["fig4b", "fig7a", "fig9a", "dense3x3"])
-def test_indexes_match_full_scans_through_plan_replays(name, plan):
+def test_indexes_match_full_scans_through_plan_replays(name, strategy):
     # fig9a's refs and pages orders stop at a FaceError, which must leave
     # both indexes as current as a completed step does
     g = _dense_layered(3, 3)[0] if name == "dense3x3" else load_graph(name)
-    s = PLANS[plan](g)
+    s = plan(g, strategy).exprset
     lg = build_line_graph(g)
     _check_index(lg)
     try:

@@ -13,6 +13,7 @@ from jacfact.localjac import (
     best_accumulation_order,
     extract_local_jacobian,
     left_assoc,
+    level_chain,
     right_assoc,
 )
 from jacfact.oracle import check_equiv
@@ -22,7 +23,6 @@ from conftest import (
     dense_layered,
     enumerate_parenthesizations,
     fig4b_labeled_s1,
-    level_chain,
     load_graph,
     random_layered_dag,
 )
@@ -277,11 +277,11 @@ def _dp_corpus():
     rng = random.Random(2021)
     for _ in range(120):
         g = random_layered_dag(rng, max_vertices=rng.randint(10, 40), max_edges=60, max_levels=8)
-        yield level_chain(g)[0]
+        yield level_chain(g)
     for width, depth in [(2, 8), (3, 5), (4, 4), (2, 4), (3, 3), (5, 2)]:
-        yield level_chain(dense_layered(width, depth))[0]
+        yield level_chain(dense_layered(width, depth))
     for count in range(4, 13):
-        yield level_chain(_diamond_chain(count))[0]
+        yield level_chain(_diamond_chain(count))
     for _ in range(100):
         yield _random_chain(rng, rng.randint(2, 10), 4)
     for _ in range(80):  # 1x1 chains, often with unit entries
@@ -307,8 +307,8 @@ def test_best_order_rejects_a_non_conformable_1x1_chain():
 def test_plain_chain_of_1500_edges_runs_end_to_end():
     n = 1500
     g = parse_graph("".join(f"e c{k} p{k} p{k + 1}\n" for k in range(n)))
-    chain, seg = level_chain(g)
-    assert seg is g and len(chain) == n
+    chain = level_chain(g)
+    assert len(chain) == n
     tree, cost = best_accumulation_order(chain, bound=len(chain))
     assert cost == n - 1
     node = tree

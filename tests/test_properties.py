@@ -4,7 +4,6 @@ from hypothesis import given, settings, strategies as st
 
 from jacfact.convert import expr_to_graph, graph_to_expr
 from jacfact.expr import (
-    ExprSet,
     Sym,
     add,
     canonical,
@@ -14,16 +13,10 @@ from jacfact.expr import (
     parse_expr,
     prod,
 )
-from jacfact.factorize import (
-    factorize_backward,
-    factorize_forward,
-    factorize_with_refs,
-    plan_pages,
-)
-from jacfact.graph import DiffGraph, Edge, classify_vertices, count_paths, depth_levels, rt_degrees
+from jacfact.factorize import plan, plan_pages
+from jacfact.graph import DiffGraph, Edge, classify_vertices, depth_levels, rt_degrees
 from jacfact.oracle import check_equiv
 from jacfact.relations import classify_relations
-from jacfact.structure import region_expr
 
 from conftest import load_exprset, random_layered_dag
 
@@ -118,23 +111,8 @@ def test_direct_occurrences_count_cost_on_planned_sets():
         assert direct == fma_cost(s)
 
 
-def _region_cost(out):
-    """A factorized graph costed as its per-pair region expressions."""
-    s = ExprSet()
-    for y in out.roots:
-        for x in out.terminals:
-            if count_paths(out, y, x):
-                s.add_entry(y, x, region_expr(out, y, x))
-    return fma_cost(s)
-
-
 def _strategy_costs(g):
-    return {
-        "backward": _region_cost(factorize_backward(g)),
-        "forward": _region_cost(factorize_forward(g)),
-        "refs": fma_cost(factorize_with_refs(g)[1]),
-        "pages": fma_cost(plan_pages(g)[1]),
-    }
+    return {k: fma_cost(plan(g, k).exprset) for k in ("backward", "forward", "refs", "pages")}
 
 
 def test_costs_invariant_under_edge_order_renaming_and_reversal():
@@ -155,4 +133,4 @@ def test_costs_invariant_under_edge_order_renaming_and_reversal():
         ))
         assert [renamed[k] for k in named] == [costs[k] for k in named], i
         reverse = DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in g.edges)
-        assert _region_cost(factorize_backward(reverse)) == costs["forward"], i
+        assert fma_cost(plan(reverse, "backward").exprset) == costs["forward"], i

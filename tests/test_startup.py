@@ -55,10 +55,7 @@ LOADS = [
     (("factorize", "fig4b.graph", "--direction", "forward"), FACTORIZE),
     (("factorize", "fig4b.graph", "--direction", "refs"), FACTORIZE),
     (("factorize", "fig9a.graph", "--direction", "pages"), FACTORIZE),
-    (
-        ("factorize", "fig4b.graph", "--direction", "backward", "--expr"),
-        FACTORIZE | {"jacfact.convert"},
-    ),
+    (("factorize", "fig4b.graph", "--direction", "backward", "--expr"), FACTORIZE),
     (("dot", "fig1a.graph"), BASE),
     (("dot", "fig1a.graph", "--line-graph"), BASE | {"jacfact.linegraph"}),
     (("verify", "eq1.exprs", "eq2.exprs"), BASE | {"jacfact.oracle"}),

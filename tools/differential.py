@@ -4,14 +4,16 @@ change leaves every output byte-identical.
     python3 tools/differential.py [CHECKOUT]
 
 Run it on the parent's and the change's checkouts (`git archive` exports,
-say; the default is this one) and compare the two lines it prints.  The
-corpus is 508 graphs: `tests/conftest.random_layered_dag(Random(1000*band+i),
-band, int(1.8*band))` for band 9, 15, 25 and 40 and i < 100, then every
-`pages` input of `perfbench` `mixed-corpus` and `dense-layered` at seeds
-1-3 except the 1500-edge chain.  Per graph the hash takes:
+say; the default is this one) and compare the two lines it prints.  Only
+the library, `src/`, comes from CHECKOUT; the corpus comes from the tool's
+own tree, so both sides hash the same graphs.  The corpus is 508 graphs:
+`tests/conftest.random_layered_dag(Random(1000*band+i), band, int(1.8*band))`
+for band 9, 15, 25 and 40 and i < 100, then every `pages` input of
+`perfbench` `mixed-corpus` and `dense-layered` at seeds 1-3 except the
+1500-edge chain.  Per graph the hash takes:
 
-- the backward and forward graphs, each with its per-pair `region_expr`
-  set and that set's cost, as `perfbench/ops._region_set` costs it;
+- the backward and forward graphs, each with its `plan()` set (one
+  `region_expr` per connected pair) and that set's cost;
 - the refs graph and set, and the pages set, transcript and page graphs;
 - the level chain: each local Jacobian's `dump()`, the DP's tree and cost,
   and the accumulated set;
@@ -26,24 +28,19 @@ import random
 import sys
 from pathlib import Path
 
-root = Path(sys.argv[1] if len(sys.argv) > 1 else Path(__file__).resolve().parent.parent)
-sys.path[:0] = [str(root / "src"), str(root / "tests"), str(root / "perfbench")]
+here = Path(__file__).resolve().parent.parent
+root = Path(sys.argv[1]) if len(sys.argv) > 1 else here
+sys.path[:0] = [str(root / "src"), str(here / "tests"), str(here / "perfbench")]
 
 import inputs  # perfbench/inputs.py
-from conftest import level_chain, random_layered_dag
-from jacfact.expr import ExprSet, fma_cost, format_expr, format_exprset
-from jacfact.factorize import (
-    factorize_backward,
-    factorize_forward,
-    factorize_with_refs,
-    plan_pages,
-    transcript_json,
-)
-from jacfact.graph import count_paths, format_graph, parse_graph
+from conftest import random_layered_dag
+from jacfact.expr import fma_cost, format_expr, format_exprset
+from jacfact.factorize import plan, transcript_json
+from jacfact.graph import format_graph, parse_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
-from jacfact.localjac import accumulate, best_accumulation_order
+from jacfact.localjac import accumulate, best_accumulation_order, level_chain
 from jacfact.relations import safe_elimination_order
-from jacfact.structure import find_structures, region_expr
+from jacfact.structure import find_structures
 
 
 def corpus():
@@ -63,32 +60,27 @@ def costed(s):
     return f"{format_exprset(s)}cost {fma_cost(s)}"
 
 
-def factorized(factorize):
-    """A backward or forward step: the graph, costed as its per-pair
-    region expressions."""
+def factorized(strategy):
+    """A backward or forward step: the graph, costed as its plan's set."""
     def step(g):
-        out, s = factorize(g), ExprSet()
-        for y in out.roots:
-            for x in out.terminals:
-                if count_paths(out, y, x):
-                    s.add_entry(y, x, region_expr(out, y, x))
-        return format_graph(out) + "\n" + costed(s), None
+        p = plan(g, strategy)
+        return format_graph(p.graph) + "\n" + costed(p.exprset), None
     return step
 
 
 def refs(g):
-    out, s = factorize_with_refs(g)
-    return format_graph(out) + "\n" + format_exprset(s), s
+    p = plan(g, "refs")
+    return format_graph(p.graph) + "\n" + format_exprset(p.exprset), p.exprset
 
 
 def pages(g):
-    done, s, transcript = plan_pages(g)
-    graphs = [f"page {p.pid}\n{format_graph(p.graph)}" for p in done]
-    return "\n".join([format_exprset(s), transcript_json(transcript), *graphs]), s
+    p = plan(g, "pages")
+    graphs = [f"page {q.pid}\n{format_graph(q.graph)}" for q in p.pages]
+    return "\n".join([format_exprset(p.exprset), transcript_json(p.transcript), *graphs]), p.exprset
 
 
 def chain(g):
-    jacobians, _ = level_chain(g)
+    jacobians = level_chain(g)
     tree, cost = best_accumulation_order(jacobians, bound=len(jacobians))
     s, _ = accumulate(jacobians, tree)
     return "".join(j.dump() for j in jacobians) + f"{tree!r} dp {cost}\n" + costed(s), s
@@ -105,8 +97,8 @@ def replay(g, s):
 
 # each step gives its text and the expression set to replay, or None
 STEPS = (
-    ("backward", factorized(factorize_backward)),
-    ("forward", factorized(factorize_forward)),
+    ("backward", factorized("backward")),
+    ("forward", factorized("forward")),
     ("refs", refs),
     ("pages", pages),
     ("chain", chain),
