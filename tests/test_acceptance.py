@@ -33,8 +33,8 @@ from jacfact.localjac import (
     LocalJacobian,
     accumulate,
     best_accumulation_order,
-    extract_local_jacobian,
     left_assoc,
+    level_chain,
     right_assoc,
 )
 from jacfact.oracle import check_equiv
@@ -160,12 +160,7 @@ def _count_products_by_hand(chain, tree):
 
 def test_criterion_5_matrix_chain_costs():
     fig4b = load_graph("fig4b")
-    chain = [
-        extract_local_jacobian(fig4b, ["v1"], ["v2", "v3"]),
-        extract_local_jacobian(fig4b, ["v2", "v3"], ["v4", "v5", "v6"]),
-        extract_local_jacobian(fig4b, ["v4", "v5", "v6"], ["v7", "v8"]),
-        extract_local_jacobian(fig4b, ["v7", "v8"], ["v9"]),
-    ]
+    chain = level_chain(fig4b)
     s_lr, cost_lr = accumulate(chain, left_assoc(4))
     s_rl, cost_rl = accumulate(chain, right_assoc(4))
     hand_lr = _count_products_by_hand(chain, left_assoc(4))

@@ -73,14 +73,9 @@ def test_with_refs_no_shared_subblocks(fig4a):
 
 
 def test_refs_cost_matches_matrix_chain_orders(fig4b):
-    from jacfact.localjac import accumulate, extract_local_jacobian, left_assoc, right_assoc
+    from jacfact.localjac import accumulate, left_assoc, right_assoc
 
-    chain = [
-        extract_local_jacobian(fig4b, ["v1"], ["v2", "v3"]),
-        extract_local_jacobian(fig4b, ["v2", "v3"], ["v4", "v5", "v6"]),
-        extract_local_jacobian(fig4b, ["v4", "v5", "v6"], ["v7", "v8"]),
-        extract_local_jacobian(fig4b, ["v7", "v8"], ["v9"]),
-    ]
+    chain = level_chain(fig4b)
     _, back = factorize_with_refs(fig4b, "backward")
     _, fwd = factorize_with_refs(fig4b, "forward")
     _, cost_rl = accumulate(chain, right_assoc(4))
@@ -220,34 +215,25 @@ def test_reference_names_skip_input_labels():
 
 
 @pytest.mark.parametrize("name", GRAPH_FIXTURES)
-def test_plan_matches_the_strategy_functions(name):
+def test_plan_gives_what_the_strategy_functions_give(name):
     g = load_graph(name)
     for strategy, run in (("backward", factorize_backward), ("forward", factorize_forward)):
-        p, out = plan(g, strategy), run(g)
-        assert format_graph(p.graph) == format_graph(out)
-        # the reference: every pair a path connects, as its region expression
-        s = ExprSet()
-        for y in out.roots:
+        p, out, s = plan(g, strategy), run(g), ExprSet()
+        for y in out.roots:  # the reference: each connected pair's region expression
             for x in out.terminals:
                 if count_paths(out, y, x):
                     s.add_entry(y, x, region_expr(out, y, x))
-        assert format_exprset(p.exprset) == format_exprset(s)
+        assert (format_graph(p.graph), format_exprset(p.exprset)) == (format_graph(out), format_exprset(s))
     p, (out, s) = plan(g, "refs"), factorize_with_refs(g)
     assert (format_graph(p.graph), format_exprset(p.exprset)) == (format_graph(out), format_exprset(s))
     p, (pages, s, transcript) = plan(g, "pages"), plan_pages(g)
     assert format_exprset(p.exprset) == format_exprset(s)
     assert transcript_json(p.transcript) == transcript_json(transcript)
     assert [format_graph(q.graph) for q in p.pages] == [format_graph(q.graph) for q in pages]
-
-
-@pytest.mark.parametrize("name", GRAPH_FIXTURES)
-def test_plan_chain_costs_what_the_dp_predicts(name):
-    g = load_graph(name)
     chain = level_chain(g)
     _, cost = best_accumulation_order(chain, bound=len(chain))
     s = plan(g, "chain").exprset
-    assert fma_cost(s) == cost
-    assert check_equiv(g, s).ok
+    assert fma_cost(s) == cost and check_equiv(g, s).ok
 
 
 def test_plan_rejects_an_unknown_strategy(fig4b):
@@ -255,7 +241,7 @@ def test_plan_rejects_an_unknown_strategy(fig4b):
         plan(fig4b, "best")
 
 
-def test_plan_costs_backward_only_on_first_read(fig9a, monkeypatch):
+def test_plan_works_out_the_backward_set_on_first_read(fig9a, monkeypatch):
     calls = []
 
     def counted(g, y, x):
@@ -265,5 +251,4 @@ def test_plan_costs_backward_only_on_first_read(fig9a, monkeypatch):
     monkeypatch.setattr(factorize, "region_expr", counted)
     p = plan(fig9a, "backward")
     assert calls == []
-    s = p.exprset
-    assert len(calls) == 16 and p.exprset is s
+    assert p.exprset is p.exprset and len(calls) == 16

@@ -19,7 +19,6 @@ from jacfact.linegraph import (
     run_elimination,
     trace_mult_count,
 )
-from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian
 from jacfact.oracle import bauer_eval, check_equiv, draw_trials
 from jacfact.relations import safe_elimination_order
 from jacfact.structure import contract
@@ -600,15 +599,12 @@ def _dense_layered(width, depth):
             (lv, i, j) for lv in range(depth) for i in range(width) for j in range(width)
         )
     ]
-    rows = [[f"v{lv}_{i}" for i in range(width)] for lv in range(depth + 1)]
-    return parse_graph("\n".join(lines) + "\n"), rows
+    return parse_graph("\n".join(lines) + "\n")
 
 
 def test_level_chain_replay_canonicalizes_once_per_write_and_lookup(monkeypatch):
-    g, rows = _dense_layered(4, 4)
-    chain = [extract_local_jacobian(g, a, b) for a, b in zip(rows, rows[1:])]
-    tree, _ = best_accumulation_order(chain, bound=len(chain))
-    s, _ = accumulate(chain, tree)
+    g = _dense_layered(4, 4)
+    s = plan(g, "chain").exprset
     order = safe_elimination_order(s)
     calls = {"canonical": 0, "relabel": 0, "find_by_label": 0}
 
@@ -634,7 +630,7 @@ def test_level_chain_replay_canonicalizes_once_per_write_and_lookup(monkeypatch)
 def test_indexes_match_full_scans_through_plan_replays(name, strategy):
     # fig9a's refs and pages orders stop at a FaceError, which must leave
     # both indexes as current as a completed step does
-    g = _dense_layered(3, 3)[0] if name == "dense3x3" else load_graph(name)
+    g = _dense_layered(3, 3) if name == "dense3x3" else load_graph(name)
     s = plan(g, strategy).exprset
     lg = build_line_graph(g)
     _check_index(lg)
@@ -656,7 +652,7 @@ def test_random_total_elimination_canonicalizes_nothing(monkeypatch):
         return canonical(e)
 
     monkeypatch.setattr(linegraph, "canonical", counted)
-    g, _ = _dense_layered(4, 4)
+    g = _dense_layered(4, 4)
     lg = build_line_graph(g)
     trace = _eliminate_randomly(lg, random.Random(7))
     assert calls["canonical"] == 0
@@ -668,7 +664,7 @@ def test_random_total_elimination_canonicalizes_nothing(monkeypatch):
 
 
 def test_random_total_elimination_of_dense_4x5():
-    g, _ = _dense_layered(4, 5)
+    g = _dense_layered(4, 5)
     lg = build_line_graph(g)
     assert trace_mult_count(_eliminate_randomly(lg, random.Random(7))) == 4306
     assert check_equiv(g, readout_jacobian(lg), trials=3).ok

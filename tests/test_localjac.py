@@ -28,15 +28,6 @@ from conftest import (
 )
 
 
-def _fig4b_chain(fig4b):
-    return [
-        extract_local_jacobian(fig4b, ["v1"], ["v2", "v3"]),
-        extract_local_jacobian(fig4b, ["v2", "v3"], ["v4", "v5", "v6"]),
-        extract_local_jacobian(fig4b, ["v4", "v5", "v6"], ["v7", "v8"]),
-        extract_local_jacobian(fig4b, ["v7", "v8"], ["v9"]),
-    ]
-
-
 def test_extract_row_vector(fig4b):
     a = extract_local_jacobian(fig4b, ["v1"], ["v2", "v3"])
     assert a.entries == {("v1", "v2"): Sym("e1"), ("v1", "v3"): Sym("e2")}
@@ -71,7 +62,7 @@ def test_dump_format(fig4b):
 
 
 def test_accumulate_costs_and_sharing(fig4b):
-    chain = _fig4b_chain(fig4b)
+    chain = level_chain(fig4b)
     s_lr, cost_lr = accumulate(chain, left_assoc(4))
     s_rl, cost_rl = accumulate(chain, right_assoc(4))
     assert cost_lr == 10 and cost_rl == 10
@@ -82,7 +73,7 @@ def test_accumulate_costs_and_sharing(fig4b):
 
 
 def test_accumulate_all_orders_same_value(fig4b):
-    chain = _fig4b_chain(fig4b)
+    chain = level_chain(fig4b)
     results = []
     for tree in enumerate_parenthesizations(4):
         s, cost = accumulate(chain, tree)
@@ -130,12 +121,7 @@ def test_unit_entries_cost_nothing():
 
 
 def test_best_order_fig4a(fig4a):
-    chain = [
-        extract_local_jacobian(fig4a, ["v1"], ["v2", "v3"]),
-        extract_local_jacobian(fig4a, ["v2", "v3"], ["v4"]),
-        extract_local_jacobian(fig4a, ["v4"], ["v5", "v6"]),
-        extract_local_jacobian(fig4a, ["v5", "v6"], ["v7"]),
-    ]
+    chain = level_chain(fig4a)
     tree, cost = best_accumulation_order(chain)
     assert tree == ((0, 1), (2, 3))
     assert cost == 5
@@ -175,15 +161,7 @@ def test_fig7_non_depth_grouping():
 
 
 def test_dp_matches_bruteforce_on_fig_chains(fig4a, fig4b):
-    for chain in (
-        [
-            extract_local_jacobian(fig4a, ["v1"], ["v2", "v3"]),
-            extract_local_jacobian(fig4a, ["v2", "v3"], ["v4"]),
-            extract_local_jacobian(fig4a, ["v4"], ["v5", "v6"]),
-            extract_local_jacobian(fig4a, ["v5", "v6"], ["v7"]),
-        ],
-        _fig4b_chain(fig4b),
-    ):
+    for chain in (level_chain(fig4a), level_chain(fig4b)):
         _, dp_cost = best_accumulation_order(chain)
         brute = min(
             accumulate(chain, t)[1] for t in enumerate_parenthesizations(len(chain))
@@ -202,7 +180,7 @@ def test_extract_names_an_unknown_vertex(fig4b, rows, cols):
 @pytest.mark.parametrize("order", [left_assoc(4), right_assoc(4)])
 def test_accumulate_names_skip_input_labels(order):
     g = parse_graph(fig4b_labeled_s1())
-    s, cost = accumulate(_fig4b_chain(g), order)
+    s, cost = accumulate(level_chain(g), order)
     assert "s1" not in s.def_map and cost == 10
     assert check_equiv(g, s).ok
 
