@@ -17,7 +17,7 @@ from jacfact.factorize import (
     transcript_json,
 )
 from jacfact.graph import count_paths, depth_levels, format_graph, parse_graph
-from jacfact.localjac import best_accumulation_order, level_chain
+from jacfact.localjac import accumulate, best_accumulation_order, left_assoc, level_chain, right_assoc
 from jacfact.oracle import check_equiv
 from jacfact.structure import find_structures, region_expr
 
@@ -73,8 +73,6 @@ def test_with_refs_no_shared_subblocks(fig4a):
 
 
 def test_refs_cost_matches_matrix_chain_orders(fig4b):
-    from jacfact.localjac import accumulate, left_assoc, right_assoc
-
     chain = level_chain(fig4b)
     _, back = factorize_with_refs(fig4b, "backward")
     _, fwd = factorize_with_refs(fig4b, "forward")
