@@ -20,11 +20,12 @@ _EXPORTS = {
     "expr": (
         "ExprSet", "Prod", "Sum", "Sym", "UNIT", "add", "canonical", "canonical_text",
         "equivalent_form", "expand_refs", "fma_cost", "format_expr", "format_exprset",
-        "inline_single_use", "parse_expr", "parse_exprset", "prod",
+        "inline_single_use", "prod",
     ),
+    "exprparse": ("parse_expr", "parse_exprset"),
     "factorize": (
-        "Page", "Plan", "factorize_backward", "factorize_forward", "factorize_with_refs",
-        "merge_pages", "plan", "plan_pages",
+        "Plan", "factorize_backward", "factorize_forward", "factorize_with_refs", "plan",
+        "plan_pages",
     ),
     "graph": (
         "DiffGraph", "Edge", "classify_vertices", "depth_levels", "format_graph",
@@ -39,11 +40,13 @@ _EXPORTS = {
         "extract_local_jacobian", "left_assoc", "level_chain", "right_assoc",
     ),
     "oracle": ("bauer_eval", "check_equiv", "eval_expr", "eval_exprset", "instantiate"),
+    "pages": ("Page", "merge_pages"),
+    "recognize": ("find_structures",),
     "relations": (
         "CircularDependencyError", "build_dep_graph", "classify_relations",
         "detect_cycles", "lemma1_audit", "safe_elimination_order",
     ),
-    "structure": ("find_structures", "segment_cross_level"),
+    "structure": ("segment_cross_level",),
 }
 _MODULE_OF = {name: module for module, names in _EXPORTS.items() for name in names}
 

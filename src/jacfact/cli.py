@@ -13,13 +13,7 @@ import sys
 from importlib import import_module
 
 # every artifact loader needs these two; each subcommand imports the rest
-from .expr import (
-    _DEF_LINE,
-    format_expr,
-    format_exprset,
-    parse_expr,
-    parse_exprset,
-)
+from .expr import format_expr, format_exprset
 from .graph import (
     GraphParseError,
     classify_vertices,
@@ -75,9 +69,13 @@ def load_artifact(path):
             try:
                 return "graph", parse_graph(text)
             except GraphParseError as exc:
+                from .exprparse import _DEF_LINE
+
                 if not _DEF_LINE.match(line):
                     raise CliError(f"{path}: {exc}", EXIT_PARSE)
         break
+    from .exprparse import parse_exprset
+
     try:
         return "exprset", parse_exprset(text)
     except Exception as exc:
@@ -113,13 +111,13 @@ def _self_verify(original, result, trials, seed):
 
 
 def cmd_inspect(args):
-    from . import structure
+    from . import recognize
 
     g = load_graph(args.graph)
     y, z, x = classify_vertices(g)
     levels, cross = depth_levels(g)
     degrees = rt_degrees(g)
-    structures = [s.record() for s in structure.find_structures(g)]
+    structures = [s.record() for s in recognize.find_structures(g)]
     if args.format == "json":
         import json
 
@@ -179,8 +177,10 @@ def cmd_factorize(args):
         _self_verify(g, p.exprset, args.trials, args.seed)
         print(format_exprset(p.exprset), end="")
     if args.transcript:
+        from . import pages
+
         with open(args.transcript, "w", encoding="utf-8") as fh:
-            fh.write(factorize.transcript_json(p.transcript))
+            fh.write(pages.transcript_json(p.transcript))
     if args.pages_out:
         with open(args.pages_out, "w", encoding="utf-8") as fh:
             for page in p.pages:
@@ -190,6 +190,8 @@ def cmd_factorize(args):
 
 
 def _parse_order_file(text):
+    from .exprparse import parse_expr
+
     order = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()

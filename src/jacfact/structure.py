@@ -1,30 +1,21 @@
-"""Recognition of chains, blocks and complex blocks, plus cross-level
-segmentation.
+"""The contraction engine, region expressions, and cross-level segmentation.
 
-Recognition works by series-parallel contraction: parallel edges merge into
-block edges, maximal single-track runs collapse into chain edges, and the
-rounds repeat until nothing moves.  Regions that refuse to contract are
-complex blocks.  There is one contraction engine, :class:`_Contraction`,
-kept at its fixpoint under edits: it contracts a graph for recognition, a
-region's edge list, as :func:`~jacfact.graph.region_edges` gives it, to the
-algebraic expression of a simple region, and it is the contracted view the
-split passes edit and re-contract around the vertices they touch.
+Contraction is series-parallel: parallel edges merge into block edges,
+maximal single-track runs collapse into chain edges, and the rounds repeat
+until nothing moves.  Regions that refuse to contract are complex blocks.
+There is one contraction engine, :class:`_Contraction`, kept at its
+fixpoint under edits: it contracts a region's edge list, as
+:func:`~jacfact.graph.region_edges` gives it, to the algebraic expression
+of a simple region, and it is the contracted view the split passes edit and
+re-contract around the vertices they touch.  :mod:`jacfact.recognize` runs
+it for `inspect`'s structure report.
 """
 from __future__ import annotations
 
 import operator
 
 from .expr import add, atom, prod
-from .graph import (
-    DiffGraph,
-    Edge,
-    Names,
-    UNIT_LABEL,
-    depth_levels,
-    path_counts,
-    reach,
-    region_edges,
-)
+from .graph import DiffGraph, Edge, Names, UNIT_LABEL, depth_levels, region_edges
 
 
 class StructureError(ValueError):
@@ -38,33 +29,6 @@ class ComplexBlockError(StructureError):
         super().__init__(f"complex block between {src} and {sink}")
         self.src = src
         self.sink = sink
-
-
-class Structure:
-    def __init__(self, kind, src, sink, vertices, edges):
-        # direct-simple-chain, indirect-simple-chain, complex-chain,
-        # direct-simple-block, indirect-simple-block, complex-block, edge
-        self.kind = kind
-        self.src = src
-        self.sink = sink
-        self.vertices = vertices  # frozenset
-        self.edges = edges  # frozenset
-
-    def __eq__(self, other):
-        if type(other) is not Structure:
-            return NotImplemented
-        return (self.kind, self.src, self.sink, self.vertices, self.edges) == (
-            other.kind, other.src, other.sink, other.vertices, other.edges
-        )
-
-    def record(self):
-        return {
-            "kind": self.kind,
-            "src": self.src,
-            "sink": self.sink,
-            "vertices": sorted(self.vertices),
-            "edges": sorted(self.edges),
-        }
 
 
 class CEdge:
@@ -126,7 +90,7 @@ class _Contraction:
         self._changed = set()  # vertices whose CEdges changed since the last run
         for i, e in enumerate(edges):
             self.attach(edge_cedge(e, i))
-        self.seq = len(self.live)
+        self.seq = len(self.live)  # the last seq given; a stuck block takes the next
 
     @property
     def edges(self):
@@ -158,10 +122,6 @@ class _Contraction:
                 del index[key]
         self._changed.add(src)
         self._changed.add(dst)
-
-    def _next_seq(self):
-        self.seq += 1
-        return self.seq
 
     def _record(self, ce):
         ce.made = self._made
@@ -252,82 +212,6 @@ class _Contraction:
                 self.attach(self._chain(run))
         return touched
 
-    # -- complex-region handling ----------------------------------------------
-
-    def find_stuck_blocks(self, order):
-        """Def-style blocks among the uncontracted remainder, innermost first.
-
-        A candidate (a, b) region qualifies when its interior has no edges
-        escaping the region and no single interior vertex carries every
-        a-to-b path.  `order` is a topological order of the contracted
-        graph's vertices, such as the original graph's.
-        """
-        out, inn = self.by_src, self.by_dst
-        down = lambda v: [c.dst for c in out.get(v, ())]
-        up = lambda v: [c.src for c in inn.get(v, ())]
-        verts = set(out) | set(inn)
-        below = {v: reach([v], down) for v in verts}
-        above = {v: reach([v], up) for v in verts}
-        candidates = []
-        for a in sorted(verts):
-            if len(out.get(a, ())) < 2:
-                continue
-            from_a = path_counts(a, down, order)
-            for b in sorted(below[a]):
-                if len(inn.get(b, ())) < 2:
-                    continue
-                region = (below[a] & above[b]) | {a, b}
-                interior = region - {a, b}
-                if not interior:
-                    continue
-                if any(
-                    c.src not in region or c.dst not in region
-                    for m in interior
-                    for side in (out, inn)
-                    for c in side.get(m, ())
-                ):
-                    continue
-                to_b = path_counts(b, up, reversed(order))
-                # no interior vertex m with every a-to-b path through it
-                if all(from_a[m] * to_b[m] != from_a[b] for m in interior):
-                    candidates.append((len(region), a, b, frozenset(region)))
-        candidates.sort()
-        return candidates
-
-    def substitute_stuck_block(self, a, b, region):
-        group = [c for c in self.live if c.src in region and c.dst in region]
-        emem = frozenset().union(*[c.emembers for c in group])
-        for c in group:
-            self.detach(c)
-        self.attach(self._record(CEdge(a, b, None, "block", emem, self._next_seq(), tuple(group))))
-
-
-def _direct(ce):
-    """Whether a chain or block is direct: it has an expression, and each of
-    its parts is an edge or a direct chain."""
-    return ce.expr is not None and all(
-        p.kind == "edge" or (p.kind == "chain" and _direct(p)) for p in ce.parts
-    )
-
-
-def _structures(live, g):
-    """Every chain and block below the `live` CEdges, in the order they
-    formed, each as the :class:`Structure` it stands for in `g`.  A direct
-    one is simple; any other is simple exactly when it has an expression."""
-    found, todo = [], list(live)
-    while todo:
-        ce = todo.pop()
-        if ce.parts:
-            found.append(ce)
-            todo.extend(ce.parts)
-    out = []
-    for ce in sorted(found, key=operator.attrgetter("made")):
-        grade = "direct-simple" if _direct(ce) else "indirect-simple" if ce.expr is not None else "complex"
-        members = [g.edge(eid) for eid in ce.emembers]
-        vertices = frozenset(e.src for e in members) | frozenset(e.dst for e in members)
-        out.append(Structure(f"{grade}-{ce.kind}", ce.src, ce.dst, vertices, ce.emembers))
-    return out
-
 
 def contract(g):
     """The contraction of `g` at its fixpoint; the split passes edit it
@@ -335,20 +219,6 @@ def contract(g):
     c = _Contraction(g.edges)
     c.run()
     return c
-
-
-def find_structures(g):
-    """All maximal chains and blocks, innermost first, complex regions
-    included.  Deterministic for a fixed input graph."""
-    c = _Contraction(g.edges)
-    while True:
-        c.run()
-        stuck = c.find_stuck_blocks(g.topo_order)
-        if not stuck:
-            break
-        _, a, b, region = stuck[0]
-        c.substitute_stuck_block(a, b, region)
-    return _structures(c.live, g)
 
 
 def region_expr(g, src, sink):

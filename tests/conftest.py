@@ -11,9 +11,9 @@ from jacfact.expr import (
     expand_expr,
     fma_cost,
     free_symbols,
-    parse_exprset,
     prod,
 )
+from jacfact.exprparse import parse_exprset
 from jacfact.graph import DiffGraph, Edge, parse_graph
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"

@@ -7,7 +7,8 @@ import pytest
 
 from jacfact import factorize
 from jacfact.cli import main
-from jacfact.expr import Sym, parse_expr
+from jacfact.expr import Sym
+from jacfact.exprparse import parse_expr
 
 FIXTURES = Path(__file__).resolve().parent.parent / "fixtures"
 

@@ -1,7 +1,8 @@
 import pytest
 
 from jacfact.convert import expr_to_graph, graph_to_expr
-from jacfact.expr import equivalent_form, format_expr, parse_expr
+from jacfact.expr import equivalent_form, format_expr
+from jacfact.exprparse import parse_expr
 from jacfact.graph import parse_graph
 from jacfact.oracle import bauer_eval, draw_trials, eval_expr
 from jacfact.structure import ComplexBlockError, StructureError

@@ -16,10 +16,11 @@ import pytest
 
 from jacfact.cli import main
 from jacfact.expr import fma_cost, format_expr, format_exprset
-from jacfact.factorize import factorize_backward, factorize_forward, factorize_with_refs, plan_pages, transcript_json
+from jacfact.factorize import factorize_backward, factorize_forward, factorize_with_refs, plan_pages
 from jacfact.graph import format_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination
 from jacfact.localjac import accumulate, best_accumulation_order, extract_local_jacobian, level_chain
+from jacfact.pages import transcript_json
 from jacfact.relations import safe_elimination_order
 from jacfact.structure import segment_cross_level
 

@@ -25,12 +25,11 @@ from jacfact.expr import (
     format_exprset,
     free_symbols,
     inline_single_use,
-    parse_expr,
-    parse_exprset,
     prod,
     reference_order,
     symbol_occurrences,
 )
+from jacfact.exprparse import parse_expr, parse_exprset
 
 from jacfact.graph import parse_graph
 from jacfact.oracle import check_equiv, draw_trials, eval_exprset

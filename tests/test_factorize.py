@@ -5,21 +5,18 @@ from jacfact.convert import graph_to_expr
 from jacfact.expr import ExprSet, equivalent_form, fma_cost, format_expr, format_exprset, free_symbols
 from jacfact.factorize import (
     FactorizationError,
-    Page,
-    _pivots,
-    _replace_simple_structures,
     factorize_backward,
     factorize_forward,
     factorize_with_refs,
-    merge_pages,
     plan,
     plan_pages,
-    transcript_json,
 )
 from jacfact.graph import count_paths, depth_levels, format_graph, parse_graph
 from jacfact.localjac import accumulate, best_accumulation_order, left_assoc, level_chain, right_assoc
 from jacfact.oracle import check_equiv
-from jacfact.structure import find_structures, region_expr
+from jacfact.pages import Page, _pivots, _replace_simple_structures, merge_pages, transcript_json
+from jacfact.recognize import find_structures
+from jacfact.structure import region_expr
 
 from conftest import fig4b_labeled_s1, load_exprset, load_graph, sets_match_up_to_naming
 from test_digests import GRAPH_FIXTURES, _seeded_graphs

@@ -3,7 +3,8 @@ import random
 import pytest
 
 from jacfact import linegraph
-from jacfact.expr import UNIT, Sym, atom, canonical, canonical_text, fma_cost, format_expr, parse_expr
+from jacfact.expr import UNIT, Sym, atom, canonical, canonical_text, fma_cost, format_expr
+from jacfact.exprparse import parse_expr
 from jacfact.factorize import plan
 from jacfact.graph import DiffGraph, Edge, parse_graph
 from jacfact.linegraph import (

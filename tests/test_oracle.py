@@ -13,10 +13,10 @@ from jacfact.expr import (
     base_symbols,
     expand_expr,
     expand_refs,
-    parse_exprset,
     prod,
     reference_order,
 )
+from jacfact.exprparse import parse_exprset
 from jacfact.factorize import factorize_backward, factorize_forward
 from jacfact.graph import (
     UNIT_LABEL,

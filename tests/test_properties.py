@@ -10,15 +10,16 @@ from jacfact.expr import (
     expand_refs,
     fma_cost,
     format_expr,
-    parse_expr,
     prod,
 )
-from jacfact.factorize import plan, plan_pages
+from jacfact.exprparse import parse_expr
+from jacfact.factorize import factorize_backward, factorize_forward, plan, plan_pages
 from jacfact.graph import DiffGraph, Edge, classify_vertices, depth_levels, rt_degrees
 from jacfact.oracle import check_equiv
 from jacfact.relations import classify_relations
 
 from conftest import load_exprset, random_layered_dag
+from test_known_defects import _corpus
 
 _sym = st.sampled_from("abcdefgh")
 
@@ -111,6 +112,10 @@ def test_direct_occurrences_count_cost_on_planned_sets():
         assert direct == fma_cost(s)
 
 
+def _reverse(g):
+    return DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in g.edges)
+
+
 def _strategy_costs(g):
     return {k: fma_cost(plan(g, k).exprset) for k in ("backward", "forward", "refs", "pages")}
 
@@ -132,5 +137,13 @@ def test_costs_invariant_under_edge_order_renaming_and_reversal():
             Edge(e.id, rename[e.src], rename[e.dst], e.label) for e in g.edges
         ))
         assert [renamed[k] for k in named] == [costs[k] for k in named], i
-        reverse = DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in g.edges)
-        assert fma_cost(plan(reverse, "backward").exprset) == costs["forward"], i
+        assert fma_cost(plan(_reverse(g), "backward").exprset) == costs["forward"], i
+
+
+def test_forward_is_backward_on_the_reversed_graph():
+    # reversing every edge transposes the Jacobian, and forward splits
+    # mirror backward ones: the two graphs differ at most in edge order
+    for name, g in _corpus():
+        forward = {(e.id, e.src, e.dst, e.label) for e in factorize_forward(g).edges}
+        mirrored = _reverse(factorize_backward(_reverse(g))).edges
+        assert {(e.id, e.src, e.dst, e.label) for e in mirrored} == forward, name

@@ -7,7 +7,8 @@ import pytest
 
 from jacfact import relations
 from jacfact.convert import expr_to_graph
-from jacfact.expr import CyclicReferenceError, ExprSet, fma_cost, parse_expr, parse_exprset
+from jacfact.expr import CyclicReferenceError, ExprSet, fma_cost
+from jacfact.exprparse import parse_expr, parse_exprset
 from jacfact.graph import DiffGraph, parse_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
 from jacfact.oracle import check_equiv

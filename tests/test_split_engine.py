@@ -11,7 +11,7 @@ from collections import Counter
 
 import pytest
 
-from jacfact import factorize, structure
+from jacfact import factorize, recognize, structure
 from jacfact.expr import ExprSet, expand_expr, fma_cost, format_exprset
 from jacfact.factorize import (
     SplitGraph,
@@ -20,9 +20,9 @@ from jacfact.factorize import (
     factorize_forward,
     factorize_with_refs,
     plan_pages,
-    transcript_json,
 )
 from jacfact.graph import DiffGraph, depth_levels, format_graph
+from jacfact.pages import transcript_json
 from jacfact.relations import RelationError, safe_elimination_order
 from jacfact.structure import contract
 
@@ -31,7 +31,7 @@ from conftest import dense_layered, parts_faults, random_layered_dag
 
 def _view(cedges):
     return [
-        (c.src, c.dst, c.kind, c.expr is not None, structure._direct(c), c.expr, c.emembers)
+        (c.src, c.dst, c.kind, c.expr is not None, recognize._direct(c), c.expr, c.emembers)
         for c in sorted(cedges, key=lambda c: c.seq)
     ]
 

@@ -47,21 +47,23 @@ def run_fresh_cli(*args):
 
 
 BASE = {"jacfact", "jacfact.expr", "jacfact.graph"}
+# no page steps, structure report or parser
 FACTORIZE = BASE | {"jacfact.structure", "jacfact.factorize", "jacfact.oracle"}
+INSPECT = BASE | {"jacfact.structure", "jacfact.recognize"}
 LOADS = [
-    (("inspect", "fig9a.graph"), BASE | {"jacfact.structure"}),
-    (("inspect", "fig9a.graph", "--format", "json"), BASE | {"jacfact.structure", "json"}),
+    (("inspect", "fig9a.graph"), INSPECT),
+    (("inspect", "fig9a.graph", "--format", "json"), INSPECT | {"json"}),
     (("factorize", "fig4b.graph", "--direction", "backward"), FACTORIZE),
     (("factorize", "fig4b.graph", "--direction", "forward"), FACTORIZE),
     (("factorize", "fig4b.graph", "--direction", "refs"), FACTORIZE),
-    (("factorize", "fig9a.graph", "--direction", "pages"), FACTORIZE),
+    (("factorize", "fig9a.graph", "--direction", "pages"), FACTORIZE | {"jacfact.pages"}),
     (("factorize", "fig4b.graph", "--direction", "backward", "--expr"), FACTORIZE),
     (("dot", "fig1a.graph"), BASE),
     (("dot", "fig1a.graph", "--line-graph"), BASE | {"jacfact.linegraph"}),
-    (("verify", "eq1.exprs", "eq2.exprs"), BASE | {"jacfact.oracle"}),
+    (("verify", "eq1.exprs", "eq2.exprs"), BASE | {"jacfact.oracle", "jacfact.exprparse"}),
     (
         ("eliminate", "fig4a.graph", "--from-exprset", "eq1.exprs"),
-        BASE | {"jacfact.linegraph", "jacfact.relations"},
+        BASE | {"jacfact.linegraph", "jacfact.relations", "jacfact.exprparse"},
     ),
 ]
 
@@ -115,9 +117,19 @@ def test_import_loads_no_submodule():
 def test_star_import_resolves_every_name_without_dataclasses():
     proc, _, loaded = run_fresh("from jacfact import *\nassert 'check_equiv' in dir()\n")
     assert (proc.returncode, proc.stderr) == (0, "")
-    modules = ("convert", "expr", "factorize", "graph", "linegraph", "localjac",
-               "oracle", "relations", "structure")
+    modules = ("convert", "expr", "exprparse", "factorize", "graph", "linegraph", "localjac",
+               "oracle", "pages", "recognize", "relations", "structure")
     assert loaded == {"jacfact"} | {f"jacfact.{m}" for m in modules}
+
+
+def test_the_parser_is_still_importable_from_expr():
+    proc, _, loaded = run_fresh(
+        "from jacfact.expr import parse_exprset\n"
+        "from jacfact import exprparse\n"
+        "assert parse_exprset is exprparse.parse_exprset\n"
+    )
+    assert (proc.returncode, proc.stderr) == (0, "")
+    assert loaded == {"jacfact", "jacfact.expr", "jacfact.exprparse", "jacfact.graph"}
 
 
 def test_public_names_are_their_submodules_attributes():

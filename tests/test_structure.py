@@ -6,13 +6,14 @@ import pytest
 
 from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
 from jacfact.oracle import check_equiv
-from jacfact.structure import (
-    _Contraction,
+from jacfact.recognize import (
     _direct,
     _structures,
     find_structures,
-    segment_cross_level,
+    find_stuck_blocks,
+    substitute_stuck_block,
 )
+from jacfact.structure import _Contraction, segment_cross_level
 
 from conftest import FIXTURES, dense_layered, load_graph, parts_faults, random_layered_dag
 
@@ -80,7 +81,7 @@ class _GradedContraction(_Contraction):
         return ce
 
     def substitute_stuck_block(self, a, b, region):
-        super().substitute_stuck_block(a, b, region)
+        substitute_stuck_block(self, a, b, region)
         self.simple[max(self.live, key=lambda ce: ce.made)] = False
 
 
@@ -92,7 +93,7 @@ def test_a_substitute_has_an_expression_exactly_when_it_is_simple():
         c = _GradedContraction(g.edges)
         while True:  # as find_structures runs it
             c.run()
-            stuck = c.find_stuck_blocks(g.topo_order)
+            stuck = find_stuck_blocks(c, g.topo_order)
             if not stuck:
                 break
             c.substitute_stuck_block(*stuck[0][1:])
@@ -308,10 +309,10 @@ def test_substitutes_keep_their_parts():
         c.run()  # as contract runs it
         assert parts_faults(c.live, g) == []
         while True:  # as find_structures runs it
-            stuck = c.find_stuck_blocks(g.topo_order)
+            stuck = find_stuck_blocks(c, g.topo_order)
             if not stuck:
                 break
-            c.substitute_stuck_block(*stuck[0][1:])
+            substitute_stuck_block(c, *stuck[0][1:])
             c.run()
         assert parts_faults(c.live, g) == []
         todo = list(c.live)

@@ -35,12 +35,13 @@ sys.path[:0] = [str(root / "src"), str(here / "tests"), str(here / "perfbench")]
 import inputs  # perfbench/inputs.py
 from conftest import random_layered_dag
 from jacfact.expr import fma_cost, format_expr, format_exprset
-from jacfact.factorize import plan, transcript_json
+from jacfact.factorize import plan
 from jacfact.graph import format_graph, parse_graph
 from jacfact.linegraph import build_line_graph, readout_jacobian, run_elimination, trace_mult_count
 from jacfact.localjac import accumulate, best_accumulation_order, level_chain
+from jacfact.pages import transcript_json
+from jacfact.recognize import find_structures
 from jacfact.relations import safe_elimination_order
-from jacfact.structure import find_structures
 
 
 def corpus():
