@@ -4,7 +4,6 @@ import random
 import pytest
 
 from jacfact.expr import Sym, UNIT, fma_cost, format_expr
-from jacfact.exprparse import parse_expr
 from jacfact.graph import GraphError, parse_graph
 from jacfact.linegraph import build_line_graph, run_elimination, trace_mult_count
 from jacfact.localjac import (
