@@ -3,12 +3,13 @@
 Contraction is series-parallel: parallel edges merge into block edges,
 maximal single-track runs collapse into chain edges, and the rounds repeat
 until nothing moves.  Regions that refuse to contract are complex blocks.
-There is one contraction engine, :class:`_Contraction`, kept at its
-fixpoint under edits: it contracts a region's edge list, as
-:func:`~jacfact.graph.region_edges` gives it, to the algebraic expression
-of a simple region, and it is the contracted view the split passes edit and
-re-contract around the vertices they touch.  :mod:`jacfact.recognize` runs
-it for `inspect`'s structure report.
+The contraction engine, :class:`_Contraction`, is kept at its fixpoint
+under edits: it is the contracted view the split passes edit and
+re-contract around the vertices they touch, and :mod:`jacfact.recognize`
+runs it for `inspect`'s structure report.  A region's expression needs
+none of its indices or parts, so :func:`edges_expr` reduces a region's
+edge list, as :func:`~jacfact.graph.region_edges` gives it, on plain
+adjacency maps to the same node the engine would give.
 """
 from __future__ import annotations
 
@@ -236,12 +237,67 @@ def region_expr(g, src, sink):
 def edges_expr(edges, src, sink):
     """Algebraic expression of a region given as its edge list, such as
     :func:`~jacfact.graph.region_edges` returns for (src, sink); raises
-    :class:`ComplexBlockError` when the edges contract to more than one."""
-    c = _Contraction(edges)
-    c.run()
-    if len(c.live) == 1:
-        return next(iter(c.live)).expr
-    raise ComplexBlockError(src, sink)
+    :class:`ComplexBlockError` when the edges do not reduce to one.
+
+    A series-parallel reduction over adjacency maps, vertex -> {neighbour:
+    item}: items that meet between the same two vertices merge into a
+    block, and the two items through a link vertex (one item in, one out)
+    join into a run.  An item is ``(seq, factors, parts)``, `seq` the least
+    position in `edges` of its edges: a run keeps its factor expressions
+    unbuilt, along the path, and a join copies the shorter list into the
+    longer; a block keeps its parts, the runs it splices in as ``(seq,
+    factors)``.  A run's product is built when it becomes a block part, and
+    a block's sum, its parts in seq order, when it becomes a factor, so
+    each maximal run and block is built once.  The result is the node
+    :class:`_Contraction` leaves on the same edges: the decomposition is
+    unique, and both order a block's parts by least edge position and a
+    run's along the path.
+    """
+    out, into = {}, {}  # vertex -> {neighbour: item}, each way
+    for seq, e in enumerate(edges):
+        _put(out, into, e.src, e.dst, (seq, [atom(e.label)], None))
+    # popped in the order the edges first reach them, so a run listed end to
+    # end grows at its tail
+    todo = list(into)[::-1]
+    while todo:
+        v = todo.pop()
+        if len(into.get(v, ())) != 1 or len(out.get(v, ())) != 1:
+            continue
+        (u, a), = into.pop(v).items()
+        (w, b), = out.pop(v).items()
+        del out[u][v], into[w][v]
+        head, tail = ([_sum(it[2])] if it[1] is None else it[1] for it in (a, b))
+        if len(head) < len(tail):
+            tail[:0] = head
+            head = tail
+        else:
+            head += tail
+        if _put(out, into, u, w, (min(a[0], b[0]), head, None)):
+            todo += (u, w)  # one item fewer at each: either may be a link now
+    left = [it for at in out.values() for it in at.values()]
+    if len(left) != 1:
+        raise ComplexBlockError(src, sink)
+    (_, factors, parts), = left
+    return _sum(parts) if factors is None else prod(*factors)
+
+
+def _put(out, into, u, w, item):
+    """Put `item` on the pair (u, w), merged into a block with the item
+    already there; whether there was one."""
+    old = out.setdefault(u, {}).get(w)
+    if old is not None:
+        parts, more = (it[2] or [it[:2]] for it in (old, item))
+        if len(parts) < len(more):
+            parts, more = more, parts
+        parts += more
+        item = (min(old[0], item[0]), None, parts)
+    out[u][w] = into.setdefault(w, {})[u] = item
+    return old is not None
+
+
+def _sum(parts):
+    """The sum of a block's parts, in seq order."""
+    return add(*[prod(*f) for _, f in sorted(parts)])
 
 
 def segment_cross_level(g):

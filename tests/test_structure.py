@@ -4,7 +4,10 @@ import random
 
 import pytest
 
-from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph
+from jacfact import localjac, structure
+from jacfact.expr import Sym
+from jacfact.factorize import _active_pairs, factorize_backward, factorize_forward, factorize_with_refs
+from jacfact.graph import DiffGraph, Edge, UNIT_LABEL, depth_levels, parse_graph, region_edges
 from jacfact.oracle import check_equiv
 from jacfact.recognize import (
     _direct,
@@ -13,9 +16,16 @@ from jacfact.recognize import (
     find_stuck_blocks,
     substitute_stuck_block,
 )
-from jacfact.structure import _Contraction, segment_cross_level
+from jacfact.structure import (
+    ComplexBlockError,
+    _Contraction,
+    edges_expr,
+    region_expr,
+    segment_cross_level,
+)
 
 from conftest import FIXTURES, dense_layered, load_graph, parts_faults, random_layered_dag
+from test_known_defects import _corpus
 
 
 def _by_kind(structures, kind):
@@ -175,8 +185,6 @@ def test_parallel_merge_forms_a_complex_block():
 
 def test_block_materializes_after_split(fig4b):
     # after the backward pass splits v7/v8, the region below v5 is isolated
-    from jacfact.factorize import factorize_backward
-
     split = factorize_backward(fig4b)
     names = [v for v in split.vertices if v.startswith("v5")]
     assert len(names) == 2
@@ -322,3 +330,73 @@ def test_substitutes_keep_their_parts():
             kinds.update((ce.kind, p.kind, ce.expr is None) for p in ce.parts)
     # the corpus nests chains in blocks and blocks in chains, and has stuck blocks
     assert {("block", "chain", False), ("chain", "block", False), ("block", "edge", True)} <= kinds
+
+
+def _contracted(edges, src, sink):
+    """The expression of the one CEdge the contraction of `edges` leaves."""
+    c = _Contraction(edges)
+    c.run()
+    if len(c.live) != 1:
+        raise ComplexBlockError(src, sink)
+    return next(iter(c.live)).expr
+
+
+def _reduced(reduce, edges, src, sink):
+    try:
+        return reduce(edges, src, sink)
+    except ComplexBlockError as exc:
+        return f"ComplexBlockError: {exc}"
+
+
+def test_edges_expr_gives_the_node_the_contraction_leaves(monkeypatch):
+    # every root-terminal region of the ledger corpus's graphs and of their
+    # backward, forward and refs graphs, and every level-pair region of their
+    # level chains
+    regions = []
+
+    def recorded(edges, src, sink):
+        regions.append((edges, src, sink))
+        return edges_expr(edges, src, sink)
+
+    monkeypatch.setattr(localjac, "edges_expr", recorded)
+    for _, g in _corpus():
+        for h in (g, factorize_backward(g), factorize_forward(g), factorize_with_refs(g)[0]):
+            regions += [(region_edges(h, [y], [x]), y, x) for y, x in _active_pairs(h)]
+        localjac.level_chain(g)
+    complex = 0
+    for edges, src, sink in regions:
+        mine, ref = (_reduced(reduce, edges, src, sink) for reduce in (edges_expr, _contracted))
+        if isinstance(ref, str):
+            complex += 1
+            assert mine == ref
+        else:
+            assert mine is ref, (src, sink)
+    assert complex and len(regions) > 20000
+
+
+def _counted_builds(monkeypatch, g, src, sink):
+    """`region_expr(g, src, sink)` and the names of the `prod` and `add`
+    calls it made, in call order."""
+    calls = []
+    for name in ("prod", "add"):
+        build = getattr(structure, name)
+        monkeypatch.setattr(structure, name,
+                            lambda *kids, name=name, build=build: calls.append(name) or build(*kids))
+    e = region_expr(g, src, sink)
+    monkeypatch.undo()
+    return e, calls
+
+
+def test_region_expr_builds_each_maximal_run_and_block_once(monkeypatch):
+    n = 3000
+    chain = DiffGraph([Edge(f"e{i}", f"v{i}", f"v{i + 1}", f"x{i}") for i in range(n)])
+    e, calls = _counted_builds(monkeypatch, chain, "v0", f"v{n}")
+    assert calls == ["prod"] and e.factors == tuple(Sym(f"x{i}") for i in range(n))
+    # k diamonds end to end: a product per branch, a sum per diamond, and
+    # one product of the k sums
+    k = 500
+    diamonds = DiffGraph([Edge(f"{b}{i}.{j}", *ends, f"{b}{i}.{j}") for i in range(k) for b in "pq"
+                          for j, ends in enumerate(((f"u{i}", f"{b}{i}"), (f"{b}{i}", f"u{i + 1}")))])
+    e, calls = _counted_builds(monkeypatch, diamonds, "u0", f"u{k}")
+    assert (calls.count("prod"), calls.count("add")) == (2 * k + 1, k)
+    assert len(e.factors) == k and e is _contracted(diamonds.edges, "u0", f"u{k}")

@@ -4,7 +4,10 @@ change leaves every output byte-identical.
     python3 tools/differential.py [CHECKOUT]
 
 Run it on the parent's and the change's checkouts (`git archive` exports,
-say; the default is this one) and compare the two lines it prints.  Only
+say; the default is this one) and compare the two lines it prints.  The
+line this tree's outputs give is kept in `tools/differential.expected`,
+and CI diffs the tool's output against it; a change that alters an output
+on purpose records the new line there.  Only
 the library, `src/`, comes from CHECKOUT; the corpus comes from the tool's
 own tree, so both sides hash the same graphs.  The corpus is 508 graphs:
 `tests/conftest.random_layered_dag(Random(1000*band+i), band, int(1.8*band))`
