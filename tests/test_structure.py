@@ -363,15 +363,15 @@ def test_edges_expr_gives_the_node_the_contraction_leaves(monkeypatch):
         for h in (g, factorize_backward(g), factorize_forward(g), factorize_with_refs(g)[0]):
             regions += [(region_edges(h, [y], [x]), y, x) for y, x in _active_pairs(h)]
         localjac.level_chain(g)
-    complex = 0
+    complexes = 0
     for edges, src, sink in regions:
         mine, ref = (_reduced(reduce, edges, src, sink) for reduce in (edges_expr, _contracted))
         if isinstance(ref, str):
-            complex += 1
+            complexes += 1
             assert mine == ref
         else:
             assert mine is ref, (src, sink)
-    assert complex and len(regions) > 20000
+    assert complexes and len(regions) > 20000
 
 
 def _counted_builds(monkeypatch, g, src, sink):
