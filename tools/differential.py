@@ -1,15 +1,17 @@
 """One sha256 over the planners' outputs on a fixed corpus, to show that a
-change leaves every output byte-identical.
+change leaves every output byte-identical, and one per step, to show which
+outputs a change alters.
 
     python3 tools/differential.py [CHECKOUT]
 
 Run it on the parent's and the change's checkouts (`git archive` exports,
-say; the default is this one) and compare the two lines it prints.  The
-line this tree's outputs give is kept in `tools/differential.expected`,
-and CI diffs the tool's output against it; a change that alters an output
-on purpose records the new line there.  Only
-the library, `src/`, comes from CHECKOUT; the corpus comes from the tool's
-own tree, so both sides hash the same graphs.  The corpus is 508 graphs:
+say; the default is this one) and compare what it prints: the total line,
+``508 graphs <sha256>``, then a ``<step> <sha256>`` line for each step
+below, over that step's texts alone.  The lines this tree's outputs give
+are kept in `tools/differential.expected`, and CI diffs the tool's output
+against them; a change that alters an output on purpose records the new
+lines there.  Only the library, `src/`, comes from CHECKOUT; the corpus
+comes from the tool's own tree, so both sides hash the same graphs.  The corpus is 508 graphs:
 `tests/conftest.random_layered_dag(Random(1000*band+i), band, int(1.8*band))`
 for band 9, 15, 25 and 40 and i < 100, then every `pages` input of
 `perfbench` `mixed-corpus` and `dense-layered` at seeds 1-3 except the
@@ -116,7 +118,13 @@ def error_text(exc):
 
 
 def main():
-    h, n = hashlib.sha256(), 0
+    total, n = hashlib.sha256(), 0
+    per_step = {step: hashlib.sha256() for step, _ in STEPS}
+
+    def feed(step, text):
+        total.update(text.encode())
+        per_step[step].update(text.encode())
+
     for name, g in corpus():
         n += 1
         for step, run in STEPS:
@@ -124,14 +132,16 @@ def main():
                 out, s = run(g)
             except Exception as exc:
                 out, s = error_text(exc), None
-            h.update(f"{name} {step}\n{out}\n".encode())
+            feed(step, f"{name} {step}\n{out}\n")
             if s is not None:
                 try:
                     out = replay(g, s)
                 except Exception as exc:
                     out = error_text(exc)
-                h.update(f"{name} {step} replay\n{out}\n".encode())
-    print(f"{n} graphs {h.hexdigest()}")
+                feed(step, f"{name} {step} replay\n{out}\n")
+    print(f"{n} graphs {total.hexdigest()}")
+    for step, h in per_step.items():
+        print(f"{step} {h.hexdigest()}")
 
 
 if __name__ == "__main__":
