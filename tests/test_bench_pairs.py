@@ -130,3 +130,13 @@ def test_metric_specs_read_the_benchmark_file():
     specs = bench_pairs.metric_specs(benchmark)
     assert specs["ops_per_s"] == ("higher", 0.25)
     assert specs["oracle.bauer_eval.self_s"] == ("lower", None)
+
+
+def test_header_keeps_the_revisions_beside_the_description():
+    revs = {"parent": "eb4f887", "change": "1dd5af1"}
+    described = bench_pairs.header(revs, "one split direction", 5)
+    assert (described["parent"], described["change"]) == ("eb4f887", "1dd5af1")
+    assert described["describe"] == "one split direction"
+    assert described["command"] == bench_pairs.COMMAND.format(seconds=5)
+    plain = bench_pairs.header(revs, "", 5)
+    assert (plain["change"], plain["describe"]) == ("1dd5af1", "")

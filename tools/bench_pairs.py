@@ -17,11 +17,13 @@ to back, the parent first in even pairs and the change first in odd ones.
 Uncommitted work can be measured as `--change "$(git stash create)"`,
 which names the working tree's tracked files without touching a ref.
 
-Per metric the file holds each side's runs, median and quartiles, the
-per-pair change/parent ratios, how many pairs the change wins, and whether
-the medians differ by more than the parent's quartile spread.  Per group it
-also holds each run's op counts, passes and tail percentile, and the
-failing ops of each side with their error texts.
+The file names the two revisions it measured, and keeps `--describe`'s
+line in a field of its own, `describe`.  Per metric it holds each side's
+runs, median and quartiles, the per-pair change/parent ratios, how many
+pairs the change wins, and whether the medians differ by more than the
+parent's quartile spread.  Per group it also holds each run's op counts,
+passes and tail percentile, and the failing ops of each side with their
+error texts.
 """
 from __future__ import annotations
 
@@ -141,6 +143,22 @@ def summarize_group(workload, seed, traced, first, results, records, specs):
     }
 
 
+def header(revs, describe, seconds):
+    """The summary's fields before its groups: the two revisions measured,
+    the change's one-line description (empty when none was given), and how
+    and where the runs were made."""
+    return {
+        "parent": revs["parent"],
+        "change": revs["change"],
+        "describe": describe,
+        "command": COMMAND.format(seconds=seconds),
+        "method": METHOD,
+        "python": platform.python_version(),
+        "cpu_count": os.cpu_count(),
+        "machine": platform.machine(),
+    }
+
+
 def metric_specs(benchmark):
     """Metric name -> (better, bound) from BENCHMARK.json."""
     specs = {m["name"]: (m["better"], m["bound"]) for m in benchmark["end_to_end"]}
@@ -228,16 +246,7 @@ def main(argv=None):
         dirs = {side: Path(tmp) / side for side in SIDES}
         for side in SIDES:
             export(revs[side], dirs[side])
-        summary = {
-            "parent": revs["parent"],
-            "change": args.describe or revs["change"],
-            "command": COMMAND.format(seconds=seconds),
-            "method": METHOD,
-            "python": platform.python_version(),
-            "cpu_count": os.cpu_count(),
-            "machine": platform.machine(),
-            "groups": [],
-        }
+        summary = dict(header(revs, args.describe, seconds), groups=[])
         # rewritten after each group, so a stopped run keeps the groups it finished
         for w, s, n, t in groups:
             summary["groups"].append(
