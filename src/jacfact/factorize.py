@@ -2,12 +2,15 @@
 
 Backward factorization walks intermediates bottom-up and splits every vertex
 whose contracted in-degree exceeds one, duplicating its outgoing side per
-incoming route; forward factorization mirrors this top-down on out-degrees.
-Treating a whole simple block as a single edge during splitting keeps the
-duplication coarse; in ref mode such a block becomes a named reference edge
-instead of being copied.  The passes edit one indexed working graph in
-place (:class:`SplitGraph`), which keeps its contracted view and levels
-current by re-contracting only around the vertex each pass splits.
+incoming route.  Forward factorization, which splits out-degree overlaps
+top-down, is backward factorization on the reversed graph, reversed back:
+reversing every edge transposes the Jacobian, so the split engine has one
+direction.  Treating a whole simple block as a single edge during splitting
+keeps the duplication coarse; in ref mode such a block becomes a named
+reference edge instead of being copied.  The passes edit one indexed
+working graph in place (:class:`SplitGraph`), which keeps its contracted
+view and levels current by re-contracting only around the vertex each pass
+splits.
 
 Graphs with several roots or terminals are handled by the page strategy,
 :func:`plan_pages`, whose steps :mod:`jacfact.pages` holds and which loads
@@ -38,24 +41,24 @@ _MAX_PASSES = 10_000
 
 
 class SplitGraph:
-    """The working graph of the split passes in one direction, edited in
-    place and indexed by edge id and vertex.
+    """The working graph of the backward split passes, edited in place and
+    indexed by edge id and vertex.
 
     `edges` keeps the order of an edge list: a retargeted edge keeps its
     place and a new edge goes last, so :meth:`graph` lists the edges in the
     order they were edited in, and `_clock` counts the edges made so far.  A
     vertex exists while it has an edge; names, once used, are never handed
-    out again.  Besides the edges it keeps `view`, the contraction of the current graph
-    held at its fixpoint, whose `by_src` and `by_dst` (vertex ->
-    {CEdge: None}) it exposes; each vertex's level, the length of the
+    out again.  Besides the edges it keeps `view`, the contraction of the
+    current graph held at its fixpoint, whose `by_src` and `by_dst` (vertex
+    -> {CEdge: None}) it exposes; each vertex's level, the length of the
     longest root path to it (what ``depth_levels`` gives every vertex but a
-    terminal); and `crowded`, the vertices whose contracted in-degree
-    (backward) or out-degree (forward) is above one.  A split pass detaches
-    and attaches the CEdges around one vertex and runs the contraction
-    around them, so no pass rebuilds or re-contracts the whole graph.
+    terminal); and `crowded`, the vertices whose contracted in-degree is
+    above one.  A split pass detaches and attaches the CEdges around one
+    vertex and runs the contraction around them, so no pass rebuilds or
+    re-contracts the whole graph.
     """
 
-    def __init__(self, g, direction):
+    def __init__(self, g):
         self.edges = {e.id: e for e in g.edges}
         self._clock = len(g.edges)
         self.succ = {v: {} for v in g.vertices}  # vertex -> {edge id: None}
@@ -64,7 +67,6 @@ class SplitGraph:
             self.succ[e.src][e.id] = None
             self.pred[e.dst][e.id] = None
         self.vnames, self.ids = Names(g.vertices), Names(self.edges)
-        self.backward = direction == "backward"
         self.view = contract(g)
         self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
         self.crowded = set()
@@ -98,9 +100,9 @@ class SplitGraph:
         self._unlink(e)
         self._prune(e.src, e.dst)
 
-    def retarget(self, eid, new_dst=None, new_src=None):
+    def retarget(self, eid, new_dst):
         e = self.edges[eid]
-        moved = Edge(e.id, new_src or e.src, new_dst or e.dst, e.label)
+        moved = Edge(e.id, e.src, new_dst, e.label)
         self._unlink(e)
         self.edges[eid] = moved
         self._link(moved)
@@ -127,9 +129,8 @@ class SplitGraph:
                 self.level.pop(v, None)
 
     def _recount(self, vertices):
-        side = self.by_dst if self.backward else self.by_src
         for v in vertices:
-            if len(side.get(v, ())) > 1:
+            if len(self.by_dst.get(v, ())) > 1:
                 self.crowded.add(v)
             else:
                 self.crowded.discard(v)
@@ -171,26 +172,20 @@ class SplitGraph:
     # -- the split pass -------------------------------------------------------
 
     def split(self, refs):
-        """Split the deepest (backward) or shallowest (forward) crowded
-        intermediate, ties to the least name; False when none remains.
+        """Split the deepest crowded intermediate, ties to the least name;
+        False when none remains.
 
-        Each route into it (backward; out of it, forward) gets a fresh copy
-        of the vertex together with a copy of everything it carries on the
-        other side, and the vertex goes.  In ref mode a carried structure
-        is named and copied as one reference edge instead.
+        Each route into it gets a fresh copy of the vertex together with a
+        copy of everything it carries below, and the vertex goes.  In ref
+        mode a carried structure is named and copied as one reference edge
+        instead.
         """
-        backward, level = self.backward, self.level
         targets = [v for v in self.crowded if self.pred[v] and self.succ[v]]
         if not targets:
             return False
-        if backward:
-            v = min(targets, key=lambda u: (-level[u], u))
-            routes, carried = self.by_dst[v], self.by_src.get(v, ())
-        else:
-            v = min(targets, key=lambda u: (level[u], u))
-            routes, carried = self.by_src[v], self.by_dst.get(v, ())
-        routes = sorted(routes, key=lambda ce: ce.seq)
-        carried = sorted(carried, key=lambda ce: ce.seq)
+        v = min(targets, key=lambda u: (-self.level[u], u))
+        routes = sorted(self.by_dst[v], key=lambda ce: ce.seq)
+        carried = sorted(self.by_src.get(v, ()), key=lambda ce: ce.seq)
         for ce in routes + carried:
             self.view.detach(ce)
 
@@ -203,18 +198,13 @@ class SplitGraph:
 
         for route in routes:
             copy = self.vnames.fresh(v)
-            # the route and its edges at v now end (backward) or start at the copy
-            at_v = self.pred[v] if backward else self.succ[v]
-            for eid in [i for i in at_v if i in route.emembers]:
-                if backward:
-                    self.retarget(eid, new_dst=copy)
-                else:
-                    self.retarget(eid, new_src=copy)
-            route.move("dst" if backward else "src", copy)
+            # the route and its edges at v now end at the copy
+            for eid in [i for i in self.pred[v] if i in route.emembers]:
+                self.retarget(eid, copy)
+            route.move(copy)
             self.view.attach(route)
             for ce in carried:
-                src, dst = (copy, ce.dst) if backward else (ce.src, copy)
-                self._copy_substructure(ce, src, dst)
+                self._copy_substructure(ce, copy)
         for ce in carried:
             for eid in ce.emembers:
                 self.remove(eid)
@@ -222,20 +212,20 @@ class SplitGraph:
         self._relevel()
         return True
 
-    def _copy_substructure(self, ce, new_src, new_dst):
-        """Fresh copy of a carried CEdge's member edges between the given
-        endpoints, its interior vertices renamed, as raw edges for the view
-        to contract."""
+    def _copy_substructure(self, ce, new_src):
+        """Fresh copy of a carried CEdge's member edges from `new_src` to
+        its destination, its interior vertices renamed, as raw edges for the
+        view to contract."""
         members = [self.edges[eid] for eid in sorted(ce.emembers)]
         interior = {v for e in members for v in (e.src, e.dst)} - {ce.src, ce.dst}
         vmap = {v: self.vnames.fresh(v) for v in sorted(interior)}
-        vmap[ce.src], vmap[ce.dst] = new_src, new_dst
+        vmap[ce.src], vmap[ce.dst] = new_src, ce.dst
         for e in members:
             self._add_attached(vmap[e.src], vmap[e.dst], e.label, e.id)
 
 
-def _factorize(g, direction, refs=None):
-    work = SplitGraph(g, direction)
+def _factorize(g, refs=None):
+    work = SplitGraph(g)
     for _ in range(_MAX_PASSES):
         if not work.split(refs):
             return work.graph()
@@ -244,15 +234,16 @@ def _factorize(g, direction, refs=None):
 
 def factorize_backward(g):
     """Split in-degree overlaps bottom-up until no complex block remains."""
-    return _factorize(g, "backward")
+    return _factorize(g)
 
 
 def factorize_forward(g):
-    """Mirror of backward: split out-degree overlaps top-down."""
-    return _factorize(g, "forward")
+    """Split out-degree overlaps top-down: backward factorization of the
+    reversed graph, reversed back."""
+    return _factorize(g.reversed()).reversed()
 
 
-def factorize_with_refs(g, direction="backward"):
+def factorize_with_refs(g):
     """Factorize, naming every structure that would otherwise be copied.
 
     Returns (graph, ExprSet); the set holds the reference definitions plus
@@ -261,7 +252,7 @@ def factorize_with_refs(g, direction="backward"):
     """
     s = ExprSet()
     s.reserve(e.label for e in g.edges)
-    out = _factorize(g, direction, refs=s)
+    out = _factorize(g, refs=s)
     return out, inline_single_use(_region_set(out, s))
 
 

@@ -126,6 +126,11 @@ class DiffGraph:
             _reach_bits(order[::-1], self.terminals, self.successors),
         )
 
+    def reversed(self):
+        """This graph with every edge turned around, ids and labels kept; its
+        Jacobian is the transpose of this one's."""
+        return DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in self.edges)
+
     def require(self, *vertices):
         """Raise :class:`GraphError` for the first vertex not in the graph."""
         for v in vertices:

@@ -83,7 +83,7 @@ def _finalize(page, transcript):
     pairs = _active_pairs(g)
     if len(pairs) == 1 and len(g.edges) > 1:
         (y, x), = pairs
-        page.entries = [((y, x), region_expr(_factorize(g, "backward", refs=page.refs), y, x))]
+        page.entries = [((y, x), region_expr(_factorize(g, refs=page.refs), y, x))]
     else:
         atoms = {(e.src, e.dst): atom(e.label) for e in g.edges}
         page.entries = [(pair, atoms[pair]) for pair in pairs]

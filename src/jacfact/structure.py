@@ -51,14 +51,14 @@ class CEdge:
         self.parts = parts
         self.made = made
 
-    def move(self, end, v):
-        """Put its `end`, "src" or "dst", at vertex `v`, and that of every
-        part below it that ends there too."""
-        old, todo = getattr(self, end), [self]
+    def move(self, v):
+        """Put its destination at vertex `v`, and that of every part below
+        it that ends there too."""
+        old, todo = self.dst, [self]
         while todo:
             ce = todo.pop()
-            todo += [p for p in ce.parts if getattr(p, end) == old]
-            setattr(ce, end, v)
+            todo += [p for p in ce.parts if p.dst == old]
+            ce.dst = v
 
 
 def edge_cedge(e, seq):
@@ -82,8 +82,8 @@ class _Contraction:
 
     def __init__(self, edges):
         self.live = {}  # CEdge -> attach position
-        # `between` finds parallels at once; scanning `by_src` would grow with
-        # the out-degrees that forward splits build up
+        # `between` finds parallels at once; scanning `by_src` costs the
+        # source's out-degree per attach, quadratic in a vertex's fan-out
         self.by_src, self.by_dst, self.between = {}, {}, {}
         self._attached = 0
         self._made = 0  # substitutes formed so far

@@ -5,6 +5,8 @@ import pytest
 
 from jacfact.expr import (
     ExprSet,
+    Prod,
+    Sum,
     Sym,
     add,
     canonical,
@@ -144,6 +146,28 @@ def enumerate_parenthesizations(n):
                     yield (l, r)
 
     return list(trees(0, n - 1))
+
+
+def transpose(s):
+    """`s` with every product's factors reversed and each entry's pair
+    swapped.  Reversing every edge transposes the Jacobian, so a plan for
+    ``g.reversed()``, transposed, is a plan for `g`."""
+    memo = {}
+
+    def flip(e):
+        if e not in memo:
+            if isinstance(e, Prod):
+                memo[e] = prod(*[flip(f) for f in reversed(e.factors)])
+            elif isinstance(e, Sum):
+                memo[e] = add(*[flip(t) for t in e.terms])
+            else:
+                memo[e] = e
+        return memo[e]
+
+    return ExprSet(
+        [(name, flip(e)) for name, e in s.defs],
+        [((x, y), flip(e)) for (y, x), e in s.entries],
+    )
 
 
 def restrict_exprset(s, pairs):

@@ -71,8 +71,9 @@ def test_with_refs_no_shared_subblocks(fig4a):
 
 def test_refs_cost_matches_matrix_chain_orders(fig4b):
     chain = level_chain(fig4b)
-    _, back = factorize_with_refs(fig4b, "backward")
-    _, fwd = factorize_with_refs(fig4b, "forward")
+    _, back = factorize_with_refs(fig4b)
+    # on the reversed graph refs splits top-down, as the left-associated order
+    _, fwd = factorize_with_refs(fig4b.reversed())
     _, cost_rl = accumulate(chain, right_assoc(4))
     _, cost_lr = accumulate(chain, left_assoc(4))
     assert fma_cost(back) == cost_rl == 10

@@ -1,5 +1,6 @@
 import random
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from jacfact.convert import expr_to_graph, graph_to_expr
@@ -18,7 +19,7 @@ from jacfact.graph import DiffGraph, Edge, classify_vertices, depth_levels, rt_d
 from jacfact.oracle import check_equiv
 from jacfact.relations import classify_relations
 
-from conftest import load_exprset, random_layered_dag
+from conftest import load_exprset, random_layered_dag, transpose
 from test_known_defects import _corpus
 
 _sym = st.sampled_from("abcdefgh")
@@ -112,10 +113,6 @@ def test_direct_occurrences_count_cost_on_planned_sets():
         assert direct == fma_cost(s)
 
 
-def _reverse(g):
-    return DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in g.edges)
-
-
 def _strategy_costs(g):
     return {k: fma_cost(plan(g, k).exprset) for k in ("backward", "forward", "refs", "pages")}
 
@@ -137,13 +134,27 @@ def test_costs_invariant_under_edge_order_renaming_and_reversal():
             Edge(e.id, rename[e.src], rename[e.dst], e.label) for e in g.edges
         ))
         assert [renamed[k] for k in named] == [costs[k] for k in named], i
-        assert fma_cost(plan(_reverse(g), "backward").exprset) == costs["forward"], i
+        assert fma_cost(plan(g.reversed(), "backward").exprset) == costs["forward"], i
 
 
 def test_forward_is_backward_on_the_reversed_graph():
-    # reversing every edge transposes the Jacobian, and forward splits
-    # mirror backward ones: the two graphs differ at most in edge order
+    # reversing every edge transposes the Jacobian: forward's graph is
+    # backward's on the reversed graph, turned back, up to edge order
     for name, g in _corpus():
         forward = {(e.id, e.src, e.dst, e.label) for e in factorize_forward(g).edges}
-        mirrored = _reverse(factorize_backward(_reverse(g))).edges
+        mirrored = factorize_backward(g.reversed()).reversed().edges
         assert {(e.id, e.src, e.dst, e.label) for e in mirrored} == forward, name
+
+
+@pytest.mark.parametrize("strategy", ["backward", "refs", "chain"])
+def test_transposed_plans_of_the_reversed_graph_verify(strategy):
+    # reversing every edge transposes the Jacobian, so a plan for the
+    # reversed graph, transposed, must verify against the graph; backward's
+    # is forward's plan.  The oracle's field commutes, so this checks values
+    # and pairs, not factor order.  Half of each band of the ledger's corpus
+    # and every fixture.
+    for name, g in _corpus():
+        if name.startswith("b") and int(name.rpartition(".")[2]) >= 50:
+            continue
+        s = transpose(plan(g.reversed(), strategy).exprset)
+        assert check_equiv(g, s, trials=10).ok, name
