@@ -7,10 +7,10 @@ top-down, is backward factorization on the reversed graph, reversed back:
 reversing every edge transposes the Jacobian, so the split engine has one
 direction.  Treating a whole simple block as a single edge during splitting
 keeps the duplication coarse; in ref mode such a block becomes a named
-reference edge instead of being copied.  The passes edit one indexed
-working graph in place (:class:`SplitGraph`), which keeps its contracted
-view and levels current by re-contracting only around the vertex each pass
-splits.
+reference edge instead of being copied.  The passes edit one working graph
+in place (:class:`SplitGraph`), whose contracted view is its vertex index
+and gives its levels; both stay current by re-contracting only around the
+vertex each pass splits.
 
 Graphs with several roots or terminals are handled by the page strategy,
 :func:`plan_pages`, whose steps :mod:`jacfact.pages` holds and which loads
@@ -41,49 +41,42 @@ _MAX_PASSES = 10_000
 
 
 class SplitGraph:
-    """The working graph of the backward split passes, edited in place and
-    indexed by edge id and vertex.
+    """The working graph of the backward split passes, edited in place.
 
-    `edges` keeps the order of an edge list: a retargeted edge keeps its
-    place and a new edge goes last, so :meth:`graph` lists the edges in the
-    order they were edited in, and `_clock` counts the edges made so far.  A
-    vertex exists while it has an edge; names, once used, are never handed
-    out again.  Besides the edges it keeps `view`, the contraction of the
-    current graph held at its fixpoint, whose `by_src` and `by_dst` (vertex
-    -> {CEdge: None}) it exposes; each vertex's level, the length of the
-    longest root path to it (what ``depth_levels`` gives every vertex but a
-    terminal); and `crowded`, the vertices whose contracted in-degree is
-    above one.  A split pass detaches and attaches the CEdges around one
-    vertex and runs the contraction around them, so no pass rebuilds or
-    re-contracts the whole graph.
+    `edges` maps edge id to edge in the order of an edge list: a retargeted
+    edge keeps its place and a new edge goes last, so :meth:`graph` lists
+    the edges in the order they were edited in, and `_clock` counts the
+    edges made so far.  Names, once used, are never handed out again.  Its
+    one vertex index is `view`, the contraction of the current graph held at
+    its fixpoint, whose `by_src` and `by_dst` (vertex -> {CEdge: None}) it
+    exposes: an inner vertex of a chain or block has all its edges inside
+    it, so no split target hides there.  Besides these it keeps `level`,
+    for each view vertex with an out-CEdge the length of the longest root
+    path to it (what ``depth_levels`` gives it), summed from CEdge lengths;
+    and `crowded`, the vertices whose contracted in-degree is above one.  A
+    split pass detaches and attaches the CEdges around one vertex and runs
+    the contraction around them, so no pass rebuilds or re-contracts the
+    whole graph.
     """
 
     def __init__(self, g):
         self.edges = {e.id: e for e in g.edges}
         self._clock = len(g.edges)
-        self.succ = {v: {} for v in g.vertices}  # vertex -> {edge id: None}
-        self.pred = {v: {} for v in g.vertices}
-        for e in g.edges:
-            self.succ[e.src][e.id] = None
-            self.pred[e.dst][e.id] = None
         self.vnames, self.ids = Names(g.vertices), Names(self.edges)
         self.view = contract(g)
         self.by_src, self.by_dst = self.view.by_src, self.view.by_dst
         self.crowded = set()
-        self._recount(g.vertices)
-        self._stale = set()  # vertices whose in-edges changed since the last relevel
-        levels, _ = depth_levels(g)
-        self.level = {v: lv for v, lv in levels.items() if g.out_edges(v)}
+        self._recount(self.by_dst)
+        self.level = {}
+        self._relevel(self.by_src)
 
     def graph(self):
         return DiffGraph(self.edges.values())
 
     def add(self, src, dst, label, base_id):
         eid = self.ids.fresh(base_id)
-        e = Edge(eid, src, dst, label)
-        self.edges[eid] = e
+        self.edges[eid] = Edge(eid, src, dst, label)
         self._clock += 1
-        self._link(e)
         return eid
 
     def name_structure(self, ce, refs):
@@ -92,41 +85,8 @@ class SplitGraph:
         that edge."""
         name = refs.intern(ce.expr).name
         for eid in ce.emembers:
-            self.remove(eid)
+            del self.edges[eid]
         return self.edges[self.add(ce.src, ce.dst, name, name)]
-
-    def remove(self, eid):
-        e = self.edges.pop(eid)
-        self._unlink(e)
-        self._prune(e.src, e.dst)
-
-    def retarget(self, eid, new_dst):
-        e = self.edges[eid]
-        moved = Edge(e.id, e.src, new_dst, e.label)
-        self._unlink(e)
-        self.edges[eid] = moved
-        self._link(moved)
-        self._prune(e.src, e.dst)
-
-    def _link(self, e):
-        for v in (e.src, e.dst):
-            if v not in self.succ:
-                self.succ[v], self.pred[v] = {}, {}
-        self.succ[e.src][e.id] = None
-        self.pred[e.dst][e.id] = None
-        self._stale.add(e.dst)
-
-    def _unlink(self, e):
-        del self.succ[e.src][e.id]
-        del self.pred[e.dst][e.id]
-        self._stale.add(e.dst)
-
-    def _prune(self, *vertices):
-        """Drop each of `vertices` once its last edge is gone."""
-        for v in vertices:
-            if not self.succ[v] and not self.pred[v]:
-                del self.succ[v], self.pred[v]
-                self.level.pop(v, None)
 
     def _recount(self, vertices):
         for v in vertices:
@@ -143,31 +103,37 @@ class SplitGraph:
 
     # -- levels ---------------------------------------------------------------
 
-    def _relevel(self):
-        """Recompute the levels of the vertices whose in-edges changed, and
-        of their descendants while a level moves; predecessors go first.
+    def _relevel(self, touched):
+        """Recompute the levels of the `touched` vertices, those whose
+        CEdges changed, and of their descendants while a level moves;
+        predecessors go first.
 
-        Terminals keep no level: no split targets one and none ever gains an
-        out-edge, so nothing reads it, and a terminal's in-degree is what
-        grows the most."""
-        level, edges, succ = self.level, self.edges, self.succ
-        todo = {v for v in self._stale if succ.get(v)}
-        self._stale.clear()
+        A level is the most, over the CEdges into the vertex, of the
+        source's level plus the CEdge's length.  Only view vertices with an
+        out-CEdge keep one: no split targets a terminal, and a vertex that
+        left the view or lost its out-CEdges drops its level."""
+        level, by_src, by_dst = self.level, self.by_src, self.by_dst
+        todo = set()
+        for v in touched:
+            if v in by_src:
+                todo.add(v)
+            else:
+                level.pop(v, None)
         while todo:
             stack = [todo.pop()]
             while stack:
                 u = stack[-1]
-                srcs = [edges[i].src for i in self.pred[u]]
-                waiting = [p for p in srcs if p in todo or p not in level]
+                into = by_dst.get(u, ())
+                waiting = [ce.src for ce in into if ce.src in todo or ce.src not in level]
                 if waiting:
                     todo.difference_update(waiting)
                     stack += waiting
                     continue
                 stack.pop()
-                new = 1 + max(level[p] for p in srcs) if srcs else 0
+                new = max((level[ce.src] + ce.length for ce in into), default=0)
                 if level.get(u) != new:
                     level[u] = new
-                    todo.update(w for w in (edges[i].dst for i in succ[u]) if succ[w])
+                    todo.update(ce.dst for ce in by_src[u] if ce.dst in by_src)
 
     # -- the split pass -------------------------------------------------------
 
@@ -180,12 +146,12 @@ class SplitGraph:
         mode a carried structure is named and copied as one reference edge
         instead.
         """
-        targets = [v for v in self.crowded if self.pred[v] and self.succ[v]]
+        targets = [v for v in self.crowded if v in self.level]
         if not targets:
             return False
         v = min(targets, key=lambda u: (-self.level[u], u))
         routes = sorted(self.by_dst[v], key=lambda ce: ce.seq)
-        carried = sorted(self.by_src.get(v, ()), key=lambda ce: ce.seq)
+        carried = sorted(self.by_src[v], key=lambda ce: ce.seq)
         for ce in routes + carried:
             self.view.detach(ce)
 
@@ -199,17 +165,18 @@ class SplitGraph:
         for route in routes:
             copy = self.vnames.fresh(v)
             # the route and its edges at v now end at the copy
-            for eid in [i for i in self.pred[v] if i in route.emembers]:
-                self.retarget(eid, copy)
-            route.move(copy)
+            for eid in route.move(copy):
+                e = self.edges[eid]
+                self.edges[eid] = Edge(eid, e.src, copy, e.label)
             self.view.attach(route)
             for ce in carried:
                 self._copy_substructure(ce, copy)
         for ce in carried:
             for eid in ce.emembers:
-                self.remove(eid)
-        self._recount(self.view.run())
-        self._relevel()
+                del self.edges[eid]
+        touched = self.view.run()
+        self._recount(touched)
+        self._relevel(touched)
         return True
 
     def _copy_substructure(self, ce, new_src):

@@ -36,12 +36,14 @@ class CEdge:
     """Contraction edge: an original edge or a substitute for a structure.
 
     A substitute keeps its `parts`: a chain its run, end to end; a block its
-    branches, in seq order; a stuck block the group it replaced.  `made`
-    numbers the substitutes of a contraction in the order they formed; an
-    edge's is -1.
+    branches, in seq order; a stuck block the group it replaced.  `length`
+    counts the edges on its longest path: an edge's is 1, a chain's the sum
+    of its parts', a block's the most of its parts'; like `expr`, it is None
+    exactly when the structure is complex.  `made` numbers the substitutes
+    of a contraction in the order they formed; an edge's is -1.
     """
 
-    def __init__(self, src, dst, expr, kind, emembers=frozenset(), seq=0, parts=(), made=-1):
+    def __init__(self, src, dst, expr, kind, emembers=frozenset(), seq=0, parts=(), length=None):
         self.src = src
         self.dst = dst
         self.expr = expr  # Expr; None exactly when the structure is complex
@@ -49,20 +51,25 @@ class CEdge:
         self.emembers = emembers  # original edge ids
         self.seq = seq
         self.parts = parts
-        self.made = made
+        self.length = length
+        self.made = -1
 
     def move(self, v):
         """Put its destination at vertex `v`, and that of every part below
-        it that ends there too."""
-        old, todo = self.dst, [self]
+        it that ends there too; returns the ids of the edges it moved."""
+        old, todo, moved = self.dst, [self], []
         while todo:
             ce = todo.pop()
-            todo += [p for p in ce.parts if p.dst == old]
             ce.dst = v
+            if ce.parts:
+                todo += [p for p in ce.parts if p.dst == old]
+            else:
+                moved += ce.emembers
+        return moved
 
 
 def edge_cedge(e, seq):
-    return CEdge(e.src, e.dst, atom(e.label), "edge", frozenset([e.id]), seq)
+    return CEdge(e.src, e.dst, atom(e.label), "edge", frozenset([e.id]), seq, length=1)
 
 
 _SEQ = operator.attrgetter("seq")
@@ -142,11 +149,12 @@ class _Contraction:
         group = sorted(group, key=_SEQ)
         parts = sorted((p for c in group for p in (c.parts if c.kind == "block" else (c,))), key=_SEQ)
         emem = frozenset().union(*[c.emembers for c in group])
-        expr = None
+        expr = length = None
         if all(p.expr is not None for p in parts):
             expr = add(*[p.expr for p in parts])
+            length = max(p.length for p in parts)
         return self._record(CEdge(
-            group[0].src, group[0].dst, expr, "block", emem, group[0].seq, tuple(parts),
+            group[0].src, group[0].dst, expr, "block", emem, group[0].seq, tuple(parts), length,
         ))
 
     def _chain(self, run):
@@ -154,11 +162,12 @@ class _Contraction:
         the run is spliced into it."""
         parts = tuple(p for c in run for p in (c.parts if c.kind == "chain" else (c,)))
         emem = frozenset().union(*[c.emembers for c in run])
-        expr = None
+        expr = length = None
         if all(c.expr is not None for c in run):
             expr = prod(*[c.expr for c in run])
+            length = sum(c.length for c in run)
         return self._record(CEdge(
-            run[0].src, run[-1].dst, expr, "chain", emem, min(map(_SEQ, run)), parts,
+            run[0].src, run[-1].dst, expr, "chain", emem, min(map(_SEQ, run)), parts, length,
         ))
 
     # -- contraction ------------------------------------------------------------

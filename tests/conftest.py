@@ -282,8 +282,10 @@ def parts_faults(live, g):
     parts run end to end from its source to its destination, and none is a
     chain.  A block's parts share its two ends, in seq order, and none is a
     block with parts; a stuck block's parts form a region whose one source
-    is its source and whose one sink is its destination.  Each part formed
-    before its parent, and no CEdge is a part twice.
+    is its source and whose one sink is its destination.  An edge's length
+    is 1, a chain's the sum of its parts', a block's the most of its parts';
+    a complex structure, one with no expression, has none.  Each part
+    formed before its parent, and no CEdge is a part twice.
     """
     faults, seen, todo = [], set(), list(live)
     while todo:
@@ -294,6 +296,11 @@ def parts_faults(live, g):
         seen.add(id(ce))
         parts = ce.parts
         todo.extend(parts)
+        length = 1 if ce.kind == "edge" else None
+        if parts and ce.expr is not None:
+            length = (sum if ce.kind == "chain" else max)(p.length for p in parts)
+        if ce.length != length:
+            faults.append(f"{name} has length {ce.length}, not {length}")
         if ce.kind == "edge":
             (eid,) = ce.emembers
             e = g.edge(eid)

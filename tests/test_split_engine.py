@@ -21,7 +21,7 @@ from jacfact.factorize import (
     factorize_with_refs,
     plan_pages,
 )
-from jacfact.graph import DiffGraph, depth_levels, format_graph
+from jacfact.graph import DiffGraph, depth_levels, format_graph, parse_graph
 from jacfact.pages import transcript_json
 from jacfact.relations import RelationError, safe_elimination_order
 from jacfact.structure import contract
@@ -44,8 +44,9 @@ def _check_every_pass(g, refs):
         assert _view(ce for at in work.by_src.values() for ce in at) == _view(contract(now).edges)
         assert parts_faults(work.view.live, now) == []
         levels, _ = depth_levels(now)
-        # terminals keep no level in the engine
-        assert work.level == {v: lv for v, lv in levels.items() if now.out_edges(v)}
+        # the engine keeps levels of the view's vertices with an out-CEdge
+        # only: terminals and the inner vertices of a structure go without
+        assert work.level == {v: levels[v] for v in work.by_src}
         if not work.split(refs):
             return passes
         passes += 1
@@ -69,6 +70,20 @@ def test_view_and_levels_match_a_rebuild_after_every_pass(mode):
         refs = ExprSet() if mode.startswith("refs") else None
         total += _check_every_pass(g.reversed() if forward else g, refs)
     assert total > 200  # the corpus really splits
+
+
+def test_a_ref_pass_lowers_a_level():
+    # v carries the block v->a->d | v->d of length 2 to d; a ref-mode pass
+    # names it as one edge, so the longest root path to d drops to 2
+    g = parse_graph("\n".join([
+        "e e1 r1 v", "e e2 r2 v", "e e3 v a", "e e4 a d", "e e5 v d", "e e6 d t1", "e e7 d t2",
+    ]))
+    work = SplitGraph(g)
+    assert work.level["d"] == 3
+    assert work.split(ExprSet())
+    levels, _ = depth_levels(work.graph())
+    assert work.level["d"] == levels["d"] == 2
+    assert work.level == {v: levels[v] for v in work.level}
 
 
 def _order_text(s):

@@ -60,7 +60,9 @@ def test_cedge_move_takes_the_parts_at_that_end():
                                 Edge("e3", "b", "m", "z"), Edge("e4", "m", "c", "w")]).edges)
     c.run()
     (chain,) = c.live
-    chain.move("d")
+    assert chain.length == 3
+    # the edges that ended at c
+    assert sorted(chain.move("d")) == ["e2", "e4"]
     first, block = chain.parts
     assert (chain.src, chain.dst, first.dst, block.src, block.dst) == ("a", "d", "b", "b", "d")
     edge, run = block.parts
