@@ -21,6 +21,7 @@ from __future__ import annotations
 import random
 from functools import reduce
 from heapq import heappop, heappush
+from operator import attrgetter
 
 from . import expr as ex
 from .expr import ExprSet, Prod, Sym, _kids, _pending
@@ -181,26 +182,84 @@ def bauer_eval(g, trials):
     predecessors; up from a terminal, it sums ``label(v->w) * value[w]``
     over the successors that reach the terminal, so every product keeps its
     factors in root-to-terminal order either way.  Whichever side touches
-    fewer edges (see :func:`sweep_costs`) is swept, down on a tie.  Each
-    reached vertex's column is one :meth:`Trials.dot`, reduced once.
+    fewer terms (see :func:`sweep_costs`) is swept, down on a tie.
+
+    A side is swept on its quotient by structural classes (see
+    :func:`_quotient`): the vertices of one class have equal columns, so each
+    reached class's column is one :meth:`Trials.dot`, reduced once, and
+    every root or terminal reads the column of its class.  The copies that
+    factorization makes are then swept once each, not once per copy.
     """
     down, up = sweep_costs(g)
-    roots, terminals = g.roots, g.terminals  # each sorted
     if down <= up:
-        step = {v: [(e.dst, _label(trials, e.label)) for e in g.out_edges(v)] for v in g.vertices}
-        by_root = _sweeps(roots, g.topo_order, step, trials, set(terminals), left=False)
+        sums = _path_sums(g, trials, g.roots, g.terminals, up=False)
     else:
-        step = {v: [(e.src, _label(trials, e.label)) for e in g.in_edges(v)] for v in g.vertices}
-        by_terminal = _sweeps(terminals, g.topo_order[::-1], step, trials, set(roots), left=True)
-        by_root = {y: {} for y in roots}
-        for x in terminals:
-            for y, col in by_terminal[x].items():
-                by_root[y][x] = col
-    return {(y, x): by_root[y][x] for y in roots for x in sorted(by_root[y])}
+        sums = ((y, x, col) for x, y, col in _path_sums(g, trials, g.terminals, g.roots, up=True))
+    return {(y, x): col for y, x, col in sorted(sums)}
 
 
 def _label(trials, label):
     return None if label == UNIT_LABEL else trials[label]
+
+
+_SRC, _DST = attrgetter("src"), attrgetter("dst")
+
+
+def _side(g, up):
+    """``(order, near, far)`` of the down or the up side: the order its
+    sweeps visit vertices in, `near(v)` the edges from `v` back to vertices
+    earlier in that order, and `far(e)` the earlier end of such an edge."""
+    if up:
+        return g.topo_order[::-1], g.out_edges, _DST
+    return g.topo_order, g.in_edges, _SRC
+
+
+def _quotient(g, up):
+    """``(find, firsts)`` of one side's quotient by structural classes:
+    `find(v)` names the class of `v` by its first vertex in the side's
+    order, and `firsts` lists those first vertices in that order.
+
+    A vertex with no `near` edge (a root down, a terminal up) is a class of
+    its own.  Any other vertex's class is keyed by the sorted ``(label,
+    class of the far end)`` pairs of its `near` edges: value numbering on a
+    DAG.  So the vertices of one class have the same labeled paths back to
+    each root, or on to each terminal, and equal path sums.  When every
+    label is distinct no two vertices share a class, and no class map is
+    built."""
+    order, near, far = _side(g, up)
+    if len({e.label for e in g.edges}) == len(g.edges):
+        return _itself, order
+    classes, first = {}, {}
+    for v in order:
+        edges = near(v)
+        if edges:
+            key = tuple(sorted([(e.label, classes[far(e)]) for e in edges]))
+            classes[v] = first.setdefault(key, v)
+        else:
+            classes[v] = v
+    return classes.__getitem__, dict.fromkeys(classes.values())
+
+
+def _itself(v):
+    return v
+
+
+def _path_sums(g, trials, starts, ends, up):
+    """``(start, end, column)`` for each end that a start reaches, one sweep
+    per start on the side's quotient.  A class steps on from its first
+    vertex's `near` edges, a multiset, and an end reads its class's
+    column.  Up sweeps put the label on the left."""
+    order, near, far = _side(g, up)
+    find, firsts = _quotient(g, up)
+    step = {v: [] for v in firsts}
+    for v in firsts:
+        for e in near(v):
+            step[find(far(e))].append((v, _label(trials, e.label)))
+    keep = {}  # class -> the ends in it
+    for x in ends:
+        keep.setdefault(find(x), []).append(x)
+    swept = _sweeps(starts, order, step, trials, keep, left=up)
+    return [(y, x, col) for y in starts for c, col in swept[y].items() for x in keep[c]]
 
 
 def _sweeps(starts, order, step, trials, keep, left):
@@ -234,19 +293,23 @@ def _sweeps(starts, order, step, trials, keep, left):
 
 
 def sweep_costs(g):
-    """``(down, up)``: the edges that :func:`bauer_eval`'s sweeps touch,
-    down from every root and up from every terminal.
+    """``(down, up)``: the terms that :func:`bauer_eval`'s sweeps touch,
+    down from every root and up from every terminal, each on its side's
+    quotient.
 
-    A sweep down from a root touches each edge whose source the root
-    reaches, and one up from a terminal each edge whose target reaches the
-    terminal.  So each count sums, over the edges, the popcount of the
-    source's or the target's :attr:`~jacfact.graph.DiffGraph.reach_bits`.
+    A sweep down from a root touches each step whose source the root
+    reaches, and one up from a terminal each step whose target reaches the
+    terminal.  A side's steps are the `near` edges of the first vertex of
+    each of its classes, so each count sums the popcount of the source's or
+    the target's :attr:`~jacfact.graph.DiffGraph.reach_bits` over those
+    edges; with distinct labels, over every edge.
     """
-    down, up = g.reach_bits
-    return (
-        sum(down[e.src].bit_count() for e in g.edges),
-        sum(up[e.dst].bit_count() for e in g.edges),
-    )
+    return tuple(_cost(g, bits, up) for bits, up in zip(g.reach_bits, (False, True)))
+
+
+def _cost(g, bits, up):
+    _, near, far = _side(g, up)
+    return sum(bits[far(e)].bit_count() for v in _quotient(g, up)[1] for e in near(v))
 
 
 # ---------------------------------------------------------------------------

@@ -264,15 +264,32 @@ def _swept(g, batch, side, monkeypatch):
         return bauer_eval(g, batch)
 
 
+def _with_twin_ends(g):
+    """`g` plus a second first root with the first root's out-edges and a
+    second first terminal with the first terminal's in-edges, labels kept:
+    each pair shares its structural class on the side that does not start
+    from it."""
+    y, x = g.roots[0], g.terminals[0]
+    twins = [Edge(f"{e.id}~y", f"{y}~", e.dst, e.label) for e in g.out_edges(y)]
+    twins += [Edge(f"{e.id}~x", e.src, f"{x}~", e.label) for e in g.in_edges(x)]
+    return DiffGraph(g.edges + tuple(twins))
+
+
 def _sweep_cases():
-    """Seeded DAGs, each also with unit edges, and the backward and forward
-    outputs of dense 2x4, dense 3x4 and fig9a."""
-    cases = []
+    """Seeded DAGs, each also with unit edges and with twin ends; dense 3x3
+    with unit edges; and the backward and forward outputs of dense 2x4,
+    dense 3x4 and fig9a, the first also with unit edges.  First, a graph
+    and its reverse where `r` has two copies of the path that `s` has once:
+    `r` and `s` share a class only if a class key drops multiplicities."""
+    twice = parse_graph("e p1 r m1 a\ne p2 r m2 a\ne p3 s m3 a\ne q1 m1 t b\ne q2 m2 t b\ne q3 m3 t b\n")
+    cases = [twice, twice.reversed()]
     for seed in range(60):
         g = random_layered_dag(random.Random(seed), max_vertices=14, max_edges=24)
-        cases += [g, _with_unit_edges(g)]
+        cases += [g, _with_unit_edges(g), _with_twin_ends(g)]
+    cases.append(_with_unit_edges(dense_layered(3, 3)))
     for g in (dense_layered(2, 4), dense_layered(3, 4, seed=5), load_graph("fig9a")):
         cases += [factorize_backward(g), factorize_forward(g)]
+    cases.append(_with_unit_edges(cases[-6]))
     return cases
 
 
@@ -289,12 +306,38 @@ def test_down_and_up_sweeps_agree_with_path_enumeration(monkeypatch):
 
 
 def test_sweep_costs_pick_the_cheaper_side():
+    # forward copies what lies above a split, backward what lies below, so
+    # the side that sweeps toward the copies touches each once: as many
+    # terms as the input's own sweeps (90), where the output has 360 edges
     forward = factorize_forward(dense_layered(3, 4))
-    assert sweep_costs(forward) == (594, 360)
-    assert sweep_costs(factorize_backward(dense_layered(3, 4))) == (360, 594)
+    assert sweep_costs(forward) == (90, 360)
+    assert sweep_costs(factorize_backward(dense_layered(3, 4))) == (360, 90)
+    assert sweep_costs(dense_layered(3, 4)) == (90, 90)
     batch = _CountingTrials(draw_trials({e.label for e in forward.edges}, 0, 3))
     bauer_eval(forward, batch)
-    assert batch.terms == 360 == len(forward.edges)
+    assert batch.terms == 90
+    assert len(forward.edges) == 360
+
+
+def _old_sweep_costs(g):
+    """Every edge's source or target popcount: each vertex its own class."""
+    down, up = g.reach_bits
+    return (
+        sum(down[e.src].bit_count() for e in g.edges),
+        sum(up[e.dst].bit_count() for e in g.edges),
+    )
+
+
+def test_sweep_costs_with_distinct_labels_count_every_edge():
+    graphs = [dense_layered(w, d) for w, d in ((2, 4), (3, 3), (4, 4))]
+    graphs += [load_graph(name) for name in ("fig4a", "fig4b", "fig9a", "fig10a")]
+    graphs += [random_layered_dag(random.Random(seed), max_vertices=14, max_edges=24) for seed in range(40)]
+    for g in graphs:
+        assert len({e.label for e in g.edges}) == len(g.edges)
+        assert sweep_costs(g) == _old_sweep_costs(g)
+    # one repeated label is enough for a copy to share a class
+    twins = _with_twin_ends(dense_layered(3, 3))
+    assert sweep_costs(twins) < _old_sweep_costs(twins)
 
 
 class _CountingTrials(Trials):
@@ -339,12 +382,27 @@ def test_eval_exprset_calls_dot_once_per_sum_factor_and_pair():
         assert batch.dots == want
 
 
-def test_a_sweep_reduces_each_reached_vertex_once(monkeypatch):
-    for g in _sweep_cases()[::5]:  # seeded DAGs, dense 2x4 backward, fig9a forward
+def _signatures(g, up):
+    """Vertex -> its labeled paths to the roots (down) or the terminals
+    (up) as a nested tuple, a root or terminal standing for itself: equal
+    signatures are one structural class."""
+    sig = {}
+    for v in g.topo_order[::-1] if up else g.topo_order:
+        near = g.out_edges(v) if up else g.in_edges(v)
+        far = (lambda e: e.dst) if up else (lambda e: e.src)
+        sig[v] = tuple(sorted(((e.label, sig[far(e)]) for e in near), key=repr)) if near else v
+    return sig
+
+
+def test_a_sweep_reduces_each_reached_class_once(monkeypatch):
+    cases = _sweep_cases()
+    shared = 0
+    for g in cases[2:182:5] + cases[182:]:  # a fifth of the seeded DAGs, all others
         down_cost, up_cost = sweep_costs(g)
+        down, up = _signatures(g, False), _signatures(g, True)
         reached = {
-            "down": sum(len(g.reachable_from(y)) for y in g.roots),
-            "up": sum(len(g.reaching(x)) for x in g.terminals),
+            "down": sum(len({down[v] for v in g.reachable_from(y)}) for y in g.roots),
+            "up": sum(len({up[v] for v in g.reaching(x)}) for x in g.terminals),
         }
         for side, touched in (("down", down_cost), ("up", up_cost)):
             batch = _CountingTrials(draw_trials({e.label for e in g.edges}, 1, 4))
@@ -352,6 +410,36 @@ def test_a_sweep_reduces_each_reached_vertex_once(monkeypatch):
             assert batch.dots == reached[side]
             assert batch.terms == touched
             assert batch.products <= touched
+        shared += reached["down"] + reached["up"] < sum(
+            len(g.reachable_from(y)) for y in g.roots) + sum(len(g.reaching(x)) for x in g.terminals)
+    assert shared >= 10  # the seven factorized outputs and three DAGs with twin ends
+
+
+def test_a_corrupted_copy_keeps_a_class_of_its_own(monkeypatch):
+    # backward copies what lies below a split; relabel one edge of one copy
+    # to its sibling's label, and no class may merge it with a clean copy
+    g = dense_layered(3, 4)
+    out = factorize_backward(g)
+    copies = {}
+    for e in out.edges:
+        copies.setdefault(e.label, []).append(e)
+    victim = max(copies.values(), key=len)[-1]
+    sibling = next(e for e in out.out_edges(victim.src) if e.label != victim.label)
+    bad = DiffGraph(
+        Edge(e.id, e.src, e.dst, sibling.label) if e == victim else e for e in out.edges
+    )
+    labels = {e.label for e in g.edges}
+    expected = []
+    for t in range(12):
+        one = draw_trials(labels, 3 + t, 1)
+        va, vb = brute_path_sums(g, one), brute_path_sums(bad, one)
+        for side in ("down", "up"):
+            assert _swept(bad, one, side, monkeypatch) == vb
+        expected += [(p, 3 + t, va[p][0], vb[p][0]) for p in sorted(va) if va[p] != vb[p]]
+    report = check_equiv(g, bad, trials=12, seed=3)
+    assert report.mismatches == expected
+    assert 12 <= len(expected) < 12 * len(g.roots) * len(g.terminals)
+    assert check_equiv(g, out, trials=12, seed=3).ok
 
 
 def test_bauer_on_many_components_visits_only_what_each_sweep_reaches():
