@@ -191,12 +191,17 @@ class SplitGraph:
             self._add_attached(vmap[e.src], vmap[e.dst], e.label, e.id)
 
 
-def _factorize(g, refs=None):
+def _settle(g, refs=None):
+    """The :class:`SplitGraph` of `g` once no split pass changes it."""
     work = SplitGraph(g)
     for _ in range(_MAX_PASSES):
         if not work.split(refs):
-            return work.graph()
+            return work
     raise FactorizationError("factorization did not settle")
+
+
+def _factorize(g, refs=None):
+    return _settle(g, refs).graph()
 
 
 def factorize_backward(g):
@@ -206,8 +211,11 @@ def factorize_backward(g):
 
 def factorize_forward(g):
     """Split out-degree overlaps top-down: backward factorization of the
-    reversed graph, reversed back."""
-    return _factorize(g.reversed()).reversed()
+    reversed graph, reversed back.  The output is built once, from the
+    engine's edges turned around in their order, as
+    :meth:`~jacfact.graph.DiffGraph.reversed` would turn them."""
+    edges = _settle(g.reversed()).edges.values()
+    return DiffGraph(Edge(e.id, e.dst, e.src, e.label) for e in edges)
 
 
 def factorize_with_refs(g):
