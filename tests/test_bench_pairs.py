@@ -100,6 +100,24 @@ def test_summarize_group_keeps_runs_and_failing_ops():
     }
 
 
+def test_summarize_group_says_when_the_sides_made_different_passes():
+    specs = {"ops_per_s": ("higher", 0.25), "op_ms.tail": ("lower", 0.25)}
+
+    def group(parent_passes, change_passes):
+        runs = {
+            "parent": [_run(30.0, passes=k) for k in parent_passes],
+            "change": [_run(33.0, passes=k) for k in change_passes],
+        }
+        results = {side: [r for r, _ in pairs] for side, pairs in runs.items()}
+        records = {side: [rec for _, rec in pairs] for side, pairs in runs.items()}
+        first = ["parent", "change", "parent"][:len(parent_passes)]
+        return bench_pairs.summarize_group("dense-layered", 1, False, first, results, records, specs)
+
+    assert group([5, 5, 5], [6, 5, 6])["passes"] == {"parent": [5], "change": [5, 6], "differ": True}
+    assert group([2, 3], [3, 2])["passes"] == {"parent": [2, 3], "change": [2, 3], "differ": False}
+    assert group([2, 2], [2, 2])["passes"]["differ"] is False
+
+
 def test_failing_ops_count_once_per_run_however_many_passes():
     bad = ("g2", True, False, "replay", "FaceError: no vertex labeled x")
     parent = [_run(30.0, [bad], passes=4)[1] for _ in range(2)]

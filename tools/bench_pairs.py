@@ -22,8 +22,9 @@ line in a field of its own, `describe`.  Per metric it holds each side's
 runs, median and quartiles, the per-pair change/parent ratios, how many
 pairs the change wins, and whether the medians differ by more than the
 parent's quartile spread.  Per group it also holds each run's op counts,
-passes and tail percentile, and the failing ops of each side with their
-error texts.
+passes and tail percentile, each side's distinct pass counts and whether
+they differ (then `op_ms.tail` was read at different percentiles), and the
+failing ops of each side with their error texts.
 """
 from __future__ import annotations
 
@@ -119,6 +120,16 @@ def run_facts(result, record):
     }
 
 
+def pass_counts(runs):
+    """The distinct pass counts of each side's runs (from :func:`run_facts`),
+    and whether the sides differ in them.  A run repeats passes until its
+    time is up and `op_ms.tail` takes the value with a fixed number of ops
+    above it, so runs of different pass counts read the tail at different
+    percentiles."""
+    counts = {side: sorted({run["passes"] for run in runs[side]}) for side in SIDES}
+    return dict(counts, differ=counts["parent"] != counts["change"])
+
+
 def summarize_group(workload, seed, traced, first, results, records, specs):
     """A group's entry: `results[side]` are the runs' last stdout lines,
     `records[side]` their `perfbench/out` records, `specs` the benchmark's
@@ -128,6 +139,10 @@ def summarize_group(workload, seed, traced, first, results, records, specs):
         better, bound = specs[name]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         metrics[name] = summarize(runs["parent"], runs["change"], unit, better, bound)
+    runs = {
+        side: [run_facts(r, rec) for r, rec in zip(results[side], records[side])]
+        for side in SIDES
+    }
     return {
         "workload": workload,
         "seed": seed,
@@ -135,10 +150,8 @@ def summarize_group(workload, seed, traced, first, results, records, specs):
         "pairs": len(first),
         "first_in_pair": first,
         "metrics": metrics,
-        "runs": {
-            side: [run_facts(r, rec) for r, rec in zip(results[side], records[side])]
-            for side in SIDES
-        },
+        "passes": pass_counts(runs),
+        "runs": runs,
         "failing_ops": {side: failing_ops(records[side]) for side in SIDES},
     }
 
@@ -249,9 +262,11 @@ def main(argv=None):
         summary = dict(header(revs, args.describe, seconds), groups=[])
         # rewritten after each group, so a stopped run keeps the groups it finished
         for w, s, n, t in groups:
-            summary["groups"].append(
-                summarize_group(w, s, t, *run_group(dirs, w, s, n, t, seconds, log), specs)
-            )
+            group = summarize_group(w, s, t, *run_group(dirs, w, s, n, t, seconds, log), specs)
+            summary["groups"].append(group)
+            if group["passes"]["differ"]:
+                log(f"{w} seed {s}: passes differ (parent {group['passes']['parent']},"
+                    f" change {group['passes']['change']}), so op_ms.tail is read at different percentiles")
             out.write_text(json.dumps(summary, indent=1) + "\n")
             log(f"wrote {out}")
     return 0
