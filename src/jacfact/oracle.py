@@ -5,9 +5,13 @@ root-to-terminal path of the product of its edge labels.  Checks run in the
 prime field GF(2^61 - 1), where multiplication commutes and
 equality is exact, so the path sums are dynamic-programming sweeps over
 the topological order (vertex elimination) instead of an enumeration: down
-from each root or up from each terminal, whichever touches fewer edges,
-with one reduction per reached vertex.  A random instantiation exposes any
-fixed polynomial discrepancy with overwhelming probability.
+from each root or up from each terminal, whichever touches fewer terms.
+A sweep runs on the quotient of the graph by structural classes, vertices
+whose labeled paths to the sweep's start are the same (value numbering),
+with one reduction per reached class: the copies a factorization makes are
+evaluated once, as equal subterms of an expression set are.  A random
+instantiation exposes any fixed polynomial discrepancy with overwhelming
+probability.
 
 :func:`check_equiv` evaluates each artifact once for all of its trials: a
 :class:`Trials` batch holds, per label, its value in ``instantiate(labels,

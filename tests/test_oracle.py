@@ -388,9 +388,8 @@ def _signatures(g, up):
     signatures are one structural class."""
     sig = {}
     for v in g.topo_order[::-1] if up else g.topo_order:
-        near = g.out_edges(v) if up else g.in_edges(v)
-        far = (lambda e: e.dst) if up else (lambda e: e.src)
-        sig[v] = tuple(sorted(((e.label, sig[far(e)]) for e in near), key=repr)) if near else v
+        near = [(e.label, e.dst) for e in g.out_edges(v)] if up else [(e.label, e.src) for e in g.in_edges(v)]
+        sig[v] = tuple(sorted(((label, sig[w]) for label, w in near), key=repr)) if near else v
     return sig
 
 

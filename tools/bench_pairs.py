@@ -139,7 +139,7 @@ def summarize_group(workload, seed, traced, first, results, records, specs):
         better, bound = specs[name]
         runs = {side: [r["metrics"][name]["value"] for r in results[side]] for side in SIDES}
         metrics[name] = summarize(runs["parent"], runs["change"], unit, better, bound)
-    runs = {
+    facts = {
         side: [run_facts(r, rec) for r, rec in zip(results[side], records[side])]
         for side in SIDES
     }
@@ -150,8 +150,8 @@ def summarize_group(workload, seed, traced, first, results, records, specs):
         "pairs": len(first),
         "first_in_pair": first,
         "metrics": metrics,
-        "passes": pass_counts(runs),
-        "runs": runs,
+        "passes": pass_counts(facts),
+        "runs": facts,
         "failing_ops": {side: failing_ops(records[side]) for side in SIDES},
     }
 
