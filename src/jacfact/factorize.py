@@ -10,7 +10,7 @@ keeps the duplication coarse; in ref mode such a block becomes a named
 reference edge instead of being copied.  The passes edit one working graph
 in place (:class:`SplitGraph`), whose contracted view is its vertex index
 and gives its levels; both stay current by re-contracting only around the
-vertex each pass splits.
+vertex each pass splits and levelling only what the pass made.
 
 Graphs with several roots or terminals are handled by the page strategy,
 :func:`plan_pages`, whose steps :mod:`jacfact.pages` holds and which loads
@@ -26,7 +26,7 @@ from functools import cached_property
 
 from .expr import ExprSet, inline_single_use
 from .graph import DiffGraph, Edge, Names, depth_levels, region_edges
-from .structure import contract, edge_cedge, region_expr
+from .structure import CEdge, contract, edge_cedge, region_expr
 
 
 class FactorizationError(ValueError):
@@ -54,9 +54,10 @@ class SplitGraph:
     for each view vertex with an out-CEdge the length of the longest root
     path to it (what ``depth_levels`` gives it), summed from CEdge lengths;
     and `crowded`, the vertices whose contracted in-degree is above one.  A
-    split pass detaches and attaches the CEdges around one vertex and runs
-    the contraction around them, so no pass rebuilds or re-contracts the
-    whole graph.
+    split pass detaches and attaches the CEdges around one vertex, runs the
+    contraction around them and levels what it made (see :meth:`_relevel`),
+    so it costs about what it copies: none rebuilds, re-contracts or
+    re-levels the whole graph.
     """
 
     def __init__(self, g):
@@ -95,30 +96,32 @@ class SplitGraph:
             else:
                 self.crowded.discard(v)
 
-    def _add_attached(self, src, dst, label, base_id):
-        """:meth:`add` an edge and attach it to the view, numbered by its
-        place in edit order."""
-        e = self.edges[self.add(src, dst, label, base_id)]
-        self.view.attach(edge_cedge(e, self._clock - 1))
-
     # -- levels ---------------------------------------------------------------
 
-    def _relevel(self, touched):
-        """Recompute the levels of the `touched` vertices, those whose
-        CEdges changed, and of their descendants while a level moves;
-        predecessors go first.
+    def _relevel(self, touched, named=False):
+        """Bring `level` up to date after the CEdges of the `touched`
+        vertices changed; predecessors go first.
 
         A level is the most, over the CEdges into the vertex, of the
         source's level plus the CEdge's length.  Only view vertices with an
         out-CEdge keep one: no split targets a terminal, and a vertex that
-        left the view or lost its out-CEdges drops its level."""
+        left the view or lost its out-CEdges drops its level.
+
+        A pass that names nothing moves no kept level: a copy takes one
+        route of the vertex it copies, so the copy of its longest route is
+        as deep as the vertex was, a carried structure keeps its length, and
+        merges and collapses keep maxima and sums.  So the touched vertices
+        with no level yet, the pass's copies, are levelled; only a pass that
+        `named` a structure, making it one edge and shortening the paths
+        through it, recomputes every touched vertex, and those below a kept
+        level that moved."""
         level, by_src, by_dst = self.level, self.by_src, self.by_dst
         todo = set()
         for v in touched:
-            if v in by_src:
-                todo.add(v)
-            else:
+            if v not in by_src:
                 level.pop(v, None)
+            elif named or v not in level:
+                todo.add(v)
         while todo:
             stack = [todo.pop()]
             while stack:
@@ -131,9 +134,11 @@ class SplitGraph:
                     continue
                 stack.pop()
                 new = max((level[ce.src] + ce.length for ce in into), default=0)
-                if level.get(u) != new:
+                old = level.get(u)
+                if old != new:
                     level[u] = new
-                    todo.update(ce.dst for ce in by_src[u] if ce.dst in by_src)
+                    if old is not None:
+                        todo.update(ce.dst for ce in by_src[u] if ce.dst in by_src)
 
     # -- the split pass -------------------------------------------------------
 
@@ -156,7 +161,8 @@ class SplitGraph:
             self.view.detach(ce)
 
         # In ref mode, structures that would be copied become reference edges.
-        if refs is not None:
+        named = refs is not None and any(ce.kind != "edge" for ce in carried)
+        if named:
             carried = [
                 ce if ce.kind == "edge" else edge_cedge(self.name_structure(ce, refs), ce.seq)
                 for ce in carried
@@ -176,19 +182,33 @@ class SplitGraph:
                 del self.edges[eid]
         touched = self.view.run()
         self._recount(touched)
-        self._relevel(touched)
+        self._relevel(touched, named)
         return True
 
     def _copy_substructure(self, ce, new_src):
         """Fresh copy of a carried CEdge's member edges from `new_src` to
         its destination, its interior vertices renamed, as raw edges for the
-        view to contract."""
-        members = [self.edges[eid] for eid in sorted(ce.emembers)]
-        interior = {v for e in members for v in (e.src, e.dst)} - {ce.src, ce.dst}
-        vmap = {v: self.vnames.fresh(v) for v in sorted(interior)}
-        vmap[ce.src], vmap[ce.dst] = new_src, ce.dst
-        for e in members:
-            self._add_attached(vmap[e.src], vmap[e.dst], e.label, e.id)
+        view to contract.  Each is attached with a fresh id and the `expr`
+        and `length` of its edge's CEdge, `ce` or a leaf of its parts, in id
+        order, which fixes the copies' ids, seqs and names."""
+        leaves, vmap = [ce], {ce.src: new_src, ce.dst: ce.dst}
+        if ce.parts:
+            by_id, todo = {}, [ce]
+            while todo:
+                c = todo.pop()
+                if c.parts:
+                    todo += c.parts
+                else:
+                    by_id[min(c.emembers)] = c
+            leaves = [by_id[eid] for eid in sorted(by_id)]
+            for v in sorted({v for c in leaves for v in (c.src, c.dst)} - vmap.keys()):
+                vmap[v] = self.vnames.fresh(v)
+        for c in leaves:
+            (eid,) = c.emembers
+            src, dst = vmap[c.src], vmap[c.dst]
+            new = self.add(src, dst, self.edges[eid].label, eid)
+            self.view.attach(CEdge(src, dst, c.expr, "edge", frozenset([new]), self._clock - 1,
+                                   length=c.length))
 
 
 def _settle(g, refs=None):

@@ -194,11 +194,12 @@ def bauer_eval(g, trials):
     every root or terminal reads the column of its class.  The copies that
     factorization makes are then swept once each, not once per copy.
     """
-    down, up = sweep_costs(g)
-    if down <= up:
-        sums = _path_sums(g, trials, g.roots, g.terminals, up=False)
+    up, classes = _cheaper_side(g)
+    if up:
+        sums = _path_sums(g, trials, g.terminals, g.roots, True, classes)
+        sums = ((y, x, col) for x, y, col in sums)
     else:
-        sums = ((y, x, col) for x, y, col in _path_sums(g, trials, g.terminals, g.roots, up=True))
+        sums = _path_sums(g, trials, g.roots, g.terminals, False, classes)
     return {(y, x): col for y, x, col in sorted(sums)}
 
 
@@ -248,13 +249,14 @@ def _itself(v):
     return v
 
 
-def _path_sums(g, trials, starts, ends, up):
+def _path_sums(g, trials, starts, ends, up, classes):
     """``(start, end, column)`` for each end that a start reaches, one sweep
-    per start on the side's quotient.  A class steps on from its first
-    vertex's `near` edges, a multiset, and an end reads its class's
-    column.  Up sweeps put the label on the left."""
+    per start on the side's quotient, `classes` as :func:`_quotient` gives
+    it.  A class steps on from its first vertex's `near` edges, a multiset,
+    and an end reads its class's column.  Up sweeps put the label on the
+    left."""
     order, near, far = _side(g, up)
-    find, firsts = _quotient(g, up)
+    find, firsts = classes
     step = {v: [] for v in firsts}
     for v in firsts:
         for e in near(v):
@@ -308,12 +310,23 @@ def sweep_costs(g):
     the target's :attr:`~jacfact.graph.DiffGraph.reach_bits` over those
     edges; with distinct labels, over every edge.
     """
-    return tuple(_cost(g, bits, up) for bits, up in zip(g.reach_bits, (False, True)))
+    return _costed(g, False)[0], _costed(g, True)[0]
 
 
-def _cost(g, bits, up):
+def _cheaper_side(g):
+    """``(up, classes)``: the side whose sweeps touch fewer terms, down on a
+    tie, and the quotient its cost was counted on, so the swept side builds
+    its classes once and the other side's go before the sweep."""
+    down, up = _costed(g, False), _costed(g, True)
+    return (False, down[1]) if down[0] <= up[0] else (True, up[1])
+
+
+def _costed(g, up):
+    """``(cost, classes)`` of one side: the terms its sweeps touch, and its
+    :func:`_quotient`."""
     _, near, far = _side(g, up)
-    return sum(bits[far(e)].bit_count() for v in _quotient(g, up)[1] for e in near(v))
+    bits, classes = g.reach_bits[up], _quotient(g, up)
+    return sum(bits[far(e)].bit_count() for v in classes[1] for e in near(v)), classes
 
 
 # ---------------------------------------------------------------------------

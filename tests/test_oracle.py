@@ -259,8 +259,9 @@ def test_bauer_chain_of_60_diamonds_matches_closed_form():
 
 def _swept(g, batch, side, monkeypatch):
     """`bauer_eval` with its sweep side forced to "down" or "up"."""
+    up = side == "up"
     with monkeypatch.context() as m:
-        m.setattr(oracle, "sweep_costs", lambda g: (0, 1) if side == "down" else (1, 0))
+        m.setattr(oracle, "_cheaper_side", lambda g: (up, oracle._quotient(g, up)))
         return bauer_eval(g, batch)
 
 
@@ -317,6 +318,16 @@ def test_sweep_costs_pick_the_cheaper_side():
     bauer_eval(forward, batch)
     assert batch.terms == 90
     assert len(forward.edges) == 360
+
+
+def test_each_side_builds_its_classes_once(monkeypatch):
+    # the swept side reads the classes its cost was counted on
+    g = factorize_backward(dense_layered(3, 4))
+    built = []
+    quotient = oracle._quotient
+    monkeypatch.setattr(oracle, "_quotient", lambda g, up: built.append(up) or quotient(g, up))
+    bauer_eval(g, draw_trials({e.label for e in g.edges}, 0, 3))
+    assert built == [False, True]
 
 
 def _old_sweep_costs(g):

@@ -2,8 +2,9 @@
 
 After every split pass the engine's contracted view and levels must equal a
 contraction and a level computation of that pass's graph from scratch; its
-outputs must equal digests recorded from the rebuild-per-pass engine; and a
-factorization must not rebuild or re-contract the graph once per pass.
+outputs must equal digests recorded from the rebuild-per-pass engine; a
+factorization must not rebuild or re-contract the graph once per pass; and a
+pass that names nothing must look up no atom and level only what it made.
 """
 import hashlib
 import random
@@ -12,7 +13,7 @@ from collections import Counter
 import pytest
 
 from jacfact import factorize, recognize, structure
-from jacfact.expr import ExprSet, expand_expr, fma_cost, format_exprset
+from jacfact.expr import ExprSet, Sym, expand_expr, fma_cost, format_exprset
 from jacfact.factorize import (
     SplitGraph,
     _factorize,
@@ -72,13 +73,15 @@ def test_view_and_levels_match_a_rebuild_after_every_pass(mode):
     assert total > 200  # the corpus really splits
 
 
+# v carries the block v->a->d | v->d of length 2 to d; a ref-mode pass names
+# it as one edge, so the longest root path to d drops to 2
+LOWERED = "\n".join([
+    "e e1 r1 v", "e e2 r2 v", "e e3 v a", "e e4 a d", "e e5 v d", "e e6 d t1", "e e7 d t2",
+])
+
+
 def test_a_ref_pass_lowers_a_level():
-    # v carries the block v->a->d | v->d of length 2 to d; a ref-mode pass
-    # names it as one edge, so the longest root path to d drops to 2
-    g = parse_graph("\n".join([
-        "e e1 r1 v", "e e2 r2 v", "e e3 v a", "e e4 a d", "e e5 v d", "e e6 d t1", "e e7 d t2",
-    ]))
-    work = SplitGraph(g)
+    work = SplitGraph(parse_graph(LOWERED))
     assert work.level["d"] == 3
     assert work.split(ExprSet())
     levels, _ = depth_levels(work.graph())
@@ -247,3 +250,49 @@ def test_rebuilds_do_not_grow_with_passes(monkeypatch, run):
         assert rebuilds[0] == (1, 1)
     if run is factorize_forward:
         assert rebuilds[0] == (2, 1)
+
+
+class _Relevelled(dict):
+    """A level map that counts the levels it held that the engine worked
+    out again: the level walk reads a vertex's old level with `get` once
+    for each vertex it levels."""
+
+    again = 0
+
+    def get(self, v, default=None):
+        self.again += v in self
+        return super().get(v, default)
+
+
+def test_a_pass_that_names_nothing_copies_and_levels_only_what_it_made(monkeypatch):
+    counts = Counter()
+    sym_new, atom = Sym.__new__, structure.atom
+
+    def counted_sym(cls, name):
+        counts["lookups"] += 1
+        return sym_new(cls, name)
+
+    def counted_atom(label):
+        counts["lookups"] += 1
+        return atom(label)
+
+    monkeypatch.setattr(Sym, "__new__", counted_sym)
+    monkeypatch.setattr(structure, "atom", counted_atom)
+    g = dense_layered(2, 8)
+    work = SplitGraph(g)
+    assert counts["lookups"] == 2 * len(g.edges)  # the input's own, an atom and a Sym each
+    counts.clear()
+    work.level = _Relevelled(work.level)
+    passes = 0
+    while work.split(None):
+        passes += 1
+    # each copied edge reuses its CEdge's expression, and the walk levels
+    # only the copies
+    assert passes > 100 and len(work.edges) > 10 * len(g.edges)
+    assert counts["lookups"] == 0
+    assert work.level.again == 0
+    # naming a structure shortens the paths through it: d is levelled again
+    work = SplitGraph(parse_graph(LOWERED))
+    work.level = _Relevelled(work.level)
+    assert work.split(ExprSet())
+    assert work.level.again >= 1

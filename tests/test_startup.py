@@ -76,6 +76,37 @@ def test_each_subcommand_loads_only_what_it_runs(args, modules):
     assert loaded == modules
 
 
+# The source bytes of the jacfact modules each LOADS case loads.  Compile
+# time follows source size, and a CLI run compiles jacfact from source, so
+# this is what a subcommand costs before it runs; a change that raises an
+# entry re-records it and says why.
+SOURCE_BYTES = {
+    "inspect fig9a.graph": 54408,
+    "inspect fig9a.graph --format json": 54408,
+    "factorize fig4b.graph --direction backward": 80383,
+    "factorize fig4b.graph --direction forward": 80383,
+    "factorize fig4b.graph --direction refs": 80383,
+    "factorize fig9a.graph --direction pages": 88377,
+    "factorize fig4b.graph --direction backward --expr": 80383,
+    "dot fig1a.graph": 35935,
+    "dot fig1a.graph --line-graph": 53116,
+    "verify eq1.exprs eq2.exprs": 55505,
+    "eliminate fig4a.graph --from-exprset eq1.exprs": 71160,
+}
+
+
+def source_bytes(modules):
+    """The total size of the source files of the jacfact `modules`."""
+    return sum(
+        Path(importlib.import_module(m).__file__).stat().st_size
+        for m in modules if m.split(".")[0] == "jacfact"
+    )
+
+
+def test_source_bytes_each_subcommand_loads_are_recorded():
+    assert {" ".join(args): source_bytes(modules) for args, modules in LOADS} == SOURCE_BYTES
+
+
 # expression sets the exit-code cases read, written under TMP
 SETS = {
     "ab": "J[a,b] = x\n",
